@@ -165,12 +165,13 @@ def boost_example(
 class TrainState:
     """Mutable state of one training run; only weights, logw, and scores move.
 
-    ``bins``, ``loglik``, and ``rows_by_cell`` are precomputed over the
-    training set once, since the density tables do not change during
-    boosting. ``scores`` carries the per-example log scores forward
-    across updates and epochs: a boost touches M cells of one class, so
-    only rows sharing one of those cells need a score patch, and their
-    winner can only flip toward the boosted class.
+    ``bins``, ``loglik``, ``rows_by_cell`` and its (M, B_max) table of
+    group sizes ``cell_sizes`` are precomputed over the training set once,
+    since the density tables do not change during boosting. ``scores``
+    carries the per-example log scores forward across updates and epochs:
+    a boost touches M cells of one class, so only rows sharing one of
+    those cells need a score patch, and their winner can only flip toward
+    the boosted class.
     """
 
     density: DensityModel
@@ -182,6 +183,7 @@ class TrainState:
     labels: np.ndarray
     scores: np.ndarray
     rows_by_cell: tuple[tuple[np.ndarray, ...], ...]
+    cell_sizes: np.ndarray
 
     @classmethod
     def build(cls, data: Dataset, config: TrainConfig) -> "TrainState":
@@ -204,6 +206,9 @@ class TrainState:
             tuple(np.nonzero(bins[:, col] == b)[0] for b in range(density.topology[col]))
             for col in range(m)
         )
+        cell_sizes = np.zeros((m, max(density.topology)), dtype=np.int64)
+        for col, groups in enumerate(rows_by_cell):
+            cell_sizes[col, : len(groups)] = [len(g) for g in groups]
         return cls(
             density=density,
             config=config,
@@ -214,6 +219,7 @@ class TrainState:
             labels=data.labels(),
             scores=loglik.copy(),  # all log-weights start at 0
             rows_by_cell=rows_by_cell,
+            cell_sizes=cell_sizes,
         )
 
     def _apply_update(self, i: int, wins: np.ndarray, missing: np.ndarray) -> None:
@@ -232,12 +238,14 @@ class TrainState:
         self.logw[touched] = new
 
         groups = [self.rows_by_cell[m][cells[m]] for m in range(len(cells))]
-        amount = np.repeat(new - old, [len(g) for g in groups])
+        amount = np.repeat(new - old, self.cell_sizes[cols, cells])
         patch = np.bincount(np.concatenate(groups), weights=amount, minlength=len(self.labels))
         self.scores[:, label] += patch
 
-        rows = np.nonzero(patch > 0.0)[0]
-        rows = rows[rows > i]
+        # a row already won by ``label`` cannot flip; skip it with the rows
+        # at or before ``i``
+        ahead = slice(i + 1, None)
+        rows = np.flatnonzero((patch[ahead] > 0.0) & (wins[ahead] != label)) + (i + 1)
         held = self.scores[rows, wins[rows]]
         came = self.scores[rows, label]
         flipped = rows[(came > held) | ((came == held) & (label < wins[rows]))]

@@ -180,6 +180,14 @@ def _search_ranges(schema, raw_ranges, baseline_bins: int) -> tuple[tuple[int, .
     return tuple(ranges)
 
 
+def _spec_entry(raw: dict, key: str):
+    """``raw[key]``; a missing key is a ValueError naming it, not a traceback."""
+    try:
+        return raw[key]
+    except KeyError:
+        raise ValueError(f'search spec is missing "{key}"') from None
+
+
 def cmd_search(args) -> int:
     missing = _require_files(args.spec)
     if missing:
@@ -190,7 +198,7 @@ def cmd_search(args) -> int:
         raw = json.load(fh)
     base = spec_path.parent
 
-    schema_path = base / raw["schema"]
+    schema_path = base / _spec_entry(raw, "schema")
     missing = _require_files(schema_path)
     if missing:
         print(missing, file=sys.stderr)
@@ -210,9 +218,10 @@ def cmd_search(args) -> int:
             print(missing, file=sys.stderr)
             return 2
         full = parse_table(data_path, schema, options)
-        trainset, validation = split_dataset(full, raw["train_count"], raw.get("seed"))
+        trainset, validation = split_dataset(full, _spec_entry(raw, "train_count"), raw.get("seed"))
     else:
-        train_path, val_path = base / raw["train"], base / raw["validation"]
+        train_path = base / _spec_entry(raw, "train")
+        val_path = base / _spec_entry(raw, "validation")
         missing = _require_files(train_path, val_path)
         if missing:
             print(missing, file=sys.stderr)
@@ -222,7 +231,7 @@ def cmd_search(args) -> int:
 
     baseline_bins = int(raw.get("baseline_bins", 5))
     spec = SearchSpec(
-        ranges=_search_ranges(schema, raw["ranges"], baseline_bins),
+        ranges=_search_ranges(schema, _spec_entry(raw, "ranges"), baseline_bins),
         budget=int(raw.get("budget", 64)),
         parallelism=args.parallel if args.parallel is not None else int(raw.get("parallelism", 1)),
         baseline_bins=baseline_bins,

@@ -247,6 +247,25 @@ class TestSearch:
         assert code == 1
         assert "error: ranges for unknown attributes" in captured.err
 
+    @pytest.mark.parametrize("key", ["schema", "ranges", "validation", "train_count"])
+    def test_missing_spec_key_is_reported(self, workdir, capsys, key):
+        if key == "train_count":
+            # a "data" file to split needs the count of training rows
+            spec = {"schema": "xor.schema.json", "data": "xor.data", "ranges": [[2], [2]]}
+        else:
+            spec = {
+                "schema": "xor.schema.json",
+                "train": "xor.data",
+                "validation": "xor.data",
+                "ranges": [[2], [2]],
+            }
+            del spec[key]
+        (workdir / "search.json").write_text(json.dumps(spec))
+        code = main(["search", "--spec", str(workdir / "search.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f'error: search spec is missing "{key}"\n'
+
 
 def write_suite(workdir, checks):
     suite = {

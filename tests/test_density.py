@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
 from diffnb.density import (
+    _CHECK_BUDGET,
+    DEFAULT_TAG_GAIN,
     BinSpec,
     bin_index,
     bin_indices,
@@ -239,3 +241,148 @@ class TestTaggedLikelihood:
                 for k in range(data.schema.n_classes):
                     expected = math.log(tagged_likelihood(density, row, k, m_i))
                     assert parts[i, k, m_i] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+# -- loop references for the vectorized window fit and check ------------------
+
+
+def reference_fit(data, topology):
+    """Counts and windows by element-wise ``ufunc.at`` scatters, row by row.
+
+    Returns (counts, lo, hi, populated) as :func:`fit_density` lays them out.
+    """
+    values = data.value_matrix()
+    labels = data.labels()
+    n, m = values.shape
+    k = data.schema.n_classes
+    topology = resolve_topology(data.schema, topology)
+    b_max = max(topology)
+    specs = [make_bin_spec(values[:, j], topology[j], attribute=j) for j in range(m)]
+    binned = np.array([[bin_index(specs[j], v) for j, v in enumerate(row)] for row in values])
+
+    counts = np.zeros((k, m, b_max), dtype=np.int64)
+    attr_idx = np.broadcast_to(np.arange(m), (n, m))
+    label_idx = np.broadcast_to(labels[:, None], (n, m))
+    np.add.at(counts, (label_idx, attr_idx, binned), 1)
+
+    lo = np.full((k, m, b_max, m), np.inf)
+    hi = np.full((k, m, b_max, m), -np.inf)
+    for j in range(m):
+        cell = (labels, np.full(n, j), binned[:, j])
+        np.minimum.at(lo, cell, values)
+        np.maximum.at(hi, cell, values)
+    populated = counts > 0
+    lo[~populated] = -np.inf
+    hi[~populated] = np.inf
+    diag = np.arange(m)
+    lo[:, diag, :, diag] = -np.inf
+    hi[:, diag, :, diag] = np.inf
+    return counts, lo, hi, populated
+
+
+def reference_likelihood_logs(density, values, tag_gain=DEFAULT_TAG_GAIN):
+    """Bins and log parts with the window check run one attribute at a time."""
+    epsilon = density.epsilon_floor
+    n, m = values.shape
+    k = density.schema.n_classes
+    binned = np.array(
+        [[bin_index(density.bin_specs[j], v) for j, v in enumerate(row)] for row in values],
+        dtype=np.int64,
+    ).reshape(n, m)
+    rows = np.arange(n)[:, None]
+    attrs = np.arange(m)[None, :]
+    counts = density.joint.counts[:, attrs, binned[rows, attrs]]
+    base = np.where(counts > 0, counts / float(density.joint.n_train), epsilon)
+    violated = np.zeros((k, n, m), dtype=bool)
+    for j in range(m):
+        lo_j = density.tags.lo[:, :, :, j][:, attrs, binned[rows, attrs]]
+        hi_j = density.tags.hi[:, :, :, j][:, attrs, binned[rows, attrs]]
+        v_j = values[:, j][None, :, None]
+        violated |= (v_j < lo_j) | (v_j > hi_j)
+    gated = np.where(violated, base * tag_gain, base)
+    return binned, np.log(gated).transpose(1, 0, 2)
+
+
+def numeric_dataset(values, labels, k):
+    schema = Schema(
+        tuple(AttributeSpec(f"x{j}", "continuous") for j in range(values.shape[1])),
+        tuple(f"c{c}" for c in range(k)),
+    )
+    return Dataset.build(schema, [(tuple(r), int(c)) for r, c in zip(values, labels)])
+
+
+def assert_identical(got, want):
+    """Equal arrays, down to the sign of every zero."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if got.dtype.kind == "f":
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_matches_references(data, topology, queries):
+    density = fit_density(data, topology)
+    counts, lo, hi, populated = reference_fit(data, topology)
+    assert_identical(density.joint.counts, counts)
+    assert_identical(density.tags.lo, lo)
+    assert_identical(density.tags.hi, hi)
+    assert_identical(density.tags.populated, populated)
+    bins, parts = likelihood_logs(density, queries)
+    ref_bins, ref_parts = reference_likelihood_logs(density, queries)
+    assert_identical(bins, ref_bins)
+    assert_identical(parts, ref_parts)
+
+
+# signed zeros among values that often tie, so windows close on zeros of
+# either sign
+zero_heavy_values = st.one_of(st.sampled_from([0.0, -0.0]), lattice_values)
+
+
+class TestVectorizedMatchesLoops:
+    @given(small_problems(values=zero_heavy_values), st.data())
+    def test_small_problems(self, problem, extra):
+        data, topology = problem
+        m = data.schema.n_attributes
+        fresh = extra.draw(st.lists(st.lists(zero_heavy_values, min_size=m, max_size=m), max_size=6))
+        queries = np.array([ex.values for ex in data.examples] + fresh).reshape(-1, m)
+        assert_matches_references(data, topology, queries)
+
+    @given(small_problems(values=zero_heavy_values, max_n=1))
+    def test_single_row(self, problem):
+        data, topology = problem
+        assert_matches_references(data, topology, data.value_matrix())
+
+    def test_zero_bounds_take_the_sign_of_the_last_zero(self):
+        schema = xor_dataset().schema
+        rows = [((0.0, -0.0), 0), ((0.0, 0.0), 0), ((0.0, -0.0), 0), ((0.0, 3.0), 1)]
+        data = Dataset.build(schema, rows)
+        density = fit_density(data, 1)
+        assert np.signbit(density.tags.lo[0, 0, 0, 1]) and np.signbit(density.tags.hi[0, 0, 0, 1])
+        assert_matches_references(data, 1, np.zeros((1, 2)))
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), bins=st.integers(1, 2))
+    def test_long_runs_of_signed_zeros(self, seed, m, bins):
+        # numpy's reductions pair equal values in their own order once a
+        # cell holds a few dozen rows; windows closing on a zero of either
+        # sign (the min of a column of zeros and ones, the max of zeros and
+        # minus ones) must still come out as the row-order sweep's
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 200))
+        values = rng.choice([0.0, -0.0, 1.0], size=(n, m)) * rng.choice([1.0, -1.0], size=m)
+        data = numeric_dataset(values, rng.integers(0, 2, size=n), 2)
+        assert_matches_references(data, bins, values[:10])
+
+    @settings(max_examples=15)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_row_blocks_of_a_wide_problem(self, offset, seed):
+        # K=4, M=40: the check gathers windows a few dozen rows at a time, so
+        # a step-1, step, or step+1 row batch ends inside, on, or past a block
+        k, m = 4, 40
+        step = max(1, _CHECK_BUDGET // (k * m * m))
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-3, 4, size=(60, m)) * rng.choice([1.0, -1.0], size=(60, m))
+        data = numeric_dataset(values, rng.integers(0, k, size=60), k)
+        fresh = rng.integers(-3, 4, size=(step + 1, m)).astype(np.float64)
+        queries = np.concatenate([values[: (step + 1) // 2], fresh])[: step + offset]
+        assert_matches_references(data, 3, queries)

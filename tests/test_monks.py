@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from diffnb.boosting import TrainConfig, train
 from diffnb.dataset import ParseOptions, load_schema, parse_table
 from diffnb.monks import (
     MONKS_BINS,
@@ -13,6 +14,36 @@ from diffnb.monks import (
     monks_label,
     monks_schema,
     write_monks_files,
+)
+
+# Per-epoch training misses at 4 bins, the counts the benchmark's
+# perfbench/expected.json also checks. Near-ties on monks-2 and monks-3 are
+# decided by the sweep's incrementally patched scores, so a change to their
+# rounding order (rescoring rows afresh, say) moves these counts.
+MONKS2_FIRST_40_MISSES = (
+    73, 77, 76, 75, 76, 75, 76, 77, 79, 83, 85, 87, 89, 92, 91, 91, 88, 83, 78, 80,
+    77, 78, 77, 77, 75, 76, 77, 80, 82, 84, 89, 91, 91, 88, 79, 78, 81, 79, 81, 81,
+)
+MONKS3_MISSES = (
+    6, 6, 7, 7, 7, 7, 7, 7, 7, 8, 8, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+    8, 8, 8, 8, 8, 8, 8, 8, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+    7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+    7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 7, 7, 7, 7,
+    7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+    7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+    7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+    7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+    7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 7, 8, 7, 8,
+    7, 8, 8, 8, 7, 8, 7, 8, 7, 8, 7, 8, 8, 8, 7, 8, 7, 8, 7, 8, 7, 8, 8, 9, 8, 9, 9,
+    9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9,
+    9, 9, 8, 9, 9, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 8,
+    9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9,
+    8, 9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 8, 9, 8,
+    9, 9, 9, 8, 9, 8, 9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 9, 9,
+    8, 9, 9, 9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 8, 9, 8, 9, 9,
+    9, 8, 9, 8, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9,
+    9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 8, 9, 8,
+    9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9, 8,
 )
 
 
@@ -118,3 +149,15 @@ class TestFiles:
 
         path = Path(__file__).parent.parent / "benchmarks" / "schemas" / "monks.schema.json"
         assert load_schema(path) == monks_schema()
+
+
+class TestTrainingTrace:
+    def test_monks2_first_40_epochs(self):
+        train_set, _ = generate_monks(2)
+        _, trace = train(train_set, TrainConfig(topology=MONKS_BINS, max_rounds=40))
+        assert trace.miss_counts == MONKS2_FIRST_40_MISSES
+
+    def test_monks3_full_500_epochs(self):
+        train_set, _ = generate_monks(3)
+        _, trace = train(train_set, TrainConfig(topology=MONKS_BINS))
+        assert trace.miss_counts == MONKS3_MISSES
