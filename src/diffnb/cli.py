@@ -196,6 +196,8 @@ def cmd_search(args) -> int:
     spec_path = Path(args.spec)
     with open(spec_path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("search spec must be a JSON object")
     base = spec_path.parent
 
     schema_path = base / _spec_entry(raw, "schema")
@@ -205,6 +207,8 @@ def cmd_search(args) -> int:
         return 2
     schema = load_schema(schema_path)
     parse_raw = raw.get("parse", {})
+    if not isinstance(parse_raw, dict):
+        raise ValueError('search spec "parse" must be a JSON object')
     options = ParseOptions(
         delimiter=parse_raw.get("delimiter"),
         missing_token=parse_raw.get("missing_token", "?"),

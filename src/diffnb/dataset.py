@@ -5,6 +5,7 @@ shared freely across threads.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -100,8 +101,8 @@ class Schema:
     def encode_value(self, attr_index: int, token: str) -> float:
         """Encode one attribute token as the numeric value used internally.
 
-        Continuous attributes parse as floats; discrete attributes map to
-        the index of the token in their declared value list.
+        Continuous attributes parse as finite floats; discrete attributes
+        map to the index of the token in their declared value list.
         """
         spec = self.attributes[attr_index]
         if spec.is_discrete:
@@ -112,9 +113,13 @@ class Schema:
                     f"attribute {spec.name!r}: unknown value {token!r}"
                 ) from None
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise ParseError(f"attribute {spec.name!r}: not a number: {token!r}") from None
+        if not math.isfinite(value):
+            # a nan or infinity has no bin
+            raise ParseError(f"attribute {spec.name!r}: not a finite number: {token!r}")
+        return value
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,14 @@ class TestTrain:
         assert "no such file" in captured.err
         assert not (workdir / "m.json").exists()
 
+    def test_non_finite_value_is_a_runtime_error(self, workdir, capsys):
+        (workdir / "xor.data").write_text("0 0 c0\n1 1 c0\nnan 1 c1\n1 0 c1\n")
+        code, model_path = train_xor(workdir)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: line 3: attribute 'a': not a finite number: 'nan'\n"
+        assert not model_path.exists()
+
     def test_wrong_bins_arity_is_a_runtime_error(self, workdir, capsys):
         code = main(
             [
@@ -164,6 +172,17 @@ class TestPredict:
         assert lines[1].startswith("ERROR: line 2:")
         assert lines[2] == "ERROR: line 3: expected 2 values, got 1"
         assert "2 rows failed" in captured.err
+
+    def test_non_finite_rows_are_reported(self, workdir, capsys):
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        (workdir / "bad.rows").write_text("0 inf\n")
+        code = main(
+            ["predict", "--model", str(model_path), "--data", str(workdir / "bad.rows")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "ERROR: line 1: attribute 'b': not a finite number: 'inf'\n"
 
     def test_reads_stdin_when_no_data_given(self, workdir, capsys, monkeypatch):
         _, model_path = train_xor(workdir)
@@ -265,6 +284,30 @@ class TestSearch:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f'error: search spec is missing "{key}"\n'
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([1, 2], "search spec must be a JSON object"),
+            (
+                {
+                    "schema": "xor.schema.json",
+                    "train": "xor.data",
+                    "validation": "xor.data",
+                    "parse": [0],
+                    "ranges": [[2], [2]],
+                },
+                'search spec "parse" must be a JSON object',
+            ),
+        ],
+        ids=["spec", "parse"],
+    )
+    def test_non_object_spec_is_reported(self, workdir, capsys, spec, message):
+        (workdir / "search.json").write_text(json.dumps(spec))
+        code = main(["search", "--spec", str(workdir / "search.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
 
 
 def write_suite(workdir, checks):

@@ -103,6 +103,12 @@ class TestSchema:
         with pytest.raises(SchemaError, match="unknown value"):
             schema.encode_value(1, "purple")
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, token):
+        schema = two_class(AttributeSpec("x", "continuous"))
+        with pytest.raises(ParseError, match=f"attribute 'x': not a finite number: '{token}'"):
+            schema.encode_value(0, token)
+
 
 class TestDataset:
     def test_arity_checked(self):
@@ -166,6 +172,12 @@ class TestParseTable:
     def test_wrong_field_count_names_line(self, tmp_path):
         path = self.write(tmp_path, "1 1 c0\n1 c0\n")
         with pytest.raises(ParseError, match="line 2"):
+            parse_table(path, xor_schema())
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, token):
+        path = self.write(tmp_path, f"1 1 c0\n0 {token} c1\n")
+        with pytest.raises(ParseError, match="line 2: attribute 'b': not a finite number"):
             parse_table(path, xor_schema())
 
     def test_unknown_class_names_line(self, tmp_path):

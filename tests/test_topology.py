@@ -1,14 +1,35 @@
 """Coordinate search over bin counts."""
 
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffnb
 from diffnb.boosting import TrainConfig, train
+from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
 from diffnb.evaluation import evaluate
 from diffnb.topology import SearchResult, SearchSpec, Trial, coordinate_search
 
 from conftest import xor_dataset
+
+
+def three_attribute_dataset() -> Dataset:
+    """60 seeded rows, 3 continuous attributes, 3 classes, some labels noisy."""
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(60, 3))
+    labels = np.argmax(values @ np.array([[1.0, -1.0, 0.0], [0.5, 1.0, -1.0], [0.0, 0.5, 1.0]]), axis=1)
+    labels[::9] = (labels[::9] + 1) % 3
+    schema = Schema(tuple(AttributeSpec(f"x{i}", "continuous") for i in range(3)), ("c0", "c1", "c2"))
+    return Dataset.build(schema, zip(values.tolist(), labels.tolist()))
 
 
 class TestSearchSpec:
@@ -77,14 +98,85 @@ class TestCoordinateSearch:
             assert len(result.trials) <= budget
 
     def test_parallel_equals_serial(self):
-        base = dict(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2)
-        serial = coordinate_search(
-            xor_dataset(), xor_dataset(), SearchSpec(parallelism=1, **base)
+        three = three_attribute_dataset()
+        cases = {
+            "xor": (xor_dataset(), dict(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2)),
+            "three attributes": (three, dict(ranges=((2, 3, 4), (1, 2, 3), (2, 5)), baseline_bins=3)),
+            "budget-truncated": (three, dict(ranges=((2, 3, 4), (1, 2, 3), (2, 5)), baseline_bins=3, budget=5)),
+            "exhaustive": (three, dict(ranges=((2, 3), (1, 3), (2, 5)), exhaustive=True)),
+        }
+        for name, (data, base) in cases.items():
+            seen = {1: [], 2: []}
+            results = {
+                parallelism: coordinate_search(
+                    data, data, SearchSpec(parallelism=parallelism, **base),
+                    TrainConfig(max_rounds=3), on_trial=seen[parallelism].append,
+                )
+                for parallelism in (1, 2)
+            }
+            assert results[1] == results[2], name
+            assert seen[1] == seen[2] == list(results[1].trials), name
+            assert results[1].truncated == ("budget" in base), name
+
+    def test_one_pool_per_search(self, monkeypatch):
+        opened = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        # two sweeps of two new topologies each, after the baseline
+        spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
+        coordinate_search(xor_dataset(), xor_dataset(), spec)
+        assert len(opened) == 1
+        # every batch holds one new topology: nothing to run side by side
+        spec = SearchSpec(ranges=((2,), (2,)), parallelism=2)
+        coordinate_search(xor_dataset(), xor_dataset(), spec)
+        assert len(opened) == 1
+
+    def test_worker_failure_is_raised_and_leaks_no_worker(self):
+        # bin count 0 passes the spec but fails inside the training
+        spec = SearchSpec(ranges=((2, 0, 3), (2,)), exhaustive=True, parallelism=2)
+        with pytest.raises(SchemaError, match="bin count must be >= 1") as excinfo:
+            coordinate_search(xor_dataset(), xor_dataset(), spec)
+        # the pool attaches the worker's traceback as the cause
+        assert "_train_in_worker" in str(excinfo.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_match_serial(self):
+        # spawned workers (the default on macOS; forkserver on Linux from
+        # Python 3.14) start from a fresh import and get their data only
+        # through the pickled pool initializer arguments
+        spec = dict(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2)
+        rows = [(ex.values, ex.label) for ex in xor_dataset().examples]
+        serial = coordinate_search(xor_dataset(), xor_dataset(), SearchSpec(parallelism=1, **spec))
+        script = textwrap.dedent(
+            f"""
+            import multiprocessing
+
+            from diffnb.dataset import AttributeSpec, Dataset, Schema
+            from diffnb.topology import SearchSpec, coordinate_search
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn")
+                schema = Schema(
+                    (AttributeSpec("a", "continuous"), AttributeSpec("b", "continuous")),
+                    ("c0", "c1"),
+                )
+                data = Dataset.build(schema, {rows!r})
+                print(repr(coordinate_search(data, data, SearchSpec(parallelism=2, **{spec!r}))))
+            """
         )
-        threaded = coordinate_search(
-            xor_dataset(), xor_dataset(), SearchSpec(parallelism=4, **base)
+        package_root = Path(diffnb.__file__).resolve().parent.parent
+        path = [str(package_root), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        child = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
-        assert serial == threaded
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == repr(serial) + "\n"
 
     def test_best_is_reproducible_by_retraining(self):
         spec = SearchSpec(ranges=((1, 2), (1, 2)), baseline_bins=1)
