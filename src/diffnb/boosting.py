@@ -10,6 +10,14 @@ misclassified example adds
 to the weights of the true class's cells touched by the example. Epochs
 repeat until an epoch misclassifies nothing or ``max_rounds`` is hit.
 
+The sweep keeps a running table of log scores, patched after each boost,
+and no record of winners: it finds the next row to boost on demand, as
+the first row ahead whose argmax misses its label. A boost only raises
+the true class's scores, so a row's argmax is exactly the winner a
+per-boost flip check would keep, down to ties: argmax takes the lowest
+index, which is how a raised class that ties the held winner takes the
+row from a higher-indexed one.
+
 Scoring here is the single authority shared with inference and
 evaluation: log-likelihood parts plus log-weights, exponentiated
 per row against the row's max log only when the magnitudes demand it,
@@ -28,6 +36,8 @@ from .density import DEFAULT_TAG_GAIN, DensityModel, fit_density, likelihood_log
 # are shifted by their max log before exponentiation.
 _SAFE_LOG = 690.0
 _TINY = float(np.finfo(np.float64).tiny)
+# rows the training sweep's next-miss scan reads first; later windows double
+_FIRST_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -170,8 +180,8 @@ class TrainState:
     since the density tables do not change during boosting. ``scores``
     carries the per-example log scores forward across updates and epochs:
     a boost touches M cells of one class, so only rows sharing one of
-    those cells need a score patch, and their winner can only flip toward
-    the boosted class.
+    those cells need a score patch. Winners are not stored; the sweep
+    reads them from ``scores`` when it reaches a row.
     """
 
     density: DensityModel
@@ -222,12 +232,12 @@ class TrainState:
             cell_sizes=cell_sizes,
         )
 
-    def _apply_update(self, i: int, wins: np.ndarray, missing: np.ndarray) -> None:
-        """Propagate example ``i``'s boost into logw, scores, wins, and missing.
+    def _apply_update(self, i: int) -> None:
+        """Propagate example ``i``'s boost into logw and the running scores.
 
-        Only the true class's column moved, and upward, so a row's winner
-        either stays put or flips to that class; rows at or before ``i``
-        are left to the next epoch's fresh argmax.
+        Each row sharing a boosted cell gets its log-weight increments
+        summed in attribute order, then the sum added to its score for
+        the true class; every other score is left as it is.
         """
         label = int(self.labels[i])
         cells = self.bins[i]
@@ -242,40 +252,49 @@ class TrainState:
         patch = np.bincount(np.concatenate(groups), weights=amount, minlength=len(self.labels))
         self.scores[:, label] += patch
 
-        # a row already won by ``label`` cannot flip; skip it with the rows
-        # at or before ``i``
-        ahead = slice(i + 1, None)
-        rows = np.flatnonzero((patch[ahead] > 0.0) & (wins[ahead] != label)) + (i + 1)
-        held = self.scores[rows, wins[rows]]
-        came = self.scores[rows, label]
-        flipped = rows[(came > held) | ((came == held) & (label < wins[rows]))]
-        wins[flipped] = label
-        missing[flipped] = self.labels[flipped] != label
+    def _next_miss(self, start: int) -> int:
+        """First row at or after ``start`` whose running argmax misses its label.
+
+        Reads ``_FIRST_WINDOW`` rows, then windows twice as long each
+        time, so a nearby miss costs one short argmax and a long clean
+        stretch a logarithmic number of them. Returns n when no row misses.
+        """
+        n = len(self.labels)
+        width = _FIRST_WINDOW
+        while start < n:
+            stop = min(start + width, n)
+            wins = np.argmax(self.scores[start:stop], axis=1)
+            missed = np.flatnonzero(wins != self.labels[start:stop])
+            if missed.size:
+                return start + int(missed[0])
+            start = stop
+            width *= 2
+        return n
 
     def _scan(self) -> int:
-        """One sequential pass; scores and winners are patched after each boost."""
+        """One sequential pass, boosting each row that misses when visited.
+
+        A row's winner is the argmax of its running scores at the moment
+        the sweep reaches it, found on demand by ``_next_miss``, so every
+        earlier boost of the pass is already patched in.
+        """
         labels = self.labels
         n = len(labels)
-        wins = np.argmax(self.scores, axis=1)
-        missing = wins != labels
         misses = 0
-        start = 0
-        while start < n:
-            ahead = int(np.argmax(missing[start:]))
-            if not missing[start + ahead]:
-                break
-            i = start + ahead
+        i = self._next_miss(0)
+        while i < n:
             misses += 1
-            start = i + 1
             row_scores = scores_from_logs(self.scores[i])
             label = int(labels[i])
             # a rounding collapse in exp() can hand a log-domain miss
             # the argmax; that is a zero step, not a boost
-            if int(np.argmax(row_scores)) == label:
-                continue
-            delta = boost_example(self.weights, self.bins[i], label, row_scores, self.config.alpha)
-            if delta > 0.0:
-                self._apply_update(i, wins, missing)
+            if int(np.argmax(row_scores)) != label:
+                delta = boost_example(
+                    self.weights, self.bins[i], label, row_scores, self.config.alpha
+                )
+                if delta > 0.0:
+                    self._apply_update(i)
+            i = self._next_miss(i + 1)
         return misses
 
 
@@ -284,7 +303,8 @@ def run_epoch(state: TrainState) -> int:
 
     Each example is scored under the weights as of its visit; an update
     only disturbs the scores of rows sharing a boosted cell, so the
-    sweep patches those incrementally. Incremental patching can drift
+    sweep patches those incrementally and reads each row's winner off
+    the patched scores when it gets there. Incremental patching can drift
     from fresh summation by rounding ulps, so a clean pass is certified:
     scores are rebuilt from scratch and the sweep repeated once. A
     returned 0 therefore agrees exactly with fresh evaluation.

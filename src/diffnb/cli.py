@@ -163,29 +163,82 @@ def cmd_predict(args) -> int:
 
 
 def _search_ranges(schema, raw_ranges, baseline_bins: int) -> tuple[tuple[int, ...], ...]:
-    """Candidate ranges per attribute; unlisted attributes stay pinned."""
+    """Candidate ranges per attribute; unlisted attributes stay pinned.
+
+    Every candidate must be a JSON integer the schema accepts for its
+    attribute, so a bad count fails here rather than after trials ran.
+    """
     pinned = resolve_topology(schema, baseline_bins)
     if isinstance(raw_ranges, dict):
         names = [a.name for a in schema.attributes]
         unknown = set(raw_ranges) - set(names)
         if unknown:
             raise SchemaError(f"ranges for unknown attributes: {sorted(unknown)}")
-        return tuple(
-            tuple(int(b) for b in raw_ranges[name]) if name in raw_ranges else (pinned[i],)
-            for i, name in enumerate(names)
-        )
-    ranges = [tuple(int(b) for b in r) for r in raw_ranges]
-    if len(ranges) != schema.n_attributes:
-        raise SchemaError(f"got {len(ranges)} ranges for {schema.n_attributes} attributes")
-    return tuple(ranges)
+        ranges = [raw_ranges.get(name, [pinned[i]]) for i, name in enumerate(names)]
+    else:
+        ranges = raw_ranges
+        if len(ranges) != schema.n_attributes:
+            raise SchemaError(f"got {len(ranges)} ranges for {schema.n_attributes} attributes")
+    if not all(isinstance(r, list) for r in ranges):
+        raise ValueError('search spec "ranges" must hold a JSON list of bin counts per attribute')
+    for attr, candidates in zip(schema.attributes, ranges):
+        for count in candidates:
+            if not _is_kind(count, "an integer"):
+                raise ValueError(f"attribute {attr.name!r}: bin count must be an integer, got {count!r}")
+            resolve_topology(schema, {attr.name: count})
+    return tuple(tuple(r) for r in ranges)
 
 
-def _spec_entry(raw: dict, key: str):
-    """``raw[key]``; a missing key is a ValueError naming it, not a traceback."""
-    try:
-        return raw[key]
-    except KeyError:
-        raise ValueError(f'search spec is missing "{key}"') from None
+_REQUIRED = object()
+# JSON kinds by the name an error gives them; true/false load as bool,
+# which Python also counts as an int
+_JSON_KINDS = {
+    "a string": str,
+    "an integer": int,
+    "a number": (int, float),
+    "true or false": bool,
+    "a JSON list": list,
+    "a JSON object": dict,
+    "null": type(None),
+}
+
+
+def _is_kind(value, kind: str) -> bool:
+    if isinstance(value, bool) and kind in ("an integer", "a number"):
+        return False
+    return isinstance(value, _JSON_KINDS[kind])
+
+
+def _spec_entry(raw: dict, key: str, *kinds: str, default=_REQUIRED, within: str = ""):
+    """``raw[key]`` if it is one of the JSON ``kinds``.
+
+    A missing entry without a ``default``, or one of another kind, is a
+    ValueError naming it, not a traceback. ``within`` names the enclosing
+    entry of a nested one.
+    """
+    name = f'{within}"{key}"'
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ValueError(f"search spec is missing {name}")
+        return default
+    value = raw[key]
+    if not any(_is_kind(value, kind) for kind in kinds):
+        raise ValueError(f"search spec {name} must be {' or '.join(kinds)}")
+    return value
+
+
+def _spec_parse_options(raw: dict) -> ParseOptions:
+    parse_raw = _spec_entry(raw, "parse", "a JSON object", default={})
+    within = '"parse" '
+    ignore = _spec_entry(parse_raw, "ignore_cols", "a JSON list", default=[], within=within)
+    if not all(_is_kind(col, "an integer") for col in ignore):
+        raise ValueError('search spec "parse" "ignore_cols" must be a JSON list of integers')
+    return ParseOptions(
+        delimiter=_spec_entry(parse_raw, "delimiter", "a string", "null", default=None, within=within),
+        missing_token=_spec_entry(parse_raw, "missing_token", "a string", default="?", within=within),
+        label_col=_spec_entry(parse_raw, "label_col", "an integer", default=-1, within=within),
+        ignore_cols=tuple(ignore),
+    )
 
 
 def cmd_search(args) -> int:
@@ -200,32 +253,26 @@ def cmd_search(args) -> int:
         raise ValueError("search spec must be a JSON object")
     base = spec_path.parent
 
-    schema_path = base / _spec_entry(raw, "schema")
+    schema_path = base / _spec_entry(raw, "schema", "a string")
     missing = _require_files(schema_path)
     if missing:
         print(missing, file=sys.stderr)
         return 2
     schema = load_schema(schema_path)
-    parse_raw = raw.get("parse", {})
-    if not isinstance(parse_raw, dict):
-        raise ValueError('search spec "parse" must be a JSON object')
-    options = ParseOptions(
-        delimiter=parse_raw.get("delimiter"),
-        missing_token=parse_raw.get("missing_token", "?"),
-        label_col=parse_raw.get("label_col", -1),
-        ignore_cols=tuple(parse_raw.get("ignore_cols", ())),
-    )
+    options = _spec_parse_options(raw)
     if "data" in raw:
-        data_path = base / raw["data"]
+        data_path = base / _spec_entry(raw, "data", "a string")
+        train_count = _spec_entry(raw, "train_count", "an integer")
+        seed = _spec_entry(raw, "seed", "an integer", "null", default=None)
         missing = _require_files(data_path)
         if missing:
             print(missing, file=sys.stderr)
             return 2
         full = parse_table(data_path, schema, options)
-        trainset, validation = split_dataset(full, _spec_entry(raw, "train_count"), raw.get("seed"))
+        trainset, validation = split_dataset(full, train_count, seed)
     else:
-        train_path = base / _spec_entry(raw, "train")
-        val_path = base / _spec_entry(raw, "validation")
+        train_path = base / _spec_entry(raw, "train", "a string")
+        val_path = base / _spec_entry(raw, "validation", "a string")
         missing = _require_files(train_path, val_path)
         if missing:
             print(missing, file=sys.stderr)
@@ -233,16 +280,22 @@ def cmd_search(args) -> int:
         trainset = parse_table(train_path, schema, options)
         validation = parse_table(val_path, schema, options)
 
-    baseline_bins = int(raw.get("baseline_bins", 5))
+    baseline_bins = _spec_entry(raw, "baseline_bins", "an integer", default=5)
+    raw_ranges = _spec_entry(raw, "ranges", "a JSON list", "a JSON object")
     spec = SearchSpec(
-        ranges=_search_ranges(schema, _spec_entry(raw, "ranges"), baseline_bins),
-        budget=int(raw.get("budget", 64)),
-        parallelism=args.parallel if args.parallel is not None else int(raw.get("parallelism", 1)),
+        ranges=_search_ranges(schema, raw_ranges, baseline_bins),
+        budget=_spec_entry(raw, "budget", "an integer", default=64),
+        parallelism=(
+            args.parallel
+            if args.parallel is not None
+            else _spec_entry(raw, "parallelism", "an integer", default=1)
+        ),
         baseline_bins=baseline_bins,
-        exhaustive=bool(raw.get("exhaustive", False)),
+        exhaustive=_spec_entry(raw, "exhaustive", "true or false", default=False),
     )
     config = TrainConfig(
-        alpha=float(raw.get("alpha", 2.0)), max_rounds=int(raw.get("max_rounds", 500))
+        alpha=float(_spec_entry(raw, "alpha", "a number", default=2.0)),
+        max_rounds=_spec_entry(raw, "max_rounds", "an integer", default=500),
     )
 
     def progress(trial):

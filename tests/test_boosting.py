@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from diffnb.boosting import (
+    _FIRST_WINDOW,
     TrainConfig,
     TrainState,
     TrainTrace,
@@ -181,3 +182,199 @@ class TestEpochs:
             run_epoch(state)
             assert np.all(state.weights >= previous)
             previous = state.weights.copy()
+
+
+# -- the flip-check sweep, kept as the reference for the on-demand scan ------
+
+
+def reference_update(state, i, wins, missing, counts):
+    """Patch logw and scores as the sweep does, then update kept winners."""
+    label = int(state.labels[i])
+    cells = state.bins[i]
+    cols = np.arange(len(cells))
+    touched = (label, cols, cells)
+    old = state.logw[touched]
+    new = np.log(state.weights[touched])
+    state.logw[touched] = new
+
+    groups = [state.rows_by_cell[m][cells[m]] for m in range(len(cells))]
+    amount = np.repeat(new - old, state.cell_sizes[cols, cells])
+    patch = np.bincount(np.concatenate(groups), weights=amount, minlength=len(state.labels))
+    state.scores[:, label] += patch
+
+    # only the boosted class rose, so a later row keeps its winner or
+    # passes to that class, which also takes exact ties it outranks
+    ahead = slice(i + 1, None)
+    rows = np.flatnonzero((patch[ahead] > 0.0) & (wins[ahead] != label)) + (i + 1)
+    held = state.scores[rows, wins[rows]]
+    came = state.scores[rows, label]
+    tied = (came == held) & (label < wins[rows])
+    flipped = rows[(came > held) | tied]
+    wins[flipped] = label
+    missing[flipped] = state.labels[flipped] != label
+    counts["flips"] += len(flipped)
+    counts["tie_flips"] += int(np.count_nonzero(tied))
+
+
+def reference_scan(state, counts):
+    """One pass that keeps every row's winner and jumps to the next kept miss."""
+    labels = state.labels
+    n = len(labels)
+    wins = np.argmax(state.scores, axis=1)
+    missing = wins != labels
+    top = np.sort(state.scores, axis=1)
+    counts["tied_rows"] += int(np.count_nonzero(top[:, -1] == top[:, -2]))
+    misses = 0
+    start = 0
+    while start < n:
+        ahead = int(np.argmax(missing[start:]))
+        if not missing[start + ahead]:
+            break
+        i = start + ahead
+        misses += 1
+        start = i + 1
+        row_scores = scores_from_logs(state.scores[i])
+        label = int(labels[i])
+        if int(np.argmax(row_scores)) == label:
+            continue
+        delta = boost_example(state.weights, state.bins[i], label, row_scores, state.config.alpha)
+        if delta > 0.0:
+            reference_update(state, i, wins, missing, counts)
+    return misses
+
+
+def reference_epoch(state, counts):
+    misses = reference_scan(state, counts)
+    if misses == 0:
+        state.scores = weighted_log_scores(state.logw, state.bins, state.loglik)
+        misses = reference_scan(state, counts)
+    return misses
+
+
+def compare_sweeps(data, config, epochs):
+    """Run both sweeps side by side; every epoch must agree bit for bit."""
+    new = TrainState.build(data, config)
+    ref = TrainState.build(data, config)
+    counts = {"flips": 0, "tie_flips": 0, "tied_rows": 0}
+    miss_counts = []
+    for _ in range(epochs):
+        misses = run_epoch(new)
+        assert misses == reference_epoch(ref, counts)
+        assert new.weights.tobytes() == ref.weights.tobytes()
+        assert new.logw.tobytes() == ref.logw.tobytes()
+        assert new.scores.tobytes() == ref.scores.tobytes()
+        miss_counts.append(misses)
+        if misses == 0:
+            break
+    return miss_counts, counts
+
+
+def seeded_problem(seed):
+    """K = 2..4 classes; few-valued discrete attributes give exact ties."""
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 3
+    n = int(rng.integers(30, 120))
+    n_discrete = int(rng.integers(1, 4))
+    n_continuous = int(rng.integers(0, 3))
+    attributes = tuple(
+        AttributeSpec(f"d{j}", "categorical", tuple("abcd"[: int(rng.integers(2, 5))]))
+        for j in range(n_discrete)
+    ) + tuple(AttributeSpec(f"x{j}", "continuous") for j in range(n_continuous))
+    schema = Schema(attributes, tuple(f"c{c}" for c in range(k)))
+    rows = []
+    for _ in range(n):
+        values = [float(rng.integers(len(a.values))) for a in attributes[:n_discrete]]
+        values += [float(rng.integers(0, 8)) / 2.0 for _ in range(n_continuous)]
+        rows.append((tuple(values), int(rng.integers(k))))
+    return Dataset.build(schema, rows)
+
+
+SEEDS = range(12)
+
+
+class TestOnDemandScanMatchesFlipCheck:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeded_problems(self, seed):
+        compare_sweeps(seeded_problem(seed), TrainConfig(topology=3), epochs=6)
+
+    def test_seeded_problems_cover_flips_and_ties(self):
+        # the comparisons above mean something only if boosts flip later
+        # rows, some of them through an exact tie
+        total = {"flips": 0, "tie_flips": 0, "tied_rows": 0}
+        for seed in SEEDS:
+            _, counts = compare_sweeps(seeded_problem(seed), TrainConfig(topology=3), epochs=6)
+            for key, value in counts.items():
+                total[key] += value
+        assert total["flips"] > 0
+        assert total["tie_flips"] > 0
+        assert total["tied_rows"] > 0
+
+    @given(small_problems(max_n=12, max_attrs=3, max_classes=4))
+    def test_small_problems(self, problem):
+        data, topology = problem
+        compare_sweeps(data, TrainConfig(topology=topology), epochs=5)
+
+    def test_no_misses(self):
+        data = one_attr_dataset([(0, 0), (1, 1)] * 40)
+        assert compare_sweeps(data, TrainConfig(topology=(2,)), epochs=3) == (
+            [0],
+            {"flips": 0, "tie_flips": 0, "tied_rows": 0},
+        )
+
+    @pytest.mark.parametrize(
+        "position", [3 * _FIRST_WINDOW + 5, 6 * _FIRST_WINDOW], ids=["third-window", "last-row"]
+    )
+    def test_lone_miss_beyond_the_first_window(self, position):
+        # a contradictory row among clean ones is the first epoch's only miss
+        rows = [(0, 0), (1, 1)] * (_FIRST_WINDOW * 3)
+        rows.insert(position, (0, 1))
+        miss_counts, _ = compare_sweeps(
+            one_attr_dataset(rows), TrainConfig(topology=(2,)), epochs=3
+        )
+        assert miss_counts[0] == 1
+
+
+class TestNextMiss:
+    """The window scan against a row-by-row search on hand-set scores."""
+
+    N = 10 * _FIRST_WINDOW
+
+    def state_with_misses(self, missed):
+        labels = [r % 3 for r in range(self.N)]
+        state = TrainState.build(
+            Dataset.build(
+                Schema((AttributeSpec("x", "continuous"),), ("c0", "c1", "c2")),
+                [((float(r),), label) for r, label in enumerate(labels)],
+            ),
+            TrainConfig(topology=(1,)),
+        )
+        scores = np.zeros((self.N, 3))
+        scores[np.arange(self.N), labels] = 1.0
+        for r in missed:
+            scores[r, (labels[r] + 1) % 3] = 2.0
+        state.scores = scores
+        return state
+
+    @pytest.mark.parametrize(
+        "missed",
+        [
+            [],
+            [N - 1],
+            [_FIRST_WINDOW],
+            [3 * _FIRST_WINDOW + 2],
+            [0, _FIRST_WINDOW - 1, 3 * _FIRST_WINDOW - 1, 3 * _FIRST_WINDOW, 7 * _FIRST_WINDOW, N - 1],
+        ],
+        ids=["none", "last-row", "second-window", "third-window", "spread"],
+    )
+    def test_matches_row_by_row_search(self, missed):
+        state = self.state_with_misses(missed)
+        for start in range(self.N + 1):
+            expected = next((r for r in sorted(missed) if r >= start), self.N)
+            assert state._next_miss(start) == expected
+
+    def test_exact_ties_go_to_the_lower_class(self):
+        state = self.state_with_misses([])
+        state.scores[4, 0] = 1.0  # row 4 is c1, tied with c0: a miss
+        state.scores[6, 2] = 1.0  # row 6 is c0, tied with c2: no miss
+        assert state._next_miss(0) == 4
+        assert state._next_miss(5) == self.N

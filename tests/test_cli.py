@@ -309,6 +309,99 @@ class TestSearch:
         assert code == 1
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"ranges": 5}, '"ranges" must be a JSON list or a JSON object'),
+            ({"ranges": [5, [2]]}, '"ranges" must hold a JSON list of bin counts per attribute'),
+            ({"ranges": {"a": 2}}, '"ranges" must hold a JSON list of bin counts per attribute'),
+            ({"parse": {"ignore_cols": 5}}, '"parse" "ignore_cols" must be a JSON list'),
+            ({"parse": {"ignore_cols": ["2"]}}, '"parse" "ignore_cols" must be a JSON list of integers'),
+            ({"parse": {"label_col": "2"}}, '"parse" "label_col" must be an integer'),
+            ({"parse": {"delimiter": 0}}, '"parse" "delimiter" must be a string or null'),
+            ({"schema": 5}, '"schema" must be a string'),
+            ({"train": 5}, '"train" must be a string'),
+            ({"validation": ["xor.data"]}, '"validation" must be a string'),
+            ({"data": 5, "train_count": 3}, '"data" must be a string'),
+            ({"data": "xor.data", "train_count": "3"}, '"train_count" must be an integer'),
+            ({"budget": [64]}, '"budget" must be an integer'),
+            ({"baseline_bins": 2.5}, '"baseline_bins" must be an integer'),
+            ({"parallelism": True}, '"parallelism" must be an integer'),
+            ({"exhaustive": 1}, '"exhaustive" must be true or false'),
+            ({"alpha": "2"}, '"alpha" must be a number'),
+            ({"max_rounds": None}, '"max_rounds" must be an integer'),
+        ],
+        ids=[
+            "ranges", "ranges-entry", "ranges-entry-by-name", "ignore_cols", "ignore_cols-entry",
+            "label_col", "delimiter", "schema", "train", "validation", "data", "train_count",
+            "budget", "baseline_bins", "parallelism", "exhaustive", "alpha", "max_rounds",
+        ],
+    )
+    def test_wrong_entry_type_is_reported(self, workdir, capsys, entry, message):
+        spec = {
+            "schema": "xor.schema.json",
+            "train": "xor.data",
+            "validation": "xor.data",
+            "ranges": [[2], [2]],
+            **entry,
+        }
+        (workdir / "search.json").write_text(json.dumps(spec))
+        code = main(["search", "--spec", str(workdir / "search.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: search spec {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "ranges, message",
+        [
+            ({"a": [0, 3]}, "attribute 'a': bin count must be >= 1, got 0"),
+            ([[2], [2, -1]], "attribute 'b': bin count must be >= 1, got -1"),
+            ({"b": [2, 2.5]}, "attribute 'b': bin count must be an integer, got 2.5"),
+            ({"a": [True]}, "attribute 'a': bin count must be an integer, got True"),
+            ({"a": ["3"]}, "attribute 'a': bin count must be an integer, got '3'"),
+        ],
+        ids=["zero", "negative", "fraction", "boolean", "string"],
+    )
+    def test_bad_bin_count_fails_before_any_trial(self, workdir, capsys, ranges, message):
+        spec = {
+            "schema": "xor.schema.json",
+            "train": "xor.data",
+            "validation": "xor.data",
+            "ranges": ranges,
+            "baseline_bins": 2,
+        }
+        (workdir / "search.json").write_text(json.dumps(spec))
+        code = main(["search", "--spec", str(workdir / "search.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""  # no trial was trained or printed
+        assert captured.err == f"error: {message}\n"
+
+    def test_count_a_discrete_attribute_refuses_fails_before_any_trial(self, workdir, capsys):
+        schema = {
+            "attributes": [
+                {"name": "a", "kind": "continuous"},
+                {"name": "b", "kind": "binary", "values": ["0", "1"]},
+            ],
+            "classes": ["c0", "c1"],
+        }
+        (workdir / "mixed.schema.json").write_text(json.dumps(schema))
+        spec = {
+            "schema": "mixed.schema.json",
+            "train": "xor.data",
+            "validation": "xor.data",
+            "ranges": {"a": [2, 3], "b": [2, 3]},
+        }
+        (workdir / "search.json").write_text(json.dumps(spec))
+        code = main(["search", "--spec", str(workdir / "search.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: attribute 'b': 3 bins requested but the binary attribute declares 2 values\n"
+        )
+
 
 def write_suite(workdir, checks):
     suite = {
