@@ -18,6 +18,16 @@ per-boost flip check would keep, down to ties: argmax takes the lowest
 index, which is how a raised class that ties the held winner takes the
 row from a higher-indexed one.
 
+On small tables a miss is mostly call overhead, so its path is a fixed
+handful of numpy calls: one short argmax window, one ``np.exp`` on the
+row's K log scores, the winner and step as Python floats, one gather and
+scatter each of ``weights`` and ``logw`` through the touched cells' flat
+indices around one ``np.log``, and the per-row patch. The scalar steps
+change no bit: ``np.exp`` still runs on the same row, a max, shift,
+division, subtraction or product is one IEEE operation whether its
+operands are Python floats or numpy scalars, and the first of equal
+maxima wins as with ``argmax``.
+
 Scoring here is the single authority shared with inference and
 evaluation: log-likelihood parts plus log-weights, exponentiated
 per row against the row's max log only when the magnitudes demand it,
@@ -25,6 +35,8 @@ so moderate scores equal the plain probability products.
 """
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +79,17 @@ class TrainConfig:
     topology: object = None
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        # an infinite step or floor turns scores into inf - inf = nan
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if not 0.0 < self.tag_gain <= 1.0:
             raise ValueError(f"tag_gain must be in (0, 1], got {self.tag_gain}")
-        if self.epsilon_floor is not None and not self.epsilon_floor > 0:
-            raise ValueError(f"epsilon_floor must be > 0, got {self.epsilon_floor}")
+        if self.epsilon_floor is not None and not (
+            self.epsilon_floor > 0 and math.isfinite(self.epsilon_floor)
+        ):
+            raise ValueError(f"epsilon_floor must be finite and > 0, got {self.epsilon_floor}")
 
 
 @dataclass(frozen=True)
@@ -132,15 +147,19 @@ def scores_from_logs(log_scores: np.ndarray) -> np.ndarray:
     that would over- or underflow are shifted by their max log first.
     Results are floored at the smallest positive normal float, keeping
     every score finite and strictly positive.
+
+    A single row, as the training sweep scores each miss, takes its max
+    and shift as Python floats around one ``np.exp``: the same IEEE
+    operations on the same values as the batch form, so both forms agree
+    bit for bit.
     """
     logs = np.asarray(log_scores, dtype=np.float64)
-    squeeze = logs.ndim == 1
-    if squeeze:
-        logs = logs[None, :]
+    if logs.ndim == 1:
+        top = max(logs.tolist())
+        return np.maximum(np.exp(logs if abs(top) < _SAFE_LOG else logs - top), _TINY)
     rowmax = logs.max(axis=1, keepdims=True)
     shift = np.where(np.abs(rowmax) < _SAFE_LOG, 0.0, rowmax)
-    scores = np.maximum(np.exp(logs - shift), _TINY)
-    return scores[0] if squeeze else scores
+    return np.maximum(np.exp(logs - shift), _TINY)
 
 
 def winner_of(log_scores: np.ndarray) -> tuple[int, bool]:
@@ -155,20 +174,34 @@ def boost_example(
 ) -> float:
     """Apply one boosting update for a misclassified example; returns the step.
 
-    ``bins`` is the example's (M,) bin row, ``scores`` its per-class
-    unnormalized scores. Adds delta = alpha * (1 - scores[label]/scores[winner])
+    ``bins`` is the example's (M,) bin row, each bin below B_max, and
+    ``scores`` its per-class unnormalized scores. Adds delta = alpha * (1 - scores[label]/scores[winner])
     to the true class's M touched weight cells, in place. An exact score
     tie broken against the true class is still a miss but yields delta 0
     and changes nothing. Calling this on a correctly classified example
     (the true label wins the argmax) is a caller bug and raises.
+
+    The winner (the first of equal maxima, as ``argmax`` picks) and the
+    step are Python floats: the same IEEE division, subtraction and
+    product as on numpy scalars.
     """
-    winner = int(np.argmax(scores))
+    row = scores.tolist()
+    winner = row.index(max(row))
     if winner == label:
         raise ValueError("boost_example called on a correctly classified example")
-    delta = alpha * (1.0 - scores[label] / scores[winner])
+    delta = alpha * (1.0 - row[label] / row[winner])
     if delta > 0.0:
-        weights[label, np.arange(len(bins)), bins] += delta
+        _, m, b = weights.shape
+        weights[label].flat[_cell_offsets(m, b) + bins] += delta
     return float(delta)
+
+
+@functools.cache
+def _cell_offsets(n_attributes: int, n_bins: int) -> np.ndarray:
+    """Flat index of each attribute's bin 0 within one class's (M, B) cells; read-only."""
+    offsets = np.arange(n_attributes) * n_bins
+    offsets.flags.writeable = False
+    return offsets
 
 
 @dataclass
@@ -176,12 +209,13 @@ class TrainState:
     """Mutable state of one training run; only weights, logw, and scores move.
 
     ``bins``, ``loglik``, ``rows_by_cell`` and its (M, B_max) table of
-    group sizes ``cell_sizes`` are precomputed over the training set once,
-    since the density tables do not change during boosting. ``scores``
-    carries the per-example log scores forward across updates and epochs:
-    a boost touches M cells of one class, so only rows sharing one of
-    those cells need a score patch. Winners are not stored; the sweep
-    reads them from ``scores`` when it reaches a row.
+    group sizes ``cell_sizes``, and ``cells``, each row's flat cell index
+    ``m * B_max + bin`` per attribute, are precomputed over the training
+    set once, since the density tables do not change during boosting.
+    ``scores`` carries the per-example log scores forward across updates
+    and epochs: a boost touches M cells of one class, so only rows sharing
+    one of those cells need a score patch. Winners are not stored; the
+    sweep reads them from ``scores`` when it reaches a row.
     """
 
     density: DensityModel
@@ -194,6 +228,7 @@ class TrainState:
     scores: np.ndarray
     rows_by_cell: tuple[tuple[np.ndarray, ...], ...]
     cell_sizes: np.ndarray
+    cells: np.ndarray
 
     @classmethod
     def build(cls, data: Dataset, config: TrainConfig) -> "TrainState":
@@ -230,6 +265,7 @@ class TrainState:
             scores=loglik.copy(),  # all log-weights start at 0
             rows_by_cell=rows_by_cell,
             cell_sizes=cell_sizes,
+            cells=bins + _cell_offsets(m, shape[2]),
         )
 
     def _apply_update(self, i: int) -> None:
@@ -237,19 +273,22 @@ class TrainState:
 
         Each row sharing a boosted cell gets its log-weight increments
         summed in attribute order, then the sum added to its score for
-        the true class; every other score is left as it is.
+        the true class; every other score is left as it is. The boosted
+        class's weights and log-weights are read and written as flat
+        views (``build`` allocates both C-contiguous) through the row's
+        ``cells``, with one ``np.log`` over the M new weights.
         """
         label = int(self.labels[i])
-        cells = self.bins[i]
-        cols = np.arange(len(cells))
-        touched = (label, cols, cells)
-        old = self.logw[touched]
-        new = np.log(self.weights[touched])
-        self.logw[touched] = new
+        cells = self.cells[i]
+        weights = self.weights[label].reshape(-1)
+        logw = self.logw[label].reshape(-1)
+        new = np.log(weights[cells])
+        amount = new - logw[cells]
+        logw[cells] = new
 
-        groups = [self.rows_by_cell[m][cells[m]] for m in range(len(cells))]
-        amount = np.repeat(new - old, self.cell_sizes[cols, cells])
-        patch = np.bincount(np.concatenate(groups), weights=amount, minlength=len(self.labels))
+        groups = [rows[b] for rows, b in zip(self.rows_by_cell, self.bins[i].tolist())]
+        amounts = amount.repeat(self.cell_sizes.reshape(-1)[cells])
+        patch = np.bincount(np.concatenate(groups), weights=amounts, minlength=len(self.labels))
         self.scores[:, label] += patch
 
     def _next_miss(self, start: int) -> int:
@@ -262,9 +301,9 @@ class TrainState:
         n = len(self.labels)
         width = _FIRST_WINDOW
         while start < n:
-            stop = min(start + width, n)
-            wins = np.argmax(self.scores[start:stop], axis=1)
-            missed = np.flatnonzero(wins != self.labels[start:stop])
+            stop = start + width
+            wins = self.scores[start:stop].argmax(axis=1)
+            missed = (wins != self.labels[start:stop]).nonzero()[0]
             if missed.size:
                 return start + int(missed[0])
             start = stop
@@ -276,23 +315,24 @@ class TrainState:
 
         A row's winner is the argmax of its running scores at the moment
         the sweep reaches it, found on demand by ``_next_miss``, so every
-        earlier boost of the pass is already patched in.
+        earlier boost of the pass is already patched in. A miss is scored
+        and boosted by ``scores_from_logs`` and ``boost_example``, the
+        functions inference and callers use, on the row's single score
+        row.
         """
         labels = self.labels
+        alpha = self.config.alpha
         n = len(labels)
         misses = 0
         i = self._next_miss(0)
         while i < n:
             misses += 1
-            row_scores = scores_from_logs(self.scores[i])
             label = int(labels[i])
+            row_scores = scores_from_logs(self.scores[i])
             # a rounding collapse in exp() can hand a log-domain miss
             # the argmax; that is a zero step, not a boost
-            if int(np.argmax(row_scores)) != label:
-                delta = boost_example(
-                    self.weights, self.bins[i], label, row_scores, self.config.alpha
-                )
-                if delta > 0.0:
+            if row_scores.argmax() != label:
+                if boost_example(self.weights, self.bins[i], label, row_scores, alpha) > 0.0:
                     self._apply_update(i)
             i = self._next_miss(i + 1)
         return misses

@@ -98,6 +98,14 @@ def bin_matrix(specs: Sequence[BinSpec], values: np.ndarray) -> np.ndarray:
     return np.clip(raw, 0.0, top).astype(np.int64)
 
 
+def _bin_count(count, attribute: str | None = None) -> int:
+    """A requested bin count as an int: floats and booleans are refused, not truncated."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        where = "" if attribute is None else f"attribute {attribute!r}: "
+        raise SchemaError(f"{where}bin count must be an integer, got {count!r}")
+    return int(count)
+
+
 def resolve_topology(schema: Schema, bins: int | Sequence[int] | Mapping[str, int] | None) -> tuple[int, ...]:
     """Normalize a bin-count request into one count per attribute.
 
@@ -105,25 +113,27 @@ def resolve_topology(schema: Schema, bins: int | Sequence[int] | Mapping[str, in
     a full per-attribute sequence, a name -> count mapping, or None
     (default of 5 per continuous attribute). Discrete attributes always
     get exactly one bin per declared value; a conflicting explicit count
-    is an error.
+    is an error. Counts must be Python or numpy integers: a float or a
+    boolean is an error, not a count.
     """
     m = schema.n_attributes
+    names = [a.name for a in schema.attributes]
     counts: list[int | None]
     if bins is None:
         counts = [None] * m
-    elif isinstance(bins, int):
-        # a broadcast count only applies where the count is free to choose
-        counts = [None if a.is_discrete else bins for a in schema.attributes]
     elif isinstance(bins, Mapping):
-        names = [a.name for a in schema.attributes]
         unknown = set(bins) - set(names)
         if unknown:
             raise SchemaError(f"bin counts for unknown attributes: {sorted(unknown)}")
-        counts = [bins.get(name) for name in names]
+        counts = [_bin_count(bins[name], name) if name in bins else None for name in names]
+    elif isinstance(bins, (Sequence, np.ndarray)) and not isinstance(bins, str):
+        if len(bins) != m:
+            raise SchemaError(f"got {len(bins)} bin counts for {m} attributes")
+        counts = [_bin_count(count, name) for name, count in zip(names, bins)]
     else:
-        counts = [int(b) for b in bins]
-        if len(counts) != m:
-            raise SchemaError(f"got {len(counts)} bin counts for {m} attributes")
+        # a broadcast count only applies where the count is free to choose
+        count = _bin_count(bins)
+        counts = [None if a.is_discrete else count for a in schema.attributes]
 
     resolved = []
     for spec, count in zip(schema.attributes, counts):
@@ -136,7 +146,7 @@ def resolve_topology(schema: Schema, bins: int | Sequence[int] | Mapping[str, in
                 )
             resolved.append(want)
         else:
-            resolved.append(5 if count is None else int(count))
+            resolved.append(5 if count is None else count)
     for spec, count in zip(schema.attributes, resolved):
         if count < 1:
             raise SchemaError(f"attribute {spec.name!r}: bin count must be >= 1, got {count}")

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from diffnb.boosting import (
     _FIRST_WINDOW,
@@ -18,6 +19,7 @@ from diffnb.boosting import (
 )
 from diffnb.dataset import AttributeSpec, Dataset, Schema
 from diffnb.evaluation import evaluate
+from diffnb.monks import MONKS_BINS, generate_monks
 
 from conftest import small_problems, xor_dataset
 
@@ -39,6 +41,12 @@ class TestTrainConfig:
             TrainConfig(tag_gain=1.5)
         with pytest.raises(ValueError, match="epsilon_floor"):
             TrainConfig(epsilon_floor=0.0)
+
+    @pytest.mark.parametrize("knob", ["alpha", "epsilon_floor"])
+    def test_infinite_values_refused(self, knob):
+        # an infinite step or floor makes inf - inf = nan of the scores
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            TrainConfig(**{knob: float("inf")})
 
     def test_defaults(self):
         config = TrainConfig()
@@ -184,7 +192,33 @@ class TestEpochs:
             previous = state.weights.copy()
 
 
-# -- the flip-check sweep, kept as the reference for the on-demand scan ------
+# -- references: the flip-check sweep, scoring and boosting in array form ----
+
+_SAFE_LOG = 690.0
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def reference_scores_from_logs(log_scores):
+    """The array form of ``scores_from_logs``, as it read before the sweep's scalar path."""
+    logs = np.asarray(log_scores, dtype=np.float64)
+    squeeze = logs.ndim == 1
+    if squeeze:
+        logs = logs[None, :]
+    rowmax = logs.max(axis=1, keepdims=True)
+    shift = np.where(np.abs(rowmax) < _SAFE_LOG, 0.0, rowmax)
+    scores = np.maximum(np.exp(logs - shift), _TINY)
+    return scores[0] if squeeze else scores
+
+
+def reference_boost_example(weights, bins, label, scores, alpha):
+    """The array form of ``boost_example``, as it read before the sweep's scalar path."""
+    winner = int(np.argmax(scores))
+    if winner == label:
+        raise ValueError("boost_example called on a correctly classified example")
+    delta = alpha * (1.0 - scores[label] / scores[winner])
+    if delta > 0.0:
+        weights[label, np.arange(len(bins)), bins] += delta
+    return float(delta)
 
 
 def reference_update(state, i, wins, missing, counts):
@@ -233,11 +267,15 @@ def reference_scan(state, counts):
         i = start + ahead
         misses += 1
         start = i + 1
-        row_scores = scores_from_logs(state.scores[i])
+        counts["shifted"] += int(abs(state.scores[i].max()) >= _SAFE_LOG)
+        row_scores = reference_scores_from_logs(state.scores[i])
         label = int(labels[i])
         if int(np.argmax(row_scores)) == label:
+            counts["collapses"] += 1
             continue
-        delta = boost_example(state.weights, state.bins[i], label, row_scores, state.config.alpha)
+        delta = reference_boost_example(
+            state.weights, state.bins[i], label, row_scores, state.config.alpha
+        )
         if delta > 0.0:
             reference_update(state, i, wins, missing, counts)
     return misses
@@ -251,11 +289,17 @@ def reference_epoch(state, counts):
     return misses
 
 
-def compare_sweeps(data, config, epochs):
-    """Run both sweeps side by side; every epoch must agree bit for bit."""
+def compare_sweeps(data, config, epochs, scores=None):
+    """Run both sweeps side by side; every epoch must agree bit for bit.
+
+    ``scores``, if given, replaces both states' starting log scores.
+    """
     new = TrainState.build(data, config)
     ref = TrainState.build(data, config)
-    counts = {"flips": 0, "tie_flips": 0, "tied_rows": 0}
+    if scores is not None:
+        new.scores = np.array(scores, dtype=np.float64)
+        ref.scores = np.array(scores, dtype=np.float64)
+    counts = {"flips": 0, "tie_flips": 0, "tied_rows": 0, "shifted": 0, "collapses": 0}
     miss_counts = []
     for _ in range(epochs):
         misses = run_epoch(new)
@@ -300,7 +344,7 @@ class TestOnDemandScanMatchesFlipCheck:
     def test_seeded_problems_cover_flips_and_ties(self):
         # the comparisons above mean something only if boosts flip later
         # rows, some of them through an exact tie
-        total = {"flips": 0, "tie_flips": 0, "tied_rows": 0}
+        total = {"flips": 0, "tie_flips": 0, "tied_rows": 0, "shifted": 0, "collapses": 0}
         for seed in SEEDS:
             _, counts = compare_sweeps(seeded_problem(seed), TrainConfig(topology=3), epochs=6)
             for key, value in counts.items():
@@ -318,7 +362,7 @@ class TestOnDemandScanMatchesFlipCheck:
         data = one_attr_dataset([(0, 0), (1, 1)] * 40)
         assert compare_sweeps(data, TrainConfig(topology=(2,)), epochs=3) == (
             [0],
-            {"flips": 0, "tie_flips": 0, "tied_rows": 0},
+            {"flips": 0, "tie_flips": 0, "tied_rows": 0, "shifted": 0, "collapses": 0},
         )
 
     @pytest.mark.parametrize(
@@ -332,6 +376,118 @@ class TestOnDemandScanMatchesFlipCheck:
             one_attr_dataset(rows), TrainConfig(topology=(2,)), epochs=3
         )
         assert miss_counts[0] == 1
+
+
+def wide_repeated_problem():
+    """Random rows on a wide table, each listed twice under one class and once under the other.
+
+    A log score sums hundreds of log-likelihood parts, so the first
+    epoch's scores lie far below -690 and its misses are exponentiated
+    through the shift branch; later boosts lift scores back into range.
+    """
+    rng = np.random.default_rng(0)
+    m = 300
+    schema = Schema(tuple(AttributeSpec(f"x{j}", "continuous") for j in range(m)), ("c0", "c1"))
+    rows = []
+    for values in rng.normal(size=(30, m)):
+        label = int(rng.integers(2))
+        rows += [(tuple(values), label)] * 2 + [(tuple(values), 1 - label)]
+    return Dataset.build(schema, rows)
+
+
+class TestScalarSweepMatchesArrayForm:
+    """The sweep against the reference sweep on the arithmetic's edge cases."""
+
+    def test_rows_shifted_for_their_magnitude(self):
+        config = TrainConfig(alpha=0.1, topology=8, epsilon_floor=1e-300)
+        _, counts = compare_sweeps(wide_repeated_problem(), config, epochs=4)
+        assert counts["shifted"] > 0
+        assert counts["flips"] > 0
+
+    def test_exp_collapse_is_a_zero_step(self):
+        # row 0 (c0) trails c1 by less than exp() resolves near 0, so the
+        # scores tie after exp() and the lower index, its own class, wins
+        data = one_attr_dataset([(0, 0), (1, 1), (0, 0), (1, 1)])
+        scores = [[-1e-17, 0.0], [-5.0, 0.0], [0.0, -5.0], [-5.0, 0.0]]
+        miss_counts, counts = compare_sweeps(
+            data, TrainConfig(topology=(2,)), epochs=3, scores=scores
+        )
+        assert miss_counts == [1, 1, 1]
+        assert counts["collapses"] == 3
+
+    def test_monks2_first_50_epochs(self):
+        train_set, _ = generate_monks(2)
+        miss_counts, _ = compare_sweeps(train_set, TrainConfig(topology=MONKS_BINS), epochs=50)
+        assert len(miss_counts) == 50
+
+
+# log scores that make exact ties, TINY floors (exp(-800) underflows) and
+# both sides of the shift threshold likely
+_LOG_POOL = [0.0, -1e-17, 1e-17, -1.0, -3.5, -689.9, 689.9, -690.0, 690.0, -745.5, -800.0, -5000.0]
+
+
+@st.composite
+def log_rows(draw, k):
+    """A K-vector of log scores drawn from a few values, so exact ties are common."""
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_LOG_POOL), st.floats(-3.0, 3.0), st.floats(-1000.0, 1000.0)
+            ),
+            min_size=1,
+            max_size=k,
+        )
+    )
+    return draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+
+
+@st.composite
+def log_batches(draw):
+    k = draw(st.integers(2, 5))
+    return np.array(draw(st.lists(log_rows(k), min_size=1, max_size=6)))
+
+
+class TestScalarRowMatchesArrayForm:
+    """``scores_from_logs`` and ``boost_example`` against their array forms."""
+
+    @given(log_batches())
+    @example(np.array([[-800.0, 0.0], [-800.0, -750.0], [0.0, 0.0], [-1e-17, 0.0]]))
+    def test_scores_from_logs(self, logs):
+        expected = reference_scores_from_logs(logs)
+        assert scores_from_logs(logs).tobytes() == expected.tobytes()
+        for row, want in zip(logs, expected):
+            assert scores_from_logs(row).tobytes() == want.tobytes()
+            assert scores_from_logs(list(row)).tobytes() == want.tobytes()
+
+    @given(
+        log_batches(),
+        st.lists(st.integers(0, 4), min_size=6, max_size=6),
+        # a dyadic alpha scales exactly and would hide the step's rounding
+        st.one_of(st.just(2.0), st.floats(0.01, 10.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(np.array([[0.0, 0.0]]), [1] * 6, 2.0, 0).via("tie against the label")
+    @example(np.array([[-800.0, 0.0, -800.0]]), [2] * 6, 2.0, 0).via("TINY-floored label")
+    @example(np.array([[0.0, -1.0]]), [0] * 6, 2.0, 0).via("label wins")
+    def test_boost_example(self, logs, labels, alpha, seed):
+        k = logs.shape[1]
+        m, b = 3, 4
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(1.0, 5.0, size=(k, m, b))
+        for scores, label in zip(reference_scores_from_logs(logs), labels):
+            label %= k
+            bins = rng.integers(0, b, size=m)
+            new, ref = start.copy(), start.copy()
+            try:
+                expected = reference_boost_example(ref, bins, label, scores, alpha)
+            except ValueError:
+                with pytest.raises(ValueError, match="correctly classified"):
+                    boost_example(new, bins, label, scores, alpha)
+            else:
+                delta = boost_example(new, bins, label, scores, alpha)
+                assert type(delta) is float
+                assert np.float64(delta).tobytes() == np.float64(expected).tobytes()
+            assert new.tobytes() == ref.tobytes()
 
 
 class TestNextMiss:

@@ -99,6 +99,16 @@ class TestTrain:
         assert captured.err == "error: line 3: attribute 'a': not a finite number: 'nan'\n"
         assert not model_path.exists()
 
+    @pytest.mark.parametrize(
+        "flag, knob", [("--alpha", "alpha"), ("--epsilon", "epsilon_floor")], ids=["alpha", "epsilon"]
+    )
+    def test_infinite_knob_is_a_runtime_error(self, workdir, capsys, flag, knob):
+        code, model_path = train_xor(workdir, flag, "inf")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {knob} must be finite and > 0, got inf\n"
+        assert not model_path.exists()
+
     def test_wrong_bins_arity_is_a_runtime_error(self, workdir, capsys):
         code = main(
             [
@@ -378,6 +388,18 @@ class TestSearch:
         assert captured.out == ""  # no trial was trained or printed
         assert captured.err == f"error: {message}\n"
 
+    def test_infinite_alpha_fails_before_any_trial(self, workdir, capsys):
+        # json.load reads the non-standard token Infinity as a float
+        (workdir / "search.json").write_text(
+            '{"schema": "xor.schema.json", "train": "xor.data", "validation": "xor.data",'
+            ' "ranges": [[2], [2]], "alpha": Infinity}'
+        )
+        code = main(["search", "--spec", str(workdir / "search.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: alpha must be finite and > 0, got inf\n"
+
     def test_count_a_discrete_attribute_refuses_fails_before_any_trial(self, workdir, capsys):
         schema = {
             "attributes": [
@@ -403,7 +425,7 @@ class TestSearch:
         )
 
 
-def write_suite(workdir, checks):
+def write_suite(workdir, checks, **entry):
     suite = {
         "data_dir": ".",
         "experiments": [
@@ -415,6 +437,7 @@ def write_suite(workdir, checks):
                 "bins": 2,
                 "checks": checks,
                 "fetch_hint": "regenerate xor.data by hand",
+                **entry,
             }
         ],
     }
@@ -448,6 +471,22 @@ class TestBenchmark:
         assert code == 1
         assert "xor: MISSING_DATA" in out
         assert "regenerate xor.data by hand" in out
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"bins": 2.5}, "SchemaError: bin count must be an integer, got 2.5"),
+            ({"bins": [2, True]}, "SchemaError: attribute 'b': bin count must be an integer, got True"),
+            ({"alpha": float("inf")}, "ValueError: alpha must be finite and > 0, got inf"),
+        ],
+        ids=["fractional-bins", "boolean-bins", "infinite-alpha"],
+    )
+    def test_bad_entry_is_an_error(self, workdir, capsys, entry, message):
+        path = write_suite(workdir, [], **entry)
+        code = main(["benchmark", "--suite", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"xor: ERROR {message}\n" in out
 
     def test_machine_format_and_out_file(self, workdir, capsys):
         path = write_suite(workdir, [{"metric": "test_accuracy", "min": 100.0}])

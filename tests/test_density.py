@@ -120,6 +120,38 @@ class TestResolveTopology:
         with pytest.raises(SchemaError, match=">= 1"):
             resolve_topology(self.schema(), {"age": 0})
 
+    def test_numpy_integers_are_counts(self):
+        assert resolve_topology(self.schema(), np.int64(9)) == (9, 2, 3)
+        assert resolve_topology(self.schema(), np.array([7, 2, 3])) == (7, 2, 3)
+        assert resolve_topology(self.schema(), {"age": np.int32(11)}) == (11, 2, 3)
+
+    @pytest.mark.parametrize(
+        "bins, message",
+        [
+            ({"age": 2.5}, "attribute 'age': bin count must be an integer, got 2.5"),
+            ({"age": 4.0}, "attribute 'age': bin count must be an integer, got 4.0"),
+            ({"age": True}, "attribute 'age': bin count must be an integer, got True"),
+            ({"age": None}, "attribute 'age': bin count must be an integer, got None"),
+            ([2.7, 2, 3], "attribute 'age': bin count must be an integer, got 2.7"),
+            ([7, True, 3], "attribute 'sex': bin count must be an integer, got True"),
+            (np.array([7.0, 2.0, 3.0]), "attribute 'age': bin count must be an integer"),
+            (2.5, "bin count must be an integer, got 2.5"),
+            (True, "bin count must be an integer, got True"),
+            (np.float64(4.0), "bin count must be an integer"),
+            ("4", "bin count must be an integer, got '4'"),
+        ],
+        ids=[
+            "mapping-fraction", "mapping-whole-float", "mapping-boolean", "mapping-null",
+            "sequence-fraction", "sequence-boolean", "sequence-float-array",
+            "scalar-fraction", "scalar-boolean", "scalar-numpy-float", "scalar-string",
+        ],
+    )
+    def test_non_integer_counts_refused(self, bins, message):
+        # truncating would train 2 bins for 2.5 and broadcast True as 1
+        with pytest.raises(SchemaError) as caught:
+            resolve_topology(self.schema(), bins)
+        assert str(caught.value).startswith(message)
+
 
 class TestFitDensity:
     def test_xor_counts_and_tags(self):
