@@ -82,6 +82,8 @@ class TrainConfig:
         # an infinite step or floor turns scores into inf - inf = nan
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if isinstance(self.max_rounds, bool) or not isinstance(self.max_rounds, (int, np.integer)):
+            raise ValueError(f"max_rounds must be an integer, got {self.max_rounds!r}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if not 0.0 < self.tag_gain <= 1.0:

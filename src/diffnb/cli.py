@@ -16,6 +16,9 @@ from .dataset import (
     ParseError,
     ParseOptions,
     SchemaError,
+    json_entry,
+    json_parse_options,
+    json_value,
     load_schema,
     parse_table,
     split_dataset,
@@ -187,81 +190,28 @@ def _search_ranges(schema, raw_ranges, baseline_bins: int) -> tuple[tuple[int, .
     return tuple(tuple(r) for r in ranges)
 
 
-_REQUIRED = object()
-# JSON kinds by the name an error gives them; true/false load as bool,
-# which Python also counts as an int
-_JSON_KINDS = {
-    "a string": str,
-    "an integer": int,
-    "a number": (int, float),
-    "true or false": bool,
-    "a JSON list": list,
-    "a JSON object": dict,
-    "null": type(None),
-}
-
-
-def _is_kind(value, kind: str) -> bool:
-    if isinstance(value, bool) and kind in ("an integer", "a number"):
-        return False
-    return isinstance(value, _JSON_KINDS[kind])
-
-
-def _spec_entry(raw: dict, key: str, *kinds: str, default=_REQUIRED, within: str = ""):
-    """``raw[key]`` if it is one of the JSON ``kinds``.
-
-    A missing entry without a ``default``, or one of another kind, is a
-    ValueError naming it, not a traceback. ``within`` names the enclosing
-    entry of a nested one.
-    """
-    name = f'{within}"{key}"'
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ValueError(f"search spec is missing {name}")
-        return default
-    value = raw[key]
-    if not any(_is_kind(value, kind) for kind in kinds):
-        raise ValueError(f"search spec {name} must be {' or '.join(kinds)}")
-    return value
-
-
-def _spec_parse_options(raw: dict) -> ParseOptions:
-    parse_raw = _spec_entry(raw, "parse", "a JSON object", default={})
-    within = '"parse" '
-    ignore = _spec_entry(parse_raw, "ignore_cols", "a JSON list", default=[], within=within)
-    if not all(_is_kind(col, "an integer") for col in ignore):
-        raise ValueError('search spec "parse" "ignore_cols" must be a JSON list of integers')
-    return ParseOptions(
-        delimiter=_spec_entry(parse_raw, "delimiter", "a string", "null", default=None, within=within),
-        missing_token=_spec_entry(parse_raw, "missing_token", "a string", default="?", within=within),
-        label_col=_spec_entry(parse_raw, "label_col", "an integer", default=-1, within=within),
-        ignore_cols=tuple(ignore),
-    )
-
-
 def cmd_search(args) -> int:
     missing = _require_files(args.spec)
     if missing:
         print(missing, file=sys.stderr)
         return 2
     spec_path = Path(args.spec)
+    doc = "search spec"
     with open(spec_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("search spec must be a JSON object")
+        raw = json_value(doc, json.load(fh), "a JSON object")
     base = spec_path.parent
 
-    schema_path = base / _spec_entry(raw, "schema", "a string")
+    schema_path = base / json_entry(doc, raw, "schema", "a string")
     missing = _require_files(schema_path)
     if missing:
         print(missing, file=sys.stderr)
         return 2
     schema = load_schema(schema_path)
-    options = _spec_parse_options(raw)
+    options = json_parse_options(doc, raw)
     if "data" in raw:
-        data_path = base / _spec_entry(raw, "data", "a string")
-        train_count = _spec_entry(raw, "train_count", "an integer")
-        seed = _spec_entry(raw, "seed", "an integer", "null", default=None)
+        data_path = base / json_entry(doc, raw, "data", "a string")
+        train_count = json_entry(doc, raw, "train_count", "an integer")
+        seed = json_entry(doc, raw, "seed", "an integer", "null", default=None)
         missing = _require_files(data_path)
         if missing:
             print(missing, file=sys.stderr)
@@ -269,8 +219,8 @@ def cmd_search(args) -> int:
         full = parse_table(data_path, schema, options)
         trainset, validation = split_dataset(full, train_count, seed)
     else:
-        train_path = base / _spec_entry(raw, "train", "a string")
-        val_path = base / _spec_entry(raw, "validation", "a string")
+        train_path = base / json_entry(doc, raw, "train", "a string")
+        val_path = base / json_entry(doc, raw, "validation", "a string")
         missing = _require_files(train_path, val_path)
         if missing:
             print(missing, file=sys.stderr)
@@ -278,22 +228,22 @@ def cmd_search(args) -> int:
         trainset = parse_table(train_path, schema, options)
         validation = parse_table(val_path, schema, options)
 
-    baseline_bins = _spec_entry(raw, "baseline_bins", "an integer", default=5)
-    raw_ranges = _spec_entry(raw, "ranges", "a JSON list", "a JSON object")
+    baseline_bins = json_entry(doc, raw, "baseline_bins", "an integer", default=5)
+    raw_ranges = json_entry(doc, raw, "ranges", "a JSON list", "a JSON object")
     spec = SearchSpec(
         ranges=_search_ranges(schema, raw_ranges, baseline_bins),
-        budget=_spec_entry(raw, "budget", "an integer", default=64),
+        budget=json_entry(doc, raw, "budget", "an integer", default=64),
         parallelism=(
             args.parallel
             if args.parallel is not None
-            else _spec_entry(raw, "parallelism", "an integer", default=1)
+            else json_entry(doc, raw, "parallelism", "an integer", default=1)
         ),
         baseline_bins=baseline_bins,
-        exhaustive=_spec_entry(raw, "exhaustive", "true or false", default=False),
+        exhaustive=json_entry(doc, raw, "exhaustive", "true or false", default=False),
     )
     config = TrainConfig(
-        alpha=float(_spec_entry(raw, "alpha", "a number", default=2.0)),
-        max_rounds=_spec_entry(raw, "max_rounds", "an integer", default=500),
+        alpha=float(json_entry(doc, raw, "alpha", "a number", default=2.0)),
+        max_rounds=json_entry(doc, raw, "max_rounds", "an integer", default=500),
     )
 
     def progress(trial):
@@ -332,7 +282,7 @@ def cmd_benchmark(args) -> int:
         print(missing, file=sys.stderr)
         return 2
     suite = load_suite(args.suite)
-    report = run_benchmark(suite, data_dir=args.data_dir, parallel=args.parallel or 1)
+    report = run_benchmark(suite, data_dir=args.data_dir)
     render = render_suite_machine if args.format == "machine" else render_suite_text
     text = render(report)
     print(text)
@@ -408,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="run a suite of pinned experiments")
     p.add_argument("--suite", required=True)
-    p.add_argument("--parallel", type=int, default=None)
     p.add_argument("--data-dir", default=None, help="overrides DIFFNB_DATA and the suite's data_dir")
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.add_argument("--out", default=None)

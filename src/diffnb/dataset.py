@@ -1,5 +1,10 @@
 """Schema declarations, delimited-text ingestion, and train/test splitting.
 
+The ``json_*`` readers are the one check of a JSON document's shape: the
+JSON kind of each entry and the keys it must hold. Schemas, search specs
+and benchmark suites are all read through them, so a malformed file is a
+ValueError naming the entry rather than a traceback.
+
 Everything here is a pure function over immutable inputs; datasets can be
 shared freely across threads.
 """
@@ -185,6 +190,73 @@ class ParseOptions:
     ignore_cols: tuple[int, ...] = ()
 
 
+_REQUIRED = object()
+# JSON kinds by the name an error gives them; true/false load as bool,
+# which Python also counts as an int
+_JSON_KINDS = {
+    "a string": str,
+    "an integer": int,
+    "a number": (int, float),
+    "true or false": bool,
+    "a JSON list": list,
+    "a JSON object": dict,
+    "null": type(None),
+}
+
+
+def _is_kind(value, kind: str) -> bool:
+    if isinstance(value, bool) and kind in ("an integer", "a number"):
+        return False
+    return isinstance(value, _JSON_KINDS[kind])
+
+
+def json_value(doc: str, value, *kinds: str):
+    """``value`` if it is one of the JSON ``kinds``, else a ValueError.
+
+    ``doc`` names the value in the message: the document (``search spec``,
+    ``schema``), an entry of it (``suite entry "monks-1"``), or a key
+    within one (``search spec "parse"``).
+    """
+    if not any(_is_kind(value, kind) for kind in kinds):
+        raise ValueError(f"{doc} must be {' or '.join(kinds)}")
+    return value
+
+
+def json_entry(doc: str, raw: dict, key: str, *kinds: str, default=_REQUIRED):
+    """``raw[key]`` if it is one of the JSON ``kinds``.
+
+    A missing entry without a ``default``, or one of another kind, is a
+    ValueError naming it within ``doc``, not a traceback. Only the kind is
+    checked here; the code that uses a value checks its range.
+    """
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ValueError(f'{doc} is missing "{key}"')
+        return default
+    return json_value(f'{doc} "{key}"', raw[key], *kinds)
+
+
+def json_list(doc: str, raw: dict, key: str, kind: str, default=_REQUIRED):
+    """``raw[key]`` if it is a JSON list whose every item is of ``kind``."""
+    items = json_entry(doc, raw, key, "a JSON list", default=default)
+    if key in raw and not all(_is_kind(item, kind) for item in items):
+        # "an integer" -> "integers"
+        raise ValueError(f'{doc} "{key}" must be a JSON list of {kind.split(" ", 1)[1]}s')
+    return items
+
+
+def json_parse_options(doc: str, raw: dict) -> ParseOptions:
+    """The ParseOptions of ``raw``'s optional ``"parse"`` object."""
+    parse_raw = json_entry(doc, raw, "parse", "a JSON object", default={})
+    doc = f'{doc} "parse"'
+    return ParseOptions(
+        delimiter=json_entry(doc, parse_raw, "delimiter", "a string", "null", default=None),
+        missing_token=json_entry(doc, parse_raw, "missing_token", "a string", default="?"),
+        label_col=json_entry(doc, parse_raw, "label_col", "an integer", default=-1),
+        ignore_cols=tuple(json_list(doc, parse_raw, "ignore_cols", "an integer", default=[])),
+    )
+
+
 def load_schema(path: str | Path) -> Schema:
     """Load a schema declaration from a JSON file.
 
@@ -193,25 +265,35 @@ def load_schema(path: str | Path) -> Schema:
         {"classes": ["benign", {"label": "malignant", "token": "4"}],
          "attributes": [{"name": "size", "kind": "continuous"},
                         {"name": "color", "kind": "categorical", "values": ["r", "g"]}]}
+
+    ``classes`` and ``attributes`` are required; a class is a label string
+    or an object with a ``label`` and an optional on-disk ``token``. Every
+    name, kind, label, token and value is a JSON string. A wrong JSON kind
+    or a missing key is a ValueError naming it (``schema attribute 2 is
+    missing "kind"``); a contradictory declaration is a SchemaError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json_value("schema", json.load(fh), "a JSON object")
     labels, tokens = [], []
-    for entry in raw.get("classes", []):
-        if isinstance(entry, str):
+    for i, entry in enumerate(json_entry("schema", raw, "classes", "a JSON list"), start=1):
+        doc = f"schema class {i}"
+        if isinstance(json_value(doc, entry, "a string", "a JSON object"), str):
             labels.append(entry)
             tokens.append(entry)
         else:
-            labels.append(str(entry["label"]))
-            tokens.append(str(entry.get("token", entry["label"])))
+            label = json_entry(doc, entry, "label", "a string")
+            labels.append(label)
+            tokens.append(json_entry(doc, entry, "token", "a string", default=label))
     attrs = []
-    for a in raw.get("attributes", []):
-        values = a.get("values")
+    for i, entry in enumerate(json_entry("schema", raw, "attributes", "a JSON list"), start=1):
+        doc = f"schema attribute {i}"
+        json_value(doc, entry, "a JSON object")
+        values = json_list(doc, entry, "values", "a string", default=None)
         attrs.append(
             AttributeSpec(
-                name=str(a["name"]),
-                kind=str(a["kind"]),
-                values=None if values is None else tuple(str(v) for v in values),
+                name=json_entry(doc, entry, "name", "a string"),
+                kind=json_entry(doc, entry, "kind", "a string"),
+                values=None if values is None else tuple(values),
             )
         )
     return Schema(tuple(attrs), tuple(labels), tuple(tokens))

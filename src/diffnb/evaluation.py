@@ -10,15 +10,23 @@ so published results stay pinned by executable checks.
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .boosting import Model, TrainConfig, train
-from .dataset import Dataset, ParseOptions, SchemaError, load_schema, parse_table, split_dataset
+from .dataset import (
+    Dataset,
+    ParseOptions,
+    SchemaError,
+    json_entry,
+    json_parse_options,
+    json_value,
+    load_schema,
+    parse_table,
+    split_dataset,
+)
 from .inference import predict_batch
 
 
@@ -116,6 +124,10 @@ def render_report_machine(report: Report) -> str:
     return "\n".join(lines)
 
 
+# the metrics run_experiment reports for an entry that ran
+METRICS = ("train_accuracy", "test_accuracy", "epochs", "converged", "train_seconds", "n_train", "n_test")
+
+
 @dataclass(frozen=True)
 class MetricCheck:
     """Closed bound on one numeric metric; either side may be open."""
@@ -143,7 +155,7 @@ class ExperimentSpec:
 
     Provide either ``data`` with ``train_count`` (one file split in file
     order, or shuffled when ``split_seed`` is set) or explicit ``train``
-    and ``test`` files.
+    and ``test`` files. Every check names one of ``METRICS``.
     """
 
     name: str
@@ -167,6 +179,9 @@ class ExperimentSpec:
             raise ValueError(f"experiment {self.name!r}: give either data+train_count or train+test")
         if single and self.train_count is None:
             raise ValueError(f"experiment {self.name!r}: data file needs train_count")
+        for check in self.checks:
+            if check.metric not in METRICS:
+                raise ValueError(f"experiment {self.name!r}: no metric {check.metric!r} to check")
 
 
 @dataclass(frozen=True)
@@ -199,42 +214,57 @@ class SuiteReport:
 
 
 def load_suite(path: str | Path) -> Suite:
-    """Load a benchmark suite description from JSON."""
+    """Load a benchmark suite description from JSON.
+
+    The suite is an object whose ``"experiments"`` list holds one object
+    per entry; each entry needs a ``"name"`` and a ``"schema"``, and every
+    key it gives must be of its JSON kind (README "Benchmarks"). A wrong
+    kind or a missing key is a ValueError naming the entry, raised before
+    any entry runs. Values are checked where they are used, when the entry
+    runs, so a ``"bins": 2.5`` or an ``"alpha": Infinity`` is that entry's
+    error.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json_value("suite", json.load(fh), "a JSON object")
     experiments = []
-    for e in raw.get("experiments", []):
-        parse_raw = e.get("parse", {})
-        parse = ParseOptions(
-            delimiter=parse_raw.get("delimiter"),
-            missing_token=parse_raw.get("missing_token", "?"),
-            label_col=parse_raw.get("label_col", -1),
-            ignore_cols=tuple(parse_raw.get("ignore_cols", ())),
-        )
-        split = e.get("split", {})
-        checks = tuple(
-            MetricCheck(c["metric"], c.get("min"), c.get("max")) for c in e.get("checks", [])
-        )
-        bins = e.get("bins")
+    for i, entry in enumerate(json_entry("suite", raw, "experiments", "a JSON list"), start=1):
+        json_value(f"suite entry {i}", entry, "a JSON object")
+        name = json_entry(f"suite entry {i}", entry, "name", "a string")
+        doc = f'suite entry "{name}"'
+        split = json_entry(doc, entry, "split", "a JSON object", default={})
+        checks = []
+        for j, check in enumerate(json_entry(doc, entry, "checks", "a JSON list", default=[]), start=1):
+            check_doc = f"{doc} check {j}"
+            json_value(check_doc, check, "a JSON object")
+            checks.append(
+                MetricCheck(
+                    json_entry(check_doc, check, "metric", "a string"),
+                    json_entry(check_doc, check, "min", "a number", "null", default=None),
+                    json_entry(check_doc, check, "max", "a number", "null", default=None),
+                )
+            )
         experiments.append(
             ExperimentSpec(
-                name=e["name"],
-                schema=e["schema"],
-                bins=bins,
-                alpha=e.get("alpha", 2.0),
-                max_rounds=e.get("max_rounds", 500),
-                data=e.get("data"),
-                train_count=split.get("train_count"),
-                split_seed=split.get("seed"),
-                train=e.get("train"),
-                test=e.get("test"),
-                parse=parse,
-                checks=checks,
-                fetch_hint=e.get("fetch_hint"),
+                name=name,
+                schema=json_entry(doc, entry, "schema", "a string"),
+                # any number: resolve_topology refuses a fractional count
+                bins=json_entry(
+                    doc, entry, "bins", "a number", "a JSON list", "a JSON object", "null", default=None
+                ),
+                alpha=json_entry(doc, entry, "alpha", "a number", default=2.0),
+                max_rounds=json_entry(doc, entry, "max_rounds", "an integer", default=500),
+                data=json_entry(doc, entry, "data", "a string", default=None),
+                train_count=json_entry(f'{doc} "split"', split, "train_count", "an integer", default=None),
+                split_seed=json_entry(f'{doc} "split"', split, "seed", "an integer", "null", default=None),
+                train=json_entry(doc, entry, "train", "a string", default=None),
+                test=json_entry(doc, entry, "test", "a string", default=None),
+                parse=json_parse_options(doc, entry),
+                checks=tuple(checks),
+                fetch_hint=json_entry(doc, entry, "fetch_hint", "a string", "null", default=None),
             )
         )
-    return Suite(tuple(experiments), path.parent, raw.get("data_dir", "."))
+    return Suite(tuple(experiments), path.parent, json_entry("suite", raw, "data_dir", "a string", default="."))
 
 
 def resolve_data_dir(suite: Suite, override: str | None = None) -> Path:
@@ -291,29 +321,15 @@ def run_experiment(spec: ExperimentSpec, data_root: Path, schema_root: Path) -> 
         return EntryResult(spec.name, "error", {}, (), f"{type(err).__name__}: {err}")
 
 
-def run_benchmark(
-    suite: Suite,
-    data_dir: str | None = None,
-    parallel: int = 1,
-    on_entry: Callable[[EntryResult], None] | None = None,
-) -> SuiteReport:
-    """Run every experiment in the suite; entries are independent.
+def run_benchmark(suite: Suite, data_dir: str | None = None) -> SuiteReport:
+    """Run every experiment in the suite, in suite order, one at a time.
 
-    Missing data files or crashes mark their entry failed and the suite
-    carries on. With ``parallel`` > 1 entries run concurrently; results
-    keep suite order either way.
+    Entries are independent: missing data files or crashes mark their
+    entry failed and the suite carries on. Entries run in this process;
+    threads would only take turns on the interpreter lock.
     """
     data_root = resolve_data_dir(suite, data_dir)
-    runner = lambda spec: run_experiment(spec, data_root, suite.base_dir)
-    if parallel > 1 and len(suite.experiments) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            entries = tuple(pool.map(runner, suite.experiments))
-    else:
-        entries = tuple(runner(spec) for spec in suite.experiments)
-    if on_entry is not None:
-        for entry in entries:
-            on_entry(entry)
-    return SuiteReport(entries)
+    return SuiteReport(tuple(run_experiment(spec, data_root, suite.base_dir) for spec in suite.experiments))
 
 
 def render_entry_text(entry: EntryResult) -> str:
@@ -345,6 +361,8 @@ def render_suite_machine(report: SuiteReport) -> str:
     lines = []
     for e in report.entries:
         lines.append(f"{e.name}.status={e.status}")
+        if e.message:
+            lines.append(f"{e.name}.message={e.message}")
         for key in sorted(e.metrics):
             value = e.metrics[key]
             text = f"{value:.2f}" if isinstance(value, float) else str(value)

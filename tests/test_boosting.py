@@ -48,6 +48,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{knob} must be finite"):
             TrainConfig(**{knob: float("inf")})
 
+    @pytest.mark.parametrize("rounds", [2.5, True, "3"], ids=["fraction", "boolean", "string"])
+    def test_non_integer_max_rounds_refused(self, rounds):
+        with pytest.raises(ValueError, match="max_rounds must be an integer"):
+            TrainConfig(max_rounds=rounds)
+
+    def test_numpy_integer_max_rounds_accepted(self):
+        assert TrainConfig(max_rounds=np.int64(3)).max_rounds == 3
+
     def test_defaults(self):
         config = TrainConfig()
         assert (config.alpha, config.max_rounds, config.tag_gain) == (2.0, 500, 0.25)

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diffnb
 from diffnb.cli import main
 from diffnb.evaluation import evaluate, render_report_machine
 from diffnb.modelfile import load_model
@@ -108,6 +113,39 @@ class TestTrain:
         assert code == 1
         assert captured.err == f"error: {knob} must be finite and > 0, got inf\n"
         assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ([{"name": "a", "kind": "continuous"}], "schema must be a JSON object"),
+            ({"classes": "c0 c1"}, 'schema "classes" must be a JSON list'),
+            ({"classes": ["c0", 1]}, "schema class 2 must be a string or a JSON object"),
+            ({"classes": ["c0", {"token": "1"}]}, 'schema class 2 is missing "label"'),
+            ({"attributes": [{"kind": "continuous"}]}, 'schema attribute 1 is missing "name"'),
+            (
+                {"attributes": [{"name": "a", "kind": "continuous"}, {"name": "b"}]},
+                'schema attribute 2 is missing "kind"',
+            ),
+            (
+                {"attributes": [{"name": "a", "kind": "binary", "values": [0, 1]}]},
+                'schema attribute 1 "values" must be a JSON list of strings',
+            ),
+        ],
+        ids=["list", "classes", "class", "label", "name", "kind", "values"],
+    )
+    def test_malformed_schema_is_a_runtime_error(self, workdir, capsys, schema, message):
+        if isinstance(schema, dict):
+            schema = {
+                "attributes": [{"name": "a", "kind": "continuous"}, {"name": "b", "kind": "continuous"}],
+                "classes": ["c0", "c1"],
+                **schema,
+            }
+        (workdir / "xor.schema.json").write_text(json.dumps(schema))
+        code, _ = train_xor(workdir)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_wrong_bins_arity_is_a_runtime_error(self, workdir, capsys):
         code = main(
@@ -425,21 +463,24 @@ class TestSearch:
         )
 
 
+# an entry override that removes the key
+DROP = object()
+
+
 def write_suite(workdir, checks, **entry):
+    xor = {
+        "name": "xor",
+        "schema": "xor.schema.json",
+        "train": "xor.data",
+        "test": "xor.data",
+        "bins": 2,
+        "checks": checks,
+        "fetch_hint": "regenerate xor.data by hand",
+        **entry,
+    }
     suite = {
         "data_dir": ".",
-        "experiments": [
-            {
-                "name": "xor",
-                "schema": "xor.schema.json",
-                "train": "xor.data",
-                "test": "xor.data",
-                "bins": 2,
-                "checks": checks,
-                "fetch_hint": "regenerate xor.data by hand",
-                **entry,
-            }
-        ],
+        "experiments": [{key: value for key, value in xor.items() if value is not DROP}],
     }
     path = workdir / "suite.json"
     path.write_text(json.dumps(suite))
@@ -487,6 +528,75 @@ class TestBenchmark:
         out = capsys.readouterr().out
         assert code == 1
         assert f"xor: ERROR {message}\n" in out
+        code = main(["benchmark", "--suite", str(path), "--format", "machine"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == f"xor.status=error\nxor.message={message}\nsuite.ok=0\n"
+
+    @pytest.mark.parametrize(
+        "suite, message",
+        [
+            ([{"name": "xor"}], "suite must be a JSON object"),
+            ({"data_dir": "."}, 'suite is missing "experiments"'),
+            ({"experiment": []}, 'suite is missing "experiments"'),
+            ({"experiments": {"name": "xor"}}, 'suite "experiments" must be a JSON list'),
+            ({"experiments": ["xor"]}, "suite entry 1 must be a JSON object"),
+        ],
+        ids=["list", "missing", "misspelled", "experiments", "entry"],
+    )
+    def test_malformed_suite_is_reported(self, workdir, capsys, suite, message):
+        path = workdir / "suite.json"
+        path.write_text(json.dumps(suite))
+        code = main(["benchmark", "--suite", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": DROP}, 'suite entry 2 is missing "name"'),
+            ({"name": 5}, 'suite entry 2 "name" must be a string'),
+            ({"schema": DROP}, 'suite entry "xor" is missing "schema"'),
+            ({"max_rounds": 2.5}, 'suite entry "xor" "max_rounds" must be an integer'),
+            ({"max_rounds": True}, 'suite entry "xor" "max_rounds" must be an integer'),
+            ({"alpha": "2"}, 'suite entry "xor" "alpha" must be a number'),
+            ({"bins": "2"}, 'suite entry "xor" "bins" must be a number or a JSON list or a JSON object or null'),
+            ({"parse": {"ignore_cols": 5}}, 'suite entry "xor" "parse" "ignore_cols" must be a JSON list'),
+            (
+                {"train": DROP, "test": DROP, "data": "xor.data", "split": {"train_count": "3"}},
+                'suite entry "xor" "split" "train_count" must be an integer',
+            ),
+            ({"checks": {"metric": "epochs"}}, 'suite entry "xor" "checks" must be a JSON list'),
+            (
+                {"checks": [{"metric": "test_accuracy", "min": "90"}]},
+                'suite entry "xor" check 1 "min" must be a number or null',
+            ),
+            ({"checks": [{"max": 90}]}, 'suite entry "xor" check 1 is missing "metric"'),
+            (
+                {"checks": [{"metric": "epochs"}, {"metric": "accuracy", "min": 90}]},
+                "experiment 'xor': no metric 'accuracy' to check",
+            ),
+        ],
+        ids=[
+            "no-name", "name", "no-schema", "fractional-max_rounds", "boolean-max_rounds", "alpha", "bins",
+            "ignore_cols", "train_count", "checks", "check-min", "check-metric", "unknown-metric",
+        ],
+    )
+    def test_malformed_entry_fails_before_any_entry_runs(self, workdir, capsys, entry, message):
+        entry = dict(entry)
+        path = write_suite(workdir, entry.pop("checks", []), **entry)
+        suite = json.loads(path.read_text())
+        # the malformed entry comes second, after one that would run
+        suite["experiments"].insert(0, {"name": "good", "schema": "xor.schema.json",
+                                        "train": "xor.data", "test": "xor.data", "bins": 2})
+        path.write_text(json.dumps(suite))
+        code = main(["benchmark", "--suite", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_machine_format_and_out_file(self, workdir, capsys):
         path = write_suite(workdir, [{"metric": "test_accuracy", "min": 100.0}])
@@ -514,3 +624,18 @@ class TestInspect:
         assert "trained on: 4 examples" in out
         assert "epochs: 1 (converged)" in out
         assert "epsilon_floor=0.025" in out
+
+
+def test_import_loads_no_pool_machinery():
+    # every command pays for what importing the CLI loads; only a
+    # parallel search needs worker processes, and it imports them itself
+    script = (
+        "import sys, diffnb.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    package_root = Path(diffnb.__file__).resolve().parent.parent
+    path = [str(package_root), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

@@ -1,6 +1,7 @@
 """Accuracy reports, metric checks, and benchmark suites."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffnb.boosting import TrainConfig, train
-from diffnb.dataset import Dataset, SchemaError
+from diffnb.dataset import Dataset, ParseOptions, SchemaError
 from diffnb.evaluation import (
+    METRICS,
     EntryResult,
     ExperimentSpec,
     MetricCheck,
@@ -29,6 +31,8 @@ from diffnb.evaluation import (
 )
 
 from conftest import small_problems, xor_dataset, xor_schema
+
+SUITE = Path(__file__).parent.parent / "benchmarks" / "suite.json"
 
 
 @pytest.fixture(scope="module")
@@ -271,20 +275,39 @@ class TestSuite:
         assert resolve_data_dir(suite, None) == tmp_path / "env"
         assert resolve_data_dir(suite, tmp_path / "given") == tmp_path / "given"
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+    def test_shipped_suite(self, monkeypatch):
+        # the checker must accept the suite that pins the paper's results
         monkeypatch.delenv("DIFFNB_DATA", raising=False)
-        write_xor_files(tmp_path)
-        experiments = tuple(
-            xor_experiment(name=f"xor{i}", bins=2 + i % 2) for i in range(4)
+        suite = load_suite(SUITE)
+        assert suite.base_dir == SUITE.parent and suite.data_dir == "../data"
+        by_name = {spec.name: spec for spec in suite.experiments}
+        assert list(by_name) == ["breast-cancer", "thyroid", "pima", "monks-1", "monks-2", "monks-3"]
+        assert by_name["breast-cancer"].parse == ParseOptions(delimiter=",", ignore_cols=(0,))
+        assert (by_name["breast-cancer"].data, by_name["breast-cancer"].train_count) == (
+            "breast-cancer-wisconsin.data", 341
         )
-        suite = Suite(experiments=experiments, base_dir=tmp_path, data_dir=".")
-        serial = run_benchmark(suite, parallel=1)
-        threaded = run_benchmark(suite, parallel=4)
-        for a, b in zip(serial.entries, threaded.entries):
-            assert a.name == b.name and a.status == b.status
-            for key in a.metrics:
-                if key != "train_seconds":
-                    assert a.metrics[key] == b.metrics[key]
+        assert by_name["breast-cancer"].bins == 7
+        assert by_name["breast-cancer"].checks == (
+            MetricCheck("test_accuracy", min=96.5),
+            MetricCheck("epochs", max=200),
+            MetricCheck("train_seconds", max=10),
+        )
+        assert by_name["thyroid"].parse == ParseOptions()
+        assert (by_name["thyroid"].train, by_name["thyroid"].test) == ("ann-train.data", "ann-test.data")
+        assert by_name["thyroid"].bins == [9] + [2] * 15 + [9] * 5
+        assert by_name["thyroid"].checks[0] == MetricCheck("train_accuracy", min=98.56, max=99.56)
+        assert by_name["pima"].parse == ParseOptions(delimiter=",")
+        assert by_name["pima"].bins == [8, 5, 5, 5, 14, 30, 5, 6]
+        assert by_name["pima"].checks == (MetricCheck("test_accuracy", min=74.95, max=78.95),)
+        for p in (1, 2, 3):
+            spec = by_name[f"monks-{p}"]
+            assert spec.parse == ParseOptions(label_col=0, ignore_cols=(7,))
+            assert (spec.train, spec.test, spec.bins) == (f"monks-{p}.train", f"monks-{p}.test", [4] * 6)
+            assert (spec.alpha, spec.max_rounds) == (2.0, 500)
+        assert by_name["monks-2"].checks == (MetricCheck("test_accuracy", min=60.0, max=75.0),)
+        entry = run_experiment(by_name["monks-1"], resolve_data_dir(suite), suite.base_dir)
+        assert entry.status == "pass"
+        assert sorted(entry.metrics) == sorted(METRICS)
 
     def test_empty_suite_is_vacuously_ok(self, tmp_path):
         suite = Suite(experiments=(), base_dir=tmp_path)
