@@ -171,6 +171,14 @@ def winner_of(log_scores: np.ndarray) -> tuple[int, bool]:
     return winner, tie
 
 
+def winners_of(log_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Winner indices and tie flags of (n, K) log scores, row by row as :func:`winner_of`."""
+    winners = np.argmax(log_scores, axis=1)
+    best = log_scores[np.arange(len(log_scores)), winners]
+    ties = np.count_nonzero(log_scores == best[:, None], axis=1) > 1
+    return winners.astype(np.int64), ties
+
+
 def boost_example(
     weights: np.ndarray, bins: np.ndarray, label: int, scores: np.ndarray, alpha: float
 ) -> float:
@@ -359,7 +367,27 @@ def run_epoch(state: TrainState) -> int:
 
 
 def train(trainset: Dataset, config: TrainConfig = TrainConfig()) -> tuple[Model, TrainTrace]:
-    """Fit density tables once, then boost until clean or out of rounds."""
+    """Fit density tables once, then boost until clean or out of rounds.
+
+    Returns the model and its per-epoch miss trace; :func:`train_with_scores`
+    also returns the training set's final log scores.
+    """
+    model, trace, _ = train_with_scores(trainset, config)
+    return model, trace
+
+
+def train_with_scores(
+    trainset: Dataset, config: TrainConfig = TrainConfig()
+) -> tuple[Model, TrainTrace, np.ndarray]:
+    """:func:`train`, plus the trained model's (n, K) log scores of ``trainset``.
+
+    The scores are one fresh :func:`weighted_log_scores` over the state
+    training ends in, not the running table: they are exactly what
+    scoring ``trainset`` with the returned model computes, since ``logw``
+    holds ``np.log`` of every weight cell and the likelihood parts come
+    from the same density, rows and config. A caller gets the training
+    set's verdict from them without scoring its rows again.
+    """
     if len(trainset) == 0:
         raise ValueError("training set is empty")
     state = TrainState.build(trainset, config)
@@ -377,4 +405,4 @@ def train(trainset: Dataset, config: TrainConfig = TrainConfig()) -> tuple[Model
         config=state.config,
         trace=trace,
     )
-    return model, trace
+    return model, trace, weighted_log_scores(state.logw, state.bins, state.loglik)

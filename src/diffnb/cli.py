@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .boosting import TrainConfig, train
+from .boosting import TrainConfig, train_with_scores
 from .dataset import (
     ParseError,
     ParseOptions,
     SchemaError,
     json_entry,
+    json_keys,
     json_parse_options,
     json_value,
     load_schema,
@@ -34,6 +35,7 @@ from .evaluation import (
     render_suite_machine,
     render_suite_text,
     run_benchmark,
+    training_report,
 )
 from .inference import posterior
 from .modelfile import load_model, save_model
@@ -89,14 +91,14 @@ def cmd_train(args) -> int:
         epsilon_floor=args.epsilon,
         topology=_parse_bins(args.bins),
     )
-    model, trace = train(data, config)
+    model, trace, train_logs = train_with_scores(data, config)
     for epoch, count in enumerate(trace.miss_counts, start=1):
         print(f"epoch {epoch}: {count} misses")
     if trace.converged:
         print(f"converged after {trace.epochs} epochs")
     else:
         print(f"stopped at max_rounds={model.config.max_rounds} with {trace.miss_counts[-1]} misses")
-    report = evaluate(model, data)
+    report = training_report(model, data, train_logs)
     print(f"train accuracy: {format_percent(report.accuracy)} % ({report.n_correct}/{report.n_examples})")
     if holdout is not None:
         held = evaluate(model, holdout)
@@ -190,6 +192,12 @@ def _search_ranges(schema, raw_ranges, baseline_bins: int) -> tuple[tuple[int, .
     return tuple(tuple(r) for r in ranges)
 
 
+_SPEC_KEYS = (
+    "schema", "parse", "data", "train_count", "seed", "train", "validation", "ranges",
+    "baseline_bins", "budget", "parallelism", "exhaustive", "alpha", "max_rounds",
+)
+
+
 def cmd_search(args) -> int:
     missing = _require_files(args.spec)
     if missing:
@@ -245,6 +253,7 @@ def cmd_search(args) -> int:
         alpha=float(json_entry(doc, raw, "alpha", "a number", default=2.0)),
         max_rounds=json_entry(doc, raw, "max_rounds", "an integer", default=500),
     )
+    json_keys(doc, raw, _SPEC_KEYS)
 
     def progress(trial):
         topo = "-".join(str(b) for b in trial.topology)

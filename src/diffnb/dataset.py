@@ -1,17 +1,20 @@
 """Schema declarations, delimited-text ingestion, and train/test splitting.
 
 The ``json_*`` readers are the one check of a JSON document's shape: the
-JSON kind of each entry and the keys it must hold. Schemas, search specs
-and benchmark suites are all read through them, so a malformed file is a
-ValueError naming the entry rather than a traceback.
+JSON kind of each entry, the keys it must hold and the keys it may hold.
+Schemas, search specs, benchmark suites and model files are all read
+through them, so a malformed file is a ValueError naming the entry rather
+than a traceback.
 
 Everything here is a pure function over immutable inputs; datasets can be
-shared freely across threads.
+shared freely across threads. A dataset builds its value matrix and label
+array once, on first use, and hands out the same read-only arrays after.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -161,13 +164,31 @@ class Dataset:
         return len(self.examples)
 
     def value_matrix(self) -> np.ndarray:
-        """All example values as an (n, M) float64 matrix."""
-        return np.array([ex.values for ex in self.examples], dtype=np.float64).reshape(
-            len(self.examples), self.schema.n_attributes
-        )
+        """All example values as an (n, M) float64 matrix; read-only, built once."""
+        return self._value_matrix
 
     def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.int64)
+        """Every example's class index as an (n,) int64 array; read-only, built once."""
+        return self._labels
+
+    @cached_property
+    def _value_matrix(self) -> np.ndarray:
+        values = np.array([ex.values for ex in self.examples], dtype=np.float64).reshape(
+            len(self.examples), self.schema.n_attributes
+        )
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        labels = np.array([ex.label for ex in self.examples], dtype=np.int64)
+        labels.flags.writeable = False
+        return labels
+
+    def __getstate__(self) -> dict:
+        # a pickled dataset (a search worker's) rebuilds its arrays on first
+        # use instead of shipping them; unpickled arrays would be writeable
+        return {k: v for k, v in self.__dict__.items() if k not in ("_value_matrix", "_labels")}
 
     @staticmethod
     def build(schema: Schema, rows: Iterable[tuple[Sequence[float], int]], source: str = "memory") -> "Dataset":
@@ -245,20 +266,40 @@ def json_list(doc: str, raw: dict, key: str, kind: str, default=_REQUIRED):
     return items
 
 
+def json_keys(doc: str, raw: dict, known: Iterable[str]) -> None:
+    """A ValueError naming the first key of ``raw`` that is not ``known``.
+
+    Readers call it once they have read an object's keys, so a missing
+    key is reported before a misspelled one: a ``"max_round"`` is refused
+    rather than silently leaving ``max_rounds`` at its default.
+    """
+    for key in raw:
+        if key not in known:
+            raise ValueError(f'{doc} has unknown key "{key}"')
+
+
 def json_parse_options(doc: str, raw: dict) -> ParseOptions:
     """The ParseOptions of ``raw``'s optional ``"parse"`` object."""
     parse_raw = json_entry(doc, raw, "parse", "a JSON object", default={})
     doc = f'{doc} "parse"'
-    return ParseOptions(
+    options = ParseOptions(
         delimiter=json_entry(doc, parse_raw, "delimiter", "a string", "null", default=None),
         missing_token=json_entry(doc, parse_raw, "missing_token", "a string", default="?"),
         label_col=json_entry(doc, parse_raw, "label_col", "an integer", default=-1),
         ignore_cols=tuple(json_list(doc, parse_raw, "ignore_cols", "an integer", default=[])),
     )
+    json_keys(doc, parse_raw, ("delimiter", "missing_token", "label_col", "ignore_cols"))
+    return options
 
 
 def load_schema(path: str | Path) -> Schema:
-    """Load a schema declaration from a JSON file.
+    """Load a schema declaration from a JSON file; see :func:`schema_from_json`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return schema_from_json(json.load(fh))
+
+
+def schema_from_json(raw, doc: str = "schema") -> Schema:
+    """Read a schema declaration from its parsed JSON object.
 
     Expected shape::
 
@@ -268,34 +309,38 @@ def load_schema(path: str | Path) -> Schema:
 
     ``classes`` and ``attributes`` are required; a class is a label string
     or an object with a ``label`` and an optional on-disk ``token``. Every
-    name, kind, label, token and value is a JSON string. A wrong JSON kind
-    or a missing key is a ValueError naming it (``schema attribute 2 is
-    missing "kind"``); a contradictory declaration is a SchemaError.
+    name, kind, label, token and value is a JSON string. A wrong JSON kind,
+    a missing key or an unknown one is a ValueError naming it (``schema
+    attribute 2 is missing "kind"``); a contradictory declaration is a
+    SchemaError. ``doc`` names the schema in messages, as a model file
+    names the schema it holds.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json_value("schema", json.load(fh), "a JSON object")
+    json_value(doc, raw, "a JSON object")
     labels, tokens = [], []
-    for i, entry in enumerate(json_entry("schema", raw, "classes", "a JSON list"), start=1):
-        doc = f"schema class {i}"
-        if isinstance(json_value(doc, entry, "a string", "a JSON object"), str):
+    for i, entry in enumerate(json_entry(doc, raw, "classes", "a JSON list"), start=1):
+        entry_doc = f"{doc} class {i}"
+        if isinstance(json_value(entry_doc, entry, "a string", "a JSON object"), str):
             labels.append(entry)
             tokens.append(entry)
         else:
-            label = json_entry(doc, entry, "label", "a string")
+            label = json_entry(entry_doc, entry, "label", "a string")
             labels.append(label)
-            tokens.append(json_entry(doc, entry, "token", "a string", default=label))
+            tokens.append(json_entry(entry_doc, entry, "token", "a string", default=label))
+            json_keys(entry_doc, entry, ("label", "token"))
     attrs = []
-    for i, entry in enumerate(json_entry("schema", raw, "attributes", "a JSON list"), start=1):
-        doc = f"schema attribute {i}"
-        json_value(doc, entry, "a JSON object")
-        values = json_list(doc, entry, "values", "a string", default=None)
+    for i, entry in enumerate(json_entry(doc, raw, "attributes", "a JSON list"), start=1):
+        entry_doc = f"{doc} attribute {i}"
+        json_value(entry_doc, entry, "a JSON object")
+        values = json_list(entry_doc, entry, "values", "a string", default=None)
         attrs.append(
             AttributeSpec(
-                name=json_entry(doc, entry, "name", "a string"),
-                kind=json_entry(doc, entry, "kind", "a string"),
+                name=json_entry(entry_doc, entry, "name", "a string"),
+                kind=json_entry(entry_doc, entry, "kind", "a string"),
                 values=None if values is None else tuple(values),
             )
         )
+        json_keys(entry_doc, entry, ("name", "kind", "values"))
+    json_keys(doc, raw, ("classes", "attributes"))
     return Schema(tuple(attrs), tuple(labels), tuple(tokens))
 
 

@@ -1,7 +1,9 @@
 """Model scoring reports and the reproducibility benchmark harness.
 
 ``evaluate`` turns a model plus a labeled dataset into a Report: counts,
-accuracy, confusion matrix, per-class correct counts, tie count. The
+accuracy, confusion matrix, per-class correct counts, tie count.
+``training_report`` builds the same Report for the training set from the
+scores training ended with, through the same winner and tally steps. The
 benchmark harness runs a suite of train-and-evaluate experiments
 described in a JSON file and checks each metric against declared bounds,
 so published results stay pinned by executable checks.
@@ -15,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .boosting import Model, TrainConfig, train
+from .boosting import Model, TrainConfig, train_with_scores, winners_of
 from .dataset import (
     Dataset,
     ParseOptions,
+    Schema,
     SchemaError,
     json_entry,
+    json_keys,
     json_parse_options,
     json_value,
     load_schema,
@@ -61,17 +65,12 @@ def _check_schemas(model: Model, data: Dataset) -> None:
     raise SchemaError(f"classes differ between model {a.classes} and data {b.classes}")
 
 
-def evaluate(model: Model, data: Dataset) -> Report:
-    """Score every example and tally the outcome."""
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    _check_schemas(model, data)
-    labels = data.labels()
-    winners, ties = predict_batch(model, data.value_matrix())
-    k = model.schema.n_classes
+def _tally(schema: Schema, labels: np.ndarray, winners: np.ndarray, ties: np.ndarray) -> Report:
+    """The Report of predicted ``winners`` and tie flags against true ``labels``."""
+    k = schema.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (labels, winners), 1)
-    n = len(data)
+    n = len(labels)
     n_correct = int(np.trace(confusion))
     return Report(
         n_examples=n,
@@ -80,8 +79,27 @@ def evaluate(model: Model, data: Dataset) -> Report:
         confusion=confusion,
         per_class_correct=tuple(int(c) for c in np.diag(confusion)),
         tie_count=int(np.count_nonzero(ties)),
-        class_labels=model.schema.classes,
+        class_labels=schema.classes,
     )
+
+
+def evaluate(model: Model, data: Dataset) -> Report:
+    """Score every example and tally the outcome."""
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
+    _check_schemas(model, data)
+    return _tally(model.schema, data.labels(), *predict_batch(model, data.value_matrix()))
+
+
+def training_report(model: Model, trainset: Dataset, log_scores: np.ndarray) -> Report:
+    """The Report of ``trainset`` from the log scores training ended with.
+
+    ``log_scores`` are the third item of :func:`train_with_scores`. They
+    are the scores :func:`evaluate` computes for the same model and rows,
+    and pass through the same winner and tally steps, so the report equals
+    ``evaluate(model, trainset)`` without scoring the rows again.
+    """
+    return _tally(model.schema, trainset.labels(), *winners_of(log_scores))
 
 
 def format_percent(value: float) -> str:
@@ -213,25 +231,35 @@ class SuiteReport:
         return all(e.ok for e in self.entries)
 
 
+_ENTRY_KEYS = (
+    "name", "schema", "bins", "alpha", "max_rounds", "data", "split", "train", "test",
+    "parse", "checks", "fetch_hint",
+)
+
+
 def load_suite(path: str | Path) -> Suite:
     """Load a benchmark suite description from JSON.
 
     The suite is an object whose ``"experiments"`` list holds one object
     per entry; each entry needs a ``"name"`` and a ``"schema"``, and every
-    key it gives must be of its JSON kind (README "Benchmarks"). A wrong
-    kind or a missing key is a ValueError naming the entry, raised before
-    any entry runs. Values are checked where they are used, when the entry
-    runs, so a ``"bins": 2.5`` or an ``"alpha": Infinity`` is that entry's
-    error.
+    key it gives must be one it knows, of its JSON kind (README
+    "Benchmarks"). A wrong kind, a missing key or an unknown one is a
+    ValueError naming the entry, raised before any entry runs. Values are
+    checked where they are used, when the entry runs, so a ``"bins": 2.5``
+    or an ``"alpha": Infinity`` is that entry's error.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json_value("suite", json.load(fh), "a JSON object")
+    entries = json_entry("suite", raw, "experiments", "a JSON list")
+    data_dir = json_entry("suite", raw, "data_dir", "a string", default=".")
+    json_keys("suite", raw, ("experiments", "data_dir"))
     experiments = []
-    for i, entry in enumerate(json_entry("suite", raw, "experiments", "a JSON list"), start=1):
+    for i, entry in enumerate(entries, start=1):
         json_value(f"suite entry {i}", entry, "a JSON object")
         name = json_entry(f"suite entry {i}", entry, "name", "a string")
         doc = f'suite entry "{name}"'
+        split_doc = f'{doc} "split"'
         split = json_entry(doc, entry, "split", "a JSON object", default={})
         checks = []
         for j, check in enumerate(json_entry(doc, entry, "checks", "a JSON list", default=[]), start=1):
@@ -244,27 +272,29 @@ def load_suite(path: str | Path) -> Suite:
                     json_entry(check_doc, check, "max", "a number", "null", default=None),
                 )
             )
-        experiments.append(
-            ExperimentSpec(
-                name=name,
-                schema=json_entry(doc, entry, "schema", "a string"),
-                # any number: resolve_topology refuses a fractional count
-                bins=json_entry(
-                    doc, entry, "bins", "a number", "a JSON list", "a JSON object", "null", default=None
-                ),
-                alpha=json_entry(doc, entry, "alpha", "a number", default=2.0),
-                max_rounds=json_entry(doc, entry, "max_rounds", "an integer", default=500),
-                data=json_entry(doc, entry, "data", "a string", default=None),
-                train_count=json_entry(f'{doc} "split"', split, "train_count", "an integer", default=None),
-                split_seed=json_entry(f'{doc} "split"', split, "seed", "an integer", "null", default=None),
-                train=json_entry(doc, entry, "train", "a string", default=None),
-                test=json_entry(doc, entry, "test", "a string", default=None),
-                parse=json_parse_options(doc, entry),
-                checks=tuple(checks),
-                fetch_hint=json_entry(doc, entry, "fetch_hint", "a string", "null", default=None),
-            )
+            json_keys(check_doc, check, ("metric", "min", "max"))
+        spec = dict(
+            name=name,
+            schema=json_entry(doc, entry, "schema", "a string"),
+            # any number: resolve_topology refuses a fractional count
+            bins=json_entry(doc, entry, "bins", "a number", "a JSON list", "a JSON object", "null", default=None),
+            alpha=json_entry(doc, entry, "alpha", "a number", default=2.0),
+            max_rounds=json_entry(doc, entry, "max_rounds", "an integer", default=500),
+            data=json_entry(doc, entry, "data", "a string", default=None),
+            train_count=json_entry(split_doc, split, "train_count", "an integer", default=None),
+            split_seed=json_entry(split_doc, split, "seed", "an integer", "null", default=None),
+            train=json_entry(doc, entry, "train", "a string", default=None),
+            test=json_entry(doc, entry, "test", "a string", default=None),
+            parse=json_parse_options(doc, entry),
+            checks=tuple(checks),
+            fetch_hint=json_entry(doc, entry, "fetch_hint", "a string", "null", default=None),
         )
-    return Suite(tuple(experiments), path.parent, json_entry("suite", raw, "data_dir", "a string", default="."))
+        # before ExperimentSpec checks the combination: a misspelled
+        # "train_count" is named, not reported as a missing one
+        json_keys(split_doc, split, ("train_count", "seed"))
+        json_keys(doc, entry, _ENTRY_KEYS)
+        experiments.append(ExperimentSpec(**spec))
+    return Suite(tuple(experiments), path.parent, data_dir)
 
 
 def resolve_data_dir(suite: Suite, override: str | None = None) -> Path:
@@ -301,9 +331,9 @@ def run_experiment(spec: ExperimentSpec, data_root: Path, schema_root: Path) -> 
             testset = parse_table(data_root / spec.test, schema, spec.parse)
         config = TrainConfig(alpha=spec.alpha, max_rounds=spec.max_rounds, topology=spec.bins)
         started = time.perf_counter()
-        model, trace = train(trainset, config)
+        model, trace, train_logs = train_with_scores(trainset, config)
         train_seconds = time.perf_counter() - started
-        train_report = evaluate(model, trainset)
+        train_report = training_report(model, trainset, train_logs)
         test_report = evaluate(model, testset)
         metrics = {
             "train_accuracy": train_report.accuracy,

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boosting import Model, scores_from_logs, weighted_log_scores, winner_of
+from .boosting import Model, scores_from_logs, weighted_log_scores, winner_of, winners_of
 from .dataset import Example, SchemaError
 from .density import likelihood_logs
 
@@ -81,7 +81,4 @@ def predict_batch(model: Model, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     Row-for-row identical to calling :func:`posterior` per example; the
     batch exists so evaluation over large datasets stays cheap.
     """
-    logs = batch_log_scores(model, np.asarray(values, dtype=np.float64))
-    winners = np.argmax(logs, axis=1)
-    ties = np.count_nonzero(logs == logs[np.arange(len(logs)), winners][:, None], axis=1) > 1
-    return winners.astype(np.int64), ties
+    return winners_of(batch_log_scores(model, np.asarray(values, dtype=np.float64)))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .boosting import Model, TrainConfig, TrainTrace, WeightTable
-from .dataset import AttributeSpec, Schema
+from .dataset import Schema, json_entry, json_list, json_value, schema_from_json
 from .density import BinSpec, DensityModel, JointTable, TagTable
 
 FORMAT_NAME = "diffnb-model"
@@ -32,16 +32,6 @@ def _schema_to_json(schema: Schema) -> dict:
         "classes": [{"label": c, "token": t} for c, t in zip(schema.classes, tokens)],
         "attributes": attributes,
     }
-
-
-def _schema_from_json(raw: dict) -> Schema:
-    attrs = tuple(
-        AttributeSpec(a["name"], a["kind"], tuple(a["values"]) if "values" in a else None)
-        for a in raw["attributes"]
-    )
-    classes = tuple(c["label"] for c in raw["classes"])
-    tokens = tuple(c["token"] for c in raw["classes"])
-    return Schema(attrs, classes, tokens)
 
 
 def _tags_to_json(model: Model) -> list:
@@ -102,50 +92,81 @@ def model_to_json(model: Model) -> str:
 
 
 def model_from_json(text: str) -> Model:
-    doc = json.loads(text)
+    """Read a model document.
+
+    The document's kind and its top-level keys, the schema, the config,
+    the trace and each bin grid are checked with the shared JSON checker,
+    so a malformed file is a ValueError naming the entry; the per-cell
+    arrays are read as they are.
+    """
+    name = "model file"
+    doc = json_value(name, json.loads(text), "a JSON object")
     if doc.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('version')!r}")
-    schema = _schema_from_json(doc["schema"])
-    topology = tuple(int(b) for b in doc["topology"])
+    schema = schema_from_json(json_entry(name, doc, "schema", "a JSON object"), "model schema")
+    topology = tuple(int(b) for b in json_list(name, doc, "topology", "an integer"))
     k_n, m_n = schema.n_classes, schema.n_attributes
+    if len(topology) != m_n:
+        raise ValueError(f'{name} "topology" has {len(topology)} bin counts for {m_n} attributes')
     b_max = max(topology)
-    n_train = int(doc["n_train"])
+    n_train = int(json_entry(name, doc, "n_train", "an integer"))
+    raw_counts = json_entry(name, doc, "counts", "a JSON list")
+    raw_tags = json_entry(name, doc, "tags", "a JSON list")
+    raw_weights = json_entry(name, doc, "weights", "a JSON list")
+    raw_config = json_entry(name, doc, "config", "a JSON object")
+    raw_trace = json_entry(name, doc, "trace", "a JSON object")
 
-    specs = tuple(
-        BinSpec(m, float(s["lo"]), float(s["hi"]), int(s["count"]))
-        for m, s in enumerate(doc["bin_specs"])
-    )
+    specs = []
+    for m, s in enumerate(json_entry(name, doc, "bin_specs", "a JSON list")):
+        spec_doc = f"{name} bin spec {m + 1}"
+        json_value(spec_doc, s, "a JSON object")
+        specs.append(
+            BinSpec(
+                m,
+                float(json_entry(spec_doc, s, "lo", "a number")),
+                float(json_entry(spec_doc, s, "hi", "a number")),
+                int(json_entry(spec_doc, s, "count", "an integer")),
+            )
+        )
+    specs = tuple(specs)
     counts = np.zeros((k_n, m_n, b_max), dtype=np.int64)
     weights = np.ones((k_n, m_n, b_max))
-    for k in range(k_n):
-        for m in range(m_n):
-            counts[k, m, : topology[m]] = doc["counts"][k][m]
-            weights[k, m, : topology[m]] = doc["weights"][k][m]
-
     lo = np.full((k_n, m_n, b_max, m_n), -np.inf)
     hi = np.full((k_n, m_n, b_max, m_n), np.inf)
-    for k in range(k_n):
-        for m in range(m_n):
-            for b, entry in enumerate(doc["tags"][k][m]):
-                if entry is None:
-                    continue
-                for j, bounds in enumerate(entry):
-                    if bounds is not None:
-                        lo[k, m, b, j], hi[k, m, b, j] = bounds
+    # the cells are not checked one by one, which would slow every load; a
+    # nesting that does not match the schema and topology fails as a whole
+    try:
+        for k in range(k_n):
+            for m in range(m_n):
+                counts[k, m, : topology[m]] = raw_counts[k][m]
+                weights[k, m, : topology[m]] = raw_weights[k][m]
+        for k in range(k_n):
+            for m in range(m_n):
+                for b, entry in enumerate(raw_tags[k][m]):
+                    if entry is None:
+                        continue
+                    for j, bounds in enumerate(entry):
+                        if bounds is not None:
+                            lo[k, m, b, j], hi[k, m, b, j] = bounds
+    except (IndexError, TypeError) as err:
+        raise ValueError(
+            f'{name} "counts", "weights" or "tags" do not match its schema and topology: {err}'
+        ) from None
     tags = TagTable(lo, hi, counts > 0)
 
     density = DensityModel(schema, topology, specs, JointTable(counts, n_train), tags)
-    raw = doc["config"]
+    config_doc = f'{name} "config"'
     config = TrainConfig(
-        alpha=raw["alpha"],
-        max_rounds=raw["max_rounds"],
-        tag_gain=raw["tag_gain"],
-        epsilon_floor=raw["epsilon_floor"],
+        alpha=json_entry(config_doc, raw_config, "alpha", "a number"),
+        max_rounds=json_entry(config_doc, raw_config, "max_rounds", "an integer"),
+        tag_gain=json_entry(config_doc, raw_config, "tag_gain", "a number"),
+        epsilon_floor=json_entry(config_doc, raw_config, "epsilon_floor", "a number"),
         topology=topology,
     )
-    trace = TrainTrace(tuple(int(c) for c in doc["trace"]["miss_counts"]))
+    miss_counts = json_list(f'{name} "trace"', raw_trace, "miss_counts", "an integer")
+    trace = TrainTrace(tuple(int(c) for c in miss_counts))
     return Model(schema, topology, density, WeightTable(weights), config, trace)
 
 

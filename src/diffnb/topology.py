@@ -5,7 +5,13 @@ sweeps one attribute at a time from a uniform baseline, keeps each
 attribute's best count, then trains the combination of winners to verify
 it. Every candidate training is an independent pure function of
 (train, validation, topology), which is what makes parallel sweeps safe
-and serial/parallel results identical.
+and serial/parallel results identical. No sweep depends on another's
+result, or on the baseline's, so the baseline and every sweep go to the
+runner as one work queue; only the verification trial waits for them.
+
+A trial is one training and one scoring of the validation set: training
+hands back its final training-set scores, so the training-set accuracy
+costs no second scoring pass.
 
 With ``parallelism > 1`` the trainings of a batch run in worker
 processes, not threads: a training is thousands of small numpy calls that
@@ -19,12 +25,12 @@ method works, spawn included; a task carries only a topology.
 import dataclasses
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .boosting import TrainConfig, train
+from .boosting import TrainConfig, train_with_scores
 from .dataset import Dataset
 from .density import resolve_topology
-from .evaluation import evaluate
+from .evaluation import evaluate, training_report
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,10 @@ def _train_one(
 ) -> Trial:
     """Train one candidate topology and score it on both sets."""
     config = dataclasses.replace(base_config, topology=topology)
-    model, _ = train(trainset, config)
+    model, _, train_logs = train_with_scores(trainset, config)
     return Trial(
         topology,
-        evaluate(model, trainset).accuracy,
+        training_report(model, trainset, train_logs).accuracy,
         evaluate(model, validation).accuracy,
     )
 
@@ -122,7 +128,7 @@ class _Runner:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
-    def _train_parallel(self, topologies: list[tuple[int, ...]]) -> list[Trial]:
+    def _train_parallel(self, topologies: list[tuple[int, ...]]) -> Iterator[Trial]:
         if self._pool is None:
             # imported here: multiprocessing would add to every CLI command's start-up
             from concurrent.futures import ProcessPoolExecutor
@@ -132,15 +138,18 @@ class _Runner:
                 initializer=_init_worker,
                 initargs=(self.trainset, self.validation, self.base_config),
             )
-        return list(self._pool.map(_train_in_worker, topologies))
+        return self._pool.map(_train_in_worker, topologies)
 
     def run_batch(self, topologies: Sequence[tuple[int, ...]]) -> None:
         """Run the uncached topologies, charging budget in list order.
 
         Candidates beyond the remaining budget are dropped and flag the
         result truncated. With ``parallelism > 1`` a batch of more than one
-        new topology trains in worker processes; results are recorded in
-        list order either way, so parallel and serial runs match.
+        new topology is queued to the worker processes at once, and the
+        workers take the next queued topology as each finishes one.
+        Results are recorded, and passed to ``on_trial``, in list order as
+        soon as they and every earlier one are in, so parallel and serial
+        runs match and progress flows while the batch runs.
         """
         fresh: list[tuple[int, ...]] = []
         seen = set()
@@ -157,7 +166,7 @@ class _Runner:
         if self.spec.parallelism > 1 and len(fresh) > 1:
             trials = self._train_parallel(fresh)
         else:
-            trials = [_train_one(self.trainset, self.validation, self.base_config, topo) for topo in fresh]
+            trials = (_train_one(self.trainset, self.validation, self.base_config, topo) for topo in fresh)
         self.spent += len(fresh)
         for trial in trials:
             self.cache[trial.topology] = trial
@@ -181,9 +190,14 @@ def coordinate_search(
 
     Baseline first, then per-attribute sweeps holding the rest at
     baseline, then one verification run of the per-attribute winners.
-    The best topology is the best validation accuracy seen anywhere in
-    the trial log (earliest trial wins exact ties). A space of all
-    singleton ranges skips straight to its single verification trial.
+    The baseline and the sweeps are one batch, in that order, so budget
+    is charged, and trials are logged and reported, as if each ran as
+    its own batch; with ``parallelism > 1`` the workers never wait for a
+    sweep to finish before starting the next. Each attribute's winner is
+    read from the cache once the batch is done. The best topology is the
+    best validation accuracy seen anywhere in the trial log (earliest
+    trial wins exact ties). A space of all singleton ranges skips
+    straight to its single verification trial.
     """
     m = trainset.schema.n_attributes
     if len(spec.ranges) != m:
@@ -198,12 +212,14 @@ def coordinate_search(
             return runner.result()
 
         baseline = resolve_topology(trainset.schema, spec.baseline_bins)
-        runner.run_batch([baseline])
+        sweeps = [
+            [baseline[:attr] + (count,) + baseline[attr + 1 :] for count in spec.ranges[attr]]
+            for attr in range(m)
+        ]
+        runner.run_batch([baseline, *(topo for candidates in sweeps for topo in candidates)])
 
         winners = list(baseline)
-        for attr in range(m):
-            candidates = [baseline[:attr] + (count,) + baseline[attr + 1 :] for count in spec.ranges[attr]]
-            runner.run_batch(candidates)
+        for attr, candidates in enumerate(sweeps):
             scored = [(runner.cache[c].val_accuracy, i) for i, c in enumerate(candidates) if c in runner.cache]
             if scored:
                 best_acc = max(acc for acc, _ in scored)

@@ -147,6 +147,32 @@ class TestTrain:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ({"comment": "xor"}, 'schema has unknown key "comment"'),
+            ({"classes": ["c0", {"label": "c1", "tokens": "1"}]}, 'schema class 2 has unknown key "tokens"'),
+            (
+                {"attributes": [{"name": "a", "kind": "continuous"}, {"name": "b", "kind": "continuous", "vals": []}]},
+                'schema attribute 2 has unknown key "vals"',
+            ),
+        ],
+        ids=["schema", "class", "attribute"],
+    )
+    def test_unknown_schema_key_is_a_runtime_error(self, workdir, capsys, schema, message):
+        schema = {
+            "attributes": [{"name": "a", "kind": "continuous"}, {"name": "b", "kind": "continuous"}],
+            "classes": ["c0", "c1"],
+            **schema,
+        }
+        (workdir / "xor.schema.json").write_text(json.dumps(schema))
+        code, model_path = train_xor(workdir)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not model_path.exists()
+
     def test_wrong_bins_arity_is_a_runtime_error(self, workdir, capsys):
         code = main(
             [
@@ -190,6 +216,58 @@ class TestEvaluate:
         assert code == 0
         assert "confusion (rows true, columns predicted):" in out
         assert "correct: 4 (100 %)" in out
+
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1], "model file must be a JSON object"),
+            ({"format": "diffnb-model", "version": 1}, 'model file is missing "schema"'),
+            ({"format": "other"}, "not a diffnb-model file"),
+        ],
+        ids=["list", "header-only", "other-format"],
+    )
+    def test_malformed_model_file_is_a_runtime_error(self, workdir, capsys, doc, message):
+        path = workdir / "bad.model.json"
+        path.write_text(json.dumps(doc))
+        code = main(["evaluate", "--model", str(path), "--data", str(workdir / "xor.data")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["schema"]["attributes"][1].pop("kind"), 'model schema attribute 2 is missing "kind"'),
+            (lambda doc: doc.update(topology=[2, "2"]), 'model file "topology" must be a JSON list of integers'),
+            (lambda doc: doc.update(topology=[2]), 'model file "topology" has 1 bin counts for 2 attributes'),
+            (lambda doc: doc["bin_specs"][0].update(lo=None), 'model file bin spec 1 "lo" must be a number'),
+            (lambda doc: doc["config"].pop("alpha"), 'model file "config" is missing "alpha"'),
+            (lambda doc: doc.update(trace=[]), 'model file "trace" must be a JSON object'),
+            (
+                lambda doc: doc.update(counts=doc["counts"][:1]),
+                'model file "counts", "weights" or "tags" do not match its schema and topology:'
+                " list index out of range",
+            ),
+            (
+                lambda doc: doc["tags"][0].__setitem__(0, 5),
+                'model file "counts", "weights" or "tags" do not match its schema and topology:'
+                " 'int' object is not iterable",
+            ),
+        ],
+        ids=["schema", "topology", "topology-length", "bin-spec", "config", "trace", "counts", "tags"],
+    )
+    def test_damaged_model_file_names_the_entry(self, workdir, capsys, edit, message):
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        code = main(["evaluate", "--model", str(model_path), "--data", str(workdir / "xor.data")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
 
 
 class TestPredict:
@@ -401,6 +479,29 @@ class TestSearch:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"max_round": 4}, 'search spec has unknown key "max_round"'),
+            ({"parse": {"delimter": ","}}, 'search spec "parse" has unknown key "delimter"'),
+        ],
+        ids=["spec", "parse"],
+    )
+    def test_unknown_spec_key_fails_before_any_trial(self, workdir, capsys, entry, message):
+        spec = {
+            "schema": "xor.schema.json",
+            "train": "xor.data",
+            "validation": "xor.data",
+            "ranges": [[2], [2]],
+            **entry,
+        }
+        (workdir / "search.json").write_text(json.dumps(spec))
+        code = main(["search", "--spec", str(workdir / "search.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "ranges, message",
         [
             ({"a": [0, 3]}, "attribute 'a': bin count must be >= 1, got 0"),
@@ -592,6 +693,34 @@ class TestBenchmark:
         suite["experiments"].insert(0, {"name": "good", "schema": "xor.schema.json",
                                         "train": "xor.data", "test": "xor.data", "bins": 2})
         path.write_text(json.dumps(suite))
+        code = main(["benchmark", "--suite", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": "monks-2", "max_round": 200}, 'suite entry "monks-2" has unknown key "max_round"'),
+            (
+                {"train": DROP, "test": DROP, "data": "xor.data", "split": {"train_cont": 3}},
+                'suite entry "xor" "split" has unknown key "train_cont"',
+            ),
+            ({"checks": [{"metric": "epochs", "maximum": 3}]}, 'suite entry "xor" check 1 has unknown key "maximum"'),
+            ({"parse": {"label": 2}}, 'suite entry "xor" "parse" has unknown key "label"'),
+            ({"suite": {"datadir": "."}}, 'suite has unknown key "datadir"'),
+        ],
+        ids=["entry", "split", "check", "parse", "suite"],
+    )
+    def test_unknown_key_fails_before_any_entry_runs(self, workdir, capsys, entry, message):
+        entry = dict(entry)
+        extra = entry.pop("suite", {})
+        path = write_suite(workdir, entry.pop("checks", []), **entry)
+        suite = json.loads(path.read_text())
+        suite["experiments"].insert(0, {"name": "good", "schema": "xor.schema.json",
+                                        "train": "xor.data", "test": "xor.data", "bins": 2})
+        path.write_text(json.dumps({**suite, **extra}))
         code = main(["benchmark", "--suite", str(path)])
         captured = capsys.readouterr()
         assert code == 1

@@ -1,6 +1,7 @@
 """Schema validation, table parsing, and splitting."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -126,6 +127,27 @@ class TestDataset:
         assert matrix.tolist() == [[0.0, 1.0], [2.0, 3.0]]
         assert data.labels().tolist() == [0, 1]
         assert len(data) == 2
+
+    def test_matrix_and_labels_are_built_once_and_read_only(self):
+        data = Dataset.build(xor_schema(), [((0.0, 1.0), 0), ((2.0, 3.0), 1)])
+        for get in (data.value_matrix, data.labels):
+            first = get()
+            assert get() is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                first[0] = 5
+        assert data.value_matrix().tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert data.labels().tolist() == [0, 1]
+
+    def test_pickled_dataset_rebuilds_its_arrays(self):
+        # a search worker receives its datasets pickled
+        data = Dataset.build(xor_schema(), [((0.0, 1.0), 0), ((2.0, 3.0), 1)])
+        data.value_matrix(), data.labels()
+        copy = pickle.loads(pickle.dumps(data))
+        assert copy == data
+        assert "_value_matrix" not in copy.__dict__ and "_labels" not in copy.__dict__
+        assert np.array_equal(copy.value_matrix(), data.value_matrix())
+        assert not copy.value_matrix().flags.writeable
 
 
 class TestLoadSchema:

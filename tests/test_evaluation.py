@@ -1,5 +1,6 @@
 """Accuracy reports, metric checks, and benchmark suites."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffnb.boosting import TrainConfig, train
+from diffnb.boosting import TrainConfig, train, train_with_scores
 from diffnb.dataset import Dataset, ParseOptions, SchemaError
 from diffnb.evaluation import (
     METRICS,
@@ -28,7 +29,10 @@ from diffnb.evaluation import (
     resolve_data_dir,
     run_benchmark,
     run_experiment,
+    training_report,
 )
+from diffnb.inference import batch_log_scores
+from diffnb.monks import MONKS_BINS, generate_monks
 
 from conftest import small_problems, xor_dataset, xor_schema
 
@@ -88,6 +92,55 @@ class TestEvaluate:
         model, trace = train(data, TrainConfig(topology=topology))
         if trace.converged:
             assert evaluate(model, data).accuracy == 100.0
+
+
+def assert_reports_equal(got: Report, want: Report) -> None:
+    for f in dataclasses.fields(Report):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+class TestTrainingReport:
+    """The training-set verdict from training's own scores equals evaluate's."""
+
+    def test_converged_run(self):
+        data = xor_dataset()
+        model, trace, logs = train_with_scores(data, TrainConfig(topology=2))
+        assert trace.converged
+        report = training_report(model, data, logs)
+        assert_reports_equal(report, evaluate(model, data))
+        assert report.accuracy == 100.0
+
+    def test_run_stopped_at_max_rounds(self):
+        # monks-2 never converges; the verdict scores every row under the
+        # final weights, so it is not 169 rows minus the last epoch's misses
+        trainset, _ = generate_monks(2)
+        model, trace, logs = train_with_scores(trainset, TrainConfig(topology=MONKS_BINS))
+        assert not trace.converged and trace.epochs == 500 and trace.miss_counts[-1] == 83
+        report = training_report(model, trainset, logs)
+        assert_reports_equal(report, evaluate(model, trainset))
+        assert (report.n_correct, report.n_examples) == (109, 169)
+
+    def test_exact_ties(self):
+        # without windows every xor row ties; ties go to the lower class
+        data = xor_dataset()
+        model, _, logs = train_with_scores(data, TrainConfig(topology=2, tag_gain=1.0, max_rounds=5))
+        report = training_report(model, data, logs)
+        assert (report.tie_count, report.n_correct) == (4, 2)
+        assert_reports_equal(report, evaluate(model, data))
+
+    @given(small_problems(max_n=12, max_attrs=3), st.integers(1, 4))
+    def test_scores_are_the_models_scores(self, problem, rounds):
+        data, topology = problem
+        model, trace, logs = train_with_scores(data, TrainConfig(max_rounds=rounds, topology=topology))
+        assert np.array_equal(logs, batch_log_scores(model, data.value_matrix()))
+        assert_reports_equal(training_report(model, data, logs), evaluate(model, data))
+        # train is train_with_scores without the scores
+        again, again_trace = train(data, TrainConfig(max_rounds=rounds, topology=topology))
+        assert again_trace == trace and np.array_equal(again.weights.weights, model.weights.weights)
 
 
 class TestRendering:

@@ -1,11 +1,13 @@
 """Coordinate search over bin counts."""
 
 import concurrent.futures
+import dataclasses
 import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,10 @@ from hypothesis import strategies as st
 import diffnb
 from diffnb.boosting import TrainConfig, train
 from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
+from diffnb import topology
+from diffnb.density import resolve_topology
 from diffnb.evaluation import evaluate
-from diffnb.topology import SearchResult, SearchSpec, Trial, coordinate_search
+from diffnb.topology import SearchResult, SearchSpec, Trial, _Runner, coordinate_search
 
 from conftest import xor_dataset
 
@@ -30,6 +34,135 @@ def three_attribute_dataset() -> Dataset:
     labels[::9] = (labels[::9] + 1) % 3
     schema = Schema(tuple(AttributeSpec(f"x{i}", "continuous") for i in range(3)), ("c0", "c1", "c2"))
     return Dataset.build(schema, zip(values.tolist(), labels.tolist()))
+
+
+def seeded_dataset(seed: int, n: int = 40, m: int = 3, k: int = 3) -> Dataset:
+    """``n`` seeded rows of ``m`` continuous attributes, labels from a noisy linear map."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, m))
+    labels = np.argmax(values @ rng.normal(size=(m, k)), axis=1)
+    labels[:: 5 + seed] = (labels[:: 5 + seed] + 1) % k
+    schema = Schema(tuple(AttributeSpec(f"x{i}", "continuous") for i in range(m)), tuple(f"c{j}" for j in range(k)))
+    return Dataset.build(schema, zip(values.tolist(), labels.tolist()))
+
+
+def reference_coordinate_search(trainset, validation, spec, base_config=TrainConfig(), on_trial=None):
+    """The per-sweep coordinate search: the baseline and each sweep as separate batches.
+
+    ``coordinate_search`` sends the baseline and every sweep as one batch;
+    charged, logged and reported in list order, that must give exactly
+    this loop's trial log, callbacks, truncation and best topology.
+    """
+    with _Runner(trainset, validation, base_config, spec, on_trial) as runner:
+        baseline = resolve_topology(trainset.schema, spec.baseline_bins)
+        runner.run_batch([baseline])
+        winners = list(baseline)
+        for attr in range(trainset.schema.n_attributes):
+            candidates = [baseline[:attr] + (count,) + baseline[attr + 1 :] for count in spec.ranges[attr]]
+            runner.run_batch(candidates)
+            scored = [(runner.cache[c].val_accuracy, i) for i, c in enumerate(candidates) if c in runner.cache]
+            if scored:
+                best_acc = max(acc for acc, _ in scored)
+                best_i = next(i for acc, i in scored if acc == best_acc)
+                winners[attr] = spec.ranges[attr][best_i]
+        runner.run_batch([tuple(winners)])
+        return runner.result()
+
+
+# (seed, ranges, baseline_bins): repeats of the baseline count, a pinned
+# attribute, and sweeps of uneven length
+ONE_QUEUE_PROBLEMS = [
+    (0, ((2, 3, 4), (1, 2, 3), (2, 5)), 3),
+    (1, ((1, 2, 5), (3,), (4, 3, 2, 6)), 3),
+    (2, ((2, 6), (2, 4, 6), (1, 3, 6)), 2),
+]
+
+
+class TestOneQueue:
+    """The single batch of baseline and sweeps against the per-sweep reference."""
+
+    @staticmethod
+    def fresh_trials(seed, ranges, baseline_bins) -> int:
+        """Trainings an unbounded search runs: baseline, sweeps and verification."""
+        data = seeded_dataset(seed)
+        spec = SearchSpec(ranges, budget=1000, baseline_bins=baseline_bins)
+        return len(coordinate_search(data, seeded_dataset(seed + 10), spec, TrainConfig(max_rounds=3)).trials)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("problem", range(len(ONE_QUEUE_PROBLEMS)))
+    def test_matches_the_per_sweep_search_at_every_budget(self, problem, parallelism):
+        seed, ranges, baseline_bins = ONE_QUEUE_PROBLEMS[problem]
+        trainset, validation = seeded_dataset(seed), seeded_dataset(seed + 10)
+        config = TrainConfig(max_rounds=3)
+        total = self.fresh_trials(seed, ranges, baseline_bins)
+        # every budget from the baseline alone, through a cut inside each
+        # sweep and at the verification trial, to one beyond the search
+        budgets = range(1, total + 2) if parallelism == 1 else (1, 2, total - 2, total - 1, total, total + 1)
+        truncated = set()
+        for budget in budgets:
+            spec = SearchSpec(ranges, budget=budget, parallelism=parallelism, baseline_bins=baseline_bins)
+            seen, want_seen = [], []
+            got = coordinate_search(trainset, validation, spec, config, on_trial=seen.append)
+            want = reference_coordinate_search(
+                trainset, validation, dataclasses.replace(spec, parallelism=1), config, on_trial=want_seen.append
+            )
+            assert got == want, budget
+            assert seen == want_seen == list(want.trials), budget
+            assert len(got.trials) == min(budget, total), budget
+            truncated.add(got.truncated)
+        assert truncated == {True, False}
+
+    def test_winners_come_from_each_sweep(self):
+        # the verification trial combines every sweep's own winner
+        seed, ranges, baseline_bins = ONE_QUEUE_PROBLEMS[0]
+        trainset, validation = seeded_dataset(seed), seeded_dataset(seed + 10)
+        result = coordinate_search(trainset, validation, SearchSpec(ranges, baseline_bins=baseline_bins))
+        baseline = (baseline_bins,) * 3
+        winners = []
+        for attr, counts in enumerate(ranges):
+            accuracy = {t.topology: t.val_accuracy for t in result.trials}
+            scored = [(accuracy[baseline[:attr] + (c,) + baseline[attr + 1 :]], c) for c in counts]
+            best = max(acc for acc, _ in scored)
+            winners.append(next(c for acc, c in scored if acc == best))
+        assert result.trials[-1].topology == tuple(winners)
+
+    def test_serial_trials_are_reported_as_each_finishes(self, monkeypatch):
+        trained = []
+        original = topology._train_one
+
+        def counting(trainset, validation, config, topo):
+            trained.append(topo)
+            return original(trainset, validation, config, topo)
+
+        monkeypatch.setattr(topology, "_train_one", counting)
+        reported = []
+        spec = SearchSpec(((1, 2, 3), (1, 2, 4)), baseline_bins=2)
+        coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=lambda t: reported.append(len(trained)))
+        assert reported == list(range(1, len(trained) + 1))
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers inherit the slowed trial only when forked"
+    )
+    def test_parallel_trials_are_reported_before_the_batch_ends(self, monkeypatch, tmp_path):
+        # the batch's last trial sleeps in its worker; the first trial must
+        # be reported while it sleeps, not after the whole batch is in
+        original = topology._train_one
+        spec = SearchSpec(((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
+        last = (2, 4)
+        done = tmp_path / "last-trial-finished"
+
+        def slow_last(trainset, validation, config, topo):
+            trial = original(trainset, validation, config, topo)
+            if topo == last:
+                time.sleep(0.5)
+                done.write_text(repr(time.time()))
+            return trial
+
+        monkeypatch.setattr(topology, "_train_one", slow_last)
+        reported = []
+        result = coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=lambda t: reported.append(time.time()))
+        assert [t.topology for t in result.trials][-2] == last  # the last of the one batch
+        assert reported[0] < float(done.read_text())
 
 
 class TestSearchSpec:
