@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, Schema
-from .density import DEFAULT_TAG_GAIN, DensityModel, fit_density, likelihood_logs
+from .density import DEFAULT_TAG_GAIN, DensityModel, fit_density, likelihood_logs, read_only
 
 # exp() of logs beyond this magnitude risks overflow/underflow; such rows
 # are shifted by their max log before exponentiation.
@@ -58,9 +58,14 @@ class WeightTable:
 
     ``weights`` is (K, M, B_max) float64; cells beyond an attribute's own
     bin count are dead and stay at 1. Weights start at 1 and only grow.
+    The table holds a trained model's final weights, so ``weights`` is
+    made read-only on construction; training grows its own array.
     """
 
     weights: np.ndarray
+
+    def __post_init__(self):
+        read_only(self.weights)
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,11 @@ class Model:
     weights: WeightTable
     config: TrainConfig
     trace: TrainTrace
+
+    @functools.cached_property
+    def log_weights(self) -> np.ndarray:
+        """``np.log`` of every weight cell, (K, M, B_max), taken once; read-only."""
+        return read_only(np.log(self.weights.weights))
 
 
 def weighted_log_scores(logw: np.ndarray, bins: np.ndarray, loglik: np.ndarray) -> np.ndarray:

@@ -42,16 +42,19 @@ from .modelfile import load_model, save_model
 from .topology import SearchSpec, coordinate_search
 
 
-def _add_parse_flags(cmd: argparse.ArgumentParser) -> None:
+def _add_parse_flags(cmd: argparse.ArgumentParser, labeled: bool = True) -> None:
+    """Parsing flags; ``--label-col`` only where the rows are ``labeled``."""
     cmd.add_argument("--delimiter", default=None, help="field separator (default: any whitespace)")
-    cmd.add_argument("--label-col", type=int, default=-1, help="label field index (default: last)")
+    if labeled:
+        cmd.add_argument("--label-col", type=int, default=-1, help="label field index (default: last)")
     cmd.add_argument("--ignore-cols", default="", help="comma-separated field indexes to drop")
     cmd.add_argument("--missing", default="?", help="missing-value token; rows holding it are dropped")
 
 
 def _parse_options(args) -> ParseOptions:
     ignore = tuple(int(c) for c in args.ignore_cols.split(",") if c.strip() != "")
-    return ParseOptions(args.delimiter, args.missing, args.label_col, ignore)
+    # predict's rows carry no label, so its parser has no --label-col
+    return ParseOptions(args.delimiter, args.missing, getattr(args, "label_col", -1), ignore)
 
 
 def _parse_bins(text: str | None):
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="label unlabeled rows (file or stdin)")
     p.add_argument("--model", required=True)
     p.add_argument("--data", default=None, help="rows to label; stdin when omitted")
-    _add_parse_flags(p)
+    _add_parse_flags(p, labeled=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("search", help="search per-attribute bin counts")

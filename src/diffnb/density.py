@@ -16,10 +16,16 @@ or max of training values and the check is a pair of comparisons, so no
 rounding enters. Both routines here are vectorized over whole cells and
 blocks of rows, and return bit for bit what a loop over rows and
 attributes returns.
+
+A fitted model's arrays are read-only, and what scoring reads from them
+(the grid arrays, flat windows, and the logs of every cell's plain and
+gated likelihood) is derived once per model, on first use, as its
+:class:`ScoringTables`; each scored row then only looks cells up.
 """
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,20 +88,54 @@ def bin_indices(spec: BinSpec, values: np.ndarray) -> np.ndarray:
     return bin_matrix((spec,), values.reshape(-1, 1)).reshape(values.shape)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, marked read-only: an in-place write now raises."""
+    array.flags.writeable = False
+    return array
+
+
+class BinGrid(NamedTuple):
+    """The bin arithmetic of a sequence of grids, one array entry per grid.
+
+    ``width`` holds 1.0 for a flat grid (lo == hi), so dividing by it is
+    safe; ``flat`` lists the flat grids, whose values all land in bin 0;
+    ``top`` is each grid's highest bin as a float, the clamp's upper bound.
+    """
+
+    lo: np.ndarray
+    width: np.ndarray
+    top: np.ndarray
+    flat: np.ndarray
+
+    @classmethod
+    def of(cls, specs: Sequence[BinSpec]) -> "BinGrid":
+        width = np.array([s.width for s in specs])
+        flat = width == 0.0
+        arrays = (
+            np.array([s.lo for s in specs]),
+            np.where(flat, 1.0, width),
+            np.array([s.count - 1 for s in specs], dtype=np.float64),
+            np.flatnonzero(flat),
+        )
+        return cls(*map(read_only, arrays))
+
+    def bins(self, values: np.ndarray) -> np.ndarray:
+        """Bins of an (n, M) value matrix, column j on grid j."""
+        raw = np.floor((values - self.lo) / self.width)
+        if self.flat.size:
+            raw[:, self.flat] = 0.0
+        # clamp before the cast: a quotient can exceed the int64 range
+        return np.minimum(np.maximum(raw, 0.0, out=raw), self.top, out=raw).astype(np.int64)
+
+
 def bin_matrix(specs: Sequence[BinSpec], values: np.ndarray) -> np.ndarray:
     """Bins of an (n, M) value matrix, column j on ``specs[j]``, in one pass.
 
-    Each entry is computed exactly as :func:`bin_index` computes it.
+    Each entry is computed exactly as :func:`bin_index` computes it. The
+    grid arrays are built from ``specs`` on every call; a fitted model
+    keeps its own :class:`BinGrid` in :attr:`DensityModel.scoring_tables`.
     """
-    values = np.asarray(values, dtype=np.float64)
-    lo = np.array([s.lo for s in specs])
-    width = np.array([s.width for s in specs])
-    top = np.array([s.count - 1 for s in specs], dtype=np.float64)
-    flat = width == 0.0
-    raw = np.floor((values - lo) / np.where(flat, 1.0, width))
-    raw[:, flat] = 0.0
-    # clamp before the cast: a quotient can exceed the int64 range
-    return np.clip(raw, 0.0, top).astype(np.int64)
+    return BinGrid.of(specs).bins(np.asarray(values, dtype=np.float64))
 
 
 def _bin_count(count, attribute: str | None = None) -> int:
@@ -160,11 +200,15 @@ class JointTable:
     ``counts[k, m, b]`` is the number of training examples of class k
     whose attribute m falls in bin b of that class's grid. Bins beyond an
     attribute's own count are dead and stay zero. Dividing by ``n_train``
-    turns a cell into the joint probability of (bin, class).
+    turns a cell into the joint probability of (bin, class). ``counts``
+    is made read-only on construction, since scoring tables derive from it.
     """
 
     counts: np.ndarray
     n_train: int
+
+    def __post_init__(self):
+        read_only(self.counts)
 
     def probabilities(self) -> np.ndarray:
         return self.counts / float(self.n_train)
@@ -177,12 +221,16 @@ class TagTable:
     For a populated cell (k, m, b), ``lo[k, m, b, j]`` / ``hi[k, m, b, j]``
     bound attribute j (j != m) over the cell's member examples. Unpopulated
     cells and the j == m diagonal hold (-inf, +inf), which no value can
-    violate.
+    violate. All three arrays are made read-only on construction.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     populated: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.lo, self.hi, self.populated):
+            read_only(array)
 
 
 @dataclass(frozen=True)
@@ -199,6 +247,47 @@ class DensityModel:
     def epsilon_floor(self) -> float:
         """Probability substituted for empty cells: one tenth of one count."""
         return 1.0 / (10.0 * self.joint.n_train)
+
+    @functools.cached_property
+    def scoring_tables(self) -> "ScoringTables":
+        """The tables :func:`likelihood_logs` reads, built on first use."""
+        return ScoringTables(self)
+
+
+class ScoringTables:
+    """What scoring reads from one fitted density, derived from it once.
+
+    Holds the density's :class:`BinGrid`, each attribute's offset into the
+    flat ``M * B_max`` cell axis, the windows as ``(K, M * B_max, M)``
+    views, and per ``(tag_gain, epsilon)`` pair the log-likelihood tables
+    of :meth:`log_likelihoods`. The density's arrays are read-only, so no
+    table can go stale.
+    """
+
+    def __init__(self, density: DensityModel):
+        k, m, b_max = density.joint.counts.shape
+        self.grid = BinGrid.of(density.bin_specs)
+        self.offsets = read_only(np.arange(m) * b_max)
+        self.window_lo = density.tags.lo.reshape(k, m * b_max, m)
+        self.window_hi = density.tags.hi.reshape(k, m * b_max, m)
+        self._counts = density.joint.counts.reshape(k, m * b_max)
+        self._n_train = density.joint.n_train
+        self._logs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def log_likelihoods(self, tag_gain: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(log(base), log(base * tag_gain))`` per flat cell, each (K, M * B_max).
+
+        ``base`` is the cell's joint probability, ``count / n_train``, or
+        ``epsilon`` for an empty cell. Built on the first call for a pair
+        and kept, read-only, for every later call with it.
+        """
+        key = (tag_gain, epsilon)
+        logs = self._logs.get(key)
+        if logs is None:
+            counts = self._counts
+            base = np.where(counts > 0, counts / float(self._n_train), epsilon)
+            logs = self._logs[key] = (read_only(np.log(base)), read_only(np.log(base * tag_gain)))
+        return logs
 
 
 def _cell_extremes(extreme: np.ufunc, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -304,6 +393,15 @@ def likelihood_logs(
     likelihood under each class. Each scalar entry equals
     ``log(tagged_likelihood(...))`` for the same row, class, attribute.
 
+    Everything that does not depend on the rows comes from the density's
+    :class:`ScoringTables`, built on first use: the grid, the cell
+    offsets, the flat windows and both log tables. A row costs its bins
+    and cells, the window check, and one choice between two table
+    gathers: ``log(base * tag_gain)`` where a window is violated,
+    ``log(base)`` elsewhere. Gathering a log from a table gives the bits
+    that taking ``np.log`` after the gather gives, as it is the same
+    ``np.log`` of the same float64.
+
     The window check takes, for a block of rows at a time, the window row
     of every cell the rows touch in one gather and compares it with the
     rows' values. Blocks hold ``_CHECK_BUDGET`` window entries at most,
@@ -314,22 +412,20 @@ def likelihood_logs(
     values = np.asarray(values, dtype=np.float64)
     n, m = values.shape
     k = density.schema.n_classes
+    tables = density.scoring_tables
+    log_base, log_gated = tables.log_likelihoods(tag_gain, epsilon)
 
-    binned = bin_matrix(density.bin_specs, values)
-    counts = density.joint.counts[:, np.arange(m), binned]  # (K, n, M)
-    base = np.where(counts > 0, counts / float(density.joint.n_train), epsilon)
-
-    b_max = density.joint.counts.shape[2]
-    cells = np.arange(m) * b_max + binned  # (n, M) into the (M * B_max) cell axis
-    lo = density.tags.lo.reshape(k, m * b_max, m)
-    hi = density.tags.hi.reshape(k, m * b_max, m)
+    binned = tables.grid.bins(values)
+    cells = binned + tables.offsets  # (n, M) into the (M * B_max) cell axis
+    lo, hi = tables.window_lo, tables.window_hi
     step = max(1, _CHECK_BUDGET // (k * m * m))
     violated = np.empty((k, n, m), dtype=bool)
     for start in range(0, n, step):
         block = slice(start, start + step)
         v = values[block][None, :, None, :]
+        # one gathered block at a time: the lo block is freed before hi's
         outside = (v < lo.take(cells[block], axis=1)) | (v > hi.take(cells[block], axis=1))
         violated[:, block] = outside.any(axis=3)
 
-    gated = np.where(violated, base * tag_gain, base)
-    return binned, np.log(gated).transpose(1, 0, 2)
+    parts = np.where(violated, log_gated.take(cells, axis=1), log_base.take(cells, axis=1))
+    return binned, parts.transpose(1, 0, 2)

@@ -4,6 +4,11 @@ The per-class score of an example is the product over attributes of the
 window-gated likelihood times the cell weight; posteriors normalize the
 scores to sum to 1. A constant class prior would scale every score
 equally and cancel in the normalization, so none is stored.
+
+Nothing a model's tables determine is recomputed per call: the likelihood
+logs come from the density's scoring tables and the log-weights from
+``Model.log_weights``, each built on first use, so a single-row call
+spends its time on that row alone.
 """
 
 from dataclasses import dataclass
@@ -43,7 +48,7 @@ def batch_log_scores(model: Model, values: np.ndarray) -> np.ndarray:
     bins, parts = likelihood_logs(
         model.density, values, model.config.tag_gain, model.config.epsilon_floor
     )
-    return weighted_log_scores(np.log(model.weights.weights), bins, parts.sum(axis=2))
+    return weighted_log_scores(model.log_weights, bins, parts.sum(axis=2))
 
 
 def batch_scores(model: Model, values: np.ndarray) -> np.ndarray:
@@ -62,7 +67,12 @@ def class_scores(model: Model, example) -> np.ndarray:
 
 
 def posterior(model: Model, example) -> Posterior:
-    """Normalized posterior over classes; ties go to the lowest class index."""
+    """Normalized posterior over classes; ties go to the lowest class index.
+
+    The row is scored by :func:`batch_log_scores` as a batch of one, so a
+    posterior agrees with :func:`predict_batch` bit for bit; the first
+    call on a model builds its scoring tables, later calls only read them.
+    """
     logs = batch_log_scores(model, _as_rows(model, example))[0]
     scores = scores_from_logs(logs)
     probs = scores / scores.sum()

@@ -134,6 +134,28 @@ class TestScoring:
         assert winner_of(np.array([-2.0, -1.0])) == (1, False)
 
 
+class TestReadOnlyModels:
+    def test_trained_weights_refuse_writes(self):
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        with pytest.raises(ValueError, match="read-only"):
+            model.weights.weights[0, 0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            boost_example(model.weights.weights, np.array([0, 0]), 1, np.array([0.8, 0.2]), 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            model.log_weights[0, 0, 0] = 0.0
+
+    def test_train_state_keeps_its_own_weights_writable(self):
+        state = TrainState.build(xor_dataset(), TrainConfig(topology=2))
+        cell = (0, 0, state.bins[0, 0])
+        assert boost_example(state.weights, state.bins[0], 0, np.array([0.2, 0.8]), 2.0) == 1.5
+        assert state.weights[cell] == 2.5
+        state._apply_update(0)
+        assert state.logw[cell] == np.log(2.5)
+        run_epoch(state)
+        model, trace = train(xor_dataset(), TrainConfig(topology=2))
+        assert trace.converged and not model.weights.weights.flags.writeable
+
+
 class TestEpochs:
     def test_clean_dataset_returns_zero_and_keeps_weights(self):
         data = one_attr_dataset([(0, 0), (1, 1)])

@@ -310,6 +310,17 @@ class TestPredict:
         assert code == 1
         assert captured.out == "ERROR: line 1: attribute 'b': not a finite number: 'inf'\n"
 
+    def test_label_col_is_a_usage_error(self, workdir, capsys):
+        # predict's rows carry no label; the flag used to be accepted and
+        # ignored, so every labeled row then failed on its value count
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--model", str(model_path), "--data", str(workdir / "xor.rows"),
+                  "--label-col", "0"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --label-col 0" in capsys.readouterr().err
+
     def test_reads_stdin_when_no_data_given(self, workdir, capsys, monkeypatch):
         _, model_path = train_xor(workdir)
         capsys.readouterr()

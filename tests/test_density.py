@@ -21,7 +21,7 @@ from diffnb.density import (
     tagged_likelihood,
 )
 
-from conftest import lattice_values, small_problems, xor_dataset
+from conftest import lattice_values, query_rows, small_problems, xor_dataset
 
 
 class TestBinSpec:
@@ -418,3 +418,122 @@ class TestVectorizedMatchesLoops:
         fresh = rng.integers(-3, 4, size=(step + 1, m)).astype(np.float64)
         queries = np.concatenate([values[: (step + 1) // 2], fresh])[: step + offset]
         assert_matches_references(data, 3, queries)
+
+
+# -- reference for the scoring tables -----------------------------------------
+
+
+def reference_likelihood_logs_inline(density, values, tag_gain=DEFAULT_TAG_GAIN, epsilon=None):
+    """:func:`likelihood_logs` as it was before scoring tables, kept verbatim.
+
+    Every call derives the grid arrays from the bin specs, gathers counts,
+    divides them into base probabilities and takes ``np.log`` of the gated
+    cells it gathered.
+    """
+    if epsilon is None:
+        epsilon = density.epsilon_floor
+    values = np.asarray(values, dtype=np.float64)
+    n, m = values.shape
+    k = density.schema.n_classes
+
+    specs = density.bin_specs
+    lo = np.array([s.lo for s in specs])
+    width = np.array([s.width for s in specs])
+    top = np.array([s.count - 1 for s in specs], dtype=np.float64)
+    flat = width == 0.0
+    raw = np.floor((values - lo) / np.where(flat, 1.0, width))
+    raw[:, flat] = 0.0
+    binned = np.clip(raw, 0.0, top).astype(np.int64)
+
+    counts = density.joint.counts[:, np.arange(m), binned]  # (K, n, M)
+    base = np.where(counts > 0, counts / float(density.joint.n_train), epsilon)
+
+    b_max = density.joint.counts.shape[2]
+    cells = np.arange(m) * b_max + binned
+    lo = density.tags.lo.reshape(k, m * b_max, m)
+    hi = density.tags.hi.reshape(k, m * b_max, m)
+    step = max(1, _CHECK_BUDGET // (k * m * m))
+    violated = np.empty((k, n, m), dtype=bool)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        v = values[block][None, :, None, :]
+        outside = (v < lo.take(cells[block], axis=1)) | (v > hi.take(cells[block], axis=1))
+        violated[:, block] = outside.any(axis=3)
+
+    gated = np.where(violated, base * tag_gain, base)
+    return binned, np.log(gated).transpose(1, 0, 2)
+
+
+def assert_same_bytes(density, queries, tag_gain=DEFAULT_TAG_GAIN, epsilon=None):
+    bins, parts = likelihood_logs(density, queries, tag_gain, epsilon)
+    ref_bins, ref_parts = reference_likelihood_logs_inline(density, queries, tag_gain, epsilon)
+    assert bins.shape == ref_bins.shape and parts.shape == ref_parts.shape
+    assert bins.tobytes() == ref_bins.tobytes()
+    assert parts.tobytes() == ref_parts.tobytes()
+
+
+# flat grids (one distinct value) and empty cells alongside ordinary ones
+table_values = st.one_of(st.sampled_from([0.0, -0.0, 1e300]), lattice_values)
+
+
+class TestScoringTablesMatchInline:
+    # up to three training rows, so many grids are flat and queries land
+    # beside them
+    @given(small_problems(values=table_values, max_n=3), st.data())
+    def test_single_rows(self, problem, extra):
+        data, topology = problem
+        density = fit_density(data, topology)
+        m = data.schema.n_attributes
+        rows = [ex.values for ex in data.examples[:3]]
+        rows += extra.draw(st.lists(query_rows(m, table_values), min_size=1, max_size=4))
+        for row in rows:
+            assert_same_bytes(density, np.array([row]))
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 40))
+    def test_batches_longer_than_one_check_block(self, seed, extra):
+        # K=4, M=40: one check block is a few dozen rows, so the batch spans
+        # two full blocks and a partial third
+        k, m = 4, 40
+        step = max(1, _CHECK_BUDGET // (k * m * m))
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-3, 4, size=(60, m)) * rng.choice([1.0, -1.0], size=(60, m))
+        density = fit_density(numeric_dataset(values, rng.integers(0, k, size=60), k), 3)
+        queries = rng.integers(-4, 5, size=(2 * step + extra, m)).astype(np.float64)
+        assert_same_bytes(density, queries)
+
+    @given(small_problems(values=table_values), st.data())
+    def test_two_gain_epsilon_pairs_keep_their_own_tables(self, problem, extra):
+        data, topology = problem
+        density = fit_density(data, topology)
+        m = data.schema.n_attributes
+        queries = np.array(extra.draw(st.lists(query_rows(m, table_values), min_size=1, max_size=6)))
+        # the pairs differ in one half of the key each: neither half alone
+        # may pick the tables
+        pairs = [(DEFAULT_TAG_GAIN, density.epsilon_floor), (0.5, density.epsilon_floor)]
+        pairs.append((DEFAULT_TAG_GAIN, 1e-3))
+        for tag_gain, epsilon in pairs + pairs[:1]:
+            assert_same_bytes(density, queries, tag_gain, epsilon)
+        tables = density.scoring_tables
+        logs = [tables.log_likelihoods(*pair) for pair in pairs]
+        assert logs[0] is tables.log_likelihoods(*pairs[0])
+        for one, other in [(0, 1), (0, 2), (1, 2)]:
+            assert all(a is not b for a in logs[one] for b in logs[other])
+        assert not np.array_equal(logs[0][1], logs[1][1])
+
+
+class TestFittedArraysAreReadOnly:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            lambda d: d.joint.counts,
+            lambda d: d.tags.lo,
+            lambda d: d.tags.hi,
+            lambda d: d.tags.populated,
+        ],
+        ids=["counts", "lo", "hi", "populated"],
+    )
+    def test_in_place_writes_raise(self, array):
+        target = array(fit_density(xor_dataset(), 2))
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = target[1]

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from diffnb import density as density_module
 from diffnb.boosting import TrainConfig, WeightTable, scores_from_logs, train, winner_of
 from diffnb.dataset import Example, SchemaError
 from diffnb.density import bin_index, tagged_likelihood
 from diffnb.inference import batch_scores, class_scores, posterior, predict, predict_batch
+from diffnb.modelfile import model_from_json, model_to_json
 
 from conftest import query_rows, small_problems, xor_dataset
 
@@ -166,3 +168,22 @@ class TestBatch:
             assert post.probabilities == pytest.approx(
                 tuple(scores[i] / scores[i].sum()), rel=1e-12
             )
+
+
+class TestScoringTables:
+    def test_a_second_posterior_call_builds_no_table(self, xor_model, monkeypatch):
+        # a loaded model has built nothing yet; its first posterior builds
+        # the density's tables, both log tables and the log-weights, and a
+        # second one reads every log from them
+        model = model_from_json(model_to_json(xor_model))
+        built, logs = [], []
+        build_tables, log = density_module.ScoringTables, np.log
+        monkeypatch.setattr(
+            density_module, "ScoringTables", lambda d: built.append(d) or build_tables(d)
+        )
+        monkeypatch.setattr(np, "log", lambda *a, **kw: logs.append(a) or log(*a, **kw))
+        first = posterior(model, (0.0, 0.0))
+        assert (len(built), len(logs)) == (1, 3)
+        second = posterior(model, (0.0, 0.0))
+        assert (len(built), len(logs)) == (1, 3)
+        assert first == second == posterior(xor_model, (0.0, 0.0))

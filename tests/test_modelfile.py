@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from diffnb.boosting import TrainConfig, WeightTable, train
-from diffnb.inference import batch_log_scores
+from diffnb.inference import batch_log_scores, posterior
 from diffnb.modelfile import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -17,7 +18,7 @@ from diffnb.modelfile import (
     save_model,
 )
 
-from conftest import small_problems, xor_dataset
+from conftest import query_rows, small_problems, xor_dataset
 
 
 def assert_models_equal(a, b):
@@ -87,6 +88,37 @@ class TestRoundTrip:
         # padding cells stay at their neutral values
         assert np.all(loaded.weights.weights[:, 0, 2:] == 1.0)
         assert np.all(loaded.density.joint.counts[:, 0, 2:] == 0)
+
+    @given(small_problems(max_n=12, max_attrs=3), st.data())
+    def test_posteriors_survive_byte_for_byte(self, problem, extra):
+        # the loaded model builds its scoring tables afresh from the file's
+        # arrays; its posteriors must be the trained model's, bit for bit
+        data, topology = problem
+        model, _ = train(data, TrainConfig(max_rounds=3, topology=topology))
+        loaded = model_from_json(model_to_json(model))
+        m = data.schema.n_attributes
+        rows = [ex.values for ex in data.examples[:4]]
+        rows += extra.draw(st.lists(query_rows(m), min_size=1, max_size=4))
+        for row in rows:
+            want = np.array(posterior(model, row).probabilities)
+            assert np.array(posterior(loaded, row).probabilities).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            lambda m: m.density.joint.counts,
+            lambda m: m.density.tags.lo,
+            lambda m: m.density.tags.hi,
+            lambda m: m.density.tags.populated,
+            lambda m: m.weights.weights,
+        ],
+        ids=["counts", "lo", "hi", "populated", "weights"],
+    )
+    def test_loaded_arrays_are_read_only(self, array):
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        target = array(model_from_json(model_to_json(model)))
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = target[1]
 
 
 class TestFormatGuards:
