@@ -7,9 +7,12 @@ read-only) into a temporary directory: ``monks`` once, as it reads the
 shipped files whatever the seed, and ``train-heavy`` and ``search`` for
 seeds 0-2. On each it runs CHECKOUT's ``diffnb`` (``CHECKOUT/src`` on the
 path; by default the checkout holding this script) as a user would:
-``train``, ``evaluate`` and ``predict`` for every job, then ``search
---out``. It also runs ``benchmark --format machine`` on CHECKOUT's shipped
-suite, dropping the ``train_seconds`` lines, which are wall times.
+``train``, ``evaluate`` and ``predict`` for every job, ``train
+--train-count N --seed S`` (the holdout split), then ``search --out``. It
+also runs ``benchmark --format machine`` on CHECKOUT's shipped suite,
+dropping the ``train_seconds`` lines, which are wall times, and ``train``
+and ``evaluate`` on malformed tables, where the digest covers stderr: the
+error message a bad line gives.
 
 Each output prints as one line, ``<workload> <job> <output> <sha256>
 exit=<code>``. The temporary directory and CHECKOUT's path are replaced
@@ -22,6 +25,7 @@ for byte the same print the same lines:
 """
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -35,16 +39,37 @@ sys.path.insert(0, str(HERE / "perfbench"))
 import workloads  # noqa: E402  (perfbench is not a package)
 
 SEEDS = (0, 1, 2)
+# the holdout run shuffles with this seed before splitting a job's training file in half
+HOLDOUT_SEED = 7
+
+# malformed tables: each appends its rows to GOOD_ROWS, and train and
+# evaluate on it must fail with the message of the first bad line
+ERROR_SCHEMA = {
+    "classes": ["c0", "c1"],
+    "attributes": [
+        {"name": "x", "kind": "continuous"},
+        {"name": "color", "kind": "categorical", "values": ["r", "g", "b"]},
+    ],
+}
+GOOD_ROWS = "".join(f"{i * 0.5} {'rgb'[i % 3]} c{i % 2}\n" for i in range(12))
+BAD_ROWS = {
+    "bad-number": "abc r c0\n",
+    "unknown-value": "1.5 purple c0\n",
+    "unknown-class": "1.5 r c9\n",
+    "field-count": "1.5 c0\n",
+    "non-finite": "inf r c1\n",
+    "bad-value-then-short-line": "abc r c0\n1.5 c0\n",
+}
 
 
-def run_cli(root: Path, argv: list[str]) -> tuple[bytes, int]:
-    """stdout and exit code of ``diffnb`` from ``root``'s sources."""
+def run_cli(root: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of ``diffnb`` from ``root``'s sources."""
     env = {k: v for k, v in os.environ.items() if k != "DIFFNB_DATA"}
     env["PYTHONPATH"] = str(root / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "diffnb.cli", *argv], env=env, capture_output=True, timeout=600
     )
-    return proc.stdout, proc.returncode
+    return proc.stdout, proc.stderr, proc.returncode
 
 
 def digest_line(label: str, data: bytes, code: int, paths: dict[Path, str]) -> str:
@@ -70,19 +95,57 @@ def workload_digests(root: Path, name: str, seed: int, tiny: bool = False) -> li
                 ("evaluate", job.evaluate_argv()),
                 ("predict", job.predict_argv()),
             ):
-                out, code = run_cli(root, argv)
+                out, _, code = run_cli(root, argv)
                 lines.append(digest_line(f"{label} {job.name} {kind}", out, code, paths))
                 if kind == "train":
                     lines.append(digest_line(f"{label} {job.name} model", job.model.read_bytes(), code, paths))
+            out, _, code = run_cli(root, holdout_argv(job))
+            lines.append(digest_line(f"{label} {job.name} holdout", out, code, paths))
         log = work / "search.log.json"
-        out, code = run_cli(root, ["search", "--spec", str(w.search_spec), "--out", str(log)])
+        out, _, code = run_cli(root, ["search", "--spec", str(w.search_spec), "--out", str(log)])
         lines.append(digest_line(f"{label} search stdout", out, code, paths))
         lines.append(digest_line(f"{label} search log", log.read_bytes(), code, paths))
     return lines
 
 
+def holdout_argv(job) -> list[str]:
+    """``job``'s train command on a seeded split of its training file, half of it held out."""
+    n_lines = sum(1 for line in job.train.read_text(encoding="utf-8").splitlines() if line.strip())
+    out = job.model.with_name("holdout.model.json")
+    argv = [str(out) if arg == str(job.model) else arg for arg in job.train_argv()]
+    return argv + ["--train-count", str(n_lines // 2), "--seed", str(HOLDOUT_SEED)]
+
+
+def error_runs(root: Path) -> list[tuple[str, bytes, int]]:
+    """(output name, stderr, exit code) of ``train`` and ``evaluate`` on each malformed table.
+
+    The model evaluated is trained on GOOD_ROWS alone first.
+    """
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        schema = work / "schema.json"
+        schema.write_text(json.dumps(ERROR_SCHEMA), encoding="utf-8")
+        good, model = work / "good.data", work / "model.json"
+        good.write_text(GOOD_ROWS, encoding="utf-8")
+        _, err, code = run_cli(root, ["train", "--data", str(good), "--schema", str(schema), "--bins", "2",
+                                      "--out", str(model)])
+        if code != 0:
+            raise RuntimeError(f"training on the well-formed table failed: {err.decode()}")
+        for case, rows in BAD_ROWS.items():
+            data = work / f"{case}.data"
+            data.write_text(GOOD_ROWS + rows, encoding="utf-8")
+            for kind, argv in (
+                ("train", ["train", "--data", str(data), "--schema", str(schema), "--out", str(work / "bad.json")]),
+                ("evaluate", ["evaluate", "--model", str(model), "--data", str(data)]),
+            ):
+                _, err, code = run_cli(root, argv)
+                runs.append((f"errors {case} {kind}", err, code))
+    return runs
+
+
 def benchmark_digest(root: Path) -> str:
-    out, code = run_cli(root, ["benchmark", "--suite", str(root / "benchmarks" / "suite.json"), "--format", "machine"])
+    out, _, code = run_cli(root, ["benchmark", "--suite", str(root / "benchmarks" / "suite.json"), "--format", "machine"])
     out = re.sub(rb"(?m)^[^\n]*\.train_seconds=[^\n]*\n", b"", out)
     return digest_line("suite benchmark machine", out, code, {root: "<checkout>"})
 
@@ -97,6 +160,8 @@ def main(argv: list[str]) -> int:
             for line in workload_digests(root, name, seed):
                 print(line, flush=True)
     print(benchmark_digest(root))
+    for label, err, code in error_runs(root):
+        print(digest_line(label, err, code, {}))
     return 0
 
 

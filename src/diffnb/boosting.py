@@ -132,8 +132,15 @@ class Model:
 
     @functools.cached_property
     def log_weights(self) -> np.ndarray:
-        """``np.log`` of every weight cell, (K, M, B_max), taken once; read-only."""
-        return read_only(np.log(self.weights.weights))
+        """``np.log`` of every weight cell, (K, M, B_max), taken once; read-only.
+
+        The array is a view of a cell-major (M * B_max, K) table, one row
+        of K classes per cell: the rows :func:`weighted_log_scores`
+        gathers, so a scoring call does not copy the table first.
+        """
+        k, m, b = self.weights.weights.shape
+        cell_major = np.ascontiguousarray(np.log(self.weights.weights).reshape(k, m * b).T)
+        return read_only(cell_major).T.reshape(k, m, b)
 
 
 def weighted_log_scores(logw: np.ndarray, bins: np.ndarray, loglik: np.ndarray) -> np.ndarray:
@@ -144,11 +151,16 @@ def weighted_log_scores(logw: np.ndarray, bins: np.ndarray, loglik: np.ndarray) 
     fresh scoring path uses, so scores never depend on which path
     computed them. Winners and ties are decided on these log scores;
     exponentiation is presentation.
+
+    The gather is one ``take`` of rows of the cell-major (M * B_max, K)
+    view of ``logw`` through each row's flat cell indices, into (n, M, K):
+    each row's M log-weights are then summed one attribute after another,
+    the order of a two-array fancy index. ``take`` copies a table that is
+    not already cell-major, as a training state's is.
     """
-    n, m = bins.shape
-    cols = np.arange(m)[None, :]
-    picked = logw[:, cols, bins]  # (K, n, M)
-    return loglik + picked.sum(axis=2).T
+    k, m, b = logw.shape
+    picked = logw.reshape(k, m * b).T.take(bins + _cell_offsets(m, b), axis=0)  # (n, M, K)
+    return loglik + picked.sum(axis=1)
 
 
 def scores_from_logs(log_scores: np.ndarray) -> np.ndarray:

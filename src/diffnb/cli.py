@@ -149,7 +149,7 @@ def cmd_predict(args) -> int:
         return 2
     model = load_model(args.model)
     options = _parse_options(args)
-    source = open(args.data, "r", encoding="utf-8") if args.data else sys.stdin
+    source = open(args.data, "r", encoding="utf-8-sig") if args.data else sys.stdin
     failures = 0
     try:
         for line_no, line in enumerate(source, start=1):

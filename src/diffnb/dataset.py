@@ -6,15 +6,22 @@ Schemas, search specs, benchmark suites and model files are all read
 through them, so a malformed file is a ValueError naming the entry rather
 than a traceback.
 
+A dataset is its schema plus two read-only arrays, the (n, M) float64
+value matrix and the (n,) int64 class indices; its ``examples`` are
+derived from them on first access. ``parse_table`` fills those arrays
+column by column, a block of lines at a time, and walks a block line by
+line only to report the first bad line in it.
+
 Everything here is a pure function over immutable inputs; datasets can be
-shared freely across threads. A dataset builds its value matrix and label
-array once, on first use, and hands out the same read-only arrays after.
+shared freely across threads.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -145,55 +152,70 @@ class Provenance:
     n_dropped: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Labeled rows: an (n, M) float64 value matrix and (n,) int64 class indices.
+
+    The two arrays are the dataset's only row data. The constructor
+    converts them to those dtypes and marks them read-only; an array
+    passed in with the right dtype is taken as it is, not copied, so the
+    caller hands it over. Equality is identity: two datasets are never
+    compared row by row.
+    """
+
     schema: Schema
-    examples: tuple[Example, ...]
+    values: np.ndarray
+    label_indices: np.ndarray
     provenance: Provenance = field(default=Provenance("memory"))
 
     def __post_init__(self):
         m = self.schema.n_attributes
         k = self.schema.n_classes
-        for ex in self.examples:
-            if len(ex.values) != m:
-                raise SchemaError(f"example has {len(ex.values)} values, schema declares {m}")
-            if not 0 <= ex.label < k:
-                raise SchemaError(f"example label index {ex.label} out of range [0, {k})")
+        values = np.asarray(self.values, dtype=np.float64)
+        labels = np.asarray(self.label_indices, dtype=np.int64)
+        if values.ndim != 2 or values.shape[1] != m:
+            raise SchemaError(f"value matrix has shape {values.shape}, schema declares {m} values per example")
+        if labels.shape != (len(values),):
+            raise SchemaError(f"{len(values)} examples but label array has shape {labels.shape}")
+        out_of_range = (labels < 0) | (labels >= k)
+        if out_of_range.any():
+            label = labels[out_of_range.argmax()]
+            raise SchemaError(f"example label index {label} out of range [0, {k})")
+        values.flags.writeable = False
+        labels.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "label_indices", labels)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.label_indices)
+
+    def __reduce__(self):
+        # unpickling goes through the constructor, which marks the
+        # arrays read-only again (a search worker's datasets are pickled)
+        return Dataset, (self.schema, self.values, self.label_indices, self.provenance)
 
     def value_matrix(self) -> np.ndarray:
-        """All example values as an (n, M) float64 matrix; read-only, built once."""
-        return self._value_matrix
+        """All example values as an (n, M) float64 matrix; read-only."""
+        return self.values
 
     def labels(self) -> np.ndarray:
-        """Every example's class index as an (n,) int64 array; read-only, built once."""
-        return self._labels
+        """Every example's class index as an (n,) int64 array; read-only."""
+        return self.label_indices
 
     @cached_property
-    def _value_matrix(self) -> np.ndarray:
-        values = np.array([ex.values for ex in self.examples], dtype=np.float64).reshape(
-            len(self.examples), self.schema.n_attributes
-        )
-        values.flags.writeable = False
-        return values
-
-    @cached_property
-    def _labels(self) -> np.ndarray:
-        labels = np.array([ex.label for ex in self.examples], dtype=np.int64)
-        labels.flags.writeable = False
-        return labels
-
-    def __getstate__(self) -> dict:
-        # a pickled dataset (a search worker's) rebuilds its arrays on first
-        # use instead of shipping them; unpickled arrays would be writeable
-        return {k: v for k, v in self.__dict__.items() if k not in ("_value_matrix", "_labels")}
+    def examples(self) -> tuple[Example, ...]:
+        """Every row as an :class:`Example`, built from the arrays on first access."""
+        return tuple(map(Example, map(tuple, self.values.tolist()), self.label_indices.tolist()))
 
     @staticmethod
     def build(schema: Schema, rows: Iterable[tuple[Sequence[float], int]], source: str = "memory") -> "Dataset":
-        examples = tuple(Example(tuple(float(v) for v in values), int(label)) for values, label in rows)
-        return Dataset(schema, examples, Provenance(source))
+        """A dataset of ``(values, label)`` pairs, in order."""
+        rows = list(rows)
+        values = np.array([v for v, _ in rows], dtype=np.float64)
+        if not rows:
+            values = values.reshape(0, schema.n_attributes)
+        labels = np.array([int(label) for _, label in rows], dtype=np.int64)
+        return Dataset(schema, values, labels, Provenance(source))
 
 
 @dataclass(frozen=True)
@@ -359,6 +381,17 @@ def _row_layout(n_fields: int, options: ParseOptions, line_no: int) -> tuple[int
     return label, ignored
 
 
+# characters of text read per block: the tokens of one block, not of the
+# whole file, are held at once. On a 10k x 20 table 2**14 parses as fast
+# as 2**16, and on a 1000 x 6 one it keeps `diffnb evaluate`'s peak RSS
+# 0.5 MB lower
+_BLOCK_CHARS = 1 << 14
+
+
+class _BadBlock(Exception):
+    """A block held a line the column-wise encoding cannot take."""
+
+
 def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseOptions()) -> Dataset:
     """Parse a delimited text file of labeled rows against ``schema``.
 
@@ -366,34 +399,124 @@ def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseO
     dropped rows is recorded on the returned dataset's provenance.
     Structural problems raise :class:`ParseError` with the 1-based line
     number; tokens that contradict the schema raise :class:`SchemaError`.
+
+    The file is read a block of lines at a time. Each block is split into
+    fields and encoded column by column, straight into its part of the
+    value matrix. A block that fails anywhere is walked again line by line
+    through :meth:`Schema.encode_value` and :meth:`Schema.class_index`, so
+    the first bad line in file order raises, with the message a line by
+    line parse gives. A leading UTF-8 byte-order mark is skipped.
+    """
+    encoders = [
+        {tok: float(i) for i, tok in enumerate(a.values)}.__getitem__ if a.is_discrete else float
+        for a in schema.attributes
+    ]
+    # a token names its class before a label does, as in Schema.class_index
+    class_codes = {label: i for i, label in enumerate(schema.classes)}
+    class_codes.update((tok, i) for i, tok in enumerate(schema.class_tokens))
+    layouts: dict[int, tuple[int, ...] | None] = {}
+    value_blocks, label_blocks = [], []
+    n_dropped = 0
+    line_no = 0
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        while lines := fh.readlines(_BLOCK_CHARS):
+            try:
+                values, labels, dropped = _encode_block(lines, schema, options, encoders, class_codes, layouts)
+            except (_BadBlock, ValueError, KeyError):
+                _raise_first_fault(lines, line_no, schema, options)
+                raise
+            value_blocks.append(values)
+            label_blocks.append(labels)
+            n_dropped += dropped
+            line_no += len(lines)
+    values = np.concatenate(value_blocks) if value_blocks else np.empty((0, schema.n_attributes))
+    if not len(values):
+        raise ParseError(f"{path}: no examples")
+    labels = np.concatenate(label_blocks)
+    return Dataset(schema, values, labels, Provenance(str(path), n_dropped=n_dropped))
+
+
+def _layout_fields(n_fields: int, options: ParseOptions, m: int) -> tuple[int, ...] | None:
+    """The value fields then the label field of an ``n_fields``-field line; None if it has no valid layout."""
+    try:
+        label, ignored = _row_layout(n_fields, options, 0)
+    except ParseError:
+        return None
+    picked = tuple(i for i in range(n_fields) if i != label and i not in ignored)
+    return picked + (label,) if len(picked) == m else None
+
+
+def _encode_block(lines, schema, options, encoders, class_codes, layouts):
+    """(values, labels, n_dropped) of one block of lines; raises if any line is bad.
+
+    ``layouts`` caches the field layout of each field count seen. The
+    error raised says only that the block is bad, not where.
     """
     m = schema.n_attributes
-    examples: list[Example] = []
-    n_dropped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = split_fields(line, options.delimiter)
-            label_idx, ignored = _row_layout(len(fields), options, line_no)
-            value_fields = [f for i, f in enumerate(fields) if i != label_idx and i not in ignored]
-            if len(value_fields) != m:
-                raise ParseError(
-                    f"line {line_no}: expected {m} value fields + 1 label, got {len(value_fields)} values"
-                )
-            if options.missing_token in value_fields or fields[label_idx] == options.missing_token:
-                n_dropped += 1
-                continue
-            try:
-                label = schema.class_index(fields[label_idx])
-                values = tuple(schema.encode_value(i, tok) for i, tok in enumerate(value_fields))
-            except (ParseError, SchemaError) as err:
-                raise type(err)(f"line {line_no}: {err}") from None
-            examples.append(Example(values, label))
-    if not examples:
-        raise ParseError(f"{path}: no examples")
-    return Dataset(schema, tuple(examples), Provenance(str(path), n_dropped=n_dropped))
+    if options.delimiter is None:
+        rows = list(filter(None, map(str.split, lines)))
+    else:
+        rows = list(map(methodcaller("split", options.delimiter), filter(None, map(str.strip, lines))))
+    if not rows:
+        return np.empty((0, m)), np.empty(0, dtype=np.int64), 0
+    counts = set(map(len, rows))
+    for n_fields in counts - layouts.keys():
+        layouts[n_fields] = _layout_fields(n_fields, options, m)
+    picks = {n_fields: layouts[n_fields] for n_fields in counts}
+    if None in picks.values():
+        raise _BadBlock
+    if len(picks) == 1:
+        fields = list(zip(*rows))
+        columns = [fields[i] for i in picks.popitem()[1]]
+    else:
+        getters = {n_fields: itemgetter(*pick) for n_fields, pick in picks.items()}
+        columns = list(zip(*[getters[len(row)](row) for row in rows]))
+    if options.delimiter is not None:
+        columns = [tuple(map(str.strip, col)) for col in columns]
+    dropped = np.zeros(len(rows), dtype=bool)
+    for col in columns:
+        if options.missing_token in col:
+            dropped[[i for i, tok in enumerate(col) if tok == options.missing_token]] = True
+    if dropped.any():
+        keep = (~dropped).tolist()
+        columns = [tuple(compress(col, keep)) for col in columns]
+    n = len(columns[-1])
+    values = np.empty((n, m))
+    for j, (encode, col) in enumerate(zip(encoders, columns)):
+        values[:, j] = np.fromiter(map(encode, col), np.float64, n)
+    if not np.isfinite(values).all():
+        raise _BadBlock
+    labels = np.fromiter(map(class_codes.__getitem__, columns[-1]), np.int64, n)
+    return values, labels, int(dropped.sum())
+
+
+def _raise_first_fault(lines: list[str], line_no: int, schema: Schema, options: ParseOptions) -> None:
+    """Raise the error of the first bad line of a block whose first line is ``line_no + 1``.
+
+    The checks run line by line in file order, as a per-line parse makes
+    them: the label and ignored columns, the field count, the missing
+    token (a line holding it is skipped), the class token, then each value.
+    """
+    m = schema.n_attributes
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = split_fields(line, options.delimiter)
+        label_idx, ignored = _row_layout(len(fields), options, line_no)
+        value_fields = [f for i, f in enumerate(fields) if i != label_idx and i not in ignored]
+        if len(value_fields) != m:
+            raise ParseError(
+                f"line {line_no}: expected {m} value fields + 1 label, got {len(value_fields)} values"
+            )
+        if options.missing_token in value_fields or fields[label_idx] == options.missing_token:
+            continue
+        try:
+            schema.class_index(fields[label_idx])
+            for i, tok in enumerate(value_fields):
+                schema.encode_value(i, tok)
+        except (ParseError, SchemaError) as err:
+            raise type(err)(f"line {line_no}: {err}") from None
 
 
 def split_dataset(
@@ -414,8 +537,13 @@ def split_dataset(
     else:
         order = np.random.default_rng(shuffle_seed).permutation(n)
         tag = f"order=shuffled(seed={shuffle_seed})"
-    picked = [data.examples[i] for i in order]
     src = data.provenance.source
-    train = Dataset(data.schema, tuple(picked[:train_count]), Provenance(src, f"train[{train_count}] {tag}"))
-    test = Dataset(data.schema, tuple(picked[train_count:]), Provenance(src, f"test[{n - train_count}] {tag}"))
-    return train, test
+
+    def subset(rows: np.ndarray, split: str) -> Dataset:
+        # fancy indexing copies, so neither part shares a buffer
+        return Dataset(data.schema, data.values[rows], data.label_indices[rows], Provenance(src, split))
+
+    return (
+        subset(order[:train_count], f"train[{train_count}] {tag}"),
+        subset(order[train_count:], f"test[{n - train_count}] {tag}"),
+    )

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import AttributeSpec, Dataset, Example, Provenance, Schema
+from .dataset import AttributeSpec, Dataset, Provenance, Schema
 
 MONKS_VALUES = (3, 3, 2, 3, 4, 2)
 MONKS_BINS = (4, 4, 4, 4, 4, 4)
@@ -68,11 +68,8 @@ def generate_monks(problem: int) -> tuple[Dataset, Dataset]:
     grid = full_grid()
     labels = [monks_label(problem, row) for row in grid]
 
-    test = Dataset(
-        schema,
-        tuple(Example(tuple(float(v) for v in row), lab) for row, lab in zip(grid, labels)),
-        Provenance(f"monks-{problem}", "test[432] full grid"),
-    )
+    values = np.array(grid, dtype=np.float64)
+    test = Dataset(schema, values, labels, Provenance(f"monks-{problem}", "test[432] full grid"))
 
     rng = np.random.default_rng(_SAMPLE_SEEDS[problem])
     chosen: list[int] = []
@@ -90,9 +87,8 @@ def generate_monks(problem: int) -> tuple[Dataset, Dataset]:
 
     train = Dataset(
         schema,
-        tuple(
-            Example(tuple(float(v) for v in grid[i]), train_labels[i]) for i in chosen
-        ),
+        values[chosen],
+        [train_labels[i] for i in chosen],
         Provenance(f"monks-{problem}", f"train[{len(chosen)}] stratified sample"),
     )
     return train, test
@@ -112,12 +108,8 @@ def write_monks_files(directory: str | Path) -> list[Path]:
         for split, data in (("train", train), ("test", test)):
             path = directory / f"monks-{problem}.{split}"
             lines = [
-                " ".join(
-                    [str(ex.label)]
-                    + [str(int(v)) for v in ex.values]
-                    + [f"data_{row + 1}"]
-                )
-                for row, ex in enumerate(data.examples)
+                " ".join([str(label)] + [str(int(v)) for v in values] + [f"data_{row + 1}"])
+                for row, (values, label) in enumerate(zip(data.value_matrix().tolist(), data.labels().tolist()))
             ]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             written.append(path)

@@ -112,6 +112,25 @@ class TestScoring:
         scores = np.exp(weighted_log_scores(logw, bins, loglik))
         np.testing.assert_allclose(scores, [[1.0, 0.25], [0.5, 1.0]], rtol=1e-12)
 
+    @pytest.mark.parametrize("k, m, b, n", [(2, 1, 1, 1), (2, 6, 4, 1), (3, 20, 8, 50), (5, 33, 3, 7)])
+    def test_gather_matches_fancy_indexing(self, k, m, b, n):
+        # the reference sums each row's M log-weights in attribute order;
+        # with M >= 8 a sum along a contiguous axis would pair them up
+        rng = np.random.default_rng(k * 1000 + m)
+        logw = np.log1p(rng.random((k, m, b)) * 1e3)
+        bins = rng.integers(0, b, size=(n, m))
+        loglik = rng.standard_normal((n, k)) * 50
+        reference = loglik + logw[:, np.arange(m)[None, :], bins].sum(axis=2).T
+        assert weighted_log_scores(logw, bins, loglik).tobytes() == reference.tobytes()
+
+    def test_model_log_weights_are_cell_major(self):
+        # the gather reads rows of the (M * B_max, K) view; a model's table
+        # is laid out so that view needs no copy
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        k, m, b = model.log_weights.shape
+        assert model.log_weights.reshape(k, m * b).T.flags.c_contiguous
+        assert model.log_weights.tobytes() == np.log(model.weights.weights).tobytes()
+
     def test_moderate_rows_exponentiate_directly(self):
         logs = np.log(np.array([[0.3, 0.6], [0.1, 0.05]]))
         assert np.all(scores_from_logs(logs) == np.exp(logs))
@@ -189,7 +208,7 @@ class TestEpochs:
     def test_empty_training_set_rejected(self):
         schema = Schema((AttributeSpec("x", "continuous"),), ("c0", "c1"))
         with pytest.raises(ValueError, match="empty"):
-            train(Dataset(schema, ()))
+            train(Dataset.build(schema, []))
 
     def test_xor_with_windows_converges_immediately(self):
         model, trace = train(xor_dataset(), TrainConfig(topology=2))

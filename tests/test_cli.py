@@ -104,6 +104,14 @@ class TestTrain:
         assert captured.err == "error: line 3: attribute 'a': not a finite number: 'nan'\n"
         assert not model_path.exists()
 
+    def test_byte_order_mark_is_skipped(self, workdir, capsys):
+        # label first, as in the Monk's files: the mark used to land in the class token
+        (workdir / "xor.data").write_text("\ufeffc0 0 0\nc0 1 1\nc1 0 1\nc1 1 0\n", encoding="utf-8")
+        code, _ = train_xor(workdir, "--label-col", "0")
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "train accuracy: 100 % (4/4)" in captured.out
+
     @pytest.mark.parametrize(
         "flag, knob", [("--alpha", "alpha"), ("--epsilon", "epsilon_floor")], ids=["alpha", "epsilon"]
     )
@@ -309,6 +317,15 @@ class TestPredict:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == "ERROR: line 1: attribute 'b': not a finite number: 'inf'\n"
+
+    def test_byte_order_mark_is_skipped(self, workdir, capsys):
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        (workdir / "bom.rows").write_text("\ufeff0 0\n1 0\n", encoding="utf-8")
+        code = main(["predict", "--model", str(model_path), "--data", str(workdir / "bom.rows")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines() == ["c0 p=[0.941176,0.058824]", "c1 p=[0.058824,0.941176]"]
 
     def test_label_col_is_a_usage_error(self, workdir, capsys):
         # predict's rows carry no label; the flag used to be accepted and

@@ -2,18 +2,21 @@
 
 import json
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from diffnb import dataset
 from diffnb.dataset import (
     AttributeSpec,
     Dataset,
     Example,
     ParseError,
     ParseOptions,
+    Provenance,
     Schema,
     SchemaError,
     load_schema,
@@ -114,11 +117,11 @@ class TestSchema:
 class TestDataset:
     def test_arity_checked(self):
         with pytest.raises(SchemaError, match="values"):
-            Dataset(xor_schema(), (Example((1.0,), 0),))
+            Dataset.build(xor_schema(), [((1.0,), 0)])
 
     def test_label_range_checked(self):
         with pytest.raises(SchemaError, match="out of range"):
-            Dataset(xor_schema(), (Example((0.0, 0.0), 2),))
+            Dataset.build(xor_schema(), [((0.0, 0.0), 2)])
 
     def test_matrix_and_labels(self):
         data = Dataset.build(xor_schema(), [((0.0, 1.0), 0), ((2.0, 3.0), 1)])
@@ -139,15 +142,41 @@ class TestDataset:
         assert data.value_matrix().tolist() == [[0.0, 1.0], [2.0, 3.0]]
         assert data.labels().tolist() == [0, 1]
 
-    def test_pickled_dataset_rebuilds_its_arrays(self):
+    def test_pickled_dataset_keeps_read_only_arrays(self):
         # a search worker receives its datasets pickled
-        data = Dataset.build(xor_schema(), [((0.0, 1.0), 0), ((2.0, 3.0), 1)])
-        data.value_matrix(), data.labels()
+        data = Dataset.build(xor_schema(), [((0.0, 1.0), 0), ((2.0, 3.0), 1)], source="xor")
+        data.examples
         copy = pickle.loads(pickle.dumps(data))
-        assert copy == data
-        assert "_value_matrix" not in copy.__dict__ and "_labels" not in copy.__dict__
-        assert np.array_equal(copy.value_matrix(), data.value_matrix())
-        assert not copy.value_matrix().flags.writeable
+        assert copy.schema == data.schema and copy.provenance == data.provenance
+        assert copy.value_matrix().tobytes() == data.value_matrix().tobytes()
+        assert copy.labels().tobytes() == data.labels().tobytes()
+        assert copy.examples == data.examples
+        for array in (copy.value_matrix(), copy.labels()):
+            assert not array.flags.writeable
+
+    def test_examples_are_derived_from_the_arrays(self):
+        data = Dataset.build(xor_schema(), [((0.0, 1.0), 0), ((2.0, 3.0), 1)])
+        assert data.examples == (Example((0.0, 1.0), 0), Example((2.0, 3.0), 1))
+        assert data.examples is data.examples
+        assert all(type(v) is float for ex in data.examples for v in ex.values)
+        assert all(type(ex.label) is int for ex in data.examples)
+
+    def test_arrays_are_taken_as_given_and_frozen(self):
+        values = np.array([[0.0, 1.0]])
+        labels = np.array([1])
+        data = Dataset(xor_schema(), values, labels)
+        assert data.value_matrix() is values and not values.flags.writeable
+        assert data.labels() is labels and not labels.flags.writeable
+
+    def test_equality_is_identity(self):
+        rows = [((0.0, 1.0), 0)]
+        data = Dataset.build(xor_schema(), rows)
+        assert data == data and hash(data) == hash(data)
+        assert data != Dataset.build(xor_schema(), rows)
+
+    def test_empty_dataset(self):
+        data = Dataset.build(xor_schema(), [])
+        assert len(data) == 0 and data.value_matrix().shape == (0, 2) and data.examples == ()
 
 
 class TestLoadSchema:
@@ -219,7 +248,228 @@ class TestParseTable:
 
     def test_parse_is_deterministic(self, tmp_path):
         path = self.write(tmp_path, "0 1 c1\n1 0 c1\n0 0 c0\n")
-        assert parse_table(path, xor_schema()) == parse_table(path, xor_schema())
+        first, second = parse_table(path, xor_schema()), parse_table(path, xor_schema())
+        assert first.value_matrix().tobytes() == second.value_matrix().tobytes()
+        assert first.labels().tobytes() == second.labels().tobytes()
+        assert first.provenance == second.provenance
+
+
+def reference_parse_table(path, schema, options=ParseOptions()):
+    """The per-line parse that ``parse_table`` replaced: (examples, n_dropped).
+
+    Kept as the reference the column-wise parse must match value for
+    value, and error for error.
+    """
+    m = schema.n_attributes
+    examples = []
+    n_dropped = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = split_fields(line, options.delimiter)
+            n_fields = len(fields)
+            label_idx = options.label_col if options.label_col >= 0 else n_fields + options.label_col
+            ignored = {c if c >= 0 else n_fields + c for c in options.ignore_cols}
+            if not 0 <= label_idx < n_fields:
+                raise ParseError(
+                    f"line {line_no}: label column {options.label_col} out of range for {n_fields} fields"
+                )
+            if label_idx in ignored:
+                raise ParseError(f"line {line_no}: label column {options.label_col} is also ignored")
+            value_fields = [f for i, f in enumerate(fields) if i != label_idx and i not in ignored]
+            if len(value_fields) != m:
+                raise ParseError(
+                    f"line {line_no}: expected {m} value fields + 1 label, got {len(value_fields)} values"
+                )
+            if options.missing_token in value_fields or fields[label_idx] == options.missing_token:
+                n_dropped += 1
+                continue
+            try:
+                label = schema.class_index(fields[label_idx])
+                values = tuple(schema.encode_value(i, tok) for i, tok in enumerate(value_fields))
+            except (ParseError, SchemaError) as err:
+                raise type(err)(f"line {line_no}: {err}") from None
+            examples.append(Example(values, label))
+    if not examples:
+        raise ParseError(f"{path}: no examples")
+    return tuple(examples), n_dropped
+
+
+def value_layout(n_fields, options, m):
+    """(label field, value fields) of an ``n_fields``-field line, or None when such a line is refused."""
+    label = options.label_col if options.label_col >= 0 else n_fields + options.label_col
+    ignored = {c if c >= 0 else n_fields + c for c in options.ignore_cols}
+    values = [i for i in range(n_fields) if i != label and i not in ignored]
+    if not 0 <= label < n_fields or label in ignored or len(values) != m:
+        return None
+    return label, values
+
+
+DISCRETE_TOKENS = ("a", "b", "c", "d", "e")
+# labels and class tokens share a pool, so a token can spell another class's label
+CLASS_WORDS = ("x", "y", "z", "1", "2")
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0", "+1.5", ".5", "5.", "1E-3", "1_000", "0.1"]),
+)
+BAD_NUMBERS = ("abc", "1.2.3", "nan", "NaN", "inf", "-inf", "1e999", "0x10")
+
+
+@st.composite
+def table_files(draw):
+    """(schema, options, rows, separator, newline): a file every line of which parses."""
+    kinds = draw(st.lists(st.sampled_from(("continuous", "binary", "categorical")), min_size=1, max_size=4))
+    attrs = []
+    for j, kind in enumerate(kinds):
+        if kind == "continuous":
+            attrs.append(AttributeSpec(f"a{j}", kind))
+        else:
+            count = 2 if kind == "binary" else draw(st.integers(2, len(DISCRETE_TOKENS)))
+            attrs.append(AttributeSpec(f"a{j}", kind, tuple(draw(st.permutations(DISCRETE_TOKENS))[:count])))
+    k = draw(st.integers(2, 3))
+    classes = tuple(draw(st.permutations(CLASS_WORDS))[:k])
+    tokens = draw(st.none() | st.permutations(CLASS_WORDS).map(lambda p: tuple(p[:k])))
+    schema = Schema(tuple(attrs), classes, tokens)
+    m = len(attrs)
+    options = ParseOptions(
+        delimiter=draw(st.sampled_from([None, ",", ";", "\t"])),
+        label_col=draw(st.sampled_from([0, 1, -1, -2])),
+        ignore_cols=tuple(draw(st.lists(st.integers(-3, m + 3), max_size=3))),
+    )
+    counts = [n for n in range(m + 1, m + 5) if value_layout(n, options, m) is not None]
+    assume(counts)
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(None)  # a blank line
+            continue
+        n_fields = draw(st.sampled_from(counts))
+        label, values = value_layout(n_fields, options, m)
+        fields = [draw(st.sampled_from(["ig", "?", "9.5", "zz"])) for _ in range(n_fields)]
+        fields[label] = draw(st.sampled_from(schema.class_tokens + schema.classes))
+        for i, attr in zip(values, attrs):
+            fields[i] = draw(st.sampled_from(attr.values) if attr.is_discrete else NUMBERS)
+        if draw(st.integers(0, 7)) == 0:
+            fields[draw(st.sampled_from(values + [label]))] = "?"
+        rows.append(fields)
+    separator = draw(st.sampled_from([" ", "  ", "\t", " \t"]) if options.delimiter is None
+                     else st.sampled_from(["", " ", "  "]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return schema, options, rows, separator, newline
+
+
+def file_text(options, rows, separator, newline, blank="  "):
+    """The text of ``rows``: padded fields, blank lines of ``blank``."""
+    lines = []
+    for fields in rows:
+        if fields is None:
+            lines.append(blank)
+        elif options.delimiter is None:
+            lines.append(separator + separator.join(fields) + separator)
+        else:
+            lines.append(options.delimiter.join(separator + f + separator for f in fields))
+    return newline.join(lines) + newline
+
+
+def parse_outcome(parse, path, schema, options):
+    """What ``parse`` gives: ("ok", result) or ("error", type, message)."""
+    try:
+        return "ok", parse(path, schema, options)
+    except (ParseError, SchemaError) as err:
+        return "error", type(err), str(err)
+
+
+class TestColumnWiseParseMatchesPerLine:
+    """``parse_table`` against :func:`reference_parse_table`, block sizes small enough to split files."""
+
+    def check(self, tmp_path, schema, options, text, block_chars):
+        """The reference's outcome, after asserting that ``parse_table`` has the same one."""
+        path = tmp_path / "rows.data"
+        path.write_bytes(text.encode("utf-8"))
+        expected = parse_outcome(reference_parse_table, path, schema, options)
+        with mock.patch.object(dataset, "_BLOCK_CHARS", block_chars):
+            got = parse_outcome(parse_table, path, schema, options)
+        if expected[0] == "ok" and got[0] == "ok":
+            # equal Examples hold equal floats; the bytes also tell -0.0 from 0.0
+            examples, n_dropped = expected[1]
+            reference = np.array([ex.values for ex in examples]).reshape(-1, schema.n_attributes)
+            labels = np.array([ex.label for ex in examples], dtype=np.int64)
+            data = got[1]
+            assert data.value_matrix().tobytes() == reference.tobytes()
+            assert data.labels().tobytes() == labels.tobytes()
+            got = "ok", (data.examples, data.provenance.n_dropped)
+        assert got == expected
+        return expected
+
+    @given(table_files(), st.sampled_from([1, 40, 300, 1 << 16]))
+    def test_clean_files(self, tmp_path, table, block_chars):
+        schema, options, rows, separator, newline = table
+        text = file_text(options, rows, separator, newline)
+        outcome = self.check(tmp_path, schema, options, text, block_chars)
+        assert outcome[0] == "ok" or outcome[2].endswith(": no examples")
+
+    @given(table_files(), st.sampled_from([1, 40, 300, 1 << 16]), st.data())
+    def test_corrupted_files(self, tmp_path, table, block_chars, data):
+        schema, options, rows, separator, newline = table
+        lines = [i for i, fields in enumerate(rows) if fields is not None]
+        assume(lines)
+        m = schema.n_attributes
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.sampled_from(lines))
+            fields = list(rows[i])
+            label, values = value_layout(len(fields), options, m) or (None, [])
+            fault = data.draw(st.sampled_from(["value", "class", "extra", "short", "single"]))
+            if fault == "value" and values:
+                j = data.draw(st.integers(0, m - 1))
+                fields[values[j]] = "q" if schema.attributes[j].is_discrete else data.draw(st.sampled_from(BAD_NUMBERS))
+            elif fault == "class" and label is not None:
+                fields[label] = "w"
+            elif fault == "extra":
+                fields.insert(data.draw(st.integers(0, len(fields))), "1")
+            elif fault == "short":
+                del fields[data.draw(st.integers(0, len(fields) - 1))]
+            else:
+                fields = ["1"]
+            rows[i] = fields
+        self.check(tmp_path, schema, options, file_text(options, rows, separator, newline), block_chars)
+
+    @pytest.mark.parametrize("delimiter", [None, ","])
+    def test_whole_blocks_of_rows(self, tmp_path, delimiter):
+        # the default block size: the file spans several blocks, a missing
+        # token and a padded field sit in the later ones
+        schema = two_class(
+            AttributeSpec("x", "continuous"), AttributeSpec("color", "categorical", ("r", "g", "b"))
+        )
+        sep = " " if delimiter is None else " , "
+        rows = [sep.join([f"{i * 0.37:.5f}", "rgb"[i % 3], f"c{i % 2}"]) for i in range(12000)]
+        rows[9000] = sep.join(["?", "r", "c0"])
+        options = ParseOptions(delimiter=delimiter)
+        text = "\n".join(rows) + "\n"
+        assert len(text) > 2 * dataset._BLOCK_CHARS
+        assert self.check(tmp_path, schema, options, text, dataset._BLOCK_CHARS)[1][1] == 1
+        rows[10000] = sep.join(["1", "purple", "c0"])
+        rows[10001] = "1"
+        expected = self.check(tmp_path, schema, options, "\n".join(rows) + "\n", dataset._BLOCK_CHARS)
+        assert expected[1:] == (SchemaError, "line 10001: attribute 'color': unknown value 'purple'")
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("1 1 c0\n0 abc c1\n1 c0\n", ParseError, "line 2: attribute 'b': not a number: 'abc'"),
+            ("1 1 c0\n1 c0\n0 abc c1\n", ParseError, "line 2: expected 2 value fields + 1 label, got 1 values"),
+            ("1 1 c0\n1 1 c7\n1 1 1 1 c0\n", SchemaError, "line 2: unknown class label 'c7'"),
+            ("1 1 c0\n1 inf c1\n", ParseError, "line 2: attribute 'b': not a finite number: 'inf'"),
+            ("1 ? c0\n1 1 ?\n", ParseError, "rows.data: no examples"),
+        ],
+        ids=["bad-value-then-short-line", "short-line-then-bad-value", "unknown-class",
+             "non-finite", "all-missing"],
+    )
+    def test_first_bad_line_of_a_block_raises(self, tmp_path, text, error, message):
+        outcome = self.check(tmp_path, xor_schema(), ParseOptions(), text, 1 << 16)
+        assert outcome[1] is error and outcome[2].endswith(message)
 
 
 def test_split_fields_strips():
@@ -245,6 +495,25 @@ class TestSplitDataset:
         assert len(train) == train_count and len(test) == 10 - train_count
         merged = sorted(train.examples + test.examples, key=lambda e: e.values)
         assert merged == sorted(data.examples, key=lambda e: e.values)
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.integers(0, 1)), min_size=2, max_size=30), st.data())
+    def test_matches_the_per_example_split(self, rows, data):
+        full = Dataset.build(xor_schema(), [((v, -v), c) for v, c in rows], source="rows.data")
+        n = len(rows)
+        train_count = data.draw(st.integers(1, n - 1))
+        seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
+        order = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
+        picked = [full.examples[i] for i in order]
+        tag = "order=file" if seed is None else f"order=shuffled(seed={seed})"
+        train, test = split_dataset(full, train_count, seed)
+        for part, examples, split in (
+            (train, picked[:train_count], f"train[{train_count}] {tag}"),
+            (test, picked[train_count:], f"test[{n - train_count}] {tag}"),
+        ):
+            assert part.value_matrix().tobytes() == np.array([ex.values for ex in examples]).tobytes()
+            assert part.labels().tobytes() == np.array([ex.label for ex in examples], dtype=np.int64).tobytes()
+            assert part.provenance == Provenance("rows.data", split)
+            assert not part.value_matrix().flags.writeable and not part.labels().flags.writeable
 
     def test_seed_reproducible(self):
         data = self.build(10)

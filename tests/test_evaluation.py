@@ -64,7 +64,7 @@ class TestEvaluate:
         assert report.confusion.tolist() == [[1, 0], [1, 2]]
 
     def test_empty_dataset_rejected(self, xor_model):
-        empty = Dataset(xor_schema(), ())
+        empty = Dataset.build(xor_schema(), [])
         with pytest.raises(ValueError, match="empty"):
             evaluate(xor_model, empty)
 

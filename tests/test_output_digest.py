@@ -23,6 +23,7 @@ def test_digests_name_every_output_and_ignore_the_work_directory():
         "search seed=0 search model",
         "search seed=0 search evaluate",
         "search seed=0 search predict",
+        "search seed=0 search holdout",
         "search seed=0 search stdout",
         "search seed=0 search log",
     ]
@@ -30,3 +31,18 @@ def test_digests_name_every_output_and_ignore_the_work_directory():
     # a second run writes to another temporary directory, which train's
     # "model written to" line names; the digests must not see it
     assert script.workload_digests(ROOT, "search", 0, tiny=True) == first
+
+
+def test_malformed_tables_fail_with_the_first_bad_line():
+    script = load_script()
+    runs = script.error_runs(ROOT)
+    assert [label for label, _, _ in runs] == [
+        f"errors {case} {kind}" for case in script.BAD_ROWS for kind in ("train", "evaluate")
+    ]
+    bad_line = script.GOOD_ROWS.count("\n") + 1
+    for label, err, code in runs:
+        assert code == 1
+        assert err.decode().startswith(f"error: line {bad_line}: "), label
+    messages = {label: err.decode() for label, err, _ in runs}
+    # the wrong-length line after the bad value is not the one reported
+    assert messages["errors bad-value-then-short-line train"] == messages["errors bad-number train"]
