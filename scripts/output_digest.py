@@ -7,7 +7,7 @@ read-only) into a temporary directory: ``monks`` once, as it reads the
 shipped files whatever the seed, and ``train-heavy`` and ``search`` for
 seeds 0-2. On each it runs CHECKOUT's ``diffnb`` (``CHECKOUT/src`` on the
 path; by default the checkout holding this script) as a user would:
-``train``, ``evaluate`` and ``predict`` for every job, ``train
+``train``, ``evaluate``, ``predict`` and ``inspect`` for every job, ``train
 --train-count N --seed S`` (the holdout split), then ``search --out``. It
 also runs ``benchmark --format machine`` on CHECKOUT's shipped suite,
 dropping the ``train_seconds`` lines, which are wall times, and ``train``
@@ -94,6 +94,7 @@ def workload_digests(root: Path, name: str, seed: int, tiny: bool = False) -> li
                 ("train", job.train_argv()),
                 ("evaluate", job.evaluate_argv()),
                 ("predict", job.predict_argv()),
+                ("inspect", ["inspect", "--model", str(job.model)]),
             ):
                 out, _, code = run_cli(root, argv)
                 lines.append(digest_line(f"{label} {job.name} {kind}", out, code, paths))

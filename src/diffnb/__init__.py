@@ -5,7 +5,6 @@ from .boosting import (
     Model,
     TrainConfig,
     TrainTrace,
-    WeightTable,
     boost_example,
     run_epoch,
     train,
@@ -13,7 +12,6 @@ from .boosting import (
 from .dataset import (
     AttributeSpec,
     Dataset,
-    Example,
     ParseError,
     ParseOptions,
     Schema,
@@ -25,8 +23,6 @@ from .dataset import (
 from .density import (
     BinSpec,
     DensityModel,
-    JointTable,
-    TagTable,
     bin_index,
     fit_density,
     make_bin_spec,
@@ -45,8 +41,6 @@ __all__ = [
     "BinSpec",
     "Dataset",
     "DensityModel",
-    "Example",
-    "JointTable",
     "Model",
     "ParseError",
     "ParseOptions",
@@ -56,11 +50,9 @@ __all__ = [
     "SchemaError",
     "SearchResult",
     "SearchSpec",
-    "TagTable",
     "TrainConfig",
     "TrainTrace",
     "Trial",
-    "WeightTable",
     "bin_index",
     "boost_example",
     "class_scores",

@@ -53,22 +53,6 @@ _FIRST_WINDOW = 16
 
 
 @dataclass(frozen=True)
-class WeightTable:
-    """One positive weight per (class, attribute, bin) likelihood cell.
-
-    ``weights`` is (K, M, B_max) float64; cells beyond an attribute's own
-    bin count are dead and stay at 1. Weights start at 1 and only grow.
-    The table holds a trained model's final weights, so ``weights`` is
-    made read-only on construction; training grows its own array.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        read_only(self.weights)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Knobs of the training loop.
 
@@ -121,14 +105,31 @@ class TrainTrace:
 
 @dataclass(frozen=True)
 class Model:
-    """A trained classifier: fitted density tables plus boosted weights."""
+    """A trained classifier: fitted density tables plus boosted weights.
 
-    schema: Schema
-    topology: tuple[int, ...]
+    ``weights`` holds one positive weight per (class, attribute, bin)
+    likelihood cell, (K, M, B_max) float64 like ``density.counts``; cells
+    beyond an attribute's own bin count are dead and stay at 1. Weights
+    start at 1 and only grow. They are a trained model's final weights,
+    so the array is made read-only on construction; training grows its
+    own. The schema and topology are the density's.
+    """
+
     density: DensityModel
-    weights: WeightTable
+    weights: np.ndarray
     config: TrainConfig
     trace: TrainTrace
+
+    def __post_init__(self):
+        read_only(self.weights)
+
+    @property
+    def schema(self) -> Schema:
+        return self.density.schema
+
+    @property
+    def topology(self) -> tuple[int, ...]:
+        return self.density.topology
 
     @functools.cached_property
     def log_weights(self) -> np.ndarray:
@@ -138,8 +139,8 @@ class Model:
         of K classes per cell: the rows :func:`weighted_log_scores`
         gathers, so a scoring call does not copy the table first.
         """
-        k, m, b = self.weights.weights.shape
-        cell_major = np.ascontiguousarray(np.log(self.weights.weights).reshape(k, m * b).T)
+        k, m, b = self.weights.shape
+        cell_major = np.ascontiguousarray(np.log(self.weights).reshape(k, m * b).T)
         return read_only(cell_major).T.reshape(k, m, b)
 
 
@@ -419,12 +420,5 @@ def train_with_scores(
         if miss_counts[-1] == 0:
             break
     trace = TrainTrace(tuple(miss_counts))
-    model = Model(
-        schema=trainset.schema,
-        topology=state.density.topology,
-        density=state.density,
-        weights=WeightTable(state.weights),
-        config=state.config,
-        trace=trace,
-    )
+    model = Model(density=state.density, weights=state.weights, config=state.config, trace=trace)
     return model, trace, weighted_log_scores(state.logw, state.bins, state.loglik)

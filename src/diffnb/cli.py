@@ -68,18 +68,19 @@ def _parse_bins(text: str | None):
     return int(text)
 
 
-def _require_files(*paths) -> str | None:
+class MissingFile(Exception):
+    """An input file named on the command line or in a spec does not exist."""
+
+
+def _require_files(*paths) -> None:
+    """Raise :class:`MissingFile` for the first of ``paths`` that does not exist; None is skipped."""
     for p in paths:
         if p is not None and not Path(p).exists():
-            return f"no such file: {p}"
-    return None
+            raise MissingFile(p)
 
 
 def cmd_train(args) -> int:
-    missing = _require_files(args.data, args.schema)
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
+    _require_files(args.data, args.schema)
     schema = load_schema(args.schema)
     data = parse_table(args.data, schema, _parse_options(args))
     if data.provenance.n_dropped:
@@ -112,10 +113,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    missing = _require_files(args.model, args.data)
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
+    _require_files(args.model, args.data)
     model = load_model(args.model)
     data = parse_table(args.data, model.schema, _parse_options(args))
     report = evaluate(model, data)
@@ -143,10 +141,7 @@ def _predict_line(model, line: str, options: ParseOptions, line_no: int) -> str:
 
 
 def cmd_predict(args) -> int:
-    missing = _require_files(args.model, args.data)
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
+    _require_files(args.model, args.data)
     model = load_model(args.model)
     options = _parse_options(args)
     source = open(args.data, "r", encoding="utf-8-sig") if args.data else sys.stdin
@@ -202,10 +197,7 @@ _SPEC_KEYS = (
 
 
 def cmd_search(args) -> int:
-    missing = _require_files(args.spec)
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
+    _require_files(args.spec)
     spec_path = Path(args.spec)
     doc = "search spec"
     with open(spec_path, "r", encoding="utf-8") as fh:
@@ -213,29 +205,20 @@ def cmd_search(args) -> int:
     base = spec_path.parent
 
     schema_path = base / json_entry(doc, raw, "schema", "a string")
-    missing = _require_files(schema_path)
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
+    _require_files(schema_path)
     schema = load_schema(schema_path)
     options = json_parse_options(doc, raw)
     if "data" in raw:
         data_path = base / json_entry(doc, raw, "data", "a string")
         train_count = json_entry(doc, raw, "train_count", "an integer")
         seed = json_entry(doc, raw, "seed", "an integer", "null", default=None)
-        missing = _require_files(data_path)
-        if missing:
-            print(missing, file=sys.stderr)
-            return 2
+        _require_files(data_path)
         full = parse_table(data_path, schema, options)
         trainset, validation = split_dataset(full, train_count, seed)
     else:
         train_path = base / json_entry(doc, raw, "train", "a string")
         val_path = base / json_entry(doc, raw, "validation", "a string")
-        missing = _require_files(train_path, val_path)
-        if missing:
-            print(missing, file=sys.stderr)
-            return 2
+        _require_files(train_path, val_path)
         trainset = parse_table(train_path, schema, options)
         validation = parse_table(val_path, schema, options)
 
@@ -244,11 +227,7 @@ def cmd_search(args) -> int:
     spec = SearchSpec(
         ranges=_search_ranges(schema, raw_ranges, baseline_bins),
         budget=json_entry(doc, raw, "budget", "an integer", default=64),
-        parallelism=(
-            args.parallel
-            if args.parallel is not None
-            else json_entry(doc, raw, "parallelism", "an integer", default=1)
-        ),
+        parallelism=json_entry(doc, raw, "parallelism", "an integer", default=1),
         baseline_bins=baseline_bins,
         exhaustive=json_entry(doc, raw, "exhaustive", "true or false", default=False),
     )
@@ -289,10 +268,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    missing = _require_files(args.suite)
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
+    _require_files(args.suite)
     suite = load_suite(args.suite)
     report = run_benchmark(suite, data_dir=args.data_dir)
     render = render_suite_machine if args.format == "machine" else render_suite_text
@@ -304,25 +280,22 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    missing = _require_files(args.model)
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
+    _require_files(args.model)
     model = load_model(args.model)
-    w = model.weights.weights
+    w = model.weights
     boosted = int(np.count_nonzero(w > 1.0))
     lines = [
         f"classes: {', '.join(model.schema.classes)}",
         "attributes: "
         + ", ".join(f"{a.name}({a.kind})" for a in model.schema.attributes),
         "topology: " + "-".join(str(b) for b in model.topology),
-        f"trained on: {model.density.joint.n_train} examples",
+        f"trained on: {model.density.n_train} examples",
         f"config: alpha={model.config.alpha} max_rounds={model.config.max_rounds}"
         f" tag_gain={model.config.tag_gain} epsilon_floor={model.config.epsilon_floor:g}",
         f"epochs: {model.trace.epochs} ({'converged' if model.trace.converged else 'not converged'})",
         f"boosted cells: {boosted} of {sum(model.schema.n_classes * b for b in model.topology)}"
         f" (max weight {w.max():g})",
-        f"populated bins: {int(np.count_nonzero(model.density.tags.populated))}",
+        f"populated bins: {int(np.count_nonzero(model.density.counts > 0))}",
     ]
     print("\n".join(lines))
     return 0
@@ -364,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search per-attribute bin counts")
     p.add_argument("--spec", required=True, help="search description (JSON)")
-    p.add_argument("--parallel", type=int, default=None)
     p.add_argument("--out", default=None, help="write the trial log (JSON)")
     p.set_defaults(func=cmd_search)
 
@@ -386,6 +358,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except MissingFile as err:
+        print(f"no such file: {err}", file=sys.stderr)
+        return 2
     except (ParseError, SchemaError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

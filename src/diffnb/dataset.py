@@ -7,10 +7,9 @@ through them, so a malformed file is a ValueError naming the entry rather
 than a traceback.
 
 A dataset is its schema plus two read-only arrays, the (n, M) float64
-value matrix and the (n,) int64 class indices; its ``examples`` are
-derived from them on first access. ``parse_table`` fills those arrays
-column by column, a block of lines at a time, and walks a block line by
-line only to report the first bad line in it.
+value matrix and the (n,) int64 class indices. ``parse_table`` fills
+those arrays column by column, a block of lines at a time, and walks a
+block line by line only to report the first bad line in it.
 
 Everything here is a pure function over immutable inputs; datasets can be
 shared freely across threads.
@@ -19,8 +18,7 @@ shared freely across threads.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -138,14 +136,6 @@ class Schema:
 
 
 @dataclass(frozen=True)
-class Example:
-    """One labeled row: encoded numeric values plus a class index."""
-
-    values: tuple[float, ...]
-    label: int
-
-
-@dataclass(frozen=True)
 class Provenance:
     source: str
     split: str | None = None
@@ -201,11 +191,6 @@ class Dataset:
     def labels(self) -> np.ndarray:
         """Every example's class index as an (n,) int64 array; read-only."""
         return self.label_indices
-
-    @cached_property
-    def examples(self) -> tuple[Example, ...]:
-        """Every row as an :class:`Example`, built from the arrays on first access."""
-        return tuple(map(Example, map(tuple, self.values.tolist()), self.label_indices.tolist()))
 
     @staticmethod
     def build(schema: Schema, rows: Iterable[tuple[Sequence[float], int]], source: str = "memory") -> "Dataset":
@@ -405,7 +390,8 @@ def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseO
     value matrix. A block that fails anywhere is walked again line by line
     through :meth:`Schema.encode_value` and :meth:`Schema.class_index`, so
     the first bad line in file order raises, with the message a line by
-    line parse gives. A leading UTF-8 byte-order mark is skipped.
+    line parse gives, also ahead of a byte that is not UTF-8 (see
+    :func:`_read_block`). A leading UTF-8 byte-order mark is skipped.
     """
     encoders = [
         {tok: float(i) for i, tok in enumerate(a.values)}.__getitem__ if a.is_discrete else float
@@ -419,7 +405,7 @@ def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseO
     n_dropped = 0
     line_no = 0
     with open(path, "r", encoding="utf-8-sig") as fh:
-        while lines := fh.readlines(_BLOCK_CHARS):
+        while lines := _read_block(path, fh, line_no, schema, options):
             try:
                 values, labels, dropped = _encode_block(lines, schema, options, encoders, class_codes, layouts)
             except (_BadBlock, ValueError, KeyError):
@@ -434,6 +420,22 @@ def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseO
         raise ParseError(f"{path}: no examples")
     labels = np.concatenate(label_blocks)
     return Dataset(schema, values, labels, Provenance(str(path), n_dropped=n_dropped))
+
+
+def _read_block(path, fh, line_no: int, schema: Schema, options: ParseOptions) -> list[str]:
+    """The next block of ``fh``'s lines, the first ``line_no`` lines of the file already read.
+
+    A byte that is not UTF-8 fails the whole block, taking the lines
+    before it with it; those are then read again one at a time from a
+    fresh handle, so a bad line ahead of the byte raises first, as in a
+    line by line parse, and otherwise the decode error does.
+    """
+    try:
+        return fh.readlines(_BLOCK_CHARS)
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8-sig") as again:
+            _raise_first_fault(islice(again, line_no, None), line_no, schema, options)
+        raise
 
 
 def _layout_fields(n_fields: int, options: ParseOptions, m: int) -> tuple[int, ...] | None:
@@ -490,7 +492,7 @@ def _encode_block(lines, schema, options, encoders, class_codes, layouts):
     return values, labels, int(dropped.sum())
 
 
-def _raise_first_fault(lines: list[str], line_no: int, schema: Schema, options: ParseOptions) -> None:
+def _raise_first_fault(lines: Iterable[str], line_no: int, schema: Schema, options: ParseOptions) -> None:
     """Raise the error of the first bad line of a block whose first line is ``line_no + 1``.
 
     The checks run line by line in file order, as a per-line parse makes

@@ -5,7 +5,7 @@ bins. A cell (class k, attribute m, bin b) stores the count of training
 examples of class k whose attribute m falls in bin b; dividing by the
 training-set size gives the joint probability of the bin and the class.
 
-Each populated cell also remembers, for every *other* attribute, the min
+Each nonempty cell also remembers, for every *other* attribute, the min
 and max that attribute took over the cell's member examples. At scoring
 time a cell whose window excludes the query (any other attribute outside
 its remembered range) has its probability scaled down by a fixed gain:
@@ -16,6 +16,11 @@ or max of training values and the check is a pair of comparisons, so no
 rounding enters. Both routines here are vectorized over whole cells and
 blocks of rows, and return bit for bit what a loop over rows and
 attributes returns.
+
+A fitted :class:`DensityModel` holds these as plain arrays: ``counts``
+(K, M, B_max) beside ``n_train``, and the windows ``window_lo`` and
+``window_hi`` (K, M, B_max, M). A cell is empty where its count is 0;
+nothing else records it.
 
 A fitted model's arrays are read-only, and what scoring reads from them
 (the grid arrays, flat windows, and the logs of every cell's plain and
@@ -194,59 +199,37 @@ def resolve_topology(schema: Schema, bins: int | Sequence[int] | Mapping[str, in
 
 
 @dataclass(frozen=True)
-class JointTable:
-    """Per-class, per-attribute, per-bin example counts over a training set.
-
-    ``counts[k, m, b]`` is the number of training examples of class k
-    whose attribute m falls in bin b of that class's grid. Bins beyond an
-    attribute's own count are dead and stay zero. Dividing by ``n_train``
-    turns a cell into the joint probability of (bin, class). ``counts``
-    is made read-only on construction, since scoring tables derive from it.
-    """
-
-    counts: np.ndarray
-    n_train: int
-
-    def __post_init__(self):
-        read_only(self.counts)
-
-    def probabilities(self) -> np.ndarray:
-        return self.counts / float(self.n_train)
-
-
-@dataclass(frozen=True)
-class TagTable:
-    """Per-cell windows over the other attributes.
-
-    For a populated cell (k, m, b), ``lo[k, m, b, j]`` / ``hi[k, m, b, j]``
-    bound attribute j (j != m) over the cell's member examples. Unpopulated
-    cells and the j == m diagonal hold (-inf, +inf), which no value can
-    violate. All three arrays are made read-only on construction.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    populated: np.ndarray
-
-    def __post_init__(self):
-        for array in (self.lo, self.hi, self.populated):
-            read_only(array)
-
-
-@dataclass(frozen=True)
 class DensityModel:
-    """Frozen result of fitting grids, counts, and windows to a training set."""
+    """Frozen result of fitting grids, counts, and windows to a training set.
+
+    ``counts[k, m, b]`` is the number of the ``n_train`` training examples
+    of class k whose attribute m falls in bin b of the attribute's grid;
+    bins beyond an attribute's own count are dead and stay zero. Dividing
+    a count by ``n_train`` gives the joint probability of (bin, class).
+
+    ``window_lo[k, m, b, j]`` / ``window_hi[k, m, b, j]`` bound attribute j
+    (j != m) over the member examples of a nonempty cell (k, m, b), one
+    with a positive count. Empty cells and the j == m diagonal hold
+    (-inf, +inf), which no value can violate. The three arrays are made
+    read-only on construction, since scoring tables derive from them.
+    """
 
     schema: Schema
     topology: tuple[int, ...]
     bin_specs: tuple[BinSpec, ...]
-    joint: JointTable
-    tags: TagTable
+    counts: np.ndarray
+    n_train: int
+    window_lo: np.ndarray
+    window_hi: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.counts, self.window_lo, self.window_hi):
+            read_only(array)
 
     @property
     def epsilon_floor(self) -> float:
         """Probability substituted for empty cells: one tenth of one count."""
-        return 1.0 / (10.0 * self.joint.n_train)
+        return 1.0 / (10.0 * self.n_train)
 
     @functools.cached_property
     def scoring_tables(self) -> "ScoringTables":
@@ -265,13 +248,13 @@ class ScoringTables:
     """
 
     def __init__(self, density: DensityModel):
-        k, m, b_max = density.joint.counts.shape
+        k, m, b_max = density.counts.shape
         self.grid = BinGrid.of(density.bin_specs)
         self.offsets = read_only(np.arange(m) * b_max)
-        self.window_lo = density.tags.lo.reshape(k, m * b_max, m)
-        self.window_hi = density.tags.hi.reshape(k, m * b_max, m)
-        self._counts = density.joint.counts.reshape(k, m * b_max)
-        self._n_train = density.joint.n_train
+        self.window_lo = density.window_lo.reshape(k, m * b_max, m)
+        self.window_hi = density.window_hi.reshape(k, m * b_max, m)
+        self._counts = density.counts.reshape(k, m * b_max)
+        self._n_train = density.n_train
         self._logs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
     def log_likelihoods(self, tag_gain: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -344,12 +327,11 @@ def fit_density(
         counts[cell_k, j, cell_b] = np.diff(starts, append=n)
         lo[cell_k, j, cell_b] = _cell_extremes(np.minimum, members, starts)
         hi[cell_k, j, cell_b] = _cell_extremes(np.maximum, members, starts)
-    populated = counts > 0
     diag = np.arange(m)
     lo[:, diag, :, diag] = -np.inf
     hi[:, diag, :, diag] = np.inf
 
-    return DensityModel(schema, topology, specs, JointTable(counts, n), TagTable(lo, hi, populated))
+    return DensityModel(schema, topology, specs, counts, n, lo, hi)
 
 
 def tagged_likelihood(
@@ -371,10 +353,10 @@ def tagged_likelihood(
     if epsilon is None:
         epsilon = density.epsilon_floor
     b = bin_index(density.bin_specs[attr_index], values[attr_index])
-    count = density.joint.counts[class_index, attr_index, b]
-    base = count / float(density.joint.n_train) if count > 0 else epsilon
-    lo = density.tags.lo[class_index, attr_index, b]
-    hi = density.tags.hi[class_index, attr_index, b]
+    count = density.counts[class_index, attr_index, b]
+    base = count / float(density.n_train) if count > 0 else epsilon
+    lo = density.window_lo[class_index, attr_index, b]
+    hi = density.window_hi[class_index, attr_index, b]
     arr = np.asarray(values, dtype=np.float64)
     violated = bool(np.any((arr < lo) | (arr > hi)))
     return base * tag_gain if violated else base

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .boosting import Model, scores_from_logs, weighted_log_scores, winner_of, winners_of
-from .dataset import Example, SchemaError
+from .dataset import SchemaError
 from .density import likelihood_logs
 
 
@@ -30,8 +30,7 @@ class Posterior:
     tie: bool
 
 
-def _as_rows(model: Model, example) -> np.ndarray:
-    values = example.values if isinstance(example, Example) else example
+def _as_rows(model: Model, values: Sequence[float]) -> np.ndarray:
     m = model.schema.n_attributes
     if len(values) != m:
         raise SchemaError(f"example has {len(values)} values, model expects {m}")
@@ -56,33 +55,33 @@ def batch_scores(model: Model, values: np.ndarray) -> np.ndarray:
     return scores_from_logs(batch_log_scores(model, values))
 
 
-def class_scores(model: Model, example) -> np.ndarray:
-    """Unnormalized per-class scores of one example (or bare value sequence).
+def class_scores(model: Model, values: Sequence[float]) -> np.ndarray:
+    """Unnormalized per-class scores of one example's M encoded values.
 
     Equals the direct product of gated likelihoods and weights whenever
     that product is representable; extreme rows are rescaled against
     their max log, which the normalized posterior cancels out.
     """
-    return batch_scores(model, _as_rows(model, example))[0]
+    return batch_scores(model, _as_rows(model, values))[0]
 
 
-def posterior(model: Model, example) -> Posterior:
+def posterior(model: Model, values: Sequence[float]) -> Posterior:
     """Normalized posterior over classes; ties go to the lowest class index.
 
     The row is scored by :func:`batch_log_scores` as a batch of one, so a
     posterior agrees with :func:`predict_batch` bit for bit; the first
     call on a model builds its scoring tables, later calls only read them.
     """
-    logs = batch_log_scores(model, _as_rows(model, example))[0]
+    logs = batch_log_scores(model, _as_rows(model, values))[0]
     scores = scores_from_logs(logs)
     probs = scores / scores.sum()
     winner, tie = winner_of(logs)
     return Posterior(tuple(float(p) for p in probs), winner, tie)
 
 
-def predict(model: Model, example) -> str:
+def predict(model: Model, values: Sequence[float]) -> str:
     """Class label of the posterior winner."""
-    return model.schema.classes[posterior(model, example).winner]
+    return model.schema.classes[posterior(model, values).winner]
 
 
 def predict_batch(model: Model, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

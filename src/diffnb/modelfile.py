@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .boosting import Model, TrainConfig, TrainTrace, WeightTable
+from .boosting import Model, TrainConfig, TrainTrace
 from .dataset import Schema, json_entry, json_list, json_value, schema_from_json
-from .density import BinSpec, DensityModel, JointTable, TagTable
+from .density import BinSpec, DensityModel
 
 FORMAT_NAME = "diffnb-model"
 FORMAT_VERSION = 1
@@ -35,7 +35,9 @@ def _schema_to_json(schema: Schema) -> dict:
 
 
 def _tags_to_json(model: Model) -> list:
-    tags = model.density.tags
+    """Each cell's windows, None for an empty cell (count 0)."""
+    density = model.density
+    lo, hi = density.window_lo, density.window_hi
     k_n, m_n = model.schema.n_classes, model.schema.n_attributes
     out = []
     for k in range(k_n):
@@ -43,7 +45,7 @@ def _tags_to_json(model: Model) -> list:
         for m in range(m_n):
             per_attr = []
             for b in range(model.topology[m]):
-                if not tags.populated[k, m, b]:
+                if density.counts[k, m, b] <= 0:
                     per_attr.append(None)
                     continue
                 entry = []
@@ -51,7 +53,7 @@ def _tags_to_json(model: Model) -> list:
                     if j == m:
                         entry.append(None)
                     else:
-                        entry.append([float(tags.lo[k, m, b, j]), float(tags.hi[k, m, b, j])])
+                        entry.append([float(lo[k, m, b, j]), float(hi[k, m, b, j])])
                 per_attr.append(entry)
             per_class.append(per_attr)
         out.append(per_class)
@@ -61,11 +63,11 @@ def _tags_to_json(model: Model) -> list:
 def model_to_json(model: Model) -> str:
     k_n, m_n = model.schema.n_classes, model.schema.n_attributes
     counts = [
-        [[int(c) for c in model.density.joint.counts[k, m, : model.topology[m]]] for m in range(m_n)]
+        [[int(c) for c in model.density.counts[k, m, : model.topology[m]]] for m in range(m_n)]
         for k in range(k_n)
     ]
     weights = [
-        [[float(w) for w in model.weights.weights[k, m, : model.topology[m]]] for m in range(m_n)]
+        [[float(w) for w in model.weights[k, m, : model.topology[m]]] for m in range(m_n)]
         for k in range(k_n)
     ]
     doc = {
@@ -73,7 +75,7 @@ def model_to_json(model: Model) -> str:
         "version": FORMAT_VERSION,
         "schema": _schema_to_json(model.schema),
         "topology": list(model.topology),
-        "n_train": model.density.joint.n_train,
+        "n_train": model.density.n_train,
         "bin_specs": [
             {"lo": s.lo, "hi": s.hi, "count": s.count} for s in model.density.bin_specs
         ],
@@ -154,9 +156,7 @@ def model_from_json(text: str) -> Model:
         raise ValueError(
             f'{name} "counts", "weights" or "tags" do not match its schema and topology: {err}'
         ) from None
-    tags = TagTable(lo, hi, counts > 0)
-
-    density = DensityModel(schema, topology, specs, JointTable(counts, n_train), tags)
+    density = DensityModel(schema, topology, specs, counts, n_train, lo, hi)
     config_doc = f'{name} "config"'
     config = TrainConfig(
         alpha=json_entry(config_doc, raw_config, "alpha", "a number"),
@@ -167,7 +167,7 @@ def model_from_json(text: str) -> Model:
     )
     miss_counts = json_list(f'{name} "trace"', raw_trace, "miss_counts", "an integer")
     trace = TrainTrace(tuple(int(c) for c in miss_counts))
-    return Model(schema, topology, density, WeightTable(weights), config, trace)
+    return Model(density, weights, config, trace)
 
 
 def save_model(model: Model, path: str | Path) -> None:

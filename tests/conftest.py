@@ -41,6 +41,11 @@ def xor_data() -> Dataset:
     return xor_dataset()
 
 
+def rows_of(data: Dataset) -> list[tuple[tuple[float, ...], int]]:
+    """Every row of ``data`` as a ``(values, label)`` pair of Python floats and an int."""
+    return list(zip(map(tuple, data.value_matrix().tolist()), data.labels().tolist()))
+
+
 # -- shared strategies -------------------------------------------------------
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

@@ -142,8 +142,8 @@ class TestMonks:
 class TestXor:
     def test_ungated_posteriors_all_tie_even(self):
         model, _ = train(xor_dataset(), TrainConfig(topology=2, tag_gain=1.0, max_rounds=5))
-        for example in xor_dataset().examples:
-            post = posterior(model, example.values)
+        for values in xor_dataset().value_matrix():
+            post = posterior(model, values)
             assert post.tie
             for p in post.probabilities:
                 assert abs(p - 0.5) <= 1e-9
@@ -156,8 +156,8 @@ class TestXor:
 
 def oracle_density(data, topology):
     """Scalar, dict-based refit of the count/window tables."""
-    rows = [[float(v) for v in ex.values] for ex in data.examples]
-    labels = [ex.label for ex in data.examples]
+    rows = data.value_matrix().tolist()
+    labels = data.labels().tolist()
     m_n = data.schema.n_attributes
     k_n = data.schema.n_classes
     edges = []
@@ -190,13 +190,14 @@ class TestOracleEquivalence:
         data, topology = problem
         density = fit_density(data, topology)
         edges, counts, members = oracle_density(data, topology)
-        rows = [[float(v) for v in ex.values] for ex in data.examples]
+        rows = data.value_matrix().tolist()
         n = len(data)
         m_n = data.schema.n_attributes
         k_n = data.schema.n_classes
 
         assert density.epsilon_floor == 1.0 / (10.0 * n)
-        probabilities = density.joint.probabilities()
+        assert density.n_train == n
+        probabilities = density.counts / float(density.n_train)
         for m in range(m_n):
             spec = density.bin_specs[m]
             assert (spec.lo, spec.hi) == edges[m][:2]
@@ -205,20 +206,19 @@ class TestOracleEquivalence:
             for m in range(m_n):
                 for b in range(topology[m]):
                     want = counts[k][m][b]
-                    assert int(density.joint.counts[k, m, b]) == want
+                    assert int(density.counts[k, m, b]) == want
                     assert probabilities[k, m, b] == want / n
-                    assert bool(density.tags.populated[k, m, b]) == (want > 0)
                     group = members.get((k, m, b))
                     for j in range(m_n):
-                        lo = density.tags.lo[k, m, b, j]
-                        hi = density.tags.hi[k, m, b, j]
+                        lo = density.window_lo[k, m, b, j]
+                        hi = density.window_hi[k, m, b, j]
                         if group is None or j == m:
                             assert lo == -math.inf and hi == math.inf
                         else:
                             assert lo == min(rows[i][j] for i in group)
                             assert hi == max(rows[i][j] for i in group)
                 # bins past this attribute's own count stay untouched
-                assert not density.joint.counts[k, m, topology[m] :].any()
+                assert not density.counts[k, m, topology[m] :].any()
 
 
 _INVARIANT_SECONDS: list[float] = []
@@ -251,9 +251,9 @@ class TestInvariants:
         labels = data.labels()
         n_k = np.bincount(labels, minlength=data.schema.n_classes)
         for m in range(data.schema.n_attributes):
-            per_class = density.joint.counts[:, m, :].sum(axis=1)
+            per_class = density.counts[:, m, :].sum(axis=1)
             assert np.array_equal(per_class, n_k)
-        assert density.joint.n_train == len(data)
+        assert density.n_train == len(data)
 
     @S1000
     @given(small_problems(), st.integers(1, 3))
@@ -317,10 +317,10 @@ class TestInvariants:
         assert loaded.config == model.config
         assert loaded.trace == model.trace
         assert loaded.density.bin_specs == model.density.bin_specs
-        assert np.array_equal(loaded.density.joint.counts, model.density.joint.counts)
-        assert np.array_equal(loaded.density.tags.lo, model.density.tags.lo)
-        assert np.array_equal(loaded.density.tags.hi, model.density.tags.hi)
-        assert np.array_equal(loaded.weights.weights, model.weights.weights)
+        assert np.array_equal(loaded.density.counts, model.density.counts)
+        assert np.array_equal(loaded.density.window_lo, model.density.window_lo)
+        assert np.array_equal(loaded.density.window_hi, model.density.window_hi)
+        assert np.array_equal(loaded.weights, model.weights)
         values = data.value_matrix()
         assert np.array_equal(batch_log_scores(loaded, values), batch_log_scores(model, values))
 
@@ -332,7 +332,7 @@ class TestInvariants:
         first, first_trace = train(data, config)
         second, second_trace = train(data, config)
         assert first_trace == second_trace
-        assert np.array_equal(first.weights.weights, second.weights.weights)
+        assert np.array_equal(first.weights, second.weights)
         values = data.value_matrix()
         assert np.array_equal(batch_log_scores(first, values), batch_log_scores(second, values))
 

@@ -129,7 +129,7 @@ class TestScoring:
         model, _ = train(xor_dataset(), TrainConfig(topology=2))
         k, m, b = model.log_weights.shape
         assert model.log_weights.reshape(k, m * b).T.flags.c_contiguous
-        assert model.log_weights.tobytes() == np.log(model.weights.weights).tobytes()
+        assert model.log_weights.tobytes() == np.log(model.weights).tobytes()
 
     def test_moderate_rows_exponentiate_directly(self):
         logs = np.log(np.array([[0.3, 0.6], [0.1, 0.05]]))
@@ -157,9 +157,9 @@ class TestReadOnlyModels:
     def test_trained_weights_refuse_writes(self):
         model, _ = train(xor_dataset(), TrainConfig(topology=2))
         with pytest.raises(ValueError, match="read-only"):
-            model.weights.weights[0, 0, 0] = 5.0
+            model.weights[0, 0, 0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
-            boost_example(model.weights.weights, np.array([0, 0]), 1, np.array([0.8, 0.2]), 2.0)
+            boost_example(model.weights, np.array([0, 0]), 1, np.array([0.8, 0.2]), 2.0)
         with pytest.raises(ValueError, match="read-only"):
             model.log_weights[0, 0, 0] = 0.0
 
@@ -172,7 +172,7 @@ class TestReadOnlyModels:
         assert state.logw[cell] == np.log(2.5)
         run_epoch(state)
         model, trace = train(xor_dataset(), TrainConfig(topology=2))
-        assert trace.converged and not model.weights.weights.flags.writeable
+        assert trace.converged and not model.weights.flags.writeable
 
 
 class TestEpochs:
@@ -200,7 +200,7 @@ class TestEpochs:
         data = one_attr_dataset([(5, 0), (5, 1), (5, 1), (9, 1)])
         model, trace = train(data, TrainConfig(max_rounds=4, topology=(2,)))
         assert trace.miss_counts == (3, 2, 2, 2)
-        weights = model.weights.weights
+        weights = model.weights
         assert weights[0, 0, 0] == 2.0
         assert weights[0, 0, 1] == 1.0
         assert np.all(weights[1] == 1.0)
@@ -214,7 +214,7 @@ class TestEpochs:
         model, trace = train(xor_dataset(), TrainConfig(topology=2))
         assert trace.miss_counts == (0,)
         assert trace.converged and trace.converged_epoch == 1
-        assert np.all(model.weights.weights == 1.0)
+        assert np.all(model.weights == 1.0)
 
     def test_xor_without_windows_never_converges(self):
         model, trace = train(xor_dataset(), TrainConfig(topology=2, tag_gain=1.0, max_rounds=6))

@@ -96,6 +96,14 @@ class TestTrain:
         assert "no such file" in captured.err
         assert not (workdir / "m.json").exists()
 
+    def test_undecodable_byte_is_a_runtime_error(self, workdir, capsys):
+        (workdir / "xor.data").write_bytes(b"0 0 c0\n1 1 c0\n0 \xff c1\n1 0 c1\n")
+        code, model_path = train_xor(workdir)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+        assert not model_path.exists()
+
     def test_non_finite_value_is_a_runtime_error(self, workdir, capsys):
         (workdir / "xor.data").write_text("0 0 c0\n1 1 c0\nnan 1 c1\n1 0 c1\n")
         code, model_path = train_xor(workdir)
@@ -406,6 +414,14 @@ class TestSearch:
         assert code == 0
         assert "best topology: 2-2" in out
         assert "trials: 1" in out
+
+    def test_parallel_flag_is_a_usage_error(self, workdir, capsys):
+        # the spec's "parallelism" is the one way to set the worker count
+        (workdir / "search.json").write_text(json.dumps(SEARCH_SPEC))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "--spec", str(workdir / "search.json"), "--parallel", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
 
     def test_unknown_attribute_name_fails(self, workdir, capsys):
         spec = {
@@ -773,14 +789,79 @@ class TestInspect:
         _, model_path = train_xor(workdir)
         capsys.readouterr()
         code = main(["inspect", "--model", str(model_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "classes: c0, c1" in out
-        assert "attributes: a(continuous), b(continuous)" in out
-        assert "topology: 2-2" in out
-        assert "trained on: 4 examples" in out
-        assert "epochs: 1 (converged)" in out
-        assert "epsilon_floor=0.025" in out
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.splitlines() == [
+            "classes: c0, c1",
+            "attributes: a(continuous), b(continuous)",
+            "topology: 2-2",
+            "trained on: 4 examples",
+            "config: alpha=2.0 max_rounds=500 tag_gain=0.25 epsilon_floor=0.025",
+            "epochs: 1 (converged)",
+            "boosted cells: 0 of 8 (max weight 1)",
+            "populated bins: 8",
+        ]
+
+    def test_boosted_and_empty_cells_are_counted(self, workdir, capsys):
+        # three bins over {5, 9} leave the middle bins empty; c0 wins
+        # nothing, so its cells are boosted every epoch
+        (workdir / "xor.data").write_text("5 0 c0\n5 0 c1\n5 0 c1\n9 0 c1\n")
+        model_path = workdir / "xor.model.json"
+        main(["train", "--data", str(workdir / "xor.data"), "--schema", str(workdir / "xor.schema.json"),
+              "--bins", "3", "--max-rounds", "4", "--out", str(model_path)])
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [
+            "epochs: 4 (not converged)",
+            "boosted cells: 4 of 12 (max weight 3.50057)",
+            "populated bins: 5",
+        ]
+
+
+SEARCH_SPEC = {"schema": "xor.schema.json", "train": "xor.data", "validation": "xor.data", "ranges": [[2], [2]]}
+
+
+class TestMissingInputFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--data", "absent", "--schema", "xor.schema.json", "--out", "out.json"],
+            ["train", "--data", "xor.data", "--schema", "absent", "--out", "out.json"],
+            ["evaluate", "--model", "absent", "--data", "xor.data"],
+            ["evaluate", "--model", "xor.model.json", "--data", "absent"],
+            ["predict", "--model", "absent", "--data", "xor.rows"],
+            ["predict", "--model", "xor.model.json", "--data", "absent"],
+            ["search", "--spec", "absent", "--out", "out.json"],
+            ["search", "--spec", {"schema": "absent"}, "--out", "out.json"],
+            ["search", "--spec", {"data": "absent", "train_count": 3}, "--out", "out.json"],
+            ["search", "--spec", {"train": "absent"}, "--out", "out.json"],
+            ["search", "--spec", {"validation": "absent"}, "--out", "out.json"],
+            ["benchmark", "--suite", "absent", "--out", "out.json"],
+            ["inspect", "--model", "absent"],
+        ],
+        ids=[
+            "train-data", "train-schema", "evaluate-model", "evaluate-data", "predict-model",
+            "predict-data", "search-spec", "spec-schema", "spec-data", "spec-train",
+            "spec-validation", "benchmark-suite", "inspect-model",
+        ],
+    )
+    def test_is_a_usage_error(self, workdir, capsys, monkeypatch, argv):
+        # paths are relative to the work directory, and so are a spec's
+        monkeypatch.chdir(workdir)
+        train_xor(workdir)  # the model the other commands read
+        capsys.readouterr()
+        argv = list(argv)
+        for i, arg in enumerate(argv):
+            if isinstance(arg, dict):
+                Path("search.json").write_text(json.dumps({**SEARCH_SPEC, **arg}))
+                argv[i] = "search.json"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "no such file: absent\n"
+        assert captured.out == ""
+        assert not Path("out.json").exists()
 
 
 def test_import_loads_no_pool_machinery():

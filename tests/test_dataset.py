@@ -13,7 +13,6 @@ from diffnb import dataset
 from diffnb.dataset import (
     AttributeSpec,
     Dataset,
-    Example,
     ParseError,
     ParseOptions,
     Provenance,
@@ -25,7 +24,7 @@ from diffnb.dataset import (
     split_fields,
 )
 
-from conftest import xor_schema
+from conftest import rows_of, xor_schema
 
 
 def two_class(*attrs):
@@ -145,21 +144,12 @@ class TestDataset:
     def test_pickled_dataset_keeps_read_only_arrays(self):
         # a search worker receives its datasets pickled
         data = Dataset.build(xor_schema(), [((0.0, 1.0), 0), ((2.0, 3.0), 1)], source="xor")
-        data.examples
         copy = pickle.loads(pickle.dumps(data))
         assert copy.schema == data.schema and copy.provenance == data.provenance
         assert copy.value_matrix().tobytes() == data.value_matrix().tobytes()
         assert copy.labels().tobytes() == data.labels().tobytes()
-        assert copy.examples == data.examples
         for array in (copy.value_matrix(), copy.labels()):
             assert not array.flags.writeable
-
-    def test_examples_are_derived_from_the_arrays(self):
-        data = Dataset.build(xor_schema(), [((0.0, 1.0), 0), ((2.0, 3.0), 1)])
-        assert data.examples == (Example((0.0, 1.0), 0), Example((2.0, 3.0), 1))
-        assert data.examples is data.examples
-        assert all(type(v) is float for ex in data.examples for v in ex.values)
-        assert all(type(ex.label) is int for ex in data.examples)
 
     def test_arrays_are_taken_as_given_and_frozen(self):
         values = np.array([[0.0, 1.0]])
@@ -176,7 +166,7 @@ class TestDataset:
 
     def test_empty_dataset(self):
         data = Dataset.build(xor_schema(), [])
-        assert len(data) == 0 and data.value_matrix().shape == (0, 2) and data.examples == ()
+        assert len(data) == 0 and data.value_matrix().shape == (0, 2) and data.labels().shape == (0,)
 
 
 class TestLoadSchema:
@@ -206,13 +196,13 @@ class TestParseTable:
         path = self.write(tmp_path, "0 1 c1\n\n1 0 c1\n")
         data = parse_table(path, xor_schema())
         assert len(data) == 2
-        assert data.examples[0] == Example((0.0, 1.0), 1)
+        assert rows_of(data)[0] == ((0.0, 1.0), 1)
 
     def test_label_col_and_ignored_cols(self, tmp_path):
         path = self.write(tmp_path, "c0,999,0.5,1.5\n")
         options = ParseOptions(delimiter=",", label_col=0, ignore_cols=(1,))
         data = parse_table(path, xor_schema(), options)
-        assert data.examples[0] == Example((0.5, 1.5), 0)
+        assert rows_of(data) == [((0.5, 1.5), 0)]
 
     def test_missing_rows_dropped_and_counted(self, tmp_path):
         path = self.write(tmp_path, "1 1 c0\n? 1 c0\n1 ? c1\n0 0 c1\n")
@@ -246,6 +236,25 @@ class TestParseTable:
         with pytest.raises(ParseError, match="no examples"):
             parse_table(path, xor_schema())
 
+    @pytest.mark.parametrize(
+        "second, error, message",
+        [
+            ("1.0 abc c1", ParseError, "line 2: attribute 'b': not a number: 'abc'"),
+            ("1.0 1 c1", UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["bad-line-first", "bad-byte-only"],
+    )
+    def test_bad_line_ahead_of_a_bad_byte_raises_first(self, tmp_path, second, error, message):
+        # the byte sits past offset 20000, in the read block that holds
+        # line 2 but in a later decoded chunk: a line by line parse meets
+        # the bad line first
+        filler = "".join(f"{i % 2} {i % 3} c{i % 2}\n" for i in range(3000))
+        path = tmp_path / "rows.data"
+        path.write_bytes(f"0 0 c0\n{second}\n{filler}".encode() + b"0 \xff c1\n" + filler.encode())
+        assert path.read_bytes().index(b"\xff") > 20000
+        with pytest.raises(error, match=message):
+            parse_table(path, xor_schema())
+
     def test_parse_is_deterministic(self, tmp_path):
         path = self.write(tmp_path, "0 1 c1\n1 0 c1\n0 0 c0\n")
         first, second = parse_table(path, xor_schema()), parse_table(path, xor_schema())
@@ -255,7 +264,7 @@ class TestParseTable:
 
 
 def reference_parse_table(path, schema, options=ParseOptions()):
-    """The per-line parse that ``parse_table`` replaced: (examples, n_dropped).
+    """The per-line parse that ``parse_table`` replaced: ((values, label) rows, n_dropped).
 
     Kept as the reference the column-wise parse must match value for
     value, and error for error.
@@ -291,7 +300,7 @@ def reference_parse_table(path, schema, options=ParseOptions()):
                 values = tuple(schema.encode_value(i, tok) for i, tok in enumerate(value_fields))
             except (ParseError, SchemaError) as err:
                 raise type(err)(f"line {line_no}: {err}") from None
-            examples.append(Example(values, label))
+            examples.append((values, label))
     if not examples:
         raise ParseError(f"{path}: no examples")
     return tuple(examples), n_dropped
@@ -393,14 +402,14 @@ class TestColumnWiseParseMatchesPerLine:
         with mock.patch.object(dataset, "_BLOCK_CHARS", block_chars):
             got = parse_outcome(parse_table, path, schema, options)
         if expected[0] == "ok" and got[0] == "ok":
-            # equal Examples hold equal floats; the bytes also tell -0.0 from 0.0
+            # equal rows hold equal floats; the bytes also tell -0.0 from 0.0
             examples, n_dropped = expected[1]
-            reference = np.array([ex.values for ex in examples]).reshape(-1, schema.n_attributes)
-            labels = np.array([ex.label for ex in examples], dtype=np.int64)
+            reference = np.array([values for values, _ in examples]).reshape(-1, schema.n_attributes)
+            labels = np.array([label for _, label in examples], dtype=np.int64)
             data = got[1]
             assert data.value_matrix().tobytes() == reference.tobytes()
             assert data.labels().tobytes() == labels.tobytes()
-            got = "ok", (data.examples, data.provenance.n_dropped)
+            got = "ok", (tuple(rows_of(data)), data.provenance.n_dropped)
         assert got == expected
         return expected
 
@@ -485,16 +494,15 @@ class TestSplitDataset:
     def test_file_order_default(self):
         data = self.build(6)
         train, test = split_dataset(data, 4)
-        assert train.examples == data.examples[:4]
-        assert test.examples == data.examples[4:]
+        assert rows_of(train) == rows_of(data)[:4]
+        assert rows_of(test) == rows_of(data)[4:]
 
     @given(st.integers(1, 9), st.integers(0, 2**32 - 1))
     def test_partition_property(self, train_count, seed):
         data = self.build(10)
         train, test = split_dataset(data, train_count, seed)
         assert len(train) == train_count and len(test) == 10 - train_count
-        merged = sorted(train.examples + test.examples, key=lambda e: e.values)
-        assert merged == sorted(data.examples, key=lambda e: e.values)
+        assert sorted(rows_of(train) + rows_of(test)) == sorted(rows_of(data))
 
     @given(st.lists(st.tuples(st.floats(allow_nan=False), st.integers(0, 1)), min_size=2, max_size=30), st.data())
     def test_matches_the_per_example_split(self, rows, data):
@@ -503,15 +511,16 @@ class TestSplitDataset:
         train_count = data.draw(st.integers(1, n - 1))
         seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
         order = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
-        picked = [full.examples[i] for i in order]
+        full_rows = rows_of(full)
+        picked = [full_rows[i] for i in order]
         tag = "order=file" if seed is None else f"order=shuffled(seed={seed})"
         train, test = split_dataset(full, train_count, seed)
         for part, examples, split in (
             (train, picked[:train_count], f"train[{train_count}] {tag}"),
             (test, picked[train_count:], f"test[{n - train_count}] {tag}"),
         ):
-            assert part.value_matrix().tobytes() == np.array([ex.values for ex in examples]).tobytes()
-            assert part.labels().tobytes() == np.array([ex.label for ex in examples], dtype=np.int64).tobytes()
+            assert part.value_matrix().tobytes() == np.array([values for values, _ in examples]).tobytes()
+            assert part.labels().tobytes() == np.array([label for _, label in examples], dtype=np.int64).tobytes()
             assert part.provenance == Provenance("rows.data", split)
             assert not part.value_matrix().flags.writeable and not part.labels().flags.writeable
 
@@ -519,8 +528,8 @@ class TestSplitDataset:
         data = self.build(10)
         first = split_dataset(data, 5, shuffle_seed=42)
         second = split_dataset(data, 5, shuffle_seed=42)
-        assert first[0].examples == second[0].examples
-        assert first[1].examples == second[1].examples
+        assert rows_of(first[0]) == rows_of(second[0])
+        assert rows_of(first[1]) == rows_of(second[1])
 
     def test_bounds_checked(self):
         data = self.build(4)

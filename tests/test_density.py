@@ -158,23 +158,22 @@ class TestFitDensity:
         density = fit_density(xor_dataset(), 2)
         assert density.topology == (2, 2)
         # every (class, attribute, bin) cell holds exactly one of the 4 rows
-        assert density.joint.counts.tolist() == [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]
-        assert np.all(density.joint.probabilities() == 0.25)
-        tags = density.tags
+        assert density.counts.tolist() == [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]
+        assert density.n_train == 4
+        lo, hi = density.window_lo, density.window_hi
         # class c1 rows are (0,1) and (1,0): bin 0 of attribute a saw only b=1
-        assert tags.lo[1, 0, 0, 1] == 1.0 and tags.hi[1, 0, 0, 1] == 1.0
-        assert tags.lo[0, 0, 1, 1] == 1.0 and tags.hi[0, 0, 1, 1] == 1.0
-        assert tags.lo[1, 0, 1, 1] == 0.0 and tags.hi[1, 0, 1, 1] == 0.0
+        assert lo[1, 0, 0, 1] == 1.0 and hi[1, 0, 0, 1] == 1.0
+        assert lo[0, 0, 1, 1] == 1.0 and hi[0, 0, 1, 1] == 1.0
+        assert lo[1, 0, 1, 1] == 0.0 and hi[1, 0, 1, 1] == 0.0
         # own-attribute entries never constrain
-        assert np.all(np.isinf(tags.lo[:, 0, :, 0])) and np.all(np.isinf(tags.hi[:, 0, :, 0]))
+        assert np.all(np.isinf(lo[:, 0, :, 0])) and np.all(np.isinf(hi[:, 0, :, 0]))
 
     def test_single_class_leaves_other_plane_empty(self):
         data = Dataset.build(xor_dataset().schema, [((0.0, 1.0), 0), ((1.0, 0.0), 0)])
         density = fit_density(data, 2)
-        assert np.all(density.joint.counts[1] == 0)
-        assert not density.tags.populated[1].any()
-        assert np.all(density.tags.lo[1] == -np.inf)
-        assert np.all(density.tags.hi[1] == np.inf)
+        assert np.all(density.counts[1] == 0)
+        assert np.all(density.window_lo[1] == -np.inf)
+        assert np.all(density.window_hi[1] == np.inf)
 
     def test_epsilon_floor_is_tenth_of_a_count(self):
         density = fit_density(xor_dataset(), 2)
@@ -184,12 +183,12 @@ class TestFitDensity:
     def test_count_conservation(self, problem):
         data, topology = problem
         density = fit_density(data, topology)
-        per_attribute = density.joint.counts.sum(axis=(0, 2))
+        per_attribute = density.counts.sum(axis=(0, 2))
         assert np.all(per_attribute == len(data))
 
     @given(small_problems())
     def test_tag_soundness_rescan(self, problem):
-        # brute-force re-scan of every populated cell reproduces its windows
+        # brute-force re-scan of every cell reproduces its count and windows
         data, topology = problem
         density = fit_density(data, topology)
         values = data.value_matrix()
@@ -203,16 +202,15 @@ class TestFitDensity:
                         for i in range(len(data))
                         if labels[i] == k and bin_index(density.bin_specs[m], values[i, m]) == b
                     ]
+                    assert density.counts[k, m, b] == len(members)
                     if not members:
-                        assert not density.tags.populated[k, m, b]
                         continue
-                    assert density.tags.populated[k, m, b]
                     for j in range(m_n):
                         if j == m:
                             continue
                         column = [values[i, j] for i in members]
-                        assert density.tags.lo[k, m, b, j] == min(column)
-                        assert density.tags.hi[k, m, b, j] == max(column)
+                        assert density.window_lo[k, m, b, j] == min(column)
+                        assert density.window_hi[k, m, b, j] == max(column)
 
 
 class TestTaggedLikelihood:
@@ -237,7 +235,7 @@ class TestTaggedLikelihood:
         data = Dataset.build(xor_dataset().schema, [((0.0, 0.0), 0), ((1.0, 1.0), 1)])
         density = fit_density(data, 2)
         # class c0 never hit bin 1 of attribute a; the window is infinite, so no gate
-        assert density.joint.counts[0, 0, 1] == 0
+        assert density.counts[0, 0, 1] == 0
         assert tagged_likelihood(density, (1.0, 1.0), 0, 0) == density.epsilon_floor
         assert tagged_likelihood(density, (1.0, 1.0), 0, 0, epsilon=0.007) == 0.007
 
@@ -249,7 +247,7 @@ class TestTaggedLikelihood:
         density = fit_density(data, 3)
         for values, label in rows:
             for m in (0, 1):
-                raw = density.joint.counts[label, m, bin_index(density.bin_specs[m], values[m])] / 4.0
+                raw = density.counts[label, m, bin_index(density.bin_specs[m], values[m])] / 4.0
                 assert tagged_likelihood(density, values, label, m) == raw
 
     @given(small_problems(max_n=12, max_attrs=3), st.data())
@@ -281,7 +279,7 @@ class TestTaggedLikelihood:
 def reference_fit(data, topology):
     """Counts and windows by element-wise ``ufunc.at`` scatters, row by row.
 
-    Returns (counts, lo, hi, populated) as :func:`fit_density` lays them out.
+    Returns (counts, lo, hi) as :func:`fit_density` lays them out.
     """
     values = data.value_matrix()
     labels = data.labels()
@@ -303,13 +301,13 @@ def reference_fit(data, topology):
         cell = (labels, np.full(n, j), binned[:, j])
         np.minimum.at(lo, cell, values)
         np.maximum.at(hi, cell, values)
-    populated = counts > 0
-    lo[~populated] = -np.inf
-    hi[~populated] = np.inf
+    empty = counts == 0
+    lo[empty] = -np.inf
+    hi[empty] = np.inf
     diag = np.arange(m)
     lo[:, diag, :, diag] = -np.inf
     hi[:, diag, :, diag] = np.inf
-    return counts, lo, hi, populated
+    return counts, lo, hi
 
 
 def reference_likelihood_logs(density, values, tag_gain=DEFAULT_TAG_GAIN):
@@ -323,12 +321,12 @@ def reference_likelihood_logs(density, values, tag_gain=DEFAULT_TAG_GAIN):
     ).reshape(n, m)
     rows = np.arange(n)[:, None]
     attrs = np.arange(m)[None, :]
-    counts = density.joint.counts[:, attrs, binned[rows, attrs]]
-    base = np.where(counts > 0, counts / float(density.joint.n_train), epsilon)
+    counts = density.counts[:, attrs, binned[rows, attrs]]
+    base = np.where(counts > 0, counts / float(density.n_train), epsilon)
     violated = np.zeros((k, n, m), dtype=bool)
     for j in range(m):
-        lo_j = density.tags.lo[:, :, :, j][:, attrs, binned[rows, attrs]]
-        hi_j = density.tags.hi[:, :, :, j][:, attrs, binned[rows, attrs]]
+        lo_j = density.window_lo[:, :, :, j][:, attrs, binned[rows, attrs]]
+        hi_j = density.window_hi[:, :, :, j][:, attrs, binned[rows, attrs]]
         v_j = values[:, j][None, :, None]
         violated |= (v_j < lo_j) | (v_j > hi_j)
     gated = np.where(violated, base * tag_gain, base)
@@ -353,11 +351,10 @@ def assert_identical(got, want):
 
 def assert_matches_references(data, topology, queries):
     density = fit_density(data, topology)
-    counts, lo, hi, populated = reference_fit(data, topology)
-    assert_identical(density.joint.counts, counts)
-    assert_identical(density.tags.lo, lo)
-    assert_identical(density.tags.hi, hi)
-    assert_identical(density.tags.populated, populated)
+    counts, lo, hi = reference_fit(data, topology)
+    assert_identical(density.counts, counts)
+    assert_identical(density.window_lo, lo)
+    assert_identical(density.window_hi, hi)
     bins, parts = likelihood_logs(density, queries)
     ref_bins, ref_parts = reference_likelihood_logs(density, queries)
     assert_identical(bins, ref_bins)
@@ -375,7 +372,7 @@ class TestVectorizedMatchesLoops:
         data, topology = problem
         m = data.schema.n_attributes
         fresh = extra.draw(st.lists(st.lists(zero_heavy_values, min_size=m, max_size=m), max_size=6))
-        queries = np.array([ex.values for ex in data.examples] + fresh).reshape(-1, m)
+        queries = np.array(data.value_matrix().tolist() + fresh).reshape(-1, m)
         assert_matches_references(data, topology, queries)
 
     @given(small_problems(values=zero_heavy_values, max_n=1))
@@ -388,7 +385,7 @@ class TestVectorizedMatchesLoops:
         rows = [((0.0, -0.0), 0), ((0.0, 0.0), 0), ((0.0, -0.0), 0), ((0.0, 3.0), 1)]
         data = Dataset.build(schema, rows)
         density = fit_density(data, 1)
-        assert np.signbit(density.tags.lo[0, 0, 0, 1]) and np.signbit(density.tags.hi[0, 0, 0, 1])
+        assert np.signbit(density.window_lo[0, 0, 0, 1]) and np.signbit(density.window_hi[0, 0, 0, 1])
         assert_matches_references(data, 1, np.zeros((1, 2)))
 
     @settings(max_examples=25)
@@ -445,13 +442,13 @@ def reference_likelihood_logs_inline(density, values, tag_gain=DEFAULT_TAG_GAIN,
     raw[:, flat] = 0.0
     binned = np.clip(raw, 0.0, top).astype(np.int64)
 
-    counts = density.joint.counts[:, np.arange(m), binned]  # (K, n, M)
-    base = np.where(counts > 0, counts / float(density.joint.n_train), epsilon)
+    counts = density.counts[:, np.arange(m), binned]  # (K, n, M)
+    base = np.where(counts > 0, counts / float(density.n_train), epsilon)
 
-    b_max = density.joint.counts.shape[2]
+    b_max = density.counts.shape[2]
     cells = np.arange(m) * b_max + binned
-    lo = density.tags.lo.reshape(k, m * b_max, m)
-    hi = density.tags.hi.reshape(k, m * b_max, m)
+    lo = density.window_lo.reshape(k, m * b_max, m)
+    hi = density.window_hi.reshape(k, m * b_max, m)
     step = max(1, _CHECK_BUDGET // (k * m * m))
     violated = np.empty((k, n, m), dtype=bool)
     for start in range(0, n, step):
@@ -484,7 +481,7 @@ class TestScoringTablesMatchInline:
         data, topology = problem
         density = fit_density(data, topology)
         m = data.schema.n_attributes
-        rows = [ex.values for ex in data.examples[:3]]
+        rows = data.value_matrix()[:3].tolist()
         rows += extra.draw(st.lists(query_rows(m, table_values), min_size=1, max_size=4))
         for row in rows:
             assert_same_bytes(density, np.array([row]))
@@ -526,12 +523,11 @@ class TestFittedArraysAreReadOnly:
     @pytest.mark.parametrize(
         "array",
         [
-            lambda d: d.joint.counts,
-            lambda d: d.tags.lo,
-            lambda d: d.tags.hi,
-            lambda d: d.tags.populated,
+            lambda d: d.counts,
+            lambda d: d.window_lo,
+            lambda d: d.window_hi,
         ],
-        ids=["counts", "lo", "hi", "populated"],
+        ids=["counts", "lo", "hi"],
     )
     def test_in_place_writes_raise(self, array):
         target = array(fit_density(xor_dataset(), 2))

@@ -140,7 +140,7 @@ class TestTrainingReport:
         assert_reports_equal(training_report(model, data, logs), evaluate(model, data))
         # train is train_with_scores without the scores
         again, again_trace = train(data, TrainConfig(max_rounds=rounds, topology=topology))
-        assert again_trace == trace and np.array_equal(again.weights.weights, model.weights.weights)
+        assert again_trace == trace and np.array_equal(again.weights, model.weights)
 
 
 class TestRendering:

@@ -9,8 +9,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from diffnb import density as density_module
-from diffnb.boosting import TrainConfig, WeightTable, scores_from_logs, train, winner_of
-from diffnb.dataset import Example, SchemaError
+from diffnb.boosting import TrainConfig, scores_from_logs, train, winner_of
+from diffnb.dataset import SchemaError
 from diffnb.density import bin_index, tagged_likelihood
 from diffnb.inference import batch_scores, class_scores, posterior, predict, predict_batch
 from diffnb.modelfile import model_from_json, model_to_json
@@ -42,7 +42,7 @@ class TestXorValues:
     def test_predict_returns_the_label(self, xor_model):
         assert predict(xor_model, (0.0, 0.0)) == "c0"
         assert predict(xor_model, (0.0, 1.0)) == "c1"
-        assert predict(xor_model, Example((1.0, 0.0), 1)) == "c1"
+        assert predict(xor_model, xor_dataset().value_matrix()[3]) == "c1"  # the row (1, 0)
 
     def test_all_four_rows_learned(self, xor_model):
         winners, ties = predict_batch(xor_model, xor_dataset().value_matrix())
@@ -82,7 +82,7 @@ class TestFidelity:
                 direct *= tagged_likelihood(
                     model.density, row, k, m_i, model.config.tag_gain, model.config.epsilon_floor
                 )
-                direct *= model.weights.weights[k, m_i, b]
+                direct *= model.weights[k, m_i, b]
             assert scores[k] == pytest.approx(direct, rel=1e-12)
 
     @given(small_problems(max_n=10, max_attrs=4), st.data())
@@ -116,7 +116,7 @@ class TestFidelity:
                     lik = tagged_likelihood(
                         model.density, query, k, m_i, model.config.tag_gain, model.config.epsilon_floor
                     )
-                    product *= mpmath.mpf(lik) * mpmath.mpf(model.weights.weights[k, m_i, b])
+                    product *= mpmath.mpf(lik) * mpmath.mpf(model.weights[k, m_i, b])
                 exact.append(product)
             total = mpmath.fsum(exact)
             for k in range(3):
@@ -144,10 +144,10 @@ class TestFidelity:
         m_i = extra.draw(st.integers(0, data.schema.n_attributes - 1))
         before = posterior(model, row)
         assume(before.probabilities[k] < 1.0 - 1e-9)
-        bumped = model.weights.weights.copy()
+        bumped = model.weights.copy()
         b = bin_index(model.density.bin_specs[m_i], row[m_i])
         bumped[k, m_i, b] *= 2.0
-        after = posterior(dataclasses.replace(model, weights=WeightTable(bumped)), row)
+        after = posterior(dataclasses.replace(model, weights=bumped), row)
         assert after.probabilities[k] > before.probabilities[k]
 
 

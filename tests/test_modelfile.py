@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffnb.boosting import TrainConfig, WeightTable, train
+from diffnb.boosting import TrainConfig, train
 from diffnb.inference import batch_log_scores, posterior
 from diffnb.modelfile import (
     FORMAT_NAME,
@@ -27,12 +27,11 @@ def assert_models_equal(a, b):
     assert a.config == b.config
     assert a.trace == b.trace
     assert a.density.bin_specs == b.density.bin_specs
-    assert a.density.joint.n_train == b.density.joint.n_train
-    assert np.array_equal(a.density.joint.counts, b.density.joint.counts)
-    assert np.array_equal(a.density.tags.populated, b.density.tags.populated)
-    assert np.array_equal(a.density.tags.lo, b.density.tags.lo)
-    assert np.array_equal(a.density.tags.hi, b.density.tags.hi)
-    assert np.array_equal(a.weights.weights, b.weights.weights)
+    assert a.density.n_train == b.density.n_train
+    assert np.array_equal(a.density.counts, b.density.counts)
+    assert np.array_equal(a.density.window_lo, b.density.window_lo)
+    assert np.array_equal(a.density.window_hi, b.density.window_hi)
+    assert np.array_equal(a.weights, b.weights)
 
 
 class TestRoundTrip:
@@ -61,14 +60,14 @@ class TestRoundTrip:
 
     def test_awkward_weight_values_survive(self):
         model, _ = train(xor_dataset(), TrainConfig(topology=2))
-        weights = model.weights.weights.copy()
+        weights = model.weights.copy()
         weights[0, 0, 0] = np.nextafter(1.0, 2.0)
         weights[1, 1, 1] = 3.0000000000000004  # not shortest-decimal friendly
         import dataclasses
 
-        tweaked = dataclasses.replace(model, weights=WeightTable(weights))
+        tweaked = dataclasses.replace(model, weights=weights)
         loaded = model_from_json(model_to_json(tweaked))
-        assert np.array_equal(loaded.weights.weights, weights)
+        assert np.array_equal(loaded.weights, weights)
 
     def test_ragged_topologies_pad_back(self):
         # mixed bin counts exercise the ragged store and the rebuilt padding
@@ -84,10 +83,10 @@ class TestRoundTrip:
         assert [len(per) for per in doc["counts"][0]] == [2, 4]
         loaded = model_from_json(model_to_json(model))
         assert_models_equal(model, loaded)
-        assert loaded.weights.weights.shape == (2, 2, 4)
+        assert loaded.weights.shape == (2, 2, 4)
         # padding cells stay at their neutral values
-        assert np.all(loaded.weights.weights[:, 0, 2:] == 1.0)
-        assert np.all(loaded.density.joint.counts[:, 0, 2:] == 0)
+        assert np.all(loaded.weights[:, 0, 2:] == 1.0)
+        assert np.all(loaded.density.counts[:, 0, 2:] == 0)
 
     @given(small_problems(max_n=12, max_attrs=3), st.data())
     def test_posteriors_survive_byte_for_byte(self, problem, extra):
@@ -97,7 +96,7 @@ class TestRoundTrip:
         model, _ = train(data, TrainConfig(max_rounds=3, topology=topology))
         loaded = model_from_json(model_to_json(model))
         m = data.schema.n_attributes
-        rows = [ex.values for ex in data.examples[:4]]
+        rows = list(data.value_matrix()[:4])
         rows += extra.draw(st.lists(query_rows(m), min_size=1, max_size=4))
         for row in rows:
             want = np.array(posterior(model, row).probabilities)
@@ -106,13 +105,12 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "array",
         [
-            lambda m: m.density.joint.counts,
-            lambda m: m.density.tags.lo,
-            lambda m: m.density.tags.hi,
-            lambda m: m.density.tags.populated,
-            lambda m: m.weights.weights,
+            lambda m: m.density.counts,
+            lambda m: m.density.window_lo,
+            lambda m: m.density.window_hi,
+            lambda m: m.weights,
         ],
-        ids=["counts", "lo", "hi", "populated", "weights"],
+        ids=["counts", "lo", "hi", "weights"],
     )
     def test_loaded_arrays_are_read_only(self, array):
         model, _ = train(xor_dataset(), TrainConfig(topology=2))

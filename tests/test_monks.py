@@ -16,6 +16,8 @@ from diffnb.monks import (
     write_monks_files,
 )
 
+from conftest import rows_of
+
 # Per-epoch training misses at 4 bins, the counts the benchmark's
 # perfbench/expected.json also checks. Near-ties on monks-2 and monks-3 are
 # decided by the sweep's incrementally patched scores, so a change to their
@@ -91,21 +93,21 @@ class TestGeneration:
         assert len(test) == 432
         assert len(train) == sum(makeup)
         if problem != 3:
-            counts = Counter(ex.label for ex in train.examples)
+            counts = Counter(train.labels().tolist())
             assert (counts[0], counts[1]) == makeup
 
     def test_test_set_is_the_labeled_grid(self):
         for problem in (1, 2, 3):
             _, test = generate_monks(problem)
-            for ex, row in zip(test.examples, full_grid()):
-                assert ex.values == tuple(float(v) for v in row)
-                assert ex.label == monks_label(problem, row)
+            for (values, label), row in zip(rows_of(test), full_grid()):
+                assert values == tuple(float(v) for v in row)
+                assert label == monks_label(problem, row)
 
     def test_problem3_flips_exactly_six(self):
         train, _ = generate_monks(3)
         flipped = sum(
-            ex.label != monks_label(3, tuple(int(v) for v in ex.values))
-            for ex in train.examples
+            label != monks_label(3, tuple(int(v) for v in values))
+            for values, label in rows_of(train)
         )
         assert flipped == 6
 
@@ -113,15 +115,15 @@ class TestGeneration:
         grid_pos = {row: i for i, row in enumerate(full_grid())}
         for problem in (1, 2, 3):
             train, _ = generate_monks(problem)
-            positions = [grid_pos[tuple(int(v) for v in ex.values)] for ex in train.examples]
+            positions = [grid_pos[tuple(int(v) for v in values)] for values, _ in rows_of(train)]
             assert positions == sorted(positions)
             assert len(set(positions)) == len(positions)
 
     def test_generation_is_deterministic(self):
         first = generate_monks(2)
         second = generate_monks(2)
-        assert first[0].examples == second[0].examples
-        assert first[1].examples == second[1].examples
+        assert rows_of(first[0]) == rows_of(second[0])
+        assert rows_of(first[1]) == rows_of(second[1])
 
 
 class TestFiles:
@@ -134,7 +136,7 @@ class TestFiles:
             train, test = generate_monks(problem)
             for split, data in (("train", train), ("test", test)):
                 parsed = parse_table(tmp_path / f"monks-{problem}.{split}", schema, options)
-                assert parsed.examples == data.examples
+                assert rows_of(parsed) == rows_of(data)
 
     def test_row_layout(self, tmp_path):
         write_monks_files(tmp_path)

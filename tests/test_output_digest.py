@@ -23,6 +23,7 @@ def test_digests_name_every_output_and_ignore_the_work_directory():
         "search seed=0 search model",
         "search seed=0 search evaluate",
         "search seed=0 search predict",
+        "search seed=0 search inspect",
         "search seed=0 search holdout",
         "search seed=0 search stdout",
         "search seed=0 search log",

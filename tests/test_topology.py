@@ -23,7 +23,7 @@ from diffnb.density import resolve_topology
 from diffnb.evaluation import evaluate
 from diffnb.topology import SearchResult, SearchSpec, Trial, _Runner, coordinate_search
 
-from conftest import xor_dataset
+from conftest import rows_of, xor_dataset
 
 
 def three_attribute_dataset() -> Dataset:
@@ -283,7 +283,7 @@ class TestCoordinateSearch:
         # Python 3.14) start from a fresh import and get their data only
         # through the pickled pool initializer arguments
         spec = dict(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2)
-        rows = [(ex.values, ex.label) for ex in xor_dataset().examples]
+        rows = rows_of(xor_dataset())
         serial = coordinate_search(xor_dataset(), xor_dataset(), SearchSpec(parallelism=1, **spec))
         script = textwrap.dedent(
             f"""
