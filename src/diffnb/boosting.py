@@ -144,23 +144,23 @@ class Model:
         return read_only(cell_major).T.reshape(k, m, b)
 
 
-def weighted_log_scores(logw: np.ndarray, bins: np.ndarray, loglik: np.ndarray) -> np.ndarray:
+def weighted_log_scores(logw: np.ndarray, cells: np.ndarray, loglik: np.ndarray) -> np.ndarray:
     """Per-class log scores for a batch: loglik plus the touched cells' log-weights.
 
-    ``logw`` is (K, M, B_max), ``bins`` (n, M) int64, ``loglik`` (n, K).
-    Returns (n, K). The gather-and-sum here is the one reduction every
-    fresh scoring path uses, so scores never depend on which path
-    computed them. Winners and ties are decided on these log scores;
-    exponentiation is presentation.
+    ``logw`` is (K, M, B_max), ``cells`` the rows' (n, M) int64 flat cell
+    indices as :func:`~diffnb.density.likelihood_logs` returns them, and
+    ``loglik`` (n, K). Returns (n, K). The gather-and-sum here is the one
+    reduction every fresh scoring path uses, so scores never depend on
+    which path computed them. Winners and ties are decided on these log
+    scores; exponentiation is presentation.
 
     The gather is one ``take`` of rows of the cell-major (M * B_max, K)
-    view of ``logw`` through each row's flat cell indices, into (n, M, K):
-    each row's M log-weights are then summed one attribute after another,
-    the order of a two-array fancy index. ``take`` copies a table that is
-    not already cell-major, as a training state's is.
+    view of ``logw`` through ``cells``, into (n, M, K): each row's M
+    log-weights are then summed one attribute after another, the order of
+    a two-array fancy index. ``take`` copies a table that is not already
+    cell-major, as a training state's is.
     """
-    k, m, b = logw.shape
-    picked = logw.reshape(k, m * b).T.take(bins + _cell_offsets(m, b), axis=0)  # (n, M, K)
+    picked = logw.reshape(len(logw), -1).T.take(cells, axis=0)  # (n, M, K)
     return loglik + picked.sum(axis=1)
 
 
@@ -203,12 +203,13 @@ def winners_of(log_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def boost_example(
-    weights: np.ndarray, bins: np.ndarray, label: int, scores: np.ndarray, alpha: float
+    weights: np.ndarray, cells: np.ndarray, label: int, scores: np.ndarray, alpha: float
 ) -> float:
     """Apply one boosting update for a misclassified example; returns the step.
 
-    ``bins`` is the example's (M,) bin row, each bin below B_max, and
-    ``scores`` its per-class unnormalized scores. Adds delta = alpha * (1 - scores[label]/scores[winner])
+    ``cells`` is the example's (M,) row of flat cell indices, as
+    :func:`~diffnb.density.likelihood_logs` returns them, and ``scores``
+    its per-class unnormalized scores. Adds delta = alpha * (1 - scores[label]/scores[winner])
     to the true class's M touched weight cells, in place. An exact score
     tie broken against the true class is still a miss but yields delta 0
     and changes nothing. Calling this on a correctly classified example
@@ -224,27 +225,19 @@ def boost_example(
         raise ValueError("boost_example called on a correctly classified example")
     delta = alpha * (1.0 - row[label] / row[winner])
     if delta > 0.0:
-        _, m, b = weights.shape
-        weights[label].flat[_cell_offsets(m, b) + bins] += delta
+        weights[label].flat[cells] += delta
     return float(delta)
-
-
-@functools.cache
-def _cell_offsets(n_attributes: int, n_bins: int) -> np.ndarray:
-    """Flat index of each attribute's bin 0 within one class's (M, B) cells; read-only."""
-    offsets = np.arange(n_attributes) * n_bins
-    offsets.flags.writeable = False
-    return offsets
 
 
 @dataclass
 class TrainState:
     """Mutable state of one training run; only weights, logw, and scores move.
 
-    ``bins``, ``loglik``, ``rows_by_cell`` and its (M, B_max) table of
-    group sizes ``cell_sizes``, and ``cells``, each row's flat cell index
-    ``m * B_max + bin`` per attribute, are precomputed over the training
-    set once, since the density tables do not change during boosting.
+    ``cells``, each row's flat cell indices as
+    :func:`~diffnb.density.likelihood_logs` returns them, ``loglik``,
+    ``rows_by_cell``, the ascending rows in each flat cell, and beside it
+    their counts ``cell_sizes``, are precomputed over the training set
+    once, since the density tables do not change during boosting.
     ``scores`` carries the per-example log scores forward across updates
     and epochs: a boost touches M cells of one class, so only rows sharing
     one of those cells need a score patch. Winners are not stored; the
@@ -255,13 +248,12 @@ class TrainState:
     config: TrainConfig
     weights: np.ndarray
     logw: np.ndarray
-    bins: np.ndarray
+    cells: np.ndarray
     loglik: np.ndarray
     labels: np.ndarray
     scores: np.ndarray
-    rows_by_cell: tuple[tuple[np.ndarray, ...], ...]
+    rows_by_cell: tuple[np.ndarray, ...]
     cell_sizes: np.ndarray
-    cells: np.ndarray
 
     @classmethod
     def build(cls, data: Dataset, config: TrainConfig) -> "TrainState":
@@ -273,32 +265,25 @@ class TrainState:
                 density.epsilon_floor if config.epsilon_floor is None else config.epsilon_floor
             ),
         )
-        bins, parts = likelihood_logs(
+        cells, parts = likelihood_logs(
             density, data.value_matrix(), config.tag_gain, config.epsilon_floor
         )
         loglik = parts.sum(axis=2)
-        k = data.schema.n_classes
-        m = data.schema.n_attributes
-        shape = (k, m, max(density.topology))
-        rows_by_cell = tuple(
-            tuple(np.nonzero(bins[:, col] == b)[0] for b in range(density.topology[col]))
-            for col in range(m)
-        )
-        cell_sizes = np.zeros((m, max(density.topology)), dtype=np.int64)
-        for col, groups in enumerate(rows_by_cell):
-            cell_sizes[col, : len(groups)] = [len(g) for g in groups]
+        shape = density.counts.shape
+        _, m, b_max = shape
+        # attribute c // b_max is the only column that can hold cell c
+        rows_by_cell = tuple(np.flatnonzero(cells[:, c // b_max] == c) for c in range(m * b_max))
         return cls(
             density=density,
             config=config,
             weights=np.ones(shape),
             logw=np.zeros(shape),
-            bins=bins,
+            cells=cells,
             loglik=loglik,
             labels=data.labels(),
             scores=loglik.copy(),  # all log-weights start at 0
             rows_by_cell=rows_by_cell,
-            cell_sizes=cell_sizes,
-            cells=bins + _cell_offsets(m, shape[2]),
+            cell_sizes=np.array([len(rows) for rows in rows_by_cell]),
         )
 
     def _apply_update(self, i: int) -> None:
@@ -319,8 +304,8 @@ class TrainState:
         amount = new - logw[cells]
         logw[cells] = new
 
-        groups = [rows[b] for rows, b in zip(self.rows_by_cell, self.bins[i].tolist())]
-        amounts = amount.repeat(self.cell_sizes.reshape(-1)[cells])
+        groups = [self.rows_by_cell[c] for c in cells.tolist()]
+        amounts = amount.repeat(self.cell_sizes[cells])
         patch = np.bincount(np.concatenate(groups), weights=amounts, minlength=len(self.labels))
         self.scores[:, label] += patch
 
@@ -365,7 +350,7 @@ class TrainState:
             # a rounding collapse in exp() can hand a log-domain miss
             # the argmax; that is a zero step, not a boost
             if row_scores.argmax() != label:
-                if boost_example(self.weights, self.bins[i], label, row_scores, alpha) > 0.0:
+                if boost_example(self.weights, self.cells[i], label, row_scores, alpha) > 0.0:
                     self._apply_update(i)
             i = self._next_miss(i + 1)
         return misses
@@ -384,7 +369,7 @@ def run_epoch(state: TrainState) -> int:
     """
     misses = state._scan()
     if misses == 0:
-        state.scores = weighted_log_scores(state.logw, state.bins, state.loglik)
+        state.scores = weighted_log_scores(state.logw, state.cells, state.loglik)
         misses = state._scan()
     return misses
 
@@ -421,4 +406,4 @@ def train_with_scores(
             break
     trace = TrainTrace(tuple(miss_counts))
     model = Model(density=state.density, weights=state.weights, config=state.config, trace=trace)
-    return model, trace, weighted_log_scores(state.logw, state.bins, state.loglik)
+    return model, trace, weighted_log_scores(state.logw, state.cells, state.loglik)

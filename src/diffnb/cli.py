@@ -5,6 +5,7 @@ failed rows), 2 usage errors including missing input files.
 """
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -60,12 +61,15 @@ def _parse_options(args) -> ParseOptions:
 def _parse_bins(text: str | None):
     if text is None:
         return None
-    if "=" in text:
-        pairs = [item.split("=", 1) for item in text.split(",")]
-        return {name.strip(): int(count) for name, count in pairs}
-    if "," in text:
-        return [int(b) for b in text.split(",")]
-    return int(text)
+    try:
+        if "=" in text:
+            pairs = [item.split("=", 1) for item in text.split(",")]
+            return {name.strip(): int(count) for name, count in pairs}
+        if "," in text:
+            return [int(b) for b in text.split(",")]
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--bins {text!r}: expected N, N,N,... or name=N,...") from None
 
 
 class MissingFile(Exception):
@@ -144,7 +148,12 @@ def cmd_predict(args) -> int:
     _require_files(args.model, args.data)
     model = load_model(args.model)
     options = _parse_options(args)
-    source = open(args.data, "r", encoding="utf-8-sig") if args.data else sys.stdin
+    # stdin decodes as a --data file does: a byte order mark is dropped and
+    # an undecodable byte is an error, not a value
+    if args.data:
+        source = open(args.data, "r", encoding="utf-8-sig")
+    else:
+        source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
     failures = 0
     try:
         for line_no, line in enumerate(source, start=1):
@@ -159,6 +168,8 @@ def cmd_predict(args) -> int:
     finally:
         if args.data:
             source.close()
+        else:
+            source.detach()  # stdin itself stays open
     if failures:
         print(f"{failures} rows failed", file=sys.stderr)
         return 1

@@ -87,12 +87,6 @@ def bin_index(spec: BinSpec, value: float) -> int:
     return min(max(raw, 0), spec.count - 1)
 
 
-def bin_indices(spec: BinSpec, values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`bin_index` over an array of values."""
-    values = np.asarray(values, dtype=np.float64)
-    return bin_matrix((spec,), values.reshape(-1, 1)).reshape(values.shape)
-
-
 def read_only(array: np.ndarray) -> np.ndarray:
     """``array`` itself, marked read-only: an in-place write now raises."""
     array.flags.writeable = False
@@ -240,11 +234,16 @@ class DensityModel:
 class ScoringTables:
     """What scoring reads from one fitted density, derived from it once.
 
-    Holds the density's :class:`BinGrid`, each attribute's offset into the
-    flat ``M * B_max`` cell axis, the windows as ``(K, M * B_max, M)``
-    views, and per ``(tag_gain, epsilon)`` pair the log-likelihood tables
-    of :meth:`log_likelihoods`. The density's arrays are read-only, so no
-    table can go stale.
+    The flat cell index is written down here and nowhere else: cell
+    (attribute m, bin b) of a class is ``offsets[m] + b = m * B_max + b``
+    on the flat ``M * B_max`` axis of one class's (M, B_max) cells.
+    :func:`likelihood_logs` hands each row's index to its callers, which
+    gather and scatter weights through it as given.
+
+    Holds the density's :class:`BinGrid`, the ``offsets``, the windows as
+    ``(K, M * B_max, M)`` views, and per ``(tag_gain, epsilon)`` pair the
+    log-likelihood tables of :meth:`log_likelihoods`. The density's arrays
+    are read-only, so no table can go stale.
     """
 
     def __init__(self, density: DensityModel):
@@ -368,9 +367,10 @@ def likelihood_logs(
     tag_gain: float = DEFAULT_TAG_GAIN,
     epsilon: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bins and per-class log-likelihood parts for a batch of rows.
+    """Flat cell indices and per-class log-likelihood parts for a batch of rows.
 
-    Returns ``(bins, log_parts)`` where ``bins`` is (n, M) int64 and
+    Returns ``(cells, log_parts)`` where ``cells`` is (n, M) int64, each
+    row's flat cell index per attribute (see :class:`ScoringTables`), and
     ``log_parts`` is (n, K, M): the log of each attribute's window-gated
     likelihood under each class. Each scalar entry equals
     ``log(tagged_likelihood(...))`` for the same row, class, attribute.
@@ -397,8 +397,7 @@ def likelihood_logs(
     tables = density.scoring_tables
     log_base, log_gated = tables.log_likelihoods(tag_gain, epsilon)
 
-    binned = tables.grid.bins(values)
-    cells = binned + tables.offsets  # (n, M) into the (M * B_max) cell axis
+    cells = tables.grid.bins(values) + tables.offsets
     lo, hi = tables.window_lo, tables.window_hi
     step = max(1, _CHECK_BUDGET // (k * m * m))
     violated = np.empty((k, n, m), dtype=bool)
@@ -410,4 +409,4 @@ def likelihood_logs(
         violated[:, block] = outside.any(axis=3)
 
     parts = np.where(violated, log_gated.take(cells, axis=1), log_base.take(cells, axis=1))
-    return binned, parts.transpose(1, 0, 2)
+    return cells, parts.transpose(1, 0, 2)

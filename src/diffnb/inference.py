@@ -44,15 +44,10 @@ def batch_log_scores(model: Model, values: np.ndarray) -> np.ndarray:
     the training sweep ranks, so a converged model evaluates clean on
     its own training set.
     """
-    bins, parts = likelihood_logs(
+    cells, parts = likelihood_logs(
         model.density, values, model.config.tag_gain, model.config.epsilon_floor
     )
-    return weighted_log_scores(model.log_weights, bins, parts.sum(axis=2))
-
-
-def batch_scores(model: Model, values: np.ndarray) -> np.ndarray:
-    """Unnormalized per-class scores for an (n, M) value matrix."""
-    return scores_from_logs(batch_log_scores(model, values))
+    return weighted_log_scores(model.log_weights, cells, parts.sum(axis=2))
 
 
 def class_scores(model: Model, values: Sequence[float]) -> np.ndarray:
@@ -62,7 +57,7 @@ def class_scores(model: Model, values: Sequence[float]) -> np.ndarray:
     that product is representable; extreme rows are rescaled against
     their max log, which the normalized posterior cancels out.
     """
-    return batch_scores(model, _as_rows(model, values))[0]
+    return scores_from_logs(batch_log_scores(model, _as_rows(model, values)))[0]
 
 
 def posterior(model: Model, values: Sequence[float]) -> Posterior:

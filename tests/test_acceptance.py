@@ -285,9 +285,9 @@ class TestInvariants:
         i, wrong, row_scores = miss
         label = int(labels[i])
         before = state.scores[i].copy()
-        delta = boost_example(state.weights, state.bins[i], label, row_scores, alpha=2.0)
+        delta = boost_example(state.weights, state.cells[i], label, row_scores, alpha=2.0)
         assume(delta > 1e-9)
-        after = weighted_log_scores(np.log(state.weights), state.bins, state.loglik)[i]
+        after = weighted_log_scores(np.log(state.weights), state.cells, state.loglik)[i]
         assert after[wrong] == before[wrong]
         assert after[label] - after[wrong] > before[label] - before[wrong]
 

@@ -24,6 +24,12 @@ from diffnb.monks import MONKS_BINS, generate_monks
 from conftest import small_problems, xor_dataset
 
 
+def cells_of(bins, b_max):
+    """Flat cell indices of bin rows on a (M, b_max) grid: attribute m's bin b is m * b_max + b."""
+    bins = np.asarray(bins)
+    return bins + np.arange(bins.shape[-1]) * b_max
+
+
 def one_attr_dataset(values_and_labels):
     schema = Schema((AttributeSpec("x", "continuous"),), ("c0", "c1"))
     return Dataset.build(schema, [((float(v),), int(c)) for v, c in values_and_labels])
@@ -75,41 +81,41 @@ class TestBoostExample:
 
     def test_half_ratio_gives_unit_step(self):
         weights = self.setup_weights()
-        bins = np.array([0, 2, 1])
-        delta = boost_example(weights, bins, 0, np.array([0.3, 0.6]), 2.0)
+        cells = cells_of([0, 2, 1], 4)
+        delta = boost_example(weights, cells, 0, np.array([0.3, 0.6]), 2.0)
         assert delta == 1.0
         assert weights[0, 0, 0] == 2.0 and weights[0, 1, 2] == 2.0 and weights[0, 2, 1] == 2.0
 
     def test_vanishing_true_score_gives_max_step(self):
         weights = self.setup_weights()
-        delta = boost_example(weights, np.array([0, 0, 0]), 0, np.array([1e-300, 0.5]), 2.0)
+        delta = boost_example(weights, cells_of([0, 0, 0], 4), 0, np.array([1e-300, 0.5]), 2.0)
         assert delta == pytest.approx(2.0)
 
     def test_touches_exactly_true_class_cells(self):
         weights = self.setup_weights()
         before = weights.copy()
-        bins = np.array([1, 1, 3])
-        boost_example(weights, bins, 1, np.array([0.8, 0.2]), 2.0)
+        cells = cells_of([1, 1, 3], 4)
+        boost_example(weights, cells, 1, np.array([0.8, 0.2]), 2.0)
         changed = np.argwhere(weights != before)
         assert [tuple(c) for c in changed] == [(1, 0, 1), (1, 1, 1), (1, 2, 3)]
 
     def test_tie_against_true_class_is_a_zero_step(self):
         weights = self.setup_weights()
-        delta = boost_example(weights, np.array([0, 0, 0]), 1, np.array([0.5, 0.5]), 2.0)
+        delta = boost_example(weights, cells_of([0, 0, 0], 4), 1, np.array([0.5, 0.5]), 2.0)
         assert delta == 0.0
         assert np.all(weights == 1.0)
 
     def test_correct_example_is_a_caller_bug(self):
         with pytest.raises(ValueError, match="correctly classified"):
-            boost_example(self.setup_weights(), np.array([0, 0, 0]), 0, np.array([0.9, 0.1]), 2.0)
+            boost_example(self.setup_weights(), cells_of([0, 0, 0], 4), 0, np.array([0.9, 0.1]), 2.0)
 
 
 class TestScoring:
     def test_weighted_log_scores_is_the_product_in_logs(self):
         logw = np.log(np.array([[[2.0, 1.0]], [[1.0, 4.0]]]))  # (K=2, M=1, B=2)
-        bins = np.array([[0], [1]])
+        cells = np.array([[0], [1]])  # M=1: a cell is its bin
         loglik = np.log(np.array([[0.5, 0.25], [0.5, 0.25]]))
-        scores = np.exp(weighted_log_scores(logw, bins, loglik))
+        scores = np.exp(weighted_log_scores(logw, cells, loglik))
         np.testing.assert_allclose(scores, [[1.0, 0.25], [0.5, 1.0]], rtol=1e-12)
 
     @pytest.mark.parametrize("k, m, b, n", [(2, 1, 1, 1), (2, 6, 4, 1), (3, 20, 8, 50), (5, 33, 3, 7)])
@@ -121,7 +127,7 @@ class TestScoring:
         bins = rng.integers(0, b, size=(n, m))
         loglik = rng.standard_normal((n, k)) * 50
         reference = loglik + logw[:, np.arange(m)[None, :], bins].sum(axis=2).T
-        assert weighted_log_scores(logw, bins, loglik).tobytes() == reference.tobytes()
+        assert weighted_log_scores(logw, cells_of(bins, b), loglik).tobytes() == reference.tobytes()
 
     def test_model_log_weights_are_cell_major(self):
         # the gather reads rows of the (M * B_max, K) view; a model's table
@@ -159,14 +165,14 @@ class TestReadOnlyModels:
         with pytest.raises(ValueError, match="read-only"):
             model.weights[0, 0, 0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
-            boost_example(model.weights, np.array([0, 0]), 1, np.array([0.8, 0.2]), 2.0)
+            boost_example(model.weights, cells_of([0, 0], 2), 1, np.array([0.8, 0.2]), 2.0)
         with pytest.raises(ValueError, match="read-only"):
             model.log_weights[0, 0, 0] = 0.0
 
     def test_train_state_keeps_its_own_weights_writable(self):
         state = TrainState.build(xor_dataset(), TrainConfig(topology=2))
-        cell = (0, 0, state.bins[0, 0])
-        assert boost_example(state.weights, state.bins[0], 0, np.array([0.2, 0.8]), 2.0) == 1.5
+        cell = (0, *np.divmod(state.cells[0, 0], state.weights.shape[2]))
+        assert boost_example(state.weights, state.cells[0], 0, np.array([0.2, 0.8]), 2.0) == 1.5
         assert state.weights[cell] == 2.5
         state._apply_update(0)
         assert state.logw[cell] == np.log(2.5)
@@ -259,29 +265,29 @@ def reference_scores_from_logs(log_scores):
     return scores[0] if squeeze else scores
 
 
-def reference_boost_example(weights, bins, label, scores, alpha):
+def reference_boost_example(weights, cells, label, scores, alpha):
     """The array form of ``boost_example``, as it read before the sweep's scalar path."""
     winner = int(np.argmax(scores))
     if winner == label:
         raise ValueError("boost_example called on a correctly classified example")
     delta = alpha * (1.0 - scores[label] / scores[winner])
     if delta > 0.0:
-        weights[label, np.arange(len(bins)), bins] += delta
+        cols, bins = np.divmod(cells, weights.shape[2])
+        weights[label, cols, bins] += delta
     return float(delta)
 
 
 def reference_update(state, i, wins, missing, counts):
     """Patch logw and scores as the sweep does, then update kept winners."""
     label = int(state.labels[i])
-    cells = state.bins[i]
-    cols = np.arange(len(cells))
-    touched = (label, cols, cells)
+    cells = state.cells[i]
+    touched = (label, *np.divmod(cells, state.weights.shape[2]))
     old = state.logw[touched]
     new = np.log(state.weights[touched])
     state.logw[touched] = new
 
-    groups = [state.rows_by_cell[m][cells[m]] for m in range(len(cells))]
-    amount = np.repeat(new - old, state.cell_sizes[cols, cells])
+    groups = [state.rows_by_cell[c] for c in cells]
+    amount = np.repeat(new - old, state.cell_sizes[cells])
     patch = np.bincount(np.concatenate(groups), weights=amount, minlength=len(state.labels))
     state.scores[:, label] += patch
 
@@ -323,7 +329,7 @@ def reference_scan(state, counts):
             counts["collapses"] += 1
             continue
         delta = reference_boost_example(
-            state.weights, state.bins[i], label, row_scores, state.config.alpha
+            state.weights, state.cells[i], label, row_scores, state.config.alpha
         )
         if delta > 0.0:
             reference_update(state, i, wins, missing, counts)
@@ -333,7 +339,7 @@ def reference_scan(state, counts):
 def reference_epoch(state, counts):
     misses = reference_scan(state, counts)
     if misses == 0:
-        state.scores = weighted_log_scores(state.logw, state.bins, state.loglik)
+        state.scores = weighted_log_scores(state.logw, state.cells, state.loglik)
         misses = reference_scan(state, counts)
     return misses
 
@@ -525,15 +531,15 @@ class TestScalarRowMatchesArrayForm:
         start = rng.uniform(1.0, 5.0, size=(k, m, b))
         for scores, label in zip(reference_scores_from_logs(logs), labels):
             label %= k
-            bins = rng.integers(0, b, size=m)
+            cells = cells_of(rng.integers(0, b, size=m), b)
             new, ref = start.copy(), start.copy()
             try:
-                expected = reference_boost_example(ref, bins, label, scores, alpha)
+                expected = reference_boost_example(ref, cells, label, scores, alpha)
             except ValueError:
                 with pytest.raises(ValueError, match="correctly classified"):
-                    boost_example(new, bins, label, scores, alpha)
+                    boost_example(new, cells, label, scores, alpha)
             else:
-                delta = boost_example(new, bins, label, scores, alpha)
+                delta = boost_example(new, cells, label, scores, alpha)
                 assert type(delta) is float
                 assert np.float64(delta).tobytes() == np.float64(expected).tobytes()
             assert new.tobytes() == ref.tobytes()

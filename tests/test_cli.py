@@ -82,6 +82,14 @@ class TestTrain:
         assert code == 0
         assert load_model(workdir / "named.model.json").topology == (2, 3)
 
+    @pytest.mark.parametrize("text", ["a1=3,4", "2.5", "a=x", "2,,3"])
+    def test_malformed_bins_name_the_accepted_forms(self, workdir, capsys, text):
+        code, model_path = train_xor(workdir, "--bins", text)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: --bins {text!r}: expected N, N,N,... or name=N,...\n"
+        assert not model_path.exists()
+
     def test_missing_schema_is_a_usage_error(self, workdir, capsys):
         code = main(
             [
@@ -349,11 +357,34 @@ class TestPredict:
     def test_reads_stdin_when_no_data_given(self, workdir, capsys, monkeypatch):
         _, model_path = train_xor(workdir)
         capsys.readouterr()
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0 1\n\n")))
         code = main(["predict", "--model", str(model_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines() == ["c1 p=[0.058824,0.941176]"]
+
+    def test_stdin_byte_order_mark_is_skipped(self, workdir, capsys, monkeypatch):
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf0 0\n1 0\n")))
+        code = main(["predict", "--model", str(model_path)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.splitlines() == ["c0 p=[0.941176,0.058824]", "c1 p=[0.058824,0.941176]"]
+
+    def test_stdin_undecodable_byte_is_a_runtime_error(self, workdir, capsys, monkeypatch):
+        # as from a --data file: one codec error line, not a per-row value
+        # error; a POSIX-locale stdin decodes with surrogateescape, so its
+        # text layer would hand the byte on as a token
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        stdin = io.TextIOWrapper(io.BytesIO(b"0 \xff\n"), errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(["predict", "--model", str(model_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
 
 
 class TestSearch:

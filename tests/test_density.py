@@ -13,7 +13,7 @@ from diffnb.density import (
     DEFAULT_TAG_GAIN,
     BinSpec,
     bin_index,
-    bin_indices,
+    bin_matrix,
     fit_density,
     likelihood_logs,
     make_bin_spec,
@@ -75,13 +75,13 @@ class TestBinIndex:
         spec = BinSpec(0, min(a, b), max(a, b), count)
         probes = np.linspace(spec.lo - 2.0, spec.hi + 2.0, 23)
         expected = [bin_index(spec, v) for v in probes]
-        assert bin_indices(spec, probes).tolist() == expected
+        assert bin_matrix((spec,), probes[:, None])[:, 0].tolist() == expected
 
     @given(st.integers(-50, 50), st.integers(1, 9), st.integers(1, 40))
     def test_monotone_in_value(self, lo, count, span):
         spec = BinSpec(0, float(lo), float(lo + span), count)
         probes = np.sort(np.linspace(spec.lo - 3.0, spec.hi + 3.0, 50))
-        bins = bin_indices(spec, probes)
+        bins = bin_matrix((spec,), probes[:, None])[:, 0]
         assert np.all(np.diff(bins) >= 0)
 
 
@@ -264,10 +264,11 @@ class TestTaggedLikelihood:
                 )
             )
         ).reshape(-1, m)
-        bins, parts = likelihood_logs(density, queries)
+        cells, parts = likelihood_logs(density, queries)
+        b_max = density.counts.shape[2]
         for i, row in enumerate(queries):
             for m_i in range(m):
-                assert bins[i, m_i] == bin_index(density.bin_specs[m_i], row[m_i])
+                assert cells[i, m_i] == m_i * b_max + bin_index(density.bin_specs[m_i], row[m_i])
                 for k in range(data.schema.n_classes):
                     expected = math.log(tagged_likelihood(density, row, k, m_i))
                     assert parts[i, k, m_i] == pytest.approx(expected, rel=1e-14, abs=0.0)
@@ -311,7 +312,7 @@ def reference_fit(data, topology):
 
 
 def reference_likelihood_logs(density, values, tag_gain=DEFAULT_TAG_GAIN):
-    """Bins and log parts with the window check run one attribute at a time."""
+    """Flat cells and log parts with the window check run one attribute at a time."""
     epsilon = density.epsilon_floor
     n, m = values.shape
     k = density.schema.n_classes
@@ -330,7 +331,8 @@ def reference_likelihood_logs(density, values, tag_gain=DEFAULT_TAG_GAIN):
         v_j = values[:, j][None, :, None]
         violated |= (v_j < lo_j) | (v_j > hi_j)
     gated = np.where(violated, base * tag_gain, base)
-    return binned, np.log(gated).transpose(1, 0, 2)
+    cells = binned + np.arange(m) * density.counts.shape[2]
+    return cells, np.log(gated).transpose(1, 0, 2)
 
 
 def numeric_dataset(values, labels, k):
@@ -355,9 +357,9 @@ def assert_matches_references(data, topology, queries):
     assert_identical(density.counts, counts)
     assert_identical(density.window_lo, lo)
     assert_identical(density.window_hi, hi)
-    bins, parts = likelihood_logs(density, queries)
-    ref_bins, ref_parts = reference_likelihood_logs(density, queries)
-    assert_identical(bins, ref_bins)
+    cells, parts = likelihood_logs(density, queries)
+    ref_cells, ref_parts = reference_likelihood_logs(density, queries)
+    assert_identical(cells, ref_cells)
     assert_identical(parts, ref_parts)
 
 
@@ -421,7 +423,7 @@ class TestVectorizedMatchesLoops:
 
 
 def reference_likelihood_logs_inline(density, values, tag_gain=DEFAULT_TAG_GAIN, epsilon=None):
-    """:func:`likelihood_logs` as it was before scoring tables, kept verbatim.
+    """:func:`likelihood_logs` as it was before scoring tables, returning its flat cells.
 
     Every call derives the grid arrays from the bin specs, gathers counts,
     divides them into base probabilities and takes ``np.log`` of the gated
@@ -458,14 +460,14 @@ def reference_likelihood_logs_inline(density, values, tag_gain=DEFAULT_TAG_GAIN,
         violated[:, block] = outside.any(axis=3)
 
     gated = np.where(violated, base * tag_gain, base)
-    return binned, np.log(gated).transpose(1, 0, 2)
+    return cells, np.log(gated).transpose(1, 0, 2)
 
 
 def assert_same_bytes(density, queries, tag_gain=DEFAULT_TAG_GAIN, epsilon=None):
-    bins, parts = likelihood_logs(density, queries, tag_gain, epsilon)
-    ref_bins, ref_parts = reference_likelihood_logs_inline(density, queries, tag_gain, epsilon)
-    assert bins.shape == ref_bins.shape and parts.shape == ref_parts.shape
-    assert bins.tobytes() == ref_bins.tobytes()
+    cells, parts = likelihood_logs(density, queries, tag_gain, epsilon)
+    ref_cells, ref_parts = reference_likelihood_logs_inline(density, queries, tag_gain, epsilon)
+    assert cells.shape == ref_cells.shape and parts.shape == ref_parts.shape
+    assert cells.tobytes() == ref_cells.tobytes()
     assert parts.tobytes() == ref_parts.tobytes()
 
 

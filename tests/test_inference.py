@@ -12,7 +12,7 @@ from diffnb import density as density_module
 from diffnb.boosting import TrainConfig, scores_from_logs, train, winner_of
 from diffnb.dataset import SchemaError
 from diffnb.density import bin_index, tagged_likelihood
-from diffnb.inference import batch_scores, class_scores, posterior, predict, predict_batch
+from diffnb.inference import batch_log_scores, class_scores, posterior, predict, predict_batch
 from diffnb.modelfile import model_from_json, model_to_json
 
 from conftest import query_rows, small_problems, xor_dataset
@@ -160,7 +160,7 @@ class TestBatch:
             [extra.draw(query_rows(m)) for _ in range(extra.draw(st.integers(1, 5)))]
         ).reshape(-1, m)
         winners, ties = predict_batch(model, queries)
-        scores = batch_scores(model, queries)
+        scores = scores_from_logs(batch_log_scores(model, queries))
         for i, row in enumerate(queries):
             post = posterior(model, row)
             assert winners[i] == post.winner
