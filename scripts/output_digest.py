@@ -12,7 +12,9 @@ path; by default the checkout holding this script) as a user would:
 also runs ``benchmark --format machine`` on CHECKOUT's shipped suite,
 dropping the ``train_seconds`` lines, which are wall times, and ``train``
 and ``evaluate`` on malformed tables, where the digest covers stderr: the
-error message a bad line gives.
+error message a bad line gives. Last, ``predict`` labels rows with bad and
+blank lines among them, more than one block of them, from a ``--data``
+file and from stdin; both stdout and stderr are digested.
 
 Each output prints as one line, ``<workload> <job> <output> <sha256>
 exit=<code>``. The temporary directory and CHECKOUT's path are replaced
@@ -61,13 +63,23 @@ BAD_ROWS = {
     "bad-value-then-short-line": "abc r c0\n1.5 c0\n",
 }
 
+# unlabeled rows for predict on the model trained on GOOD_ROWS: every
+# seventh line is bad or blank, and the rows span several of predict's
+# blocks of input
+BAD_PREDICT_LINES = ("abc r", "1.5 purple", "1.5", "inf r", "? g", "")
+PREDICT_ROWS = "".join(
+    BAD_PREDICT_LINES[i // 7 % len(BAD_PREDICT_LINES)] + "\n" if i % 7 == 3
+    else f"{i % 113 * 0.05:.2f} {'rgb'[i % 3]}\n"
+    for i in range(6000)
+)
 
-def run_cli(root: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
-    """stdout, stderr and exit code of ``diffnb`` from ``root``'s sources."""
+
+def run_cli(root: Path, argv: list[str], stdin: bytes | None = None) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of ``diffnb`` from ``root``'s sources, ``stdin`` as its input."""
     env = {k: v for k, v in os.environ.items() if k != "DIFFNB_DATA"}
     env["PYTHONPATH"] = str(root / "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "diffnb.cli", *argv], env=env, capture_output=True, timeout=600
+        [sys.executable, "-m", "diffnb.cli", *argv], env=env, input=stdin, capture_output=True, timeout=600
     )
     return proc.stdout, proc.stderr, proc.returncode
 
@@ -117,6 +129,19 @@ def holdout_argv(job) -> list[str]:
     return argv + ["--train-count", str(n_lines // 2), "--seed", str(HOLDOUT_SEED)]
 
 
+def train_good_model(root: Path, work: Path) -> tuple[Path, Path]:
+    """(schema, model) paths in ``work``, the model trained on GOOD_ROWS alone."""
+    schema = work / "schema.json"
+    schema.write_text(json.dumps(ERROR_SCHEMA), encoding="utf-8")
+    good, model = work / "good.data", work / "model.json"
+    good.write_text(GOOD_ROWS, encoding="utf-8")
+    _, err, code = run_cli(root, ["train", "--data", str(good), "--schema", str(schema), "--bins", "2",
+                                  "--out", str(model)])
+    if code != 0:
+        raise RuntimeError(f"training on the well-formed table failed: {err.decode()}")
+    return schema, model
+
+
 def error_runs(root: Path) -> list[tuple[str, bytes, int]]:
     """(output name, stderr, exit code) of ``train`` and ``evaluate`` on each malformed table.
 
@@ -125,14 +150,7 @@ def error_runs(root: Path) -> list[tuple[str, bytes, int]]:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        schema = work / "schema.json"
-        schema.write_text(json.dumps(ERROR_SCHEMA), encoding="utf-8")
-        good, model = work / "good.data", work / "model.json"
-        good.write_text(GOOD_ROWS, encoding="utf-8")
-        _, err, code = run_cli(root, ["train", "--data", str(good), "--schema", str(schema), "--bins", "2",
-                                      "--out", str(model)])
-        if code != 0:
-            raise RuntimeError(f"training on the well-formed table failed: {err.decode()}")
+        schema, model = train_good_model(root, work)
         for case, rows in BAD_ROWS.items():
             data = work / f"{case}.data"
             data.write_text(GOOD_ROWS + rows, encoding="utf-8")
@@ -142,6 +160,27 @@ def error_runs(root: Path) -> list[tuple[str, bytes, int]]:
             ):
                 _, err, code = run_cli(root, argv)
                 runs.append((f"errors {case} {kind}", err, code))
+    return runs
+
+
+def predict_runs(root: Path) -> list[tuple[str, bytes, int]]:
+    """(output name, bytes, exit code) of stdout and stderr of ``predict`` on PREDICT_ROWS.
+
+    The rows are read from a ``--data`` file, then from stdin.
+    """
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _, model = train_good_model(root, work)
+        rows = work / "predict.rows"
+        rows.write_text(PREDICT_ROWS, encoding="utf-8")
+        for source, argv, stdin in (
+            ("data", ["--data", str(rows)], None),
+            ("stdin", [], PREDICT_ROWS.encode()),
+        ):
+            out, err, code = run_cli(root, ["predict", "--model", str(model), *argv], stdin)
+            runs.append((f"predict bad-rows {source} stdout", out, code))
+            runs.append((f"predict bad-rows {source} stderr", err, code))
     return runs
 
 
@@ -161,8 +200,8 @@ def main(argv: list[str]) -> int:
             for line in workload_digests(root, name, seed):
                 print(line, flush=True)
     print(benchmark_digest(root))
-    for label, err, code in error_runs(root):
-        print(digest_line(label, err, code, {}))
+    for label, data, code in error_runs(root) + predict_runs(root):
+        print(digest_line(label, data, code, {}))
     return 0
 
 

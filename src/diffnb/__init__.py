@@ -1,78 +1,49 @@
 """Difference-boosted naive Bayes: binned joint likelihoods with per-bin
 attribute windows, plus per-cell weights grown on training misses."""
 
-from .boosting import (
-    Model,
-    TrainConfig,
-    TrainTrace,
-    boost_example,
-    run_epoch,
-    train,
-)
-from .dataset import (
-    AttributeSpec,
-    Dataset,
-    ParseError,
-    ParseOptions,
-    Schema,
-    SchemaError,
-    load_schema,
-    parse_table,
-    split_dataset,
-)
-from .density import (
-    BinSpec,
-    DensityModel,
-    bin_index,
-    fit_density,
-    make_bin_spec,
-    resolve_topology,
-    tagged_likelihood,
-)
-from .evaluation import Report, evaluate, load_suite, run_benchmark
-from .inference import Posterior, class_scores, posterior, predict
-from .modelfile import load_model, model_from_json, model_to_json, save_model
-from .topology import SearchResult, SearchSpec, Trial, coordinate_search
+import importlib
+
+# public name -> the submodule defining it; a name's module is imported on
+# first access (PEP 562), so importing the package or one of its modules
+# loads only what that code uses
+_EXPORTS = {
+    **dict.fromkeys(
+        ("Model", "TrainConfig", "TrainTrace", "boost_example", "run_epoch", "train"), "boosting"
+    ),
+    **dict.fromkeys(
+        (
+            "AttributeSpec", "Dataset", "ParseError", "ParseOptions", "Schema", "SchemaError",
+            "load_schema", "parse_table", "split_dataset",
+        ),
+        "dataset",
+    ),
+    **dict.fromkeys(
+        (
+            "BinSpec", "DensityModel", "bin_index", "fit_density", "make_bin_spec",
+            "resolve_topology", "tagged_likelihood",
+        ),
+        "density",
+    ),
+    **dict.fromkeys(("Report", "evaluate", "load_suite", "run_benchmark"), "evaluation"),
+    **dict.fromkeys(("Posterior", "class_scores", "posterior", "predict"), "inference"),
+    **dict.fromkeys(("load_model", "model_from_json", "model_to_json", "save_model"), "modelfile"),
+    **dict.fromkeys(("SearchResult", "SearchSpec", "Trial", "coordinate_search"), "topology"),
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributeSpec",
-    "BinSpec",
-    "Dataset",
-    "DensityModel",
-    "Model",
-    "ParseError",
-    "ParseOptions",
-    "Posterior",
-    "Report",
-    "Schema",
-    "SchemaError",
-    "SearchResult",
-    "SearchSpec",
-    "TrainConfig",
-    "TrainTrace",
-    "Trial",
-    "bin_index",
-    "boost_example",
-    "class_scores",
-    "coordinate_search",
-    "evaluate",
-    "fit_density",
-    "load_model",
-    "load_schema",
-    "load_suite",
-    "make_bin_spec",
-    "model_from_json",
-    "model_to_json",
-    "parse_table",
-    "posterior",
-    "predict",
-    "resolve_topology",
-    "run_benchmark",
-    "run_epoch",
-    "save_model",
-    "split_dataset",
-    "tagged_likelihood",
-    "train",
-]
+__all__ = sorted(_EXPORTS)

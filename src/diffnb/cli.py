@@ -14,6 +14,7 @@ import numpy as np
 
 from .boosting import TrainConfig, train_with_scores
 from .dataset import (
+    _BLOCK_CHARS,
     ParseError,
     ParseOptions,
     SchemaError,
@@ -27,20 +28,11 @@ from .dataset import (
     split_fields,
 )
 from .density import resolve_topology
-from .evaluation import (
-    evaluate,
-    format_percent,
-    load_suite,
-    render_report_machine,
-    render_report_text,
-    render_suite_machine,
-    render_suite_text,
-    run_benchmark,
-    training_report,
-)
-from .inference import posterior
+from .inference import posterior_batch
 from .modelfile import load_model, save_model
-from .topology import SearchSpec, coordinate_search
+
+# evaluation and topology are imported by the commands that run them, so
+# predict and inspect do not load them
 
 
 def _add_parse_flags(cmd: argparse.ArgumentParser, labeled: bool = True) -> None:
@@ -53,7 +45,10 @@ def _add_parse_flags(cmd: argparse.ArgumentParser, labeled: bool = True) -> None
 
 
 def _parse_options(args) -> ParseOptions:
-    ignore = tuple(int(c) for c in args.ignore_cols.split(",") if c.strip() != "")
+    try:
+        ignore = tuple(int(c) for c in args.ignore_cols.split(",") if c.strip() != "")
+    except ValueError:
+        raise ValueError(f"--ignore-cols {args.ignore_cols!r}: expected comma-separated integers") from None
     # predict's rows carry no label, so its parser has no --label-col
     return ParseOptions(args.delimiter, args.missing, getattr(args, "label_col", -1), ignore)
 
@@ -84,6 +79,8 @@ def _require_files(*paths) -> None:
 
 
 def cmd_train(args) -> int:
+    from .evaluation import evaluate, format_percent, training_report
+
     _require_files(args.data, args.schema)
     schema = load_schema(args.schema)
     data = parse_table(args.data, schema, _parse_options(args))
@@ -117,6 +114,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import evaluate, render_report_machine, render_report_text
+
     _require_files(args.model, args.data)
     model = load_model(args.model)
     data = parse_table(args.data, model.schema, _parse_options(args))
@@ -126,7 +125,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _predict_line(model, line: str, options: ParseOptions, line_no: int) -> str:
+def _predict_values(model, line: str, options: ParseOptions, line_no: int) -> tuple[float, ...]:
+    """The encoded values of one stripped input line; raises :class:`ParseError` naming the line."""
     fields = split_fields(line, options.delimiter)
     ignored = {c if c >= 0 else len(fields) + c for c in options.ignore_cols}
     tokens = [f for i, f in enumerate(fields) if i not in ignored]
@@ -139,9 +139,55 @@ def _predict_line(model, line: str, options: ParseOptions, line_no: int) -> str:
         values = tuple(model.schema.encode_value(i, tok) for i, tok in enumerate(tokens))
     except (ParseError, SchemaError) as err:
         raise ParseError(f"line {line_no}: {err}") from None
-    post = posterior(model, values)
-    probs = ",".join(f"{p:.6f}" for p in post.probabilities)
-    return f"{model.schema.classes[post.winner]} p=[{probs}]"
+    return values
+
+
+def _line_blocks(source):
+    """Blocks of (line number, stripped line) of ``source``'s non-blank lines.
+
+    A block closes once its lines hold ``_BLOCK_CHARS`` characters, so
+    rows are scored together while what is held stays small. An error
+    while reading, such as an undecodable byte, first yields the lines
+    read before it, then raises.
+    """
+    block, chars = [], 0
+    try:
+        for line_no, line in enumerate(source, start=1):
+            chars += len(line)
+            line = line.strip()
+            if line:
+                block.append((line_no, line))
+            if chars >= _BLOCK_CHARS:
+                if block:
+                    yield block
+                block, chars = [], 0
+    except (ValueError, OSError):  # what main reports as an error: line
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _predict_block(model, block, options: ParseOptions) -> int:
+    """Print a label line or an ``ERROR`` line per row of ``block``, in order; returns the failures."""
+    parsed = []
+    for line_no, line in block:
+        try:
+            parsed.append(_predict_values(model, line, options, line_no))
+        except (ParseError, SchemaError) as err:
+            parsed.append(f"ERROR: {err}")
+    good = [row for row in parsed if not isinstance(row, str)]
+    if good:
+        probabilities, winners = posterior_batch(model, good)
+        classes = model.schema.classes
+        labeled = iter([
+            f"{classes[w]} p=[{','.join(f'{p:.6f}' for p in probs)}]"
+            for w, probs in zip(winners.tolist(), probabilities.tolist())
+        ])
+        parsed = [row if isinstance(row, str) else next(labeled) for row in parsed]
+    sys.stdout.write("".join(f"{line}\n" for line in parsed))
+    return len(parsed) - len(good)
 
 
 def cmd_predict(args) -> int:
@@ -156,15 +202,8 @@ def cmd_predict(args) -> int:
         source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
     failures = 0
     try:
-        for line_no, line in enumerate(source, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                print(_predict_line(model, line, options, line_no))
-            except (ParseError, SchemaError) as err:
-                failures += 1
-                print(f"ERROR: {err}")
+        for block in _line_blocks(source):
+            failures += _predict_block(model, block, options)
     finally:
         if args.data:
             source.close()
@@ -208,6 +247,9 @@ _SPEC_KEYS = (
 
 
 def cmd_search(args) -> int:
+    from .evaluation import format_percent
+    from .topology import SearchSpec, coordinate_search
+
     _require_files(args.spec)
     spec_path = Path(args.spec)
     doc = "search spec"
@@ -279,6 +321,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from .evaluation import load_suite, render_suite_machine, render_suite_text, run_benchmark
+
     _require_files(args.suite)
     suite = load_suite(args.suite)
     report = run_benchmark(suite, data_dir=args.data_dir)

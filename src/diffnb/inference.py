@@ -74,6 +74,20 @@ def posterior(model: Model, values: Sequence[float]) -> Posterior:
     return Posterior(tuple(float(p) for p in probs), winner, tie)
 
 
+def posterior_batch(model: Model, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized posteriors (n, K) and winner indices (n,) of an (n, M) value matrix.
+
+    Row for row equal to :func:`posterior` bit for bit: the scores are
+    exponentiated as :func:`~diffnb.boosting.scores_from_logs` does a
+    single row, and each row's sum runs over its K contiguous scores in
+    the order a 1-D sum does.
+    """
+    logs = batch_log_scores(model, np.asarray(values, dtype=np.float64))
+    scores = scores_from_logs(logs)
+    winners, _ = winners_of(logs)
+    return scores / scores.sum(axis=1, keepdims=True), winners
+
+
 def predict(model: Model, values: Sequence[float]) -> str:
     """Class label of the posterior winner."""
     return model.schema.classes[posterior(model, values).winner]

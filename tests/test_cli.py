@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diffnb
+from diffnb import cli
 from diffnb.cli import main
 from diffnb.evaluation import evaluate, render_report_machine
+from diffnb.inference import posterior
 from diffnb.modelfile import load_model
 
 from conftest import xor_dataset
@@ -385,6 +388,125 @@ class TestPredict:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+
+
+# every input line is this many characters with its newline, blank and bad
+# lines too, so the lines that close a block follow from the block size
+LINE_CHARS = 36
+BAD_PREDICT_ROWS = (
+    ("0", "expected 2 values, got 1"),
+    ("? 1", "missing value"),
+    ("1 inf", "attribute 'b': not a finite number: 'inf'"),
+)
+
+
+def predict_input(n_lines: int, bad: set[int], blank: set[int]) -> tuple[str, list]:
+    """Fixed-width rows for the xor model, and per non-blank line its values or its ERROR line.
+
+    Line indexes in ``bad`` hold a malformed row, those in ``blank`` only spaces.
+    """
+    rng = np.random.default_rng(0)
+    lines, expected = [], []
+    for i in range(n_lines):
+        if i in blank:
+            line = ""
+        elif i in bad:
+            line, message = BAD_PREDICT_ROWS[i % len(BAD_PREDICT_ROWS)]
+            expected.append(f"ERROR: line {i + 1}: {message}")
+        else:
+            line = " ".join(f"{v:.15f}" for v in rng.random(2))
+            expected.append(tuple(float(tok) for tok in line.split()))
+        lines.append(line.ljust(LINE_CHARS - 1) + "\n")
+    return "".join(lines), expected
+
+
+def per_row_output(model, expected: list) -> list[str]:
+    """predict's lines for ``expected``, each row labeled by its own posterior() call."""
+    out = []
+    for item in expected:
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            post = posterior(model, item)
+            probs = ",".join(f"{p:.6f}" for p in post.probabilities)
+            out.append(f"{model.schema.classes[post.winner]} p=[{probs}]")
+    return out
+
+
+def run_predict(workdir, monkeypatch, source: str, data: bytes) -> int:
+    """predict on ``data``, from a --data file or from stdin; returns the exit code."""
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        return main(["predict", "--model", str(workdir / "xor.model.json")])
+    (workdir / "many.rows").write_bytes(data)
+    return main(["predict", "--model", str(workdir / "xor.model.json"), "--data", str(workdir / "many.rows")])
+
+
+class TestPredictBlocks:
+    """predict labels a block of rows at a time; its output is that of one posterior() per row."""
+
+    @pytest.mark.parametrize("source", ["data", "stdin"])
+    @pytest.mark.parametrize("block_chars", [1, 100, None], ids=["one-line", "three-lines", "default"])
+    def test_output_equals_per_row_posteriors(self, workdir, capsys, monkeypatch, source, block_chars):
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        if block_chars is not None:
+            monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
+        per_block = -(-cli._BLOCK_CHARS // LINE_CHARS)
+        n = max(2 * per_block + per_block // 2, 40)
+        # the first and last rows, and the last row of the first block with
+        # the first of the second
+        bad = {0, per_block - 1, per_block, n - 1}
+        blank = {i for i in range(n) if i % 7 == 5} - bad
+        text, expected = predict_input(n, bad, blank)
+        code = run_predict(workdir, monkeypatch, source, text.encode())
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == per_row_output(load_model(model_path), expected)
+        assert captured.err == f"{len(bad)} rows failed\n"
+
+    @pytest.mark.parametrize("source", ["data", "stdin"])
+    @pytest.mark.parametrize("block_chars", [None, 1 << 30], ids=["default", "one-block"])
+    def test_rows_before_an_undecodable_byte_are_printed(
+        self, workdir, capsys, monkeypatch, source, block_chars
+    ):
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        if block_chars is not None:
+            monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
+        n = 3000
+        text, expected = predict_input(n, set(), set())
+        code = run_predict(workdir, monkeypatch, source, text.encode() + b"0 \xff\n")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+        assert captured.err.count("\n") == 1
+        lines = captured.out.splitlines()
+        assert lines == per_row_output(load_model(model_path), expected)[: len(lines)]
+        # text is decoded 8 KiB at a time, so only the rows of the chunk
+        # holding the byte, and of the one before, may never have been read
+        assert len(lines) > n - 2 * 8192 // LINE_CHARS
+
+
+class TestIgnoreCols:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    @pytest.mark.parametrize("text", ["x", "1,a", "0.5"])
+    def test_malformed_value_names_the_flag_and_its_form(self, workdir, capsys, command, text):
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        data = str(workdir / ("xor.rows" if command == "predict" else "xor.data"))
+        out = workdir / "ignored.model.json"
+        argv = {
+            "train": ["train", "--data", data, "--schema", str(workdir / "xor.schema.json"), "--out", str(out)],
+            "evaluate": ["evaluate", "--model", str(model_path), "--data", data],
+            "predict": ["predict", "--model", str(model_path), "--data", data],
+        }[command]
+        code = main([*argv, "--ignore-cols", text])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: --ignore-cols {text!r}: expected comma-separated integers\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSearch:
@@ -897,10 +1019,12 @@ class TestMissingInputFile:
 
 def test_import_loads_no_pool_machinery():
     # every command pays for what importing the CLI loads; only a
-    # parallel search needs worker processes, and it imports them itself
+    # parallel search needs worker processes, and it imports them itself,
+    # and only the commands that evaluate or search import those modules
     script = (
         "import sys, diffnb.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')"
+        " or m in ('diffnb.evaluation', 'diffnb.topology')))"
     )
     package_root = Path(diffnb.__file__).resolve().parent.parent
     path = [str(package_root), os.environ.get("PYTHONPATH", "")]
@@ -908,3 +1032,12 @@ def test_import_loads_no_pool_machinery():
     child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
+
+
+def test_package_exports_resolve_on_first_use():
+    for name in diffnb.__all__:
+        value = getattr(diffnb, name)
+        assert getattr(value, "__name__", name) == name
+    assert set(diffnb.__all__) <= set(dir(diffnb))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        diffnb.no_such_name

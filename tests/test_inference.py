@@ -12,7 +12,14 @@ from diffnb import density as density_module
 from diffnb.boosting import TrainConfig, scores_from_logs, train, winner_of
 from diffnb.dataset import SchemaError
 from diffnb.density import bin_index, tagged_likelihood
-from diffnb.inference import batch_log_scores, class_scores, posterior, predict, predict_batch
+from diffnb.inference import (
+    batch_log_scores,
+    class_scores,
+    posterior,
+    posterior_batch,
+    predict,
+    predict_batch,
+)
 from diffnb.modelfile import model_from_json, model_to_json
 
 from conftest import query_rows, small_problems, xor_dataset
@@ -121,6 +128,10 @@ class TestFidelity:
             total = mpmath.fsum(exact)
             for k in range(3):
                 assert post.probabilities[k] == pytest.approx(float(exact[k] / total), abs=1e-9)
+        # the batch path shifts such rows exactly as the single-row path does
+        batch, _ = posterior_batch(model, data.value_matrix())
+        for i, (values, _label) in enumerate(rows):
+            assert tuple(batch[i].tolist()) == posterior(model, values).probabilities
 
     @given(
         st.lists(st.integers(-600, 600).map(float), min_size=2, max_size=5),
@@ -168,6 +179,22 @@ class TestBatch:
             assert post.probabilities == pytest.approx(
                 tuple(scores[i] / scores[i].sum()), rel=1e-12
             )
+
+    @given(small_problems(max_n=8, max_attrs=3, max_classes=9), st.data())
+    def test_posterior_batch_equals_posterior_bit_for_bit(self, problem, extra):
+        # predict prints these probabilities, so a block of rows must
+        # normalize exactly as one row at a time does, for any class count
+        data, model = trained_small(problem)
+        m = data.schema.n_attributes
+        queries = np.array(
+            [extra.draw(query_rows(m)) for _ in range(extra.draw(st.integers(1, 6)))]
+        ).reshape(-1, m)
+        probabilities, winners = posterior_batch(model, queries)
+        assert probabilities.shape == (len(queries), data.schema.n_classes)
+        for i, row in enumerate(queries):
+            post = posterior(model, row)
+            assert tuple(probabilities[i].tolist()) == post.probabilities
+            assert winners[i] == post.winner
 
 
 class TestScoringTables:

@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from diffnb import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -47,3 +49,22 @@ def test_malformed_tables_fail_with_the_first_bad_line():
     messages = {label: err.decode() for label, err, _ in runs}
     # the wrong-length line after the bad value is not the one reported
     assert messages["errors bad-value-then-short-line train"] == messages["errors bad-number train"]
+
+
+def test_predict_on_bad_rows_reads_a_file_and_stdin_alike():
+    script = load_script()
+    runs = script.predict_runs(ROOT)
+    assert [label for label, _, _ in runs] == [
+        f"predict bad-rows {source} {stream}" for source in ("data", "stdin") for stream in ("stdout", "stderr")
+    ]
+    assert all(code == 1 for _, _, code in runs)
+    outputs = {label: data.decode() for label, data, _ in runs}
+    assert outputs["predict bad-rows data stdout"] == outputs["predict bad-rows stdin stdout"]
+    assert outputs["predict bad-rows data stderr"] == outputs["predict bad-rows stdin stderr"]
+    lines = outputs["predict bad-rows data stdout"].splitlines()
+    n_bad = sum(1 for line in lines if line.startswith("ERROR: line "))
+    # one line per non-blank input line, and more than one block of input
+    assert len(lines) == sum(1 for line in script.PREDICT_ROWS.splitlines() if line)
+    assert 0 < n_bad < len(lines)
+    assert outputs["predict bad-rows data stderr"] == f"{n_bad} rows failed\n"
+    assert len(script.PREDICT_ROWS) > 2 * cli._BLOCK_CHARS
