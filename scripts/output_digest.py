@@ -12,9 +12,11 @@ path; by default the checkout holding this script) as a user would:
 also runs ``benchmark --format machine`` on CHECKOUT's shipped suite,
 dropping the ``train_seconds`` lines, which are wall times, and ``train``
 and ``evaluate`` on malformed tables, where the digest covers stderr: the
-error message a bad line gives. Last, ``predict`` labels rows with bad and
+error message a bad line gives. Then ``predict`` labels rows with bad and
 blank lines among them, more than one block of them, from a ``--data``
-file and from stdin; both stdout and stderr are digested.
+file and from stdin; both stdout and stderr are digested. Last, ``train``,
+``evaluate`` and ``predict`` run on two copies of the monks-1 files, one
+with CRLF line ends and a byte-order mark, one with lone CR line ends.
 
 Each output prints as one line, ``<workload> <job> <output> <sha256>
 exit=<code>``. The temporary directory and CHECKOUT's path are replaced
@@ -30,6 +32,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -184,6 +187,42 @@ def predict_runs(root: Path) -> list[tuple[str, bytes, int]]:
     return runs
 
 
+# the monks-1 copies: a file's lines joined by each line end, and its leading bytes
+NEWLINE_COPIES = {"crlf-bom": ("\r\n", "\ufeff"), "cr": ("\r", "")}
+
+
+def newline_runs(root: Path) -> list[tuple[str, bytes, int]]:
+    """(output name, stdout, exit code) of ``train``, ``evaluate`` and ``predict`` on each NEWLINE_COPIES copy.
+
+    The model file ``train`` writes is digested too; the temporary
+    directory is left out of every output.
+    """
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        schema = work / "monks.schema.json"
+        shutil.copyfile(root / "benchmarks" / "schemas" / "monks.schema.json", schema)
+        for case, (newline, head) in NEWLINE_COPIES.items():
+            paths = {}
+            for split in ("train", "test"):
+                lines = (root / "data" / f"monks-1.{split}").read_text(encoding="utf-8").splitlines()
+                paths[split] = work / f"{case}.{split}"
+                paths[split].write_text(head + newline.join(lines) + newline, encoding="utf-8", newline="")
+            job = workloads.Job(
+                name=case, schema=schema, train=paths["train"], test=paths["test"], rows=paths["test"],
+                model=work / "model.json", row_values=[], bins=4, max_rounds=500,
+                label_col=0, ignore_cols=(7,), predict_ignore=(0, 7),
+            )
+            for kind, argv in (
+                ("train", job.train_argv()), ("evaluate", job.evaluate_argv()), ("predict", job.predict_argv())
+            ):
+                out, _, code = run_cli(root, argv)
+                runs.append((f"newlines {case} {kind}", out.replace(str(work).encode(), b"<work>"), code))
+                if kind == "train":
+                    runs.append((f"newlines {case} model", job.model.read_bytes(), code))
+    return runs
+
+
 def benchmark_digest(root: Path) -> str:
     out, _, code = run_cli(root, ["benchmark", "--suite", str(root / "benchmarks" / "suite.json"), "--format", "machine"])
     out = re.sub(rb"(?m)^[^\n]*\.train_seconds=[^\n]*\n", b"", out)
@@ -200,7 +239,7 @@ def main(argv: list[str]) -> int:
             for line in workload_digests(root, name, seed):
                 print(line, flush=True)
     print(benchmark_digest(root))
-    for label, data, code in error_runs(root) + predict_runs(root):
+    for label, data, code in error_runs(root) + predict_runs(root) + newline_runs(root):
         print(digest_line(label, data, code, {}))
     return 0
 

@@ -5,16 +5,15 @@ failed rows), 2 usage errors including missing input files.
 """
 
 import argparse
-import io
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from .boosting import TrainConfig, train_with_scores
 from .dataset import (
-    _BLOCK_CHARS,
     ParseError,
     ParseOptions,
     SchemaError,
@@ -22,6 +21,7 @@ from .dataset import (
     json_keys,
     json_parse_options,
     json_value,
+    line_blocks,
     load_schema,
     parse_table,
     split_dataset,
@@ -84,8 +84,8 @@ def cmd_train(args) -> int:
     _require_files(args.data, args.schema)
     schema = load_schema(args.schema)
     data = parse_table(args.data, schema, _parse_options(args))
-    if data.provenance.n_dropped:
-        print(f"dropped {data.provenance.n_dropped} rows with missing values")
+    if data.n_dropped:
+        print(f"dropped {data.n_dropped} rows with missing values")
     holdout = None
     if args.train_count is not None:
         data, holdout = split_dataset(data, args.train_count, args.seed)
@@ -142,37 +142,16 @@ def _predict_values(model, line: str, options: ParseOptions, line_no: int) -> tu
     return values
 
 
-def _line_blocks(source):
-    """Blocks of (line number, stripped line) of ``source``'s non-blank lines.
+def _predict_block(model, n_before: int, lines: list[str], options: ParseOptions) -> int:
+    """Print a label line or an ``ERROR`` line per non-blank line, in order; returns the failures.
 
-    A block closes once its lines hold ``_BLOCK_CHARS`` characters, so
-    rows are scored together while what is held stays small. An error
-    while reading, such as an undecodable byte, first yields the lines
-    read before it, then raises.
+    ``lines`` follow the first ``n_before`` lines of the input.
     """
-    block, chars = [], 0
-    try:
-        for line_no, line in enumerate(source, start=1):
-            chars += len(line)
-            line = line.strip()
-            if line:
-                block.append((line_no, line))
-            if chars >= _BLOCK_CHARS:
-                if block:
-                    yield block
-                block, chars = [], 0
-    except (ValueError, OSError):  # what main reports as an error: line
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
-
-
-def _predict_block(model, block, options: ParseOptions) -> int:
-    """Print a label line or an ``ERROR`` line per row of ``block``, in order; returns the failures."""
     parsed = []
-    for line_no, line in block:
+    for line_no, line in enumerate(lines, start=n_before + 1):
+        line = line.strip()
+        if not line:
+            continue
         try:
             parsed.append(_predict_values(model, line, options, line_no))
         except (ParseError, SchemaError) as err:
@@ -194,21 +173,11 @@ def cmd_predict(args) -> int:
     _require_files(args.model, args.data)
     model = load_model(args.model)
     options = _parse_options(args)
-    # stdin decodes as a --data file does: a byte order mark is dropped and
-    # an undecodable byte is an error, not a value
-    if args.data:
-        source = open(args.data, "r", encoding="utf-8-sig")
-    else:
-        source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
     failures = 0
-    try:
-        for block in _line_blocks(source):
-            failures += _predict_block(model, block, options)
-    finally:
-        if args.data:
-            source.close()
-        else:
-            source.detach()  # stdin itself stays open
+    # stdin's bytes are read as a --data file's are, whatever the locale
+    with open(args.data, "rb") if args.data else nullcontext(sys.stdin.buffer) as source:
+        for n_before, lines in line_blocks(source):
+            failures += _predict_block(model, n_before, lines, options)
     if failures:
         print(f"{failures} rows failed", file=sys.stderr)
         return 1
@@ -261,14 +230,21 @@ def cmd_search(args) -> int:
     _require_files(schema_path)
     schema = load_schema(schema_path)
     options = json_parse_options(doc, raw)
+    # one file to split, or a train and a validation file, never both
     if "data" in raw:
         data_path = base / json_entry(doc, raw, "data", "a string")
         train_count = json_entry(doc, raw, "train_count", "an integer")
         seed = json_entry(doc, raw, "seed", "an integer", "null", default=None)
+        for key in ("train", "validation"):
+            if key in raw:
+                raise ValueError(f'{doc} gives "{key}" with "data", which is split into train and validation')
         _require_files(data_path)
         full = parse_table(data_path, schema, options)
         trainset, validation = split_dataset(full, train_count, seed)
     else:
+        for key in ("train_count", "seed"):
+            if key in raw:
+                raise ValueError(f'{doc} gives "{key}" without "data", the file it splits')
         train_path = base / json_entry(doc, raw, "train", "a string")
         val_path = base / json_entry(doc, raw, "validation", "a string")
         _require_files(train_path, val_path)

@@ -9,19 +9,22 @@ than a traceback.
 A dataset is its schema plus two read-only arrays, the (n, M) float64
 value matrix and the (n,) int64 class indices. ``parse_table`` fills
 those arrays column by column, a block of lines at a time, and walks a
-block line by line only to report the first bad line in it.
+block line by line only to report the first bad line in it. Its blocks
+come from :func:`line_blocks`, the one reader of delimited text, which
+``diffnb predict`` reads its rows through as well.
 
 Everything here is a pure function over immutable inputs; datasets can be
 shared freely across threads.
 """
 
+import io
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import compress, islice
+from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -135,13 +138,6 @@ class Schema:
         return value
 
 
-@dataclass(frozen=True)
-class Provenance:
-    source: str
-    split: str | None = None
-    n_dropped: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled rows: an (n, M) float64 value matrix and (n,) int64 class indices.
@@ -150,13 +146,14 @@ class Dataset:
     converts them to those dtypes and marks them read-only; an array
     passed in with the right dtype is taken as it is, not copied, so the
     caller hands it over. Equality is identity: two datasets are never
-    compared row by row.
+    compared row by row. ``n_dropped`` counts the rows a parse dropped
+    for holding the missing-value token.
     """
 
     schema: Schema
     values: np.ndarray
     label_indices: np.ndarray
-    provenance: Provenance = field(default=Provenance("memory"))
+    n_dropped: int = 0
 
     def __post_init__(self):
         m = self.schema.n_attributes
@@ -182,7 +179,7 @@ class Dataset:
     def __reduce__(self):
         # unpickling goes through the constructor, which marks the
         # arrays read-only again (a search worker's datasets are pickled)
-        return Dataset, (self.schema, self.values, self.label_indices, self.provenance)
+        return Dataset, (self.schema, self.values, self.label_indices, self.n_dropped)
 
     def value_matrix(self) -> np.ndarray:
         """All example values as an (n, M) float64 matrix; read-only."""
@@ -193,14 +190,14 @@ class Dataset:
         return self.label_indices
 
     @staticmethod
-    def build(schema: Schema, rows: Iterable[tuple[Sequence[float], int]], source: str = "memory") -> "Dataset":
+    def build(schema: Schema, rows: Iterable[tuple[Sequence[float], int]]) -> "Dataset":
         """A dataset of ``(values, label)`` pairs, in order."""
         rows = list(rows)
         values = np.array([v for v, _ in rows], dtype=np.float64)
         if not rows:
             values = values.reshape(0, schema.n_attributes)
         labels = np.array([int(label) for _, label in rows], dtype=np.int64)
-        return Dataset(schema, values, labels, Provenance(source))
+        return Dataset(schema, values, labels)
 
 
 @dataclass(frozen=True)
@@ -366,11 +363,43 @@ def _row_layout(n_fields: int, options: ParseOptions, line_no: int) -> tuple[int
     return label, ignored
 
 
-# characters of text read per block: the tokens of one block, not of the
-# whole file, are held at once. On a 10k x 20 table 2**14 parses as fast
-# as 2**16, and on a 1000 x 6 one it keeps `diffnb evaluate`'s peak RSS
-# 0.5 MB lower
+# bytes of whole lines read per block: the tokens of one block, not of
+# the whole input, are held at once. On a 10k x 20 table 2**14 parses as
+# fast as 2**16, and on a 1000 x 6 one it keeps `diffnb evaluate`'s peak
+# RSS 0.5 MB lower
 _BLOCK_CHARS = 1 << 14
+
+
+def _text_lines(text: str) -> list[str]:
+    """``text``'s lines as a text-mode file reads them: LF, CRLF and a lone CR each end one as LF."""
+    return io.StringIO(text, newline=None).readlines()
+
+
+def line_blocks(stream: BinaryIO) -> Iterator[tuple[int, list[str]]]:
+    """(count of lines before the block, lines) for each block of a binary ``stream``.
+
+    A block is the whole lines of about ``_BLOCK_CHARS`` bytes, decoded
+    as UTF-8 at once, a byte-order mark at the start of the stream
+    dropped, and split as :func:`_text_lines` splits text; a CRLF never
+    straddles two blocks. A byte that is not UTF-8 first yields the whole
+    lines of its block before it, then raises its UnicodeDecodeError, so
+    a reader meets those lines, and any bad one among them, first.
+    """
+    n_before = 0
+    encoding = "utf-8-sig"
+    while raw := stream.readlines(_BLOCK_CHARS):
+        try:
+            lines = _text_lines(b"".join(raw).decode(encoding))
+        except UnicodeDecodeError as err:
+            # the error's offsets are past a dropped byte-order mark
+            head = _text_lines(err.object[: err.start].decode("utf-8"))
+            if head and not head[-1].endswith("\n"):
+                head.pop()  # the start of the line that holds the byte
+            yield n_before, head
+            raise
+        yield n_before, lines
+        n_before += len(lines)
+        encoding = "utf-8"
 
 
 class _BadBlock(Exception):
@@ -380,18 +409,18 @@ class _BadBlock(Exception):
 def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseOptions()) -> Dataset:
     """Parse a delimited text file of labeled rows against ``schema``.
 
-    Rows containing the missing-value token are dropped; the count of
-    dropped rows is recorded on the returned dataset's provenance.
-    Structural problems raise :class:`ParseError` with the 1-based line
-    number; tokens that contradict the schema raise :class:`SchemaError`.
+    Rows containing the missing-value token are dropped; the returned
+    dataset's ``n_dropped`` counts them. Structural problems raise
+    :class:`ParseError` with the 1-based line number; tokens that
+    contradict the schema raise :class:`SchemaError`.
 
-    The file is read a block of lines at a time. Each block is split into
+    The file is read through :func:`line_blocks`. Each block is split into
     fields and encoded column by column, straight into its part of the
     value matrix. A block that fails anywhere is walked again line by line
     through :meth:`Schema.encode_value` and :meth:`Schema.class_index`, so
     the first bad line in file order raises, with the message a line by
-    line parse gives, also ahead of a byte that is not UTF-8 (see
-    :func:`_read_block`). A leading UTF-8 byte-order mark is skipped.
+    line parse gives. A byte that is not UTF-8 raises its
+    UnicodeDecodeError once the lines before it have parsed.
     """
     encoders = [
         {tok: float(i) for i, tok in enumerate(a.values)}.__getitem__ if a.is_discrete else float
@@ -403,9 +432,8 @@ def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseO
     layouts: dict[int, tuple[int, ...] | None] = {}
     value_blocks, label_blocks = [], []
     n_dropped = 0
-    line_no = 0
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        while lines := _read_block(path, fh, line_no, schema, options):
+    with open(path, "rb") as fh:
+        for line_no, lines in line_blocks(fh):
             try:
                 values, labels, dropped = _encode_block(lines, schema, options, encoders, class_codes, layouts)
             except (_BadBlock, ValueError, KeyError):
@@ -414,28 +442,11 @@ def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseO
             value_blocks.append(values)
             label_blocks.append(labels)
             n_dropped += dropped
-            line_no += len(lines)
     values = np.concatenate(value_blocks) if value_blocks else np.empty((0, schema.n_attributes))
     if not len(values):
         raise ParseError(f"{path}: no examples")
     labels = np.concatenate(label_blocks)
-    return Dataset(schema, values, labels, Provenance(str(path), n_dropped=n_dropped))
-
-
-def _read_block(path, fh, line_no: int, schema: Schema, options: ParseOptions) -> list[str]:
-    """The next block of ``fh``'s lines, the first ``line_no`` lines of the file already read.
-
-    A byte that is not UTF-8 fails the whole block, taking the lines
-    before it with it; those are then read again one at a time from a
-    fresh handle, so a bad line ahead of the byte raises first, as in a
-    line by line parse, and otherwise the decode error does.
-    """
-    try:
-        return fh.readlines(_BLOCK_CHARS)
-    except UnicodeDecodeError:
-        with open(path, "r", encoding="utf-8-sig") as again:
-            _raise_first_fault(islice(again, line_no, None), line_no, schema, options)
-        raise
+    return Dataset(schema, values, labels, n_dropped)
 
 
 def _layout_fields(n_fields: int, options: ParseOptions, m: int) -> tuple[int, ...] | None:
@@ -535,17 +546,11 @@ def split_dataset(
         raise ValueError(f"train_count must be in (0, {n}), got {train_count}")
     if shuffle_seed is None:
         order = np.arange(n)
-        tag = "order=file"
     else:
         order = np.random.default_rng(shuffle_seed).permutation(n)
-        tag = f"order=shuffled(seed={shuffle_seed})"
-    src = data.provenance.source
 
-    def subset(rows: np.ndarray, split: str) -> Dataset:
+    def subset(rows: np.ndarray) -> Dataset:
         # fancy indexing copies, so neither part shares a buffer
-        return Dataset(data.schema, data.values[rows], data.label_indices[rows], Provenance(src, split))
+        return Dataset(data.schema, data.values[rows], data.label_indices[rows])
 
-    return (
-        subset(order[:train_count], f"train[{train_count}] {tag}"),
-        subset(order[train_count:], f"test[{n - train_count}] {tag}"),
-    )
+    return subset(order[:train_count]), subset(order[train_count:])

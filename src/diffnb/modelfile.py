@@ -98,8 +98,9 @@ def model_from_json(text: str) -> Model:
 
     The document's kind and its top-level keys, the schema, the config,
     the trace and each bin grid are checked with the shared JSON checker,
-    so a malformed file is a ValueError naming the entry; the per-cell
-    arrays are read as they are.
+    so a malformed file is a ValueError naming the entry. A bin grid
+    count must equal its attribute's topology entry and ``n_train`` must
+    be positive; the per-cell arrays are read as they are.
     """
     name = "model file"
     doc = json_value(name, json.loads(text), "a JSON object")
@@ -114,22 +115,30 @@ def model_from_json(text: str) -> Model:
         raise ValueError(f'{name} "topology" has {len(topology)} bin counts for {m_n} attributes')
     b_max = max(topology)
     n_train = int(json_entry(name, doc, "n_train", "an integer"))
+    if n_train < 1:
+        raise ValueError(f'{name} "n_train" must be >= 1, got {n_train}')
     raw_counts = json_entry(name, doc, "counts", "a JSON list")
     raw_tags = json_entry(name, doc, "tags", "a JSON list")
     raw_weights = json_entry(name, doc, "weights", "a JSON list")
     raw_config = json_entry(name, doc, "config", "a JSON object")
     raw_trace = json_entry(name, doc, "trace", "a JSON object")
 
+    raw_specs = json_entry(name, doc, "bin_specs", "a JSON list")
+    if len(raw_specs) != m_n:
+        raise ValueError(f'{name} "bin_specs" has {len(raw_specs)} bin specs for {m_n} attributes')
     specs = []
-    for m, s in enumerate(json_entry(name, doc, "bin_specs", "a JSON list")):
+    for m, s in enumerate(raw_specs):
         spec_doc = f"{name} bin spec {m + 1}"
         json_value(spec_doc, s, "a JSON object")
+        count = int(json_entry(spec_doc, s, "count", "an integer"))
+        if count != topology[m]:
+            raise ValueError(f'{spec_doc} "count" is {count}, but "topology" gives {topology[m]} bins')
         specs.append(
             BinSpec(
                 m,
                 float(json_entry(spec_doc, s, "lo", "a number")),
                 float(json_entry(spec_doc, s, "hi", "a number")),
-                int(json_entry(spec_doc, s, "count", "an integer")),
+                count,
             )
         )
     specs = tuple(specs)

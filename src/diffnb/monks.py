@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import AttributeSpec, Dataset, Provenance, Schema
+from .dataset import AttributeSpec, Dataset, Schema
 
 MONKS_VALUES = (3, 3, 2, 3, 4, 2)
 MONKS_BINS = (4, 4, 4, 4, 4, 4)
@@ -69,7 +69,7 @@ def generate_monks(problem: int) -> tuple[Dataset, Dataset]:
     labels = [monks_label(problem, row) for row in grid]
 
     values = np.array(grid, dtype=np.float64)
-    test = Dataset(schema, values, labels, Provenance(f"monks-{problem}", "test[432] full grid"))
+    test = Dataset(schema, values, labels)
 
     rng = np.random.default_rng(_SAMPLE_SEEDS[problem])
     chosen: list[int] = []
@@ -85,12 +85,7 @@ def generate_monks(problem: int) -> tuple[Dataset, Dataset]:
             pos = chosen[int(i)]
             train_labels[pos] = 1 - train_labels[pos]
 
-    train = Dataset(
-        schema,
-        values[chosen],
-        [train_labels[i] for i in chosen],
-        Provenance(f"monks-{problem}", f"train[{len(chosen)}] stratified sample"),
-    )
+    train = Dataset(schema, values[chosen], [train_labels[i] for i in chosen])
     return train, test
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diffnb
-from diffnb import cli
+from diffnb import dataset
 from diffnb.cli import main
 from diffnb.evaluation import evaluate, render_report_machine
 from diffnb.inference import posterior
@@ -113,6 +113,16 @@ class TestTrain:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+        assert not model_path.exists()
+
+    def test_bad_line_ahead_of_an_undecodable_byte_is_reported_first(self, workdir, capsys):
+        # both in the file's first 8 KiB, which a text-mode reader decodes as
+        # one chunk, so that reader meets the byte before the bad line
+        (workdir / "xor.data").write_bytes(b"0 0 c0\n1 x c0\n0 1 c1\n1 \xff c1\n")
+        code, model_path = train_xor(workdir)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: line 2: attribute 'b': not a number: 'x'\n"
         assert not model_path.exists()
 
     def test_non_finite_value_is_a_runtime_error(self, workdir, capsys):
@@ -282,8 +292,27 @@ class TestEvaluate:
                 'model file "counts", "weights" or "tags" do not match its schema and topology:'
                 " 'int' object is not iterable",
             ),
+            (lambda doc: doc["bin_specs"].pop(), 'model file "bin_specs" has 1 bin specs for 2 attributes'),
+            (
+                lambda doc: doc["bin_specs"].append(doc["bin_specs"][0]),
+                'model file "bin_specs" has 3 bin specs for 2 attributes',
+            ),
+            (
+                lambda doc: doc["bin_specs"][0].update(count=9),
+                'model file bin spec 1 "count" is 9, but "topology" gives 2 bins',
+            ),
+            (
+                lambda doc: doc["bin_specs"][1].update(count=9),
+                'model file bin spec 2 "count" is 9, but "topology" gives 2 bins',
+            ),
+            (lambda doc: doc.update(n_train=0), 'model file "n_train" must be >= 1, got 0'),
+            (lambda doc: doc.update(n_train=-4), 'model file "n_train" must be >= 1, got -4'),
         ],
-        ids=["schema", "topology", "topology-length", "bin-spec", "config", "trace", "counts", "tags"],
+        ids=[
+            "schema", "topology", "topology-length", "bin-spec", "config", "trace", "counts", "tags",
+            "bin-specs-short", "bin-specs-long", "bin-count-first", "bin-count-last", "n-train-zero",
+            "n-train-negative",
+        ],
     )
     def test_damaged_model_file_names_the_entry(self, workdir, capsys, edit, message):
         _, model_path = train_xor(workdir)
@@ -451,8 +480,8 @@ class TestPredictBlocks:
         _, model_path = train_xor(workdir)
         capsys.readouterr()
         if block_chars is not None:
-            monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
-        per_block = -(-cli._BLOCK_CHARS // LINE_CHARS)
+            monkeypatch.setattr(dataset, "_BLOCK_CHARS", block_chars)
+        per_block = -(-dataset._BLOCK_CHARS // LINE_CHARS)
         n = max(2 * per_block + per_block // 2, 40)
         # the first and last rows, and the last row of the first block with
         # the first of the second
@@ -473,19 +502,33 @@ class TestPredictBlocks:
         _, model_path = train_xor(workdir)
         capsys.readouterr()
         if block_chars is not None:
-            monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
-        n = 3000
-        text, expected = predict_input(n, set(), set())
+            monkeypatch.setattr(dataset, "_BLOCK_CHARS", block_chars)
+        text, expected = predict_input(3000, set(), set())
         code = run_predict(workdir, monkeypatch, source, text.encode() + b"0 \xff\n")
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
         assert captured.err.count("\n") == 1
-        lines = captured.out.splitlines()
-        assert lines == per_row_output(load_model(model_path), expected)[: len(lines)]
-        # text is decoded 8 KiB at a time, so only the rows of the chunk
-        # holding the byte, and of the one before, may never have been read
-        assert len(lines) > n - 2 * 8192 // LINE_CHARS
+        assert captured.out.splitlines() == per_row_output(load_model(model_path), expected)
+
+    @pytest.mark.parametrize("source", ["data", "stdin"])
+    def test_rows_before_an_undecodable_byte_in_the_first_8_kib_are_printed(
+        self, workdir, capsys, monkeypatch, source
+    ):
+        # a text-mode reader decodes the first 8 KiB as one chunk, so it
+        # meets the byte before any row
+        _, model_path = train_xor(workdir)
+        capsys.readouterr()
+        n = 8192 // LINE_CHARS - 1
+        text, expected = predict_input(n, {n // 2}, {n // 3})
+        data = text.encode() + b"0 \xff\n"
+        assert len(data) < 8192
+        code = run_predict(workdir, monkeypatch, source, data)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+        assert captured.err.count("\n") == 1
+        assert captured.out.splitlines() == per_row_output(load_model(model_path), expected)
 
 
 class TestIgnoreCols:
@@ -691,6 +734,38 @@ class TestSearch:
             "ranges": [[2], [2]],
             **entry,
         }
+        (workdir / "search.json").write_text(json.dumps(spec))
+        code = main(["search", "--spec", str(workdir / "search.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"data": "xor.data", "train_count": 3, "train": "xor.data", "validation": "xor.data"},
+                'search spec gives "train" with "data", which is split into train and validation',
+            ),
+            (
+                {"data": "xor.data", "train_count": 3, "validation": "xor.data"},
+                'search spec gives "validation" with "data", which is split into train and validation',
+            ),
+            (
+                {"train": "xor.data", "validation": "xor.data", "train_count": 3},
+                'search spec gives "train_count" without "data", the file it splits',
+            ),
+            (
+                {"train": "xor.data", "validation": "xor.data", "seed": 7},
+                'search spec gives "seed" without "data", the file it splits',
+            ),
+        ],
+        ids=["data-and-train", "data-and-validation", "train_count-alone", "seed-alone"],
+    )
+    def test_split_keys_out_of_place_fail_before_any_trial(self, workdir, capsys, spec, message):
+        # such a spec names files, or a split, that the search would not use
+        spec = {"schema": "xor.schema.json", "ranges": [[2], [2]], **spec}
         (workdir / "search.json").write_text(json.dumps(spec))
         code = main(["search", "--spec", str(workdir / "search.json")])
         captured = capsys.readouterr()
@@ -1007,7 +1082,10 @@ class TestMissingInputFile:
         argv = list(argv)
         for i, arg in enumerate(argv):
             if isinstance(arg, dict):
-                Path("search.json").write_text(json.dumps({**SEARCH_SPEC, **arg}))
+                spec = {**SEARCH_SPEC, **arg}
+                if "data" in arg:  # the file to split stands in for the pair
+                    del spec["train"], spec["validation"]
+                Path("search.json").write_text(json.dumps(spec))
                 argv[i] = "search.json"
         code = main(argv)
         captured = capsys.readouterr()

@@ -4,7 +4,7 @@ import importlib.util
 import re
 from pathlib import Path
 
-from diffnb import cli
+from diffnb import dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,4 +67,19 @@ def test_predict_on_bad_rows_reads_a_file_and_stdin_alike():
     assert len(lines) == sum(1 for line in script.PREDICT_ROWS.splitlines() if line)
     assert 0 < n_bad < len(lines)
     assert outputs["predict bad-rows data stderr"] == f"{n_bad} rows failed\n"
-    assert len(script.PREDICT_ROWS) > 2 * cli._BLOCK_CHARS
+    assert len(script.PREDICT_ROWS) > 2 * dataset._BLOCK_CHARS
+
+
+def test_newline_copies_of_monks_1_read_as_the_shipped_files():
+    script = load_script()
+    runs = script.newline_runs(ROOT)
+    assert [label for label, _, _ in runs] == [
+        f"newlines {case} {kind}" for case in script.NEWLINE_COPIES for kind in ("train", "model", "evaluate", "predict")
+    ]
+    assert all(code == 0 for _, _, code in runs)
+    outputs = {label: data for label, data, _ in runs}
+    # the line ends and the mark change nothing a command prints or writes
+    for kind in ("train", "model", "evaluate", "predict"):
+        assert outputs[f"newlines crlf-bom {kind}"] == outputs[f"newlines cr {kind}"]
+    assert "train accuracy: 100 % (124/124)" in outputs["newlines cr train"].decode()
+    assert len(outputs["newlines cr predict"].decode().splitlines()) == 432
