@@ -16,7 +16,11 @@ error message a bad line gives. Then ``predict`` labels rows with bad and
 blank lines among them, more than one block of them, from a ``--data``
 file and from stdin; both stdout and stderr are digested. Last, ``train``,
 ``evaluate`` and ``predict`` run on two copies of the monks-1 files, one
-with CRLF line ends and a byte-order mark, one with lone CR line ends.
+with CRLF line ends and a byte-order mark, one with lone CR line ends,
+and ``search --out`` and ``benchmark --format machine`` read the monks-1
+files in both data-file forms: a spec that splits ``monks-1.train`` by a
+seeded row count, and a suite with one such split entry and one entry
+naming the train and test pair.
 
 Each output prints as one line, ``<workload> <job> <output> <sha256>
 exit=<code>``. The temporary directory and CHECKOUT's path are replaced
@@ -223,6 +227,47 @@ def newline_runs(root: Path) -> list[tuple[str, bytes, int]]:
     return runs
 
 
+MONKS_PARSE = {"label_col": 0, "ignore_cols": [7]}
+# monks-1's 124 training rows, shuffled, then split 84/40
+MONKS_SPLIT = {"data": "monks-1.train", "train_count": 84, "seed": HOLDOUT_SEED}
+
+
+def data_form_runs(root: Path) -> list[tuple[str, bytes, int]]:
+    """(output name, bytes, exit code) of ``search`` and ``benchmark`` on monks-1 in both data-file forms.
+
+    ``search --out`` runs a spec that splits one file (stdout and the
+    trial log are digested); ``benchmark --format machine`` runs a suite
+    of one split entry and one pair entry, its ``train_seconds`` lines
+    dropped.
+    """
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copyfile(root / "benchmarks" / "schemas" / "monks.schema.json", work / "monks.schema.json")
+        for split in ("train", "test"):
+            shutil.copyfile(root / "data" / f"monks-1.{split}", work / f"monks-1.{split}")
+        spec, log = work / "search.json", work / "search.log.json"
+        spec.write_text(json.dumps({
+            "schema": "monks.schema.json", **MONKS_SPLIT, "parse": MONKS_PARSE,
+            "ranges": {"a1": [2, 3, 4], "a5": [2, 3, 4]}, "baseline_bins": 4, "max_rounds": 20,
+        }), encoding="utf-8")
+        out, _, code = run_cli(root, ["search", "--spec", str(spec), "--out", str(log)])
+        runs.append(("forms search-split stdout", out, code))
+        runs.append(("forms search-split log", log.read_bytes(), code))
+        entry = {"schema": "monks.schema.json", "parse": MONKS_PARSE, "bins": 4,
+                 "checks": [{"metric": "test_accuracy", "min": 50.0}]}
+        split = {key: value for key, value in MONKS_SPLIT.items() if key != "data"}
+        suite = work / "suite.json"
+        suite.write_text(json.dumps({"data_dir": ".", "experiments": [
+            {"name": "monks-1-split", "data": MONKS_SPLIT["data"], "split": split, **entry},
+            {"name": "monks-1", "train": "monks-1.train", "test": "monks-1.test", **entry},
+        ]}), encoding="utf-8")
+        out, _, code = run_cli(root, ["benchmark", "--suite", str(suite), "--format", "machine"])
+        out = re.sub(rb"(?m)^[^\n]*\.train_seconds=[^\n]*\n", b"", out)
+        runs.append(("forms benchmark machine", out.replace(str(work).encode(), b"<work>"), code))
+    return runs
+
+
 def benchmark_digest(root: Path) -> str:
     out, _, code = run_cli(root, ["benchmark", "--suite", str(root / "benchmarks" / "suite.json"), "--format", "machine"])
     out = re.sub(rb"(?m)^[^\n]*\.train_seconds=[^\n]*\n", b"", out)
@@ -239,7 +284,7 @@ def main(argv: list[str]) -> int:
             for line in workload_digests(root, name, seed):
                 print(line, flush=True)
     print(benchmark_digest(root))
-    for label, data, code in error_runs(root) + predict_runs(root) + newline_runs(root):
+    for label, data, code in error_runs(root) + predict_runs(root) + newline_runs(root) + data_form_runs(root):
         print(digest_line(label, data, code, {}))
     return 0
 

@@ -17,6 +17,7 @@ from .dataset import (
     ParseError,
     ParseOptions,
     SchemaError,
+    json_data_files,
     json_entry,
     json_keys,
     json_parse_options,
@@ -81,6 +82,9 @@ def _require_files(*paths) -> None:
 def cmd_train(args) -> int:
     from .evaluation import evaluate, format_percent, training_report
 
+    if args.seed is not None and args.train_count is None:
+        # the seed shuffles the rows before that split; alone it would do nothing
+        args.usage_error("--seed needs --train-count")
     _require_files(args.data, args.schema)
     schema = load_schema(args.schema)
     data = parse_table(args.data, schema, _parse_options(args))
@@ -227,29 +231,11 @@ def cmd_search(args) -> int:
     base = spec_path.parent
 
     schema_path = base / json_entry(doc, raw, "schema", "a string")
-    _require_files(schema_path)
-    schema = load_schema(schema_path)
     options = json_parse_options(doc, raw)
-    # one file to split, or a train and a validation file, never both
-    if "data" in raw:
-        data_path = base / json_entry(doc, raw, "data", "a string")
-        train_count = json_entry(doc, raw, "train_count", "an integer")
-        seed = json_entry(doc, raw, "seed", "an integer", "null", default=None)
-        for key in ("train", "validation"):
-            if key in raw:
-                raise ValueError(f'{doc} gives "{key}" with "data", which is split into train and validation')
-        _require_files(data_path)
-        full = parse_table(data_path, schema, options)
-        trainset, validation = split_dataset(full, train_count, seed)
-    else:
-        for key in ("train_count", "seed"):
-            if key in raw:
-                raise ValueError(f'{doc} gives "{key}" without "data", the file it splits')
-        train_path = base / json_entry(doc, raw, "train", "a string")
-        val_path = base / json_entry(doc, raw, "validation", "a string")
-        _require_files(train_path, val_path)
-        trainset = parse_table(train_path, schema, options)
-        validation = parse_table(val_path, schema, options)
+    files = json_data_files(doc, raw, "validation")
+    _require_files(schema_path, *files.paths(base))
+    schema = load_schema(schema_path)
+    trainset, validation = files.load(base, schema, options)
 
     baseline_bins = json_entry(doc, raw, "baseline_bins", "an integer", default=5)
     raw_ranges = json_entry(doc, raw, "ranges", "a JSON list", "a JSON object")
@@ -351,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="shuffle before the --train-count split")
     p.add_argument("--out", required=True)
     _add_parse_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, usage_error=p.error)
 
     p = sub.add_parser("evaluate", help="score a model on labeled data")
     p.add_argument("--model", required=True)

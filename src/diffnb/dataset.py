@@ -13,6 +13,10 @@ block line by line only to report the first bad line in it. Its blocks
 come from :func:`line_blocks`, the one reader of delimited text, which
 ``diffnb predict`` reads its rows through as well.
 
+An experiment reads one file split by a row count, or a train file and a
+held-out one, never both: :class:`DataFiles`, read from a search spec or a
+benchmark suite entry by :func:`json_data_files`, holds that rule.
+
 Everything here is a pure function over immutable inputs; datasets can be
 shared freely across threads.
 """
@@ -554,3 +558,61 @@ def split_dataset(
         return Dataset(data.schema, data.values[rows], data.label_indices[rows])
 
     return subset(order[:train_count]), subset(order[train_count:])
+
+
+@dataclass(frozen=True)
+class DataFiles:
+    """``data`` to split by ``train_count`` (and an optional ``seed``), or ``train`` and ``held``.
+
+    The constructor refuses any other mix. Names are relative to the root
+    given to :meth:`paths` and :meth:`load`.
+    """
+
+    data: str | None = None
+    train_count: int | None = None
+    seed: int | None = None
+    train: str | None = None
+    held: str | None = None
+
+    def __post_init__(self):
+        split = self.data is not None
+        form = (self.data, self.train_count) if split else (self.train, self.held)
+        other = (self.train, self.held) if split else (self.train_count, self.seed)
+        if None in form or other != (None, None):
+            raise ValueError("data files: give data with train_count, or train with a held-out file, not both")
+
+    def paths(self, root: str | Path) -> list[Path]:
+        """The files under ``root``, in the order they are read."""
+        return [Path(root) / name for name in (self.data, self.train, self.held) if name is not None]
+
+    def load(self, root: str | Path, schema: Schema, options: ParseOptions) -> tuple[Dataset, Dataset]:
+        """(train, held-out) datasets: the two files parsed, or the one file parsed and split."""
+        tables = [parse_table(path, schema, options) for path in self.paths(root)]
+        return tuple(tables) if self.data is None else split_dataset(tables[0], self.train_count, self.seed)
+
+
+def json_data_files(doc: str, raw: dict, held: str, split: str | None = None) -> DataFiles:
+    """The DataFiles of ``raw``: ``"data"`` and its split keys, or ``"train"`` and ``held``.
+
+    The split keys ``"train_count"`` and ``"seed"`` sit in ``raw`` when
+    ``split`` is None (a search spec), else in its ``split`` object (a
+    suite entry). A key of the other form is refused by name.
+    """
+    if "data" not in raw:
+        for key in ("train_count", "seed") if split is None else (split,):
+            if key in raw:
+                raise ValueError(f'{doc} gives "{key}" without "data", the file it splits')
+        train = json_entry(doc, raw, "train", "a string")
+        return DataFiles(train=train, held=json_entry(doc, raw, held, "a string"))
+    data = json_entry(doc, raw, "data", "a string")
+    split_doc, split_raw = doc, raw
+    if split is not None:
+        split_doc, split_raw = f'{doc} "{split}"', json_entry(doc, raw, split, "a JSON object")
+        # a misspelled "train_count" is named, not reported as a missing one
+        json_keys(split_doc, split_raw, ("train_count", "seed"))
+    train_count = json_entry(split_doc, split_raw, "train_count", "an integer")
+    seed = json_entry(split_doc, split_raw, "seed", "an integer", "null", default=None)
+    for key in ("train", held):
+        if key in raw:
+            raise ValueError(f'{doc} gives "{key}" with "data", which is split into train and {held}')
+    return DataFiles(data=data, train_count=train_count, seed=seed)

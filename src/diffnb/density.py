@@ -127,16 +127,6 @@ class BinGrid(NamedTuple):
         return np.minimum(np.maximum(raw, 0.0, out=raw), self.top, out=raw).astype(np.int64)
 
 
-def bin_matrix(specs: Sequence[BinSpec], values: np.ndarray) -> np.ndarray:
-    """Bins of an (n, M) value matrix, column j on ``specs[j]``, in one pass.
-
-    Each entry is computed exactly as :func:`bin_index` computes it. The
-    grid arrays are built from ``specs`` on every call; a fitted model
-    keeps its own :class:`BinGrid` in :attr:`DensityModel.scoring_tables`.
-    """
-    return BinGrid.of(specs).bins(np.asarray(values, dtype=np.float64))
-
-
 def _bin_count(count, attribute: str | None = None) -> int:
     """A requested bin count as an int: floats and booleans are refused, not truncated."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
@@ -311,7 +301,7 @@ def fit_density(
     b_max = max(topology)
 
     specs = tuple(make_bin_spec(values[:, j], topology[j], attribute=j) for j in range(m))
-    binned = bin_matrix(specs, values)
+    binned = BinGrid.of(specs).bins(values)
 
     counts = np.zeros((k, m, b_max), dtype=np.int64)
     lo = np.full((k, m, b_max, m), -np.inf)

@@ -19,17 +19,17 @@ import numpy as np
 
 from .boosting import Model, TrainConfig, train_with_scores, winners_of
 from .dataset import (
+    DataFiles,
     Dataset,
     ParseOptions,
     Schema,
     SchemaError,
+    json_data_files,
     json_entry,
     json_keys,
     json_parse_options,
     json_value,
     load_schema,
-    parse_table,
-    split_dataset,
 )
 from .inference import predict_batch
 
@@ -114,7 +114,8 @@ def correct_line(report: Report) -> str:
 
 
 def render_report_text(report: Report) -> str:
-    width = max(len(label) for label in report.class_labels) + 2
+    # wide enough for the longest label or count, so no two columns touch
+    width = max(len(text) for text in (*report.class_labels, *map(str, report.confusion.flat))) + 2
     lines = [
         f"examples: {report.n_examples}",
         f"correct: {report.n_correct} ({format_percent(report.accuracy)} %)",
@@ -169,34 +170,22 @@ class MetricCheck:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark entry: data + parse layout + training knobs + checks.
+    """One benchmark entry: data files + parse layout + training knobs + checks.
 
-    Provide either ``data`` with ``train_count`` (one file split in file
-    order, or shuffled when ``split_seed`` is set) or explicit ``train``
-    and ``test`` files. Every check names one of ``METRICS``.
+    ``files`` is one file to split or a train and a test file. Every check names one of ``METRICS``.
     """
 
     name: str
     schema: str
+    files: DataFiles
     bins: object = None
     alpha: float = 2.0
     max_rounds: int = 500
-    data: str | None = None
-    train_count: int | None = None
-    split_seed: int | None = None
-    train: str | None = None
-    test: str | None = None
     parse: ParseOptions = field(default_factory=ParseOptions)
     checks: tuple[MetricCheck, ...] = ()
     fetch_hint: str | None = None
 
     def __post_init__(self):
-        single = self.data is not None
-        pair = self.train is not None and self.test is not None
-        if single == pair:
-            raise ValueError(f"experiment {self.name!r}: give either data+train_count or train+test")
-        if single and self.train_count is None:
-            raise ValueError(f"experiment {self.name!r}: data file needs train_count")
         for check in self.checks:
             if check.metric not in METRICS:
                 raise ValueError(f"experiment {self.name!r}: no metric {check.metric!r} to check")
@@ -259,8 +248,6 @@ def load_suite(path: str | Path) -> Suite:
         json_value(f"suite entry {i}", entry, "a JSON object")
         name = json_entry(f"suite entry {i}", entry, "name", "a string")
         doc = f'suite entry "{name}"'
-        split_doc = f'{doc} "split"'
-        split = json_entry(doc, entry, "split", "a JSON object", default={})
         checks = []
         for j, check in enumerate(json_entry(doc, entry, "checks", "a JSON list", default=[]), start=1):
             check_doc = f"{doc} check {j}"
@@ -276,22 +263,15 @@ def load_suite(path: str | Path) -> Suite:
         spec = dict(
             name=name,
             schema=json_entry(doc, entry, "schema", "a string"),
+            files=json_data_files(doc, entry, "test", split="split"),
             # any number: resolve_topology refuses a fractional count
             bins=json_entry(doc, entry, "bins", "a number", "a JSON list", "a JSON object", "null", default=None),
             alpha=json_entry(doc, entry, "alpha", "a number", default=2.0),
             max_rounds=json_entry(doc, entry, "max_rounds", "an integer", default=500),
-            data=json_entry(doc, entry, "data", "a string", default=None),
-            train_count=json_entry(split_doc, split, "train_count", "an integer", default=None),
-            split_seed=json_entry(split_doc, split, "seed", "an integer", "null", default=None),
-            train=json_entry(doc, entry, "train", "a string", default=None),
-            test=json_entry(doc, entry, "test", "a string", default=None),
             parse=json_parse_options(doc, entry),
             checks=tuple(checks),
             fetch_hint=json_entry(doc, entry, "fetch_hint", "a string", "null", default=None),
         )
-        # before ExperimentSpec checks the combination: a misspelled
-        # "train_count" is named, not reported as a missing one
-        json_keys(split_doc, split, ("train_count", "seed"))
         json_keys(doc, entry, _ENTRY_KEYS)
         experiments.append(ExperimentSpec(**spec))
     return Suite(tuple(experiments), path.parent, data_dir)
@@ -311,24 +291,11 @@ def run_experiment(spec: ExperimentSpec, data_root: Path, schema_root: Path) -> 
     """Train and evaluate one benchmark entry against its checks."""
     try:
         schema_path = schema_root / spec.schema
-        data_paths = [schema_path]
-        if spec.data is not None:
-            data_paths.append(data_root / spec.data)
-        else:
-            data_paths.extend([data_root / spec.train, data_root / spec.test])
-        missing = [str(p) for p in data_paths if not p.exists()]
+        missing = [str(p) for p in (schema_path, *spec.files.paths(data_root)) if not p.exists()]
         if missing:
             hint = f" ({spec.fetch_hint})" if spec.fetch_hint else ""
-            return EntryResult(
-                spec.name, "missing_data", {}, (), f"missing: {', '.join(missing)}{hint}"
-            )
-        schema = load_schema(schema_path)
-        if spec.data is not None:
-            full = parse_table(data_root / spec.data, schema, spec.parse)
-            trainset, testset = split_dataset(full, spec.train_count, spec.split_seed)
-        else:
-            trainset = parse_table(data_root / spec.train, schema, spec.parse)
-            testset = parse_table(data_root / spec.test, schema, spec.parse)
+            return EntryResult(spec.name, "missing_data", {}, (), f"missing: {', '.join(missing)}{hint}")
+        trainset, testset = spec.files.load(data_root, load_schema(schema_path), spec.parse)
         config = TrainConfig(alpha=spec.alpha, max_rounds=spec.max_rounds, topology=spec.bins)
         started = time.perf_counter()
         model, trace, train_logs = train_with_scores(trainset, config)

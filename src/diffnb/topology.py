@@ -133,8 +133,9 @@ class _Runner:
             # imported here: multiprocessing would add to every CLI command's start-up
             from concurrent.futures import ProcessPoolExecutor
 
+            # no more workers than this batch has topologies: fork starts them all at the first submit
             self._pool = ProcessPoolExecutor(
-                max_workers=self.spec.parallelism,
+                max_workers=min(self.spec.parallelism, len(topologies)),
                 initializer=_init_worker,
                 initargs=(self.trainset, self.validation, self.base_config),
             )

@@ -72,6 +72,17 @@ class TestTrain:
         assert "train accuracy: 100 % (3/3)" in out
         assert "holdout accuracy:" in out
 
+    def test_seed_without_train_count_is_a_usage_error(self, workdir, capsys):
+        # the seed shuffles the rows before the --train-count split; alone
+        # it once trained on every row and exited 0
+        with pytest.raises(SystemExit) as exit_info:
+            train_xor(workdir, "--seed", "7")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("diffnb train: error: --seed needs --train-count\n")
+        assert not (workdir / "xor.model.json").exists()
+
     def test_named_bins(self, workdir):
         code = main(
             [
@@ -951,10 +962,25 @@ class TestBenchmark:
                 {"checks": [{"metric": "epochs"}, {"metric": "accuracy", "min": 90}]},
                 "experiment 'xor': no metric 'accuracy' to check",
             ),
+            # one file to split or a train and a test file, never a mix
+            (
+                {"test": DROP, "data": "xor.data", "split": {"train_count": 3}},
+                'suite entry "xor" gives "train" with "data", which is split into train and test',
+            ),
+            (
+                {"train": DROP, "data": "xor.data", "split": {"train_count": 3}},
+                'suite entry "xor" gives "test" with "data", which is split into train and test',
+            ),
+            (
+                {"split": {"train_count": 3, "seed": 4}},
+                'suite entry "xor" gives "split" without "data", the file it splits',
+            ),
+            ({"train": DROP, "test": DROP, "data": "xor.data"}, 'suite entry "xor" is missing "split"'),
         ],
         ids=[
             "no-name", "name", "no-schema", "fractional-max_rounds", "boolean-max_rounds", "alpha", "bins",
             "ignore_cols", "train_count", "checks", "check-min", "check-metric", "unknown-metric",
+            "data-and-train", "data-and-test", "split-with-pair", "data-without-split",
         ],
     )
     def test_malformed_entry_fails_before_any_entry_runs(self, workdir, capsys, entry, message):

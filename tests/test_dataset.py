@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from diffnb import dataset
 from diffnb.dataset import (
     AttributeSpec,
+    DataFiles,
     Dataset,
     ParseError,
     ParseOptions,
     Schema,
     SchemaError,
+    json_data_files,
     load_schema,
     parse_table,
     split_dataset,
@@ -532,3 +534,106 @@ class TestSplitDataset:
         for bad in (0, 4, 5):
             with pytest.raises(ValueError, match="train_count"):
                 split_dataset(data, bad)
+
+
+# how each document names its files: (doc, held key, where the split keys sit)
+SEARCH = ("search spec", "validation", None)
+SUITE = ('suite entry "x"', "test", "split")
+
+
+def split_keys(form, **keys) -> dict:
+    """``keys`` where ``form`` puts the split keys: at the top, or in its "split" object."""
+    return keys if form[2] is None else {"split": keys}
+
+
+class TestDataFiles:
+    @pytest.mark.parametrize(
+        "files",
+        [
+            dict(),
+            dict(data="a"),
+            dict(data="a", train_count=3, train="b"),
+            dict(data="a", train_count=3, held="c"),
+            dict(train="b"),
+            dict(held="c"),
+            dict(train="b", held="c", train_count=3),
+            dict(train="b", held="c", seed=4),
+        ],
+        ids=[
+            "neither", "split-without-count", "split-and-train", "split-and-held", "train-alone",
+            "held-alone", "pair-and-count", "pair-and-seed",
+        ],
+    )
+    def test_a_mix_of_forms_is_refused(self, files):
+        with pytest.raises(ValueError, match="give data with train_count, or train with a held-out file"):
+            DataFiles(**files)
+
+    def test_paths_in_reading_order(self, tmp_path):
+        assert DataFiles(data="a", train_count=3, seed=1).paths(tmp_path) == [tmp_path / "a"]
+        assert DataFiles(train="b", held="c").paths(tmp_path) == [tmp_path / "b", tmp_path / "c"]
+
+    def test_load_parses_a_pair_or_splits_one_file(self, tmp_path):
+        schema = xor_schema()
+        (tmp_path / "a").write_text("".join(f"{i} {-i} c{i % 2}\n" for i in range(10)))
+        (tmp_path / "b").write_text("0 0 c0\n1 1 c0\n")
+        full = parse_table(tmp_path / "a", schema)
+        for seed in (None, 5):
+            train, held = DataFiles(data="a", train_count=6, seed=seed).load(tmp_path, schema, ParseOptions())
+            want = split_dataset(full, 6, seed)
+            assert (rows_of(train), rows_of(held)) == (rows_of(want[0]), rows_of(want[1]))
+        train, held = DataFiles(train="a", held="b").load(tmp_path, schema, ParseOptions())
+        assert rows_of(train) == rows_of(full)
+        assert rows_of(held) == [((0.0, 0.0), 0), ((1.0, 1.0), 0)]
+
+
+class TestJsonDataFiles:
+    @pytest.mark.parametrize("form", [SEARCH, SUITE], ids=["search", "suite"])
+    def test_both_forms_read(self, form):
+        doc, held, split = form
+        raw = {"data": "a", **split_keys(form, train_count=3, seed=4)}
+        assert json_data_files(doc, raw, held, split) == DataFiles(data="a", train_count=3, seed=4)
+        raw = {"data": "a", **split_keys(form, train_count=3)}
+        assert json_data_files(doc, raw, held, split) == DataFiles(data="a", train_count=3)
+        raw = {"train": "b", held: "c"}
+        assert json_data_files(doc, raw, held, split) == DataFiles(train="b", held="c")
+
+    @pytest.mark.parametrize("form", [SEARCH, SUITE], ids=["search", "suite"])
+    @pytest.mark.parametrize("stray", ["train", "held"])
+    def test_a_file_beside_data_is_refused(self, form, stray):
+        # a suite entry once took "data" beside one file of the pair as
+        # the split form, and ignored that file
+        doc, held, split = form
+        key = held if stray == "held" else "train"
+        raw = {"data": "a", **split_keys(form, train_count=3), key: "b"}
+        with pytest.raises(ValueError) as err:
+            json_data_files(doc, raw, held, split)
+        assert str(err.value) == f'{doc} gives "{key}" with "data", which is split into train and {held}'
+
+    @pytest.mark.parametrize("form", [SEARCH, SUITE], ids=["search", "suite"])
+    @pytest.mark.parametrize("keys", [dict(train_count=3), dict(seed=4), dict(train_count=3, seed=4)],
+                             ids=["count", "seed", "both"])
+    def test_a_split_without_data_is_refused(self, form, keys):
+        # the split keys of a pair were once ignored in a suite entry
+        doc, held, split = form
+        raw = {"train": "b", held: "c", **split_keys(form, **keys)}
+        stray = split if split is not None else next(iter(keys))
+        with pytest.raises(ValueError) as err:
+            json_data_files(doc, raw, held, split)
+        assert str(err.value) == f'{doc} gives "{stray}" without "data", the file it splits'
+
+    @pytest.mark.parametrize(
+        "form, raw, message",
+        [
+            (SUITE, {"data": "a", "split": 3}, 'suite entry "x" "split" must be a JSON object'),
+            (
+                SEARCH, {"data": "a", "train_count": 3, "seed": "4"}, 'search spec "seed" must be an integer or null'
+            ),
+            (SUITE, {"test": "c"}, 'suite entry "x" is missing "train"'),
+            (SUITE, {"train": "b", "test": 3}, 'suite entry "x" "test" must be a string'),
+        ],
+        ids=["split-not-object", "seed-kind", "no-train", "test-kind"],
+    )
+    def test_malformed_entries_are_named(self, form, raw, message):
+        with pytest.raises(ValueError) as err:
+            json_data_files(form[0], raw, form[1], form[2])
+        assert str(err.value) == message

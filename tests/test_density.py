@@ -11,9 +11,9 @@ from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
 from diffnb.density import (
     _CHECK_BUDGET,
     DEFAULT_TAG_GAIN,
+    BinGrid,
     BinSpec,
     bin_index,
-    bin_matrix,
     fit_density,
     likelihood_logs,
     make_bin_spec,
@@ -75,13 +75,13 @@ class TestBinIndex:
         spec = BinSpec(0, min(a, b), max(a, b), count)
         probes = np.linspace(spec.lo - 2.0, spec.hi + 2.0, 23)
         expected = [bin_index(spec, v) for v in probes]
-        assert bin_matrix((spec,), probes[:, None])[:, 0].tolist() == expected
+        assert BinGrid.of((spec,)).bins(probes[:, None])[:, 0].tolist() == expected
 
     @given(st.integers(-50, 50), st.integers(1, 9), st.integers(1, 40))
     def test_monotone_in_value(self, lo, count, span):
         spec = BinSpec(0, float(lo), float(lo + span), count)
         probes = np.sort(np.linspace(spec.lo - 3.0, spec.hi + 3.0, 50))
-        bins = bin_matrix((spec,), probes[:, None])[:, 0]
+        bins = BinGrid.of((spec,)).bins(probes[:, None])[:, 0]
         assert np.all(np.diff(bins) >= 0)
 
 

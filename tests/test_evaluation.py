@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffnb.boosting import TrainConfig, train, train_with_scores
-from diffnb.dataset import Dataset, ParseOptions, SchemaError
+from diffnb.dataset import DataFiles, Dataset, ParseOptions, SchemaError, json_data_files
 from diffnb.evaluation import (
     METRICS,
     EntryResult,
@@ -187,6 +187,27 @@ class TestRendering:
         assert "c0" in text and "c1" in text
         assert "100" in text
 
+    @given(
+        st.lists(st.text("ab01", min_size=1, max_size=6), min_size=2, max_size=4, unique=True),
+        st.data(),
+    )
+    def test_confusion_rows_split_back_into_label_and_counts(self, labels, data):
+        # a count wider than every label, as monks-1's 213 beside labels "0"
+        # and "1", must not run into its neighbour
+        k = len(labels)
+        counts = data.draw(st.lists(st.integers(0, 10**6), min_size=k * k, max_size=k * k))
+        confusion = np.array(counts, dtype=np.int64).reshape(k, k)
+        report = Report(int(confusion.sum()), int(np.trace(confusion)), 50.0, confusion,
+                        tuple(int(c) for c in np.diag(confusion)), 0, tuple(labels))
+        lines = render_report_text(report).splitlines()
+        header = lines.index("confusion (rows true, columns predicted):") + 1
+        assert lines[header].split() == labels
+        rows = lines[header + 1 :]
+        assert [row.split() for row in rows] == [
+            [label, *map(str, confusion[i])] for i, label in enumerate(labels)
+        ]
+        assert len({len(line) for line in lines[header:]}) == 1
+
 
 class TestMetricCheck:
     def test_bounds_are_inclusive(self):
@@ -204,26 +225,36 @@ class TestMetricCheck:
         assert "test_accuracy" in described
 
 
+def entry_files(**entry) -> DataFiles:
+    """The data files of a suite entry named "x", read as load_suite reads them."""
+    return json_data_files('suite entry "x"', entry, "test", split="split")
+
+
 class TestExperimentSpec:
     def test_split_form(self):
-        spec = ExperimentSpec(name="x", schema="s.json", data="x.data", train_count=341, bins=7)
-        assert spec.train is None
+        files = entry_files(data="x.data", split={"train_count": 341})
+        spec = ExperimentSpec(name="x", schema="s.json", files=files, bins=7)
+        assert spec.files == DataFiles(data="x.data", train_count=341)
+        assert spec.files.train is None
 
     def test_pair_form(self):
-        spec = ExperimentSpec(name="x", schema="s.json", train="x.train", test="x.test")
-        assert spec.data is None
+        spec = ExperimentSpec(name="x", schema="s.json", files=entry_files(train="x.train", test="x.test"))
+        assert spec.files == DataFiles(train="x.train", held="x.test")
+        assert spec.files.data is None
 
     def test_both_forms_rejected(self):
-        with pytest.raises(ValueError, match="either data"):
-            ExperimentSpec(name="x", schema="s.json", data="a", train="b", test="c")
+        with pytest.raises(ValueError, match='^suite entry "x" gives "train" with "data"'):
+            entry_files(data="a", split={"train_count": 3}, train="b", test="c")
 
     def test_neither_form_rejected(self):
-        with pytest.raises(ValueError, match="either data"):
-            ExperimentSpec(name="x", schema="s.json")
+        with pytest.raises(ValueError, match='^suite entry "x" is missing "train"$'):
+            entry_files()
 
     def test_split_needs_count(self):
-        with pytest.raises(ValueError, match="train_count"):
-            ExperimentSpec(name="x", schema="s.json", data="a")
+        with pytest.raises(ValueError, match='^suite entry "x" is missing "split"$'):
+            entry_files(data="a")
+        with pytest.raises(ValueError, match='^suite entry "x" "split" is missing "train_count"$'):
+            entry_files(data="a", split={"seed": 4})
 
 
 def write_xor_files(tmp_path):
@@ -244,8 +275,7 @@ def xor_experiment(**overrides):
     base = dict(
         name="xor",
         schema="xor.schema.json",
-        train="xor.train",
-        test="xor.test",
+        files=DataFiles(train="xor.train", held="xor.test"),
         bins=2,
         checks=(MetricCheck("test_accuracy", min=100.0),),
     )
@@ -272,7 +302,8 @@ class TestRunExperiment:
 
     def test_missing_data_reports_hint(self, tmp_path):
         write_xor_files(tmp_path)
-        spec = xor_experiment(train="absent.train", fetch_hint="run the fetch script")
+        files = DataFiles(train="absent.train", held="xor.test")
+        spec = xor_experiment(files=files, fetch_hint="run the fetch script")
         entry = run_experiment(spec, tmp_path, tmp_path)
         assert entry.status == "missing_data" and not entry.ok
         assert "absent.train" in entry.message
@@ -287,7 +318,7 @@ class TestRunExperiment:
 
     def test_split_form_runs(self, tmp_path):
         write_xor_files(tmp_path)
-        spec = xor_experiment(train=None, test=None, data="xor.train", train_count=4)
+        spec = xor_experiment(files=DataFiles(data="xor.train", train_count=4))
         # a 4-of-4 split leaves no test rows and must surface as an error entry
         entry = run_experiment(spec, tmp_path, tmp_path)
         assert entry.status == "error"
@@ -336,9 +367,7 @@ class TestSuite:
         by_name = {spec.name: spec for spec in suite.experiments}
         assert list(by_name) == ["breast-cancer", "thyroid", "pima", "monks-1", "monks-2", "monks-3"]
         assert by_name["breast-cancer"].parse == ParseOptions(delimiter=",", ignore_cols=(0,))
-        assert (by_name["breast-cancer"].data, by_name["breast-cancer"].train_count) == (
-            "breast-cancer-wisconsin.data", 341
-        )
+        assert by_name["breast-cancer"].files == DataFiles(data="breast-cancer-wisconsin.data", train_count=341)
         assert by_name["breast-cancer"].bins == 7
         assert by_name["breast-cancer"].checks == (
             MetricCheck("test_accuracy", min=96.5),
@@ -346,7 +375,7 @@ class TestSuite:
             MetricCheck("train_seconds", max=10),
         )
         assert by_name["thyroid"].parse == ParseOptions()
-        assert (by_name["thyroid"].train, by_name["thyroid"].test) == ("ann-train.data", "ann-test.data")
+        assert by_name["thyroid"].files == DataFiles(train="ann-train.data", held="ann-test.data")
         assert by_name["thyroid"].bins == [9] + [2] * 15 + [9] * 5
         assert by_name["thyroid"].checks[0] == MetricCheck("train_accuracy", min=98.56, max=99.56)
         assert by_name["pima"].parse == ParseOptions(delimiter=",")
@@ -355,7 +384,8 @@ class TestSuite:
         for p in (1, 2, 3):
             spec = by_name[f"monks-{p}"]
             assert spec.parse == ParseOptions(label_col=0, ignore_cols=(7,))
-            assert (spec.train, spec.test, spec.bins) == (f"monks-{p}.train", f"monks-{p}.test", [4] * 6)
+            assert spec.files == DataFiles(train=f"monks-{p}.train", held=f"monks-{p}.test")
+            assert spec.bins == [4] * 6
             assert (spec.alpha, spec.max_rounds) == (2.0, 500)
         assert by_name["monks-2"].checks == (MetricCheck("test_accuracy", min=60.0, max=75.0),)
         entry = run_experiment(by_name["monks-1"], resolve_data_dir(suite), suite.base_dir)

@@ -83,3 +83,21 @@ def test_newline_copies_of_monks_1_read_as_the_shipped_files():
         assert outputs[f"newlines crlf-bom {kind}"] == outputs[f"newlines cr {kind}"]
     assert "train accuracy: 100 % (124/124)" in outputs["newlines cr train"].decode()
     assert len(outputs["newlines cr predict"].decode().splitlines()) == 432
+
+
+def test_both_data_file_forms_of_monks_1_are_digested():
+    script = load_script()
+    runs = script.data_form_runs(ROOT)
+    assert [label for label, _, _ in runs] == [
+        "forms search-split stdout", "forms search-split log", "forms benchmark machine"
+    ]
+    assert all(code == 0 for _, _, code in runs)
+    outputs = {label: data.decode() for label, data, _ in runs}
+    assert outputs["forms search-split stdout"].endswith("trials: 5\n")
+    machine = outputs["forms benchmark machine"].splitlines()
+    # the split entry trains on 84 of monks-1's 124 training rows; the
+    # pair entry on all of them, tested on the 432-point grid
+    for line in ("monks-1-split.n_train=84", "monks-1-split.n_test=40", "monks-1.n_train=124",
+                 "monks-1.n_test=432", "suite.ok=1"):
+        assert line in machine
+    assert not any("train_seconds" in line for line in machine)

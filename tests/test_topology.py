@@ -269,6 +269,34 @@ class TestCoordinateSearch:
         coordinate_search(xor_dataset(), xor_dataset(), spec)
         assert len(opened) == 1
 
+    def test_pool_never_has_more_workers_than_the_batch_has_topologies(self, monkeypatch):
+        # a stand-in pool runs the batch in this process and only records
+        # the worker count asked for: no process is started
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(topology, "_worker_args", None)
+        # the baseline and four sweep candidates: five topologies, one batch
+        spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=5000)
+        result = coordinate_search(xor_dataset(), xor_dataset(), spec)
+        assert asked == [5]
+        serial = coordinate_search(xor_dataset(), xor_dataset(), dataclasses.replace(spec, parallelism=1))
+        assert result == serial
+        spec = SearchSpec(ranges=((1, 2, 3), (2,)), exhaustive=True, parallelism=2)
+        coordinate_search(xor_dataset(), xor_dataset(), spec)
+        assert asked == [5, 2]
+
     def test_worker_failure_is_raised_and_leaks_no_worker(self):
         # bin count 0 passes the spec but fails inside the training
         spec = SearchSpec(ranges=((2, 0, 3), (2,)), exhaustive=True, parallelism=2)
