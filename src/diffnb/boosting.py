@@ -18,15 +18,18 @@ per-boost flip check would keep, down to ties: argmax takes the lowest
 index, which is how a raised class that ties the held winner takes the
 row from a higher-indexed one.
 
-On small tables a miss is mostly call overhead, so its path is a fixed
-handful of numpy calls: one short argmax window, one ``np.exp`` on the
-row's K log scores, the winner and step as Python floats, one gather and
-scatter each of ``weights`` and ``logw`` through the touched cells' flat
-indices around one ``np.log``, and the per-row patch. The scalar steps
-change no bit: ``np.exp`` still runs on the same row, a max, shift,
-division, subtraction or product is one IEEE operation whether its
-operands are Python floats or numpy scalars, and the first of equal
-maxima wins as with ``argmax``.
+On small tables a miss is mostly call overhead, so a miss is one pass
+over its row with a fixed handful of numpy calls: one short argmax window
+finds it; its K log scores are read once as Python floats around one
+``np.exp``; the winner and step are Python floats; the boosted class's M
+weights are gathered once through the row's flat cell indices, raised and
+scattered back; ``np.log`` of that same array replaces the M log-weights
+in one gather, subtraction and scatter; and the per-row patch is one
+``np.concatenate``, ``repeat``, ``np.bincount`` and column add. The
+scalar steps change no bit: ``np.exp`` still runs on the same row, a
+max, shift, floor, division, subtraction or product is one IEEE
+operation whether its operands are Python floats or numpy scalars, and
+the first of equal maxima wins as with ``argmax``.
 
 Scoring here is the single authority shared with inference and
 evaluation: log-likelihood parts plus log-weights, exponentiated
@@ -164,6 +167,30 @@ def weighted_log_scores(logw: np.ndarray, cells: np.ndarray, loglik: np.ndarray)
     return loglik + picked.sum(axis=1)
 
 
+def _row_scores(logs: np.ndarray) -> list[float]:
+    """One row of K log scores exponentiated and floored, as Python floats.
+
+    The row's max and shift are Python floats around one ``np.exp`` on the
+    row, and the ``_TINY`` floor is Python's ``max``: the same IEEE
+    operations on the same values as the batch form of
+    :func:`scores_from_logs`, so both agree bit for bit.
+    """
+    top = max(logs.tolist())
+    return [max(s, _TINY) for s in np.exp(logs if abs(top) < _SAFE_LOG else logs - top).tolist()]
+
+
+def _row_step(scores: list[float], label: int, alpha: float) -> tuple[int, float]:
+    """Winner of one row of scores and the step a miss of ``label`` takes.
+
+    The winner is the first of equal maxima, as ``argmax`` picks; the step
+    is alpha * (1 - scores[label] / scores[winner]), 0 when ``label`` holds
+    the maximum. Python floats make the same IEEE division, subtraction and
+    product as numpy scalars.
+    """
+    winner = scores.index(max(scores))
+    return winner, alpha * (1.0 - scores[label] / scores[winner])
+
+
 def scores_from_logs(log_scores: np.ndarray) -> np.ndarray:
     """Exponentiate per-class log scores, one row per example.
 
@@ -171,17 +198,13 @@ def scores_from_logs(log_scores: np.ndarray) -> np.ndarray:
     the result equals the plain product of likelihoods and weights; rows
     that would over- or underflow are shifted by their max log first.
     Results are floored at the smallest positive normal float, keeping
-    every score finite and strictly positive.
-
-    A single row, as the training sweep scores each miss, takes its max
-    and shift as Python floats around one ``np.exp``: the same IEEE
-    operations on the same values as the batch form, so both forms agree
+    every score finite and strictly positive. A single row is scored by
+    the training sweep's own row helper, which agrees with the batch form
     bit for bit.
     """
     logs = np.asarray(log_scores, dtype=np.float64)
     if logs.ndim == 1:
-        top = max(logs.tolist())
-        return np.maximum(np.exp(logs if abs(top) < _SAFE_LOG else logs - top), _TINY)
+        return np.array(_row_scores(logs))
     rowmax = logs.max(axis=1, keepdims=True)
     shift = np.where(np.abs(rowmax) < _SAFE_LOG, 0.0, rowmax)
     return np.maximum(np.exp(logs - shift), _TINY)
@@ -213,17 +236,12 @@ def boost_example(
     to the true class's M touched weight cells, in place. An exact score
     tie broken against the true class is still a miss but yields delta 0
     and changes nothing. Calling this on a correctly classified example
-    (the true label wins the argmax) is a caller bug and raises.
-
-    The winner (the first of equal maxima, as ``argmax`` picks) and the
-    step are Python floats: the same IEEE division, subtraction and
-    product as on numpy scalars.
+    (the true label wins the argmax) is a caller bug and raises. The
+    winner and step come from the training sweep's own row helper.
     """
-    row = scores.tolist()
-    winner = row.index(max(row))
+    winner, delta = _row_step(scores.tolist(), label, alpha)
     if winner == label:
         raise ValueError("boost_example called on a correctly classified example")
-    delta = alpha * (1.0 - row[label] / row[winner])
     if delta > 0.0:
         weights[label].flat[cells] += delta
     return float(delta)
@@ -235,9 +253,10 @@ class TrainState:
 
     ``cells``, each row's flat cell indices as
     :func:`~diffnb.density.likelihood_logs` returns them, ``loglik``,
-    ``rows_by_cell``, the ascending rows in each flat cell, and beside it
-    their counts ``cell_sizes``, are precomputed over the training set
-    once, since the density tables do not change during boosting.
+    ``rows_by_cell``, the ascending rows in each flat cell, and
+    ``row_sizes``, how many rows each of a row's cells holds ((n, M)), are
+    precomputed over the training set once, since the density tables do
+    not change during boosting.
     ``scores`` carries the per-example log scores forward across updates
     and epochs: a boost touches M cells of one class, so only rows sharing
     one of those cells need a score patch. Winners are not stored; the
@@ -253,7 +272,13 @@ class TrainState:
     labels: np.ndarray
     scores: np.ndarray
     rows_by_cell: tuple[np.ndarray, ...]
-    cell_sizes: np.ndarray
+    row_sizes: np.ndarray
+
+    def __post_init__(self):
+        # each class's cells as one flat view of weights and of logw, which
+        # build allocates C-contiguous and training grows in place
+        self._class_weights = list(self.weights.reshape(len(self.weights), -1))
+        self._class_logw = list(self.logw.reshape(len(self.logw), -1))
 
     @classmethod
     def build(cls, data: Dataset, config: TrainConfig) -> "TrainState":
@@ -273,6 +298,7 @@ class TrainState:
         _, m, b_max = shape
         # attribute c // b_max is the only column that can hold cell c
         rows_by_cell = tuple(np.flatnonzero(cells[:, c // b_max] == c) for c in range(m * b_max))
+        cell_sizes = np.array([len(rows) for rows in rows_by_cell])
         return cls(
             density=density,
             config=config,
@@ -283,29 +309,31 @@ class TrainState:
             labels=data.labels(),
             scores=loglik.copy(),  # all log-weights start at 0
             rows_by_cell=rows_by_cell,
-            cell_sizes=np.array([len(rows) for rows in rows_by_cell]),
+            row_sizes=cell_sizes[cells],
         )
 
-    def _apply_update(self, i: int) -> None:
-        """Propagate example ``i``'s boost into logw and the running scores.
+    def _boost(self, i: int, label: int, delta: float) -> None:
+        """Add ``delta`` to class ``label``'s weights in row ``i``'s cells; patch logw and scores.
 
-        Each row sharing a boosted cell gets its log-weight increments
-        summed in attribute order, then the sum added to its score for
-        the true class; every other score is left as it is. The boosted
-        class's weights and log-weights are read and written as flat
-        views (``build`` allocates both C-contiguous) through the row's
-        ``cells``, with one ``np.log`` over the M new weights.
+        ``label`` is row ``i``'s own class. Its M weights are gathered once
+        through the row's ``cells`` from the class's flat view, raised by
+        the step and scattered back; ``np.log`` of that same array replaces
+        the M log-weights. Each row sharing a boosted cell then gets its
+        log-weight increments summed in attribute order, and the sum added
+        to its score for the boosted class; every other score is left as
+        it is.
         """
-        label = int(self.labels[i])
         cells = self.cells[i]
-        weights = self.weights[label].reshape(-1)
-        logw = self.logw[label].reshape(-1)
-        new = np.log(weights[cells])
+        weights = self._class_weights[label]
+        logw = self._class_logw[label]
+        boosted = weights[cells] + delta
+        weights[cells] = boosted
+        new = np.log(boosted)
         amount = new - logw[cells]
         logw[cells] = new
 
         groups = [self.rows_by_cell[c] for c in cells.tolist()]
-        amounts = amount.repeat(self.cell_sizes[cells])
+        amounts = amount.repeat(self.row_sizes[i])
         patch = np.bincount(np.concatenate(groups), weights=amounts, minlength=len(self.labels))
         self.scores[:, label] += patch
 
@@ -333,25 +361,26 @@ class TrainState:
 
         A row's winner is the argmax of its running scores at the moment
         the sweep reaches it, found on demand by ``_next_miss``, so every
-        earlier boost of the pass is already patched in. A miss is scored
-        and boosted by ``scores_from_logs`` and ``boost_example``, the
-        functions inference and callers use, on the row's single score
-        row.
+        earlier boost of the pass is already patched in. A miss is one
+        pass over its row: its K log scores become Python floats around
+        one ``np.exp`` (``_row_scores``, as :func:`scores_from_logs` does a
+        single row), the winner and step come from ``_row_step``, as in
+        :func:`boost_example`, and ``_boost`` touches the boosted weights
+        and log-weights once each before the score patch.
         """
-        labels = self.labels
+        labels = self.labels.tolist()
         alpha = self.config.alpha
         n = len(labels)
         misses = 0
         i = self._next_miss(0)
         while i < n:
             misses += 1
-            label = int(labels[i])
-            row_scores = scores_from_logs(self.scores[i])
-            # a rounding collapse in exp() can hand a log-domain miss
-            # the argmax; that is a zero step, not a boost
-            if row_scores.argmax() != label:
-                if boost_example(self.weights, self.cells[i], label, row_scores, alpha) > 0.0:
-                    self._apply_update(i)
+            label = labels[i]
+            _, delta = _row_step(_row_scores(self.scores[i]), label, alpha)
+            # a rounding collapse in exp() can hand a log-domain miss the
+            # argmax; its ratio is then 1, a zero step, not a boost
+            if delta > 0.0:
+                self._boost(i, label, delta)
             i = self._next_miss(i + 1)
         return misses
 

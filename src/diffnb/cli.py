@@ -1,11 +1,13 @@
 """Command-line interface: train, evaluate, predict, search, benchmark, inspect.
 
 Exit codes: 0 success, 1 runtime failure (bad data, missed tolerance,
-failed rows), 2 usage errors including missing input files.
+failed rows, stdout closed by its reader), 2 usage errors including
+missing input files.
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -374,7 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly, and point stdout
+        # at the null device so the flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MissingFile as err:
         print(f"no such file: {err}", file=sys.stderr)
         return 2

@@ -16,9 +16,11 @@ costs no second scoring pass.
 With ``parallelism > 1`` the trainings of a batch run in worker
 processes, not threads: a training is thousands of small numpy calls that
 each hold the interpreter lock, so two threads ran slower than one (on two
-cores a 44-trial search took 3.7 s serially, 6.2 s on two threads, 2.6 s
-on two processes). Each worker receives the datasets and base config
-once, through the pool initializer, so the platform's default start
+cores, when processes replaced threads, a 44-trial search took 3.7 s
+serially, 6.2 s on two threads and 2.6 s on two processes; after three
+speed-ups of the training sweep it takes 1.05-1.37 s serially and
+0.75-0.91 s on two processes). Each worker receives the datasets and base
+config once, through the pool initializer, so the platform's default start
 method works, spawn included; a task carries only a topology.
 """
 

@@ -82,7 +82,9 @@ def query_rows(draw, m: int, values=finite_values):
 #
 # Tests marked @pytest.mark.criterion(n, "title") are tallied per criterion;
 # the terminal summary prints exactly one PASS/FAIL/SKIP line for each, so
-# the gate's verdict survives output capture.
+# the gate's verdict survives output capture. A test's "criterion_detail"
+# property (``record_property``) is printed on its criterion's line, pass
+# or fail.
 
 _WORST = {"PASS": 0, "SKIP": 1, "FAIL": 2}
 
@@ -104,7 +106,10 @@ def pytest_runtest_makereport(item, call):
     if report.when == "setup" and report.passed:
         return
     num, title = marker.args
-    entry = item.config._criteria.setdefault(num, {"title": title, "verdict": "PASS", "notes": []})
+    entry = item.config._criteria.setdefault(
+        num, {"title": title, "verdict": "PASS", "notes": [], "details": []}
+    )
+    entry["details"] += [value for name, value in report.user_properties if name == "criterion_detail"]
     if report.skipped:
         verdict = "SKIP"
         reason = report.longrepr[2] if isinstance(report.longrepr, tuple) else str(report.longrepr)
@@ -128,6 +133,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(criteria):
         entry = criteria[num]
         line = f"criterion {num} ({entry['title']}): {entry['verdict']}"
-        if entry["verdict"] != "PASS" and entry["notes"]:
-            line += f" -- {'; '.join(entry['notes'])}"
+        notes = entry["details"] + (entry["notes"] if entry["verdict"] != "PASS" else [])
+        if notes:
+            line += f" -- {'; '.join(notes)}"
         terminalreporter.write_line(line)

@@ -336,5 +336,11 @@ class TestInvariants:
         values = data.value_matrix()
         assert np.array_equal(batch_log_scores(first, values), batch_log_scores(second, values))
 
-    def test_the_whole_suite_fits_the_time_budget(self):
-        assert sum(_INVARIANT_SECONDS) < 120.0
+    def test_the_whole_suite_fits_the_time_budget(self, record_property):
+        total = sum(_INVARIANT_SECONDS)
+        # shown on the criterion's summary line whether or not it passes
+        record_property(
+            "criterion_detail",
+            f"{len(_INVARIANT_SECONDS)} invariant tests took {total:.1f} s of the 120 s budget",
+        )
+        assert total < 120.0

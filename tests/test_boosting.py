@@ -10,6 +10,8 @@ from diffnb.boosting import (
     TrainConfig,
     TrainState,
     TrainTrace,
+    _row_scores,
+    _row_step,
     boost_example,
     run_epoch,
     scores_from_logs,
@@ -174,8 +176,12 @@ class TestReadOnlyModels:
         cell = (0, *np.divmod(state.cells[0, 0], state.weights.shape[2]))
         assert boost_example(state.weights, state.cells[0], 0, np.array([0.2, 0.8]), 2.0) == 1.5
         assert state.weights[cell] == 2.5
-        state._apply_update(0)
-        assert state.logw[cell] == np.log(2.5)
+        before = state.scores[0, 0]
+        state._boost(0, 0, 1.5)
+        assert state.weights[cell] == 4.0
+        assert state.logw[cell] == np.log(4.0)
+        # row 0 holds both boosted cells: their increments are summed, then added
+        assert state.scores[0, 0] == before + (np.log(4.0) + np.log(4.0))
         run_epoch(state)
         model, trace = train(xor_dataset(), TrainConfig(topology=2))
         assert trace.converged and not model.weights.flags.writeable
@@ -287,7 +293,7 @@ def reference_update(state, i, wins, missing, counts):
     state.logw[touched] = new
 
     groups = [state.rows_by_cell[c] for c in cells]
-    amount = np.repeat(new - old, state.cell_sizes[cells])
+    amount = np.repeat(new - old, [len(rows) for rows in groups])
     patch = np.bincount(np.concatenate(groups), weights=amount, minlength=len(state.labels))
     state.scores[:, label] += patch
 
@@ -391,6 +397,25 @@ def seeded_problem(seed):
 SEEDS = range(12)
 
 
+def train_heavy_shaped_problem(n=2000, m=20, k=3, flip=0.05, seed=0):
+    """Gaussian rows labelled by a linear argmax, a share of them flipped to another class.
+
+    With 20 attributes of 8 bins each, a row shares 3 or more of its cells
+    with many other rows, so a boost's patch sums several increments per
+    row, and misses lie far enough apart that the next-miss scan doubles
+    its window.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.standard_normal((n, m)), 5)
+    labels = np.argmax(values @ rng.standard_normal((m, k)), axis=1)
+    flipped = rng.random(n) < flip
+    labels = np.where(flipped, (labels + rng.integers(1, k, size=n)) % k, labels)
+    schema = Schema(
+        tuple(AttributeSpec(f"x{j}", "continuous") for j in range(m)), tuple(f"c{c}" for c in range(k))
+    )
+    return Dataset.build(schema, list(zip(map(tuple, values.tolist()), labels.tolist())))
+
+
 class TestOnDemandScanMatchesFlipCheck:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seeded_problems(self, seed):
@@ -412,6 +437,18 @@ class TestOnDemandScanMatchesFlipCheck:
     def test_small_problems(self, problem):
         data, topology = problem
         compare_sweeps(data, TrainConfig(topology=topology), epochs=5)
+
+    def test_train_heavy_shape(self):
+        # many rows share 3 or more of the first missed row's cells, and
+        # misses lie more than two windows apart
+        data = train_heavy_shaped_problem()
+        state = TrainState.build(data, TrainConfig(topology=8))
+        missed = np.flatnonzero(state.scores.argmax(axis=1) != state.labels)
+        shared = np.bincount(np.concatenate([state.rows_by_cell[c] for c in state.cells[missed[0]]]))
+        assert np.count_nonzero(shared >= 3) > 100
+        assert np.diff(missed).max() > 2 * _FIRST_WINDOW
+        miss_counts, counts = compare_sweeps(data, TrainConfig(topology=8), epochs=2)
+        assert len(miss_counts) == 2 and counts["flips"] > 0
 
     def test_no_misses(self):
         data = one_attr_dataset([(0, 0), (1, 1)] * 40)
@@ -503,7 +540,7 @@ def log_batches(draw):
 
 
 class TestScalarRowMatchesArrayForm:
-    """``scores_from_logs`` and ``boost_example`` against their array forms."""
+    """``scores_from_logs``, ``boost_example`` and the sweep's row step against their array forms."""
 
     @given(log_batches())
     @example(np.array([[-800.0, 0.0], [-800.0, -750.0], [0.0, 0.0], [-1e-17, 0.0]]))
@@ -543,6 +580,32 @@ class TestScalarRowMatchesArrayForm:
                 assert type(delta) is float
                 assert np.float64(delta).tobytes() == np.float64(expected).tobytes()
             assert new.tobytes() == ref.tobytes()
+
+    @given(
+        log_batches(),
+        st.lists(st.integers(0, 4), min_size=6, max_size=6),
+        st.one_of(st.just(2.0), st.floats(0.01, 10.0)),
+    )
+    @example(np.array([[0.0, 0.0]]), [1] * 6, 2.0).via("tie against the label")
+    @example(np.array([[-800.0, 0.0, -800.0]]), [2] * 6, 2.0).via("TINY-floored label")
+    @example(np.array([[-800.0, -750.0]]), [0] * 6, 2.0).via("shifted row")
+    @example(np.array([[0.0, -1.0]]), [0] * 6, 2.0).via("label wins")
+    def test_row_step(self, logs, labels, alpha):
+        # the sweep's scores, winner and step, with no weights in between
+        for row, label in zip(logs, labels):
+            label %= len(row)
+            expected = reference_scores_from_logs(row)
+            scores = _row_scores(row)
+            assert all(type(s) is float for s in scores)
+            assert np.array(scores).tobytes() == expected.tobytes()
+            winner, delta = _row_step(scores, label, alpha)
+            assert winner == int(np.argmax(expected))
+            try:
+                want = reference_boost_example(np.ones((len(row), 1, 1)), [0], label, expected, alpha)
+            except ValueError:
+                assert winner == label and delta == 0.0
+            else:
+                assert np.float64(delta).tobytes() == np.float64(want).tobytes()
 
 
 class TestNextMiss:

@@ -1073,6 +1073,61 @@ class TestInspect:
         ]
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's diffnb."""
+    package_root = Path(diffnb.__file__).resolve().parent.parent
+    path = [str(package_root), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+class TestClosedStdout:
+    """A reader that stops early, as ``| head`` does, ends the command without a message.
+
+    Each case runs with stdout block-buffered, as it is by default, and
+    unbuffered (``PYTHONUNBUFFERED``), so the closed pipe is met both in the
+    final flush and in the command's own writes.
+    """
+
+    def run_closed(self, argv, unbuffered, read_first_line):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "diffnb.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = child.stdout.readline() if read_first_line else None
+            child.stdout.close()
+            err = child.stderr.read()
+            return first, child.wait(timeout=60), err
+        finally:
+            child.kill()
+            child.wait()
+            child.stderr.close()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_predict_piped_into_head(self, workdir, unbuffered):
+        _, model_path = train_xor(workdir)
+        rows = workdir / "many.rows"
+        rows.write_text("0 0\n1 0\n" * 20000)  # about 1 MB of labels: more than a pipe holds
+        first, code, err = self.run_closed(
+            ["predict", "--model", str(model_path), "--data", str(rows)], unbuffered, read_first_line=True
+        )
+        assert first == b"c0 p=[0.941176,0.058824]\n"
+        assert (code, err) == (1, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_inspect_into_a_closed_pipe(self, workdir, unbuffered):
+        # closed before the child has imported anything, so its first write fails
+        _, model_path = train_xor(workdir)
+        _, code, err = self.run_closed(
+            ["inspect", "--model", str(model_path)], unbuffered, read_first_line=False
+        )
+        assert (code, err) == (1, b"")
+
+
 SEARCH_SPEC = {"schema": "xor.schema.json", "train": "xor.data", "validation": "xor.data", "ranges": [[2], [2]]}
 
 
@@ -1130,10 +1185,7 @@ def test_import_loads_no_pool_machinery():
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')"
         " or m in ('diffnb.evaluation', 'diffnb.topology')))"
     )
-    package_root = Path(diffnb.__file__).resolve().parent.parent
-    path = [str(package_root), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    child = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
 
