@@ -20,7 +20,10 @@ with CRLF line ends and a byte-order mark, one with lone CR line ends,
 and ``search --out`` and ``benchmark --format machine`` read the monks-1
 files in both data-file forms: a spec that splits ``monks-1.train`` by a
 seeded row count, and a suite with one such split entry and one entry
-naming the train and test pair.
+naming the train and test pair. Then ``search --out`` runs the monks
+workload's spec at ``"parallelism"`` 1 and 2, so both the serial and the
+forked search are digested on any host; the script exits 1 if their
+outputs differ.
 
 Each output prints as one line, ``<workload> <job> <output> <sha256>
 exit=<code>``. The temporary directory and CHECKOUT's path are replaced
@@ -268,6 +271,30 @@ def data_form_runs(root: Path) -> list[tuple[str, bytes, int]]:
     return runs
 
 
+# the serial search, and the one that forks a helper for each batch of more than one topology
+PARALLELISM = (1, 2)
+
+
+def parallelism_runs(root: Path, tiny: bool = False) -> list[tuple[str, bytes, int]]:
+    """(output name, bytes, exit code) of ``search --out`` on the monks workload's spec at each PARALLELISM.
+
+    The workloads' own searches run at ``min(2, os.cpu_count())``, so a
+    one-CPU host never forks a helper there; these two take both paths on
+    any host. Stdout and the trial log are digested.
+    """
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "monks"
+        raw = json.loads(workloads.setup("monks", root, work, SEEDS[0], tiny).search_spec.read_text(encoding="utf-8"))
+        for parallelism in PARALLELISM:
+            spec, log = work / f"search-{parallelism}.json", work / f"search-{parallelism}.log.json"
+            spec.write_text(json.dumps({**raw, "parallelism": parallelism}), encoding="utf-8")
+            out, _, code = run_cli(root, ["search", "--spec", str(spec), "--out", str(log)])
+            runs.append((f"parallelism {parallelism} monks search stdout", out, code))
+            runs.append((f"parallelism {parallelism} monks search log", log.read_bytes(), code))
+    return runs
+
+
 def benchmark_digest(root: Path) -> str:
     out, _, code = run_cli(root, ["benchmark", "--suite", str(root / "benchmarks" / "suite.json"), "--format", "machine"])
     out = re.sub(rb"(?m)^[^\n]*\.train_seconds=[^\n]*\n", b"", out)
@@ -286,6 +313,14 @@ def main(argv: list[str]) -> int:
     print(benchmark_digest(root))
     for label, data, code in error_runs(root) + predict_runs(root) + newline_runs(root) + data_form_runs(root):
         print(digest_line(label, data, code, {}))
+    by_parallelism = parallelism_runs(root)
+    for label, data, code in by_parallelism:
+        print(digest_line(label, data, code, {}))
+    # a search prints and logs the same bytes at any parallelism
+    serial, forked = (by_parallelism[i : i + 2] for i in (0, 2))
+    if [(data, code) for _, data, code in serial] != [(data, code) for _, data, code in forked]:
+        print(f"search outputs differ between parallelism {PARALLELISM[0]} and {PARALLELISM[1]}", file=sys.stderr)
+        return 1
     return 0
 
 

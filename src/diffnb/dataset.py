@@ -182,7 +182,7 @@ class Dataset:
 
     def __reduce__(self):
         # unpickling goes through the constructor, which marks the
-        # arrays read-only again (a search worker's datasets are pickled)
+        # arrays read-only again
         return Dataset, (self.schema, self.values, self.label_indices, self.n_dropped)
 
     def value_matrix(self) -> np.ndarray:

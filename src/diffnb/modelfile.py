@@ -99,8 +99,9 @@ def model_from_json(text: str) -> Model:
     The document's kind and its top-level keys, the schema, the config,
     the trace and each bin grid are checked with the shared JSON checker,
     so a malformed file is a ValueError naming the entry. A bin grid
-    count must equal its attribute's topology entry and ``n_train`` must
-    be positive; the per-cell arrays are read as they are.
+    count must equal its attribute's topology entry, ``n_train`` must be
+    positive, every weight finite and positive and every count
+    non-negative; the windows are read as they are.
     """
     name = "model file"
     doc = json_value(name, json.loads(text), "a JSON object")
@@ -165,6 +166,13 @@ def model_from_json(text: str) -> Model:
         raise ValueError(
             f'{name} "counts", "weights" or "tags" do not match its schema and topology: {err}'
         ) from None
+    # one check of every cell, padding included (count 0, weight 1)
+    bad_counts = counts[counts < 0]
+    if bad_counts.size:
+        raise ValueError(f'{name} "counts" must be >= 0, got {bad_counts[0]}')
+    bad_weights = weights[~(np.isfinite(weights) & (weights > 0))]
+    if bad_weights.size:
+        raise ValueError(f'{name} "weights" must be finite and > 0, got {bad_weights[0]}')
     density = DensityModel(schema, topology, specs, counts, n_train, lo, hi)
     config_doc = f'{name} "config"'
     config = TrainConfig(

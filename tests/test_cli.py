@@ -3,8 +3,10 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,20 @@ from diffnb.evaluation import evaluate, render_report_machine
 from diffnb.inference import posterior
 from diffnb.modelfile import load_model
 
-from conftest import xor_dataset
+from conftest import rows_of, xor_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def monks_search_spec(problem: int, **entries) -> dict:
+    """A search spec on a shipped Monk's problem, its absolute paths readable from any directory."""
+    return {
+        "schema": str(ROOT / "benchmarks" / "schemas" / "monks.schema.json"),
+        "train": str(ROOT / "data" / f"monks-{problem}.train"),
+        "validation": str(ROOT / "data" / f"monks-{problem}.test"),
+        "parse": {"label_col": 0, "ignore_cols": [7]},
+        **entries,
+    }
 
 
 def write_xor_files(tmp_path):
@@ -318,11 +333,29 @@ class TestEvaluate:
             ),
             (lambda doc: doc.update(n_train=0), 'model file "n_train" must be >= 1, got 0'),
             (lambda doc: doc.update(n_train=-4), 'model file "n_train" must be >= 1, got -4'),
+            (
+                lambda doc: doc["weights"][1][0].__setitem__(1, -1),
+                'model file "weights" must be finite and > 0, got -1.0',
+            ),
+            (
+                lambda doc: doc["weights"][0][1].__setitem__(0, 0),
+                'model file "weights" must be finite and > 0, got 0.0',
+            ),
+            (
+                lambda doc: doc["weights"][0][0].__setitem__(1, float("inf")),
+                'model file "weights" must be finite and > 0, got inf',
+            ),
+            (
+                lambda doc: doc["weights"][1][1].__setitem__(0, float("nan")),
+                'model file "weights" must be finite and > 0, got nan',
+            ),
+            (lambda doc: doc["counts"][0][1].__setitem__(1, -5), 'model file "counts" must be >= 0, got -5'),
         ],
         ids=[
             "schema", "topology", "topology-length", "bin-spec", "config", "trace", "counts", "tags",
             "bin-specs-short", "bin-specs-long", "bin-count-first", "bin-count-last", "n-train-zero",
-            "n-train-negative",
+            "n-train-negative", "weight-negative", "weight-zero", "weight-infinite", "weight-nan",
+            "count-negative",
         ],
     )
     def test_damaged_model_file_names_the_entry(self, workdir, capsys, edit, message):
@@ -621,6 +654,50 @@ class TestSearch:
         assert code == 0
         assert "best topology: 2-2" in out
         assert "trials: 1" in out
+
+    def test_forked_helpers_never_repeat_output(self, tmp_path):
+        # stdout is a file, so block-buffered, and already holds a line when
+        # the search forks; a helper that inherited that buffer and flushed
+        # it on the way out would write the line a second time. The
+        # searching process's trials are slowed, so the helper runs out of
+        # topologies and leaves while the search goes on.
+        script = textwrap.dedent(
+            """
+            import os, sys, time
+            from diffnb import topology
+            from diffnb.cli import main
+
+            train, searcher = topology._train_one, os.getpid()
+
+            def slowed_here(*args):
+                if os.getpid() == searcher:
+                    time.sleep(0.1)
+                return train(*args)
+
+            topology._train_one = slowed_here
+            print("before the search")
+            sys.exit(main(sys.argv[1:]))
+            """
+        )
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        outputs = {}
+        for parallelism in (1, 2):
+            spec = tmp_path / f"search-{parallelism}.json"
+            spec.write_text(json.dumps(monks_search_spec(
+                1, ranges={"a1": [2, 3, 4], "a5": [2, 3, 4]}, baseline_bins=4, max_rounds=20, parallelism=parallelism
+            )))
+            out = tmp_path / f"out-{parallelism}.txt"
+            with open(out, "wb") as stdout:
+                child = subprocess.run(
+                    [sys.executable, "-c", script, "search", "--spec", str(spec)],
+                    stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+                )
+            assert (child.returncode, child.stderr) == (0, b"")
+            outputs[parallelism] = out.read_bytes()
+        assert outputs[2] == outputs[1]
+        assert outputs[1].count(b"before the search") == 1
+        assert outputs[1].count(b"\ntrial ") == 6
 
     def test_parallel_flag_is_a_usage_error(self, workdir, capsys):
         # the spec's "parallelism" is the one way to set the worker count
@@ -1100,8 +1177,11 @@ class TestClosedStdout:
         try:
             first = child.stdout.readline() if read_first_line else None
             child.stdout.close()
-            err = child.stderr.read()
-            return first, child.wait(timeout=60), err
+            code = child.wait(timeout=60)
+            # stderr reaches its end once every process holding it is gone,
+            # so a forked helper left running would hold it open
+            assert select.select([child.stderr], [], [], 1.0)[0], "stderr is still open after the command exited"
+            return first, code, child.stderr.read()
         finally:
             child.kill()
             child.wait()
@@ -1125,6 +1205,19 @@ class TestClosedStdout:
         _, code, err = self.run_closed(
             ["inspect", "--model", str(model_path)], unbuffered, read_first_line=False
         )
+        assert (code, err) == (1, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_parallel_search_into_a_closed_pipe(self, tmp_path, unbuffered):
+        # unbuffered, the first progress line fails while the batch is
+        # still training, with monks-2 trials of about half a second; a
+        # helper outliving the command would hold stderr open for seconds.
+        # Buffered, the search ends before the final flush fails.
+        spec = tmp_path / "search.json"
+        spec.write_text(json.dumps(monks_search_spec(
+            2, ranges=[[2, 3, 4, 5]] * 6, baseline_bins=4, parallelism=2, budget=25 if unbuffered else 3
+        )))
+        _, code, err = self.run_closed(["search", "--spec", str(spec)], unbuffered, read_first_line=False)
         assert (code, err) == (1, b"")
 
 
@@ -1177,17 +1270,29 @@ class TestMissingInputFile:
 
 
 def test_import_loads_no_pool_machinery():
-    # every command pays for what importing the CLI loads; only a
-    # parallel search needs worker processes, and it imports them itself,
-    # and only the commands that evaluate or search import those modules
-    script = (
-        "import sys, diffnb.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')"
-        " or m in ('diffnb.evaluation', 'diffnb.topology')))"
+    # every command pays for what importing the CLI loads, and only the
+    # commands that evaluate or search import those modules; a parallel
+    # search forks its helpers itself, with no executor or multiprocessing
+    script = textwrap.dedent(
+        f"""
+        import sys, diffnb.cli
+
+        def loaded(names):
+            return sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing") or m in names)
+
+        print(loaded(("diffnb.evaluation", "diffnb.topology")))
+        from diffnb.dataset import AttributeSpec, Dataset, Schema
+        from diffnb.topology import SearchSpec, coordinate_search
+
+        data = Dataset.build({xor_dataset().schema!r}, {rows_of(xor_dataset())!r})
+        spec = SearchSpec(((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
+        coordinate_search(data, data, spec)
+        print(loaded(()))
+        """
     )
     child = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n"
+    assert child.stdout == "[]\n[]\n"
 
 
 def test_package_exports_resolve_on_first_use():

@@ -143,7 +143,7 @@ class TestDataset:
         assert data.labels().tolist() == [0, 1]
 
     def test_pickled_dataset_keeps_read_only_arrays(self):
-        # a search worker receives its datasets pickled
+        # a copy that crossed a process boundary is as frozen as the original
         data = Dataset(xor_schema(), np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1]), n_dropped=3)
         copy = pickle.loads(pickle.dumps(data))
         assert copy.schema == data.schema and copy.n_dropped == 3

@@ -101,3 +101,16 @@ def test_both_data_file_forms_of_monks_1_are_digested():
                  "monks-1.n_test=432", "suite.ok=1"):
         assert line in machine
     assert not any("train_seconds" in line for line in machine)
+
+
+def test_monks_search_is_digested_serially_and_forked():
+    script = load_script()
+    runs = script.parallelism_runs(ROOT, tiny=True)
+    assert [label for label, _, _ in runs] == [
+        f"parallelism {p} monks search {output}" for p in (1, 2) for output in ("stdout", "log")
+    ]
+    assert all(code == 0 for _, _, code in runs)
+    outputs = {label: data for label, data, _ in runs}
+    for output in ("stdout", "log"):
+        assert outputs[f"parallelism 1 monks search {output}"] == outputs[f"parallelism 2 monks search {output}"]
+    assert b"best topology: " in outputs["parallelism 2 monks search stdout"]

@@ -1,12 +1,8 @@
 """Coordinate search over bin counts."""
 
-import concurrent.futures
 import dataclasses
-import multiprocessing
 import os
-import subprocess
-import sys
-import textwrap
+import signal
 import time
 from pathlib import Path
 
@@ -15,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import diffnb
 from diffnb.boosting import TrainConfig, train
 from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
 from diffnb import topology
@@ -23,7 +18,7 @@ from diffnb.density import resolve_topology
 from diffnb.evaluation import evaluate
 from diffnb.topology import SearchResult, SearchSpec, Trial, _Runner, coordinate_search
 
-from conftest import rows_of, xor_dataset
+from conftest import xor_dataset
 
 
 def three_attribute_dataset() -> Dataset:
@@ -46,6 +41,36 @@ def seeded_dataset(seed: int, n: int = 40, m: int = 3, k: int = 3) -> Dataset:
     return Dataset.build(schema, zip(values.tolist(), labels.tolist()))
 
 
+forking = pytest.mark.skipif(not topology._FORKS, reason="parallel batches fork helpers on Linux only")
+
+
+@pytest.fixture()
+def forked(monkeypatch):
+    """The pids of the helpers forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def time_out(signum, frame):
+    raise TimeoutError("the batch did not finish in time")
+
+
+def wait_for(path: Path, seconds: float = 10.0) -> None:
+    """Return once ``path`` exists, or after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.002)
+
+
 def reference_coordinate_search(trainset, validation, spec, base_config=TrainConfig(), on_trial=None):
     """The per-sweep coordinate search: the baseline and each sweep as separate batches.
 
@@ -53,20 +78,20 @@ def reference_coordinate_search(trainset, validation, spec, base_config=TrainCon
     charged, logged and reported in list order, that must give exactly
     this loop's trial log, callbacks, truncation and best topology.
     """
-    with _Runner(trainset, validation, base_config, spec, on_trial) as runner:
-        baseline = resolve_topology(trainset.schema, spec.baseline_bins)
-        runner.run_batch([baseline])
-        winners = list(baseline)
-        for attr in range(trainset.schema.n_attributes):
-            candidates = [baseline[:attr] + (count,) + baseline[attr + 1 :] for count in spec.ranges[attr]]
-            runner.run_batch(candidates)
-            scored = [(runner.cache[c].val_accuracy, i) for i, c in enumerate(candidates) if c in runner.cache]
-            if scored:
-                best_acc = max(acc for acc, _ in scored)
-                best_i = next(i for acc, i in scored if acc == best_acc)
-                winners[attr] = spec.ranges[attr][best_i]
-        runner.run_batch([tuple(winners)])
-        return runner.result()
+    runner = _Runner(trainset, validation, base_config, spec, on_trial)
+    baseline = resolve_topology(trainset.schema, spec.baseline_bins)
+    runner.run_batch([baseline])
+    winners = list(baseline)
+    for attr in range(trainset.schema.n_attributes):
+        candidates = [baseline[:attr] + (count,) + baseline[attr + 1 :] for count in spec.ranges[attr]]
+        runner.run_batch(candidates)
+        scored = [(runner.cache[c].val_accuracy, i) for i, c in enumerate(candidates) if c in runner.cache]
+        if scored:
+            best_acc = max(acc for acc, _ in scored)
+            best_i = next(i for acc, i in scored if acc == best_acc)
+            winners[attr] = spec.ranges[attr][best_i]
+    runner.run_batch([tuple(winners)])
+    return runner.result()
 
 
 # (seed, ranges, baseline_bins): repeats of the baseline count, a pinned
@@ -140,22 +165,26 @@ class TestOneQueue:
         coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=lambda t: reported.append(len(trained)))
         assert reported == list(range(1, len(trained) + 1))
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork", reason="workers inherit the slowed trial only when forked"
-    )
+    @forking
     def test_parallel_trials_are_reported_before_the_batch_ends(self, monkeypatch, tmp_path):
-        # the batch's last trial sleeps in its worker; the first trial must
+        # the batch's last trial sleeps in a helper; the first trial must
         # be reported while it sleeps, not after the whole batch is in
         original = topology._train_one
         spec = SearchSpec(((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
         last = (2, 4)
-        done = tmp_path / "last-trial-finished"
+        started, done = tmp_path / "last-trial-started", tmp_path / "last-trial-finished"
+        searcher = os.getpid()
 
         def slow_last(trainset, validation, config, topo):
             trial = original(trainset, validation, config, topo)
             if topo == last:
+                started.touch()
                 time.sleep(0.5)
                 done.write_text(repr(time.time()))
+            elif os.getpid() == searcher:
+                # the searching process holds its first trial until the
+                # helper has the last one, so it never claims that one itself
+                wait_for(started)
             return trial
 
         monkeypatch.setattr(topology, "_train_one", slow_last)
@@ -251,93 +280,112 @@ class TestCoordinateSearch:
             assert seen[1] == seen[2] == list(results[1].trials), name
             assert results[1].truncated == ("budget" in base), name
 
-    def test_one_pool_per_search(self, monkeypatch):
-        opened = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        # two sweeps of two new topologies each, after the baseline
+    @forking
+    def test_a_batch_forks_one_helper_fewer_than_its_workers(self, forked):
+        # the searching process trains too, and a batch of one new topology forks nothing
+        spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), parallelism=5000)
+        runner = _Runner(xor_dataset(), xor_dataset(), TrainConfig(), spec, None)
+        runner.run_batch([(2, 2), (1, 2), (3, 2), (2, 1), (2, 4)])
+        assert len(forked) == 4
+        runner.run_batch([(2, 2), (3, 3)])
+        assert len(forked) == 4
+        # the baseline and four sweep candidates are one batch; the
+        # verification trial is one topology
         spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
-        coordinate_search(xor_dataset(), xor_dataset(), spec)
-        assert len(opened) == 1
-        # every batch holds one new topology: nothing to run side by side
-        spec = SearchSpec(ranges=((2,), (2,)), parallelism=2)
-        coordinate_search(xor_dataset(), xor_dataset(), spec)
-        assert len(opened) == 1
-
-    def test_pool_never_has_more_workers_than_the_batch_has_topologies(self, monkeypatch):
-        # a stand-in pool runs the batch in this process and only records
-        # the worker count asked for: no process is started
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                asked.append(max_workers)
-                initializer(*initargs)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(topology, "_worker_args", None)
-        # the baseline and four sweep candidates: five topologies, one batch
-        spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=5000)
         result = coordinate_search(xor_dataset(), xor_dataset(), spec)
-        assert asked == [5]
-        serial = coordinate_search(xor_dataset(), xor_dataset(), dataclasses.replace(spec, parallelism=1))
-        assert result == serial
-        spec = SearchSpec(ranges=((1, 2, 3), (2,)), exhaustive=True, parallelism=2)
-        coordinate_search(xor_dataset(), xor_dataset(), spec)
-        assert asked == [5, 2]
+        assert len(forked) == 5
+        assert result == coordinate_search(xor_dataset(), xor_dataset(), dataclasses.replace(spec, parallelism=1))
+        coordinate_search(xor_dataset(), xor_dataset(), SearchSpec(ranges=((2,), (2,)), parallelism=2))
+        assert len(forked) == 5
 
-    def test_worker_failure_is_raised_and_leaks_no_worker(self):
-        # bin count 0 passes the spec but fails inside the training
-        spec = SearchSpec(ranges=((2, 0, 3), (2,)), exhaustive=True, parallelism=2)
+    @forking
+    def test_worker_failure_is_raised_and_leaks_no_worker(self, monkeypatch, tmp_path, forked):
+        # the helper trains with bin count 0, which passes the spec but fails inside the training
+        original = topology._train_one
+        searcher = os.getpid()
+        started = tmp_path / "helper-started"
+
+        def failing_in_helper(trainset, validation, config, topo):
+            if os.getpid() != searcher:
+                started.touch()
+                topo = (0,) + topo[1:]
+            else:
+                wait_for(started)  # so the helper claims a topology before the batch runs out
+            return original(trainset, validation, config, topo)
+
+        monkeypatch.setattr(topology, "_train_one", failing_in_helper)
+        spec = SearchSpec(ranges=((2, 1, 3), (2,)), exhaustive=True, parallelism=2)
+        seen = []
         with pytest.raises(SchemaError, match="bin count must be >= 1") as excinfo:
-            coordinate_search(xor_dataset(), xor_dataset(), spec)
-        # the pool attaches the worker's traceback as the cause
-        assert "_train_in_worker" in str(excinfo.value.__cause__)
-        assert multiprocessing.active_children() == []
+            coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=seen.append)
+        # the helper's traceback is the cause, and the trials before the failed one are reported
+        cause = str(excinfo.value.__cause__)
+        assert "in _help" in cause and "in failing_in_helper" in cause
+        assert [t.topology for t in seen] == [(2, 2), (1, 2), (3, 2)][: len(seen)]
+        assert len(seen) < 3
+        assert len(forked) == 1
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
-    def test_spawned_workers_match_serial(self):
-        # spawned workers (the default on macOS; forkserver on Linux from
-        # Python 3.14) start from a fresh import and get their data only
-        # through the pickled pool initializer arguments
-        spec = dict(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2)
-        rows = rows_of(xor_dataset())
-        serial = coordinate_search(xor_dataset(), xor_dataset(), SearchSpec(parallelism=1, **spec))
-        script = textwrap.dedent(
-            f"""
-            import multiprocessing
+    @forking
+    def test_own_failure_waits_for_earlier_trials(self, monkeypatch, tmp_path, forked):
+        # as in a serial run, every trial before the failed one is reported,
+        # the helper's too, before the error is raised
+        original = topology._train_one
+        searcher = os.getpid()
+        started = tmp_path / "helper-started"
 
-            from diffnb.dataset import AttributeSpec, Dataset, Schema
-            from diffnb.topology import SearchSpec, coordinate_search
+        def failing_here(trainset, validation, config, topo):
+            if os.getpid() != searcher:
+                started.touch()
+                time.sleep(0.2)  # still training when the searching process fails
+            elif topo == (3, 2):
+                topo = (0, 2)
+            else:
+                wait_for(started)  # the helper claims one of the first two topologies
+            return original(trainset, validation, config, topo)
 
-            if __name__ == "__main__":
-                multiprocessing.set_start_method("spawn")
-                schema = Schema(
-                    (AttributeSpec("a", "continuous"), AttributeSpec("b", "continuous")),
-                    ("c0", "c1"),
-                )
-                data = Dataset.build(schema, {rows!r})
-                print(repr(coordinate_search(data, data, SearchSpec(parallelism=2, **{spec!r}))))
-            """
-        )
-        package_root = Path(diffnb.__file__).resolve().parent.parent
-        path = [str(package_root), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        child = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert child.returncode == 0, child.stderr
-        assert child.stdout == repr(serial) + "\n"
+        monkeypatch.setattr(topology, "_train_one", failing_here)
+        spec = SearchSpec(ranges=((2, 1, 3), (2,)), exhaustive=True, parallelism=2)
+        seen = []
+        with pytest.raises(SchemaError, match="bin count must be >= 1") as excinfo:
+            coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=seen.append)
+        assert excinfo.value.__cause__ is None
+        assert [t.topology for t in seen] == [(2, 2), (1, 2)]
+        assert len(forked) == 1
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @forking
+    def test_a_batch_larger_than_a_pipe_buffer_completes(self, monkeypatch, tmp_path, forked):
+        # 20 000 claims and their results, more than a pipe holds of either,
+        # shared by more processes than cores; every process appends what it
+        # trains to one file, so a topology claimed twice or never shows
+        trained = os.open(tmp_path / "trained", os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+        def quick(trainset, validation, config, topo):
+            os.write(trained, b"%d\n" % topo[0])
+            return Trial(topo, topo[0] % 101, 50.0)
+
+        monkeypatch.setattr(topology, "_train_one", quick)
+        topologies = [(i,) for i in range(20_000)]
+        seen = []
+        spec = SearchSpec(((1,),), budget=len(topologies), parallelism=(os.cpu_count() or 1) + 4)
+        runner = _Runner(None, None, TrainConfig(), spec, seen.append)
+        previous = signal.signal(signal.SIGALRM, time_out)
+        signal.alarm(30)
+        try:
+            runner.run_batch(topologies)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            os.close(trained)
+        assert [t.topology for t in runner.log] == topologies
+        assert seen == runner.log
+        assert sorted(map(int, (tmp_path / "trained").read_text().split())) == list(range(len(topologies)))
+        assert len(forked) == spec.parallelism - 1
 
     def test_best_is_reproducible_by_retraining(self):
         spec = SearchSpec(ranges=((1, 2), (1, 2)), baseline_bins=1)
