@@ -281,21 +281,30 @@ class TestCoordinateSearch:
             assert results[1].truncated == ("budget" in base), name
 
     @forking
-    def test_a_batch_forks_one_helper_fewer_than_its_workers(self, forked):
-        # the searching process trains too, and a batch of one new topology forks nothing
+    def test_one_pool_per_search(self, forked):
+        # the baseline and four sweep candidates are one batch, which forks
+        # one helper at parallelism 2; the verification trial is one topology
+        spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
+        result = coordinate_search(xor_dataset(), xor_dataset(), spec)
+        assert len(forked) == 1
+        assert result == coordinate_search(xor_dataset(), xor_dataset(), dataclasses.replace(spec, parallelism=1))
+        # every batch holds one new topology: nothing to run side by side
+        coordinate_search(xor_dataset(), xor_dataset(), SearchSpec(ranges=((2,), (2,)), parallelism=2))
+        assert len(forked) == 1
+
+    @forking
+    def test_pool_never_has_more_workers_than_the_batch_has_topologies(self, forked):
+        # the searching process trains too, so a batch forks one helper
+        # fewer than min(parallelism, batch size)
         spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), parallelism=5000)
         runner = _Runner(xor_dataset(), xor_dataset(), TrainConfig(), spec, None)
         runner.run_batch([(2, 2), (1, 2), (3, 2), (2, 1), (2, 4)])
         assert len(forked) == 4
+        # one new topology in the batch: (2, 2) is cached
         runner.run_batch([(2, 2), (3, 3)])
         assert len(forked) == 4
-        # the baseline and four sweep candidates are one batch; the
-        # verification trial is one topology
-        spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
-        result = coordinate_search(xor_dataset(), xor_dataset(), spec)
-        assert len(forked) == 5
-        assert result == coordinate_search(xor_dataset(), xor_dataset(), dataclasses.replace(spec, parallelism=1))
-        coordinate_search(xor_dataset(), xor_dataset(), SearchSpec(ranges=((2,), (2,)), parallelism=2))
+        spec = SearchSpec(ranges=((1, 2, 3), (2,)), exhaustive=True, parallelism=2)
+        coordinate_search(xor_dataset(), xor_dataset(), spec)
         assert len(forked) == 5
 
     @forking
