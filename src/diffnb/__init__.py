@@ -7,9 +7,7 @@ import importlib
 # first access (PEP 562), so importing the package or one of its modules
 # loads only what that code uses
 _EXPORTS = {
-    **dict.fromkeys(
-        ("Model", "TrainConfig", "TrainTrace", "boost_example", "run_epoch", "train"), "boosting"
-    ),
+    **dict.fromkeys(("Model", "TrainConfig", "TrainTrace", "run_epoch", "train"), "boosting"),
     **dict.fromkeys(
         (
             "AttributeSpec", "Dataset", "ParseError", "ParseOptions", "Schema", "SchemaError",
@@ -18,14 +16,10 @@ _EXPORTS = {
         "dataset",
     ),
     **dict.fromkeys(
-        (
-            "BinSpec", "DensityModel", "bin_index", "fit_density", "make_bin_spec",
-            "resolve_topology", "tagged_likelihood",
-        ),
-        "density",
+        ("BinSpec", "DensityModel", "fit_density", "make_bin_spec", "resolve_topology"), "density"
     ),
     **dict.fromkeys(("Report", "evaluate", "load_suite", "run_benchmark"), "evaluation"),
-    **dict.fromkeys(("Posterior", "class_scores", "posterior", "predict"), "inference"),
+    **dict.fromkeys(("Posterior", "posterior", "predict"), "inference"),
     **dict.fromkeys(("load_model", "model_from_json", "model_to_json", "save_model"), "modelfile"),
     **dict.fromkeys(("SearchResult", "SearchSpec", "Trial", "coordinate_search"), "topology"),
 }

@@ -100,11 +100,6 @@ class TrainTrace:
     def converged(self) -> bool:
         return bool(self.miss_counts) and self.miss_counts[-1] == 0
 
-    @property
-    def converged_epoch(self) -> int | None:
-        """1-based epoch whose sweep first misclassified nothing, if any."""
-        return self.epochs if self.converged else None
-
 
 @dataclass(frozen=True)
 class Model:
@@ -225,28 +220,6 @@ def winners_of(log_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return winners.astype(np.int64), ties
 
 
-def boost_example(
-    weights: np.ndarray, cells: np.ndarray, label: int, scores: np.ndarray, alpha: float
-) -> float:
-    """Apply one boosting update for a misclassified example; returns the step.
-
-    ``cells`` is the example's (M,) row of flat cell indices, as
-    :func:`~diffnb.density.likelihood_logs` returns them, and ``scores``
-    its per-class unnormalized scores. Adds delta = alpha * (1 - scores[label]/scores[winner])
-    to the true class's M touched weight cells, in place. An exact score
-    tie broken against the true class is still a miss but yields delta 0
-    and changes nothing. Calling this on a correctly classified example
-    (the true label wins the argmax) is a caller bug and raises. The
-    winner and step come from the training sweep's own row helper.
-    """
-    winner, delta = _row_step(scores.tolist(), label, alpha)
-    if winner == label:
-        raise ValueError("boost_example called on a correctly classified example")
-    if delta > 0.0:
-        weights[label].flat[cells] += delta
-    return float(delta)
-
-
 @dataclass
 class TrainState:
     """Mutable state of one training run; only weights, logw, and scores move.
@@ -364,9 +337,11 @@ class TrainState:
         earlier boost of the pass is already patched in. A miss is one
         pass over its row: its K log scores become Python floats around
         one ``np.exp`` (``_row_scores``, as :func:`scores_from_logs` does a
-        single row), the winner and step come from ``_row_step``, as in
-        :func:`boost_example`, and ``_boost`` touches the boosted weights
-        and log-weights once each before the score patch.
+        single row), the winner and the step alpha * (1 - score_true /
+        score_winner) come from ``_row_step``, and ``_boost`` adds the step
+        to the true class's M touched weights and patches log-weights and
+        scores. ``tests/test_boosting.py`` keeps an array form of this
+        step as its oracle.
         """
         labels = self.labels.tolist()
         alpha = self.config.alpha

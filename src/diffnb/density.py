@@ -29,6 +29,7 @@ gated likelihood) is derived once per model, on first use, as its
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -73,20 +74,6 @@ def make_bin_spec(values: Sequence[float], count: int, attribute: int = 0) -> Bi
     return BinSpec(attribute, float(arr.min()), float(arr.max()), count)
 
 
-def bin_index(spec: BinSpec, value: float) -> int:
-    """Bin of ``value`` on the grid: floor((v - lo) / width), clamped to [0, count-1].
-
-    Values outside [lo, hi] land in the nearest edge bin. A degenerate
-    grid (lo == hi) puts everything in bin 0. The clamped-floor rule
-    picks the bin whose center is nearest to the value; on an exact
-    boundary between two bins the higher-indexed bin wins.
-    """
-    if spec.width == 0.0:
-        return 0
-    raw = int(np.floor((value - spec.lo) / spec.width))
-    return min(max(raw, 0), spec.count - 1)
-
-
 def read_only(array: np.ndarray) -> np.ndarray:
     """``array`` itself, marked read-only: an in-place write now raises."""
     array.flags.writeable = False
@@ -119,12 +106,26 @@ class BinGrid(NamedTuple):
         return cls(*map(read_only, arrays))
 
     def bins(self, values: np.ndarray) -> np.ndarray:
-        """Bins of an (n, M) value matrix, column j on grid j."""
+        """Bins of an (n, M) value matrix, column j on grid j.
+
+        A value's bin is floor((v - lo) / width) clamped to [0, count - 1]:
+        the bin whose center is nearest, the higher one on an exact
+        boundary between two. Values outside [lo, hi], infinities included,
+        land in the nearest edge bin, and a flat grid puts every value in
+        bin 0. A NaN quotient has no bin and is refused with a ValueError:
+        a NaN value makes one, and so does fitting a grid to an infinite
+        training value, as inf / inf is NaN.
+        """
         raw = np.floor((values - self.lo) / self.width)
+        # clamp before the cast: a quotient can exceed the int64 range
+        np.minimum(np.maximum(raw, 0.0, out=raw), self.top, out=raw)
+        # the clamp passes NaN on and bounds all else, so only NaN makes the sum NaN
+        if math.isnan(raw.sum()):
+            j = np.isnan(raw).any(axis=0).argmax()
+            raise ValueError(f"attribute {j}: cannot bin a NaN value, nor an infinite training value")
         if self.flat.size:
             raw[:, self.flat] = 0.0
-        # clamp before the cast: a quotient can exceed the int64 range
-        return np.minimum(np.maximum(raw, 0.0, out=raw), self.top, out=raw).astype(np.int64)
+        return raw.astype(np.int64)
 
 
 def _bin_count(count, attribute: str | None = None) -> int:
@@ -323,34 +324,6 @@ def fit_density(
     return DensityModel(schema, topology, specs, counts, n, lo, hi)
 
 
-def tagged_likelihood(
-    density: DensityModel,
-    values: Sequence[float],
-    class_index: int,
-    attr_index: int,
-    tag_gain: float = DEFAULT_TAG_GAIN,
-    epsilon: float | None = None,
-) -> float:
-    """Likelihood of attribute ``attr_index`` of ``values`` under one class.
-
-    The base value is the joint probability of the attribute's bin with
-    the class, with empty cells floored at ``epsilon`` (default: the
-    model's tenth-of-a-count floor). If any other attribute of ``values``
-    falls outside the cell's window, the result is scaled by ``tag_gain``
-    exactly once, however many attributes violate it.
-    """
-    if epsilon is None:
-        epsilon = density.epsilon_floor
-    b = bin_index(density.bin_specs[attr_index], values[attr_index])
-    count = density.counts[class_index, attr_index, b]
-    base = count / float(density.n_train) if count > 0 else epsilon
-    lo = density.window_lo[class_index, attr_index, b]
-    hi = density.window_hi[class_index, attr_index, b]
-    arr = np.asarray(values, dtype=np.float64)
-    violated = bool(np.any((arr < lo) | (arr > hi)))
-    return base * tag_gain if violated else base
-
-
 def likelihood_logs(
     density: DensityModel,
     values: np.ndarray,
@@ -362,8 +335,11 @@ def likelihood_logs(
     Returns ``(cells, log_parts)`` where ``cells`` is (n, M) int64, each
     row's flat cell index per attribute (see :class:`ScoringTables`), and
     ``log_parts`` is (n, K, M): the log of each attribute's window-gated
-    likelihood under each class. Each scalar entry equals
-    ``log(tagged_likelihood(...))`` for the same row, class, attribute.
+    likelihood under each class: the log of the joint probability of the
+    attribute's bin with the class, ``count / n_train`` or ``epsilon`` for
+    an empty cell, times ``tag_gain`` once if any other attribute of the
+    row falls outside the cell's window. ``tests/conftest.py`` keeps this
+    rule for one entry as a scalar oracle.
 
     Everything that does not depend on the rows comes from the density's
     :class:`ScoringTables`, built on first use: the grid, the cell

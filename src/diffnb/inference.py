@@ -50,16 +50,6 @@ def batch_log_scores(model: Model, values: np.ndarray) -> np.ndarray:
     return weighted_log_scores(model.log_weights, cells, parts.sum(axis=2))
 
 
-def class_scores(model: Model, values: Sequence[float]) -> np.ndarray:
-    """Unnormalized per-class scores of one example's M encoded values.
-
-    Equals the direct product of gated likelihoods and weights whenever
-    that product is representable; extreme rows are rescaled against
-    their max log, which the normalized posterior cancels out.
-    """
-    return scores_from_logs(batch_log_scores(model, _as_rows(model, values)))[0]
-
-
 def posterior(model: Model, values: Sequence[float]) -> Posterior:
     """Normalized posterior over classes; ties go to the lowest class index.
 

@@ -1,10 +1,14 @@
-"""Shared fixtures, hypothesis strategies, and the acceptance summary hook."""
+"""Shared fixtures, hypothesis strategies, scalar oracles, and the acceptance summary hook."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from diffnb.dataset import AttributeSpec, Dataset, Schema
+from diffnb.density import DEFAULT_TAG_GAIN
 
 settings.register_profile(
     "default",
@@ -44,6 +48,48 @@ def xor_data() -> Dataset:
 def rows_of(data: Dataset) -> list[tuple[tuple[float, ...], int]]:
     """Every row of ``data`` as a ``(values, label)`` pair of Python floats and an int."""
     return list(zip(map(tuple, data.value_matrix().tolist()), data.labels().tolist()))
+
+
+# -- scalar oracles ----------------------------------------------------------
+#
+# The package bins and gates whole blocks of rows at once; these are the
+# rules for one value and one cell, as plainly as they can be written.
+
+
+def reference_bin(spec, value: float) -> int:
+    """Bin of one value on a grid: floor((v - lo) / width), clamped to [0, count - 1].
+
+    Values outside [lo, hi] land in the nearest edge bin, and a flat grid
+    (lo == hi) puts every value in bin 0. The clamped floor picks the bin
+    whose center is nearest; on an exact boundary the higher bin wins.
+    """
+    if spec.width == 0.0:
+        return 0
+    raw = math.floor((value - spec.lo) / spec.width)
+    return min(max(raw, 0), spec.count - 1)
+
+
+def reference_tagged_likelihood(
+    density, values, class_index, attr_index, tag_gain=DEFAULT_TAG_GAIN, epsilon=None
+):
+    """Window-gated likelihood of one attribute of ``values`` under one class.
+
+    The base is the joint probability of the attribute's bin with the
+    class, ``count / n_train``, with an empty cell floored at ``epsilon``
+    (default: the density's tenth-of-a-count floor). If any other
+    attribute of ``values`` falls outside the cell's window, the base is
+    scaled by ``tag_gain`` once, however many attributes violate it.
+    """
+    if epsilon is None:
+        epsilon = density.epsilon_floor
+    b = reference_bin(density.bin_specs[attr_index], values[attr_index])
+    count = density.counts[class_index, attr_index, b]
+    base = count / float(density.n_train) if count > 0 else epsilon
+    lo = density.window_lo[class_index, attr_index, b]
+    hi = density.window_hi[class_index, attr_index, b]
+    arr = np.asarray(values, dtype=np.float64)
+    violated = bool(np.any((arr < lo) | (arr > hi)))
+    return base * tag_gain if violated else base
 
 
 # -- shared strategies -------------------------------------------------------

@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 from diffnb.boosting import (
     TrainConfig,
     TrainState,
-    boost_example,
+    _row_scores,
+    _row_step,
     run_epoch,
-    scores_from_logs,
     train,
     weighted_log_scores,
 )
 from diffnb.dataset import ParseOptions, load_schema, parse_table, split_dataset
-from diffnb.density import BinSpec, bin_index, fit_density
+from diffnb.density import BinGrid, BinSpec, fit_density
 from diffnb.evaluation import evaluate
 from diffnb.inference import batch_log_scores, posterior
 from diffnb.modelfile import model_from_json, model_to_json
@@ -272,21 +272,15 @@ class TestInvariants:
     @given(small_problems())
     def test_boosting_a_miss_improves_its_score_ratio(self, invariant_clock, problem):
         data, topology = problem
+        # the first miss of the first sweep, boosted by the sweep's own step
         state = TrainState.build(data, TrainConfig(topology=topology))
-        labels = data.labels()
-        miss = None
-        for i in range(len(labels)):
-            row_scores = scores_from_logs(state.scores[i])
-            wrong = int(np.argmax(row_scores))
-            if wrong != int(labels[i]):
-                miss = (i, wrong, row_scores)
-                break
-        assume(miss is not None)
-        i, wrong, row_scores = miss
-        label = int(labels[i])
-        before = state.scores[i].copy()
-        delta = boost_example(state.weights, state.cells[i], label, row_scores, alpha=2.0)
+        i = state._next_miss(0)
+        assume(i < len(data))
+        label = int(state.labels[i])
+        wrong, delta = _row_step(_row_scores(state.scores[i]), label, state.config.alpha)
         assume(delta > 1e-9)
+        before = state.scores[i].copy()
+        state._boost(i, label, delta)
         after = weighted_log_scores(np.log(state.weights), state.cells, state.loglik)[i]
         assert after[wrong] == before[wrong]
         assert after[label] - after[wrong] > before[label] - before[wrong]
@@ -305,7 +299,7 @@ class TestInvariants:
         value = lo + half_steps / 2.0
         centers = [lo + (b + 0.5) * width for b in range(count)]
         best = max(range(count), key=lambda b: (-abs(value - centers[b]), b))
-        assert bin_index(spec, value) == best
+        assert BinGrid.of([spec]).bins(np.array([[value]]))[0, 0] == best
 
     @S1000
     @given(small_problems())

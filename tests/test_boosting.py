@@ -12,7 +12,6 @@ from diffnb.boosting import (
     TrainTrace,
     _row_scores,
     _row_step,
-    boost_example,
     run_epoch,
     scores_from_logs,
     train,
@@ -35,6 +34,31 @@ def cells_of(bins, b_max):
 def one_attr_dataset(values_and_labels):
     schema = Schema((AttributeSpec("x", "continuous"),), ("c0", "c1"))
     return Dataset.build(schema, [((float(v),), int(c)) for v, c in values_and_labels])
+
+
+def grid_state(bins, label, k=2, b=4, alpha=2.0):
+    """A training state whose row 0, of class ``label``, lies in ``bins`` on grids of b bins.
+
+    A value is its bin: rows 1 and 2, at 0 and b - 1, pin every grid to
+    [0, b - 1], so value v falls in bin v.
+    """
+    m = len(bins)
+    schema = Schema(
+        tuple(AttributeSpec(f"x{j}", "continuous") for j in range(m)), tuple(f"c{c}" for c in range(k))
+    )
+    rows = [(tuple(map(float, bins)), label), ((0.0,) * m, 0), ((b - 1.0,) * m, 0)]
+    state = TrainState.build(Dataset.build(schema, rows), TrainConfig(alpha=alpha, topology=b))
+    assert state.cells[0].tolist() == cells_of(bins, b).tolist()
+    return state
+
+
+def miss_step(state, scores):
+    """The sweep's step on row 0 under ``scores``: its winner and step, then the boost if positive."""
+    label = int(state.labels[0])
+    winner, delta = _row_step(list(scores), label, state.config.alpha)
+    if delta > 0.0:
+        state._boost(0, label, delta)
+    return winner, delta
 
 
 class TestTrainConfig:
@@ -72,44 +96,39 @@ class TestTrainConfig:
 class TestTrainTrace:
     def test_convergence_accessors(self):
         done = TrainTrace((5, 2, 0))
-        assert done.epochs == 3 and done.converged and done.converged_epoch == 3
+        assert done.epochs == 3 and done.converged
         stuck = TrainTrace((5, 2, 1))
-        assert not stuck.converged and stuck.converged_epoch is None
+        assert stuck.epochs == 3 and not stuck.converged
 
 
 class TestBoostExample:
-    def setup_weights(self, k=2, m=3, b=4):
-        return np.ones((k, m, b))
+    """The sweep's miss step, ``_row_step`` then ``TrainState._boost``, on hand-set scores."""
 
     def test_half_ratio_gives_unit_step(self):
-        weights = self.setup_weights()
-        cells = cells_of([0, 2, 1], 4)
-        delta = boost_example(weights, cells, 0, np.array([0.3, 0.6]), 2.0)
-        assert delta == 1.0
+        state = grid_state([0, 2, 1], 0)
+        assert miss_step(state, [0.3, 0.6]) == (1, 1.0)
+        weights = state.weights
         assert weights[0, 0, 0] == 2.0 and weights[0, 1, 2] == 2.0 and weights[0, 2, 1] == 2.0
 
     def test_vanishing_true_score_gives_max_step(self):
-        weights = self.setup_weights()
-        delta = boost_example(weights, cells_of([0, 0, 0], 4), 0, np.array([1e-300, 0.5]), 2.0)
+        state = grid_state([0, 0, 0], 0)
+        _, delta = miss_step(state, [1e-300, 0.5])
         assert delta == pytest.approx(2.0)
+        assert np.all(state.weights[0, :, 0] == 1.0 + delta)
 
     def test_touches_exactly_true_class_cells(self):
-        weights = self.setup_weights()
-        before = weights.copy()
-        cells = cells_of([1, 1, 3], 4)
-        boost_example(weights, cells, 1, np.array([0.8, 0.2]), 2.0)
-        changed = np.argwhere(weights != before)
-        assert [tuple(c) for c in changed] == [(1, 0, 1), (1, 1, 1), (1, 2, 3)]
+        state = grid_state([1, 1, 3], 1)
+        miss_step(state, [0.8, 0.2])
+        touched = [(1, 0, 1), (1, 1, 1), (1, 2, 3)]
+        assert [tuple(c) for c in np.argwhere(state.weights != 1.0)] == touched
+        assert [tuple(c) for c in np.argwhere(state.logw != 0.0)] == touched
 
     def test_tie_against_true_class_is_a_zero_step(self):
-        weights = self.setup_weights()
-        delta = boost_example(weights, cells_of([0, 0, 0], 4), 1, np.array([0.5, 0.5]), 2.0)
-        assert delta == 0.0
-        assert np.all(weights == 1.0)
-
-    def test_correct_example_is_a_caller_bug(self):
-        with pytest.raises(ValueError, match="correctly classified"):
-            boost_example(self.setup_weights(), cells_of([0, 0, 0], 4), 0, np.array([0.9, 0.1]), 2.0)
+        state = grid_state([0, 0, 0], 1)
+        before = state.scores.copy()
+        assert miss_step(state, [0.5, 0.5]) == (0, 0.0)
+        assert np.all(state.weights == 1.0) and np.all(state.logw == 0.0)
+        assert state.scores.tobytes() == before.tobytes()
 
 
 class TestScoring:
@@ -167,21 +186,21 @@ class TestReadOnlyModels:
         with pytest.raises(ValueError, match="read-only"):
             model.weights[0, 0, 0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
-            boost_example(model.weights, cells_of([0, 0], 2), 1, np.array([0.8, 0.2]), 2.0)
+            model.weights[1].flat[cells_of([0, 0], 2)] += 1.0
         with pytest.raises(ValueError, match="read-only"):
             model.log_weights[0, 0, 0] = 0.0
 
     def test_train_state_keeps_its_own_weights_writable(self):
         state = TrainState.build(xor_dataset(), TrainConfig(topology=2))
         cell = (0, *np.divmod(state.cells[0, 0], state.weights.shape[2]))
-        assert boost_example(state.weights, state.cells[0], 0, np.array([0.2, 0.8]), 2.0) == 1.5
-        assert state.weights[cell] == 2.5
+        _, delta = _row_step([0.2, 0.8], 0, 2.0)
+        assert delta == 1.5
         before = state.scores[0, 0]
-        state._boost(0, 0, 1.5)
-        assert state.weights[cell] == 4.0
-        assert state.logw[cell] == np.log(4.0)
+        state._boost(0, 0, delta)
+        assert state.weights[cell] == 2.5
+        assert state.logw[cell] == np.log(2.5)
         # row 0 holds both boosted cells: their increments are summed, then added
-        assert state.scores[0, 0] == before + (np.log(4.0) + np.log(4.0))
+        assert state.scores[0, 0] == before + (np.log(2.5) + np.log(2.5))
         run_epoch(state)
         model, trace = train(xor_dataset(), TrainConfig(topology=2))
         assert trace.converged and not model.weights.flags.writeable
@@ -222,10 +241,18 @@ class TestEpochs:
         with pytest.raises(ValueError, match="empty"):
             train(Dataset.build(schema, []))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "infinite"])
+    def test_unbinnable_value_rejected(self, value):
+        # a NaN value, or an infinite one on the grid it widens to infinity,
+        # bins to NaN; inf / inf also warns, which is not what is checked
+        data = one_attr_dataset([(0, 0), (value, 1), (1, 1)])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="attribute 0: cannot bin"):
+            train(data)
+
     def test_xor_with_windows_converges_immediately(self):
         model, trace = train(xor_dataset(), TrainConfig(topology=2))
         assert trace.miss_counts == (0,)
-        assert trace.converged and trace.converged_epoch == 1
+        assert trace.converged and trace.epochs == 1
         assert np.all(model.weights == 1.0)
 
     def test_xor_without_windows_never_converges(self):
@@ -272,10 +299,14 @@ def reference_scores_from_logs(log_scores):
 
 
 def reference_boost_example(weights, cells, label, scores, alpha):
-    """The array form of ``boost_example``, as it read before the sweep's scalar path."""
+    """The miss step in array form; returns the step.
+
+    Adds alpha * (1 - scores[label] / scores[winner]) in place to class
+    ``label``'s weights in ``cells``. A row its label wins is no miss and raises.
+    """
     winner = int(np.argmax(scores))
     if winner == label:
-        raise ValueError("boost_example called on a correctly classified example")
+        raise ValueError("the label wins: not a miss")
     delta = alpha * (1.0 - scores[label] / scores[winner])
     if delta > 0.0:
         cols, bins = np.divmod(cells, weights.shape[2])
@@ -540,7 +571,7 @@ def log_batches(draw):
 
 
 class TestScalarRowMatchesArrayForm:
-    """``scores_from_logs``, ``boost_example`` and the sweep's row step against their array forms."""
+    """``scores_from_logs``, the sweep's row step and its miss step against their array forms."""
 
     @given(log_batches())
     @example(np.array([[-800.0, 0.0], [-800.0, -750.0], [0.0, 0.0], [-1e-17, 0.0]]))
@@ -562,24 +593,27 @@ class TestScalarRowMatchesArrayForm:
     @example(np.array([[-800.0, 0.0, -800.0]]), [2] * 6, 2.0, 0).via("TINY-floored label")
     @example(np.array([[0.0, -1.0]]), [0] * 6, 2.0, 0).via("label wins")
     def test_boost_example(self, logs, labels, alpha, seed):
+        # row scores, winner, step and weight update as the sweep takes them
         k = logs.shape[1]
         m, b = 3, 4
         rng = np.random.default_rng(seed)
         start = rng.uniform(1.0, 5.0, size=(k, m, b))
-        for scores, label in zip(reference_scores_from_logs(logs), labels):
+        for row, scores, label in zip(logs, reference_scores_from_logs(logs), labels):
             label %= k
-            cells = cells_of(rng.integers(0, b, size=m), b)
-            new, ref = start.copy(), start.copy()
+            bins = rng.integers(0, b, size=m)
+            state = grid_state(bins, label, k=k, b=b, alpha=alpha)
+            # in place: the state boosts through views of its own arrays
+            state.weights[...] = start
+            state.logw[...] = np.log(start)
+            ref = start.copy()
             try:
-                expected = reference_boost_example(ref, cells, label, scores, alpha)
+                expected = reference_boost_example(ref, cells_of(bins, b), label, scores, alpha)
             except ValueError:
-                with pytest.raises(ValueError, match="correctly classified"):
-                    boost_example(new, cells, label, scores, alpha)
-            else:
-                delta = boost_example(new, cells, label, scores, alpha)
-                assert type(delta) is float
-                assert np.float64(delta).tobytes() == np.float64(expected).tobytes()
-            assert new.tobytes() == ref.tobytes()
+                expected = 0.0  # the label wins: the sweep's step is 0
+            _, delta = miss_step(state, _row_scores(row))
+            assert type(delta) is float
+            assert np.float64(delta).tobytes() == np.float64(expected).tobytes()
+            assert state.weights.tobytes() == ref.tobytes()
 
     @given(
         log_batches(),

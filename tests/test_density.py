@@ -13,15 +13,31 @@ from diffnb.density import (
     DEFAULT_TAG_GAIN,
     BinGrid,
     BinSpec,
-    bin_index,
     fit_density,
     likelihood_logs,
     make_bin_spec,
     resolve_topology,
-    tagged_likelihood,
 )
 
-from conftest import lattice_values, query_rows, small_problems, xor_dataset
+from conftest import (
+    lattice_values,
+    query_rows,
+    reference_bin,
+    reference_tagged_likelihood,
+    small_problems,
+    xor_dataset,
+)
+
+
+def bin_of(spec, value):
+    """The package's bin of one value on one grid."""
+    return int(BinGrid.of((spec,)).bins(np.array([[value]], dtype=np.float64))[0, 0])
+
+
+def gated_likelihoods(density, values, **knobs):
+    """One row's (K, M) window-gated likelihoods, from :func:`likelihood_logs`."""
+    _, parts = likelihood_logs(density, np.array([values], dtype=np.float64), **knobs)
+    return np.exp(parts[0])
 
 
 class TestBinSpec:
@@ -44,37 +60,49 @@ class TestBinSpec:
 
 
 class TestBinIndex:
+    """``BinGrid.bins`` on hand-picked values, and against the scalar rule."""
+
     def test_interior_point(self):
-        assert bin_index(BinSpec(0, 1.0, 10.0, 7), 5.5) == 3
+        assert bin_of(BinSpec(0, 1.0, 10.0, 7), 5.5) == 3
 
     def test_endpoints(self):
         spec = BinSpec(0, 1.0, 10.0, 7)
-        assert bin_index(spec, 1.0) == 0
-        assert bin_index(spec, 10.0) == 6
+        assert bin_of(spec, 1.0) == 0
+        assert bin_of(spec, 10.0) == 6
 
     def test_out_of_range_clamps(self):
         spec = BinSpec(0, 1.0, 10.0, 7)
-        assert bin_index(spec, 12.0) == 6
-        assert bin_index(spec, -3.0) == 0
+        assert bin_of(spec, 12.0) == 6
+        assert bin_of(spec, -3.0) == 0
+        assert bin_of(spec, math.inf) == 6
+        assert bin_of(spec, -math.inf) == 0
 
     def test_degenerate_grid(self):
-        assert bin_index(BinSpec(0, 5.0, 5.0, 3), 99.0) == 0
+        assert bin_of(BinSpec(0, 5.0, 5.0, 3), 99.0) == 0
+        assert bin_of(BinSpec(0, 5.0, 5.0, 3), math.inf) == 0
 
     def test_two_point_binary(self):
         spec = make_bin_spec([0.0, 1.0], 2)
         assert spec.width == 0.5
-        assert bin_index(spec, 0.0) == 0
-        assert bin_index(spec, 1.0) == 1
+        assert bin_of(spec, 0.0) == 0
+        assert bin_of(spec, 1.0) == 1
 
     def test_boundary_goes_up(self):
         # an exact edge is equidistant from both centers; the higher bin takes it
-        assert bin_index(BinSpec(0, 0.0, 4.0, 4), 1.0) == 1
+        assert bin_of(BinSpec(0, 0.0, 4.0, 4), 1.0) == 1
+
+    @pytest.mark.parametrize(
+        "spec", [BinSpec(0, 1.0, 10.0, 7), BinSpec(0, 5.0, 5.0, 3)], ids=["grid", "flat"]
+    )
+    def test_nan_is_refused(self, spec):
+        with pytest.raises(ValueError, match="attribute 0: cannot bin a NaN value"):
+            bin_of(spec, math.nan)
 
     @given(lattice_values, lattice_values, st.integers(1, 8))
     def test_vector_matches_scalar(self, a, b, count):
         spec = BinSpec(0, min(a, b), max(a, b), count)
         probes = np.linspace(spec.lo - 2.0, spec.hi + 2.0, 23)
-        expected = [bin_index(spec, v) for v in probes]
+        expected = [reference_bin(spec, v) for v in probes]
         assert BinGrid.of((spec,)).bins(probes[:, None])[:, 0].tolist() == expected
 
     @given(st.integers(-50, 50), st.integers(1, 9), st.integers(1, 40))
@@ -200,7 +228,7 @@ class TestFitDensity:
                     members = [
                         i
                         for i in range(len(data))
-                        if labels[i] == k and bin_index(density.bin_specs[m], values[i, m]) == b
+                        if labels[i] == k and reference_bin(density.bin_specs[m], values[i, m]) == b
                     ]
                     assert density.counts[k, m, b] == len(members)
                     if not members:
@@ -214,11 +242,18 @@ class TestFitDensity:
 
 
 class TestTaggedLikelihood:
+    """``likelihood_logs`` on hand-worked cells, and against the scalar rule.
+
+    A hand-worked likelihood is compared after ``np.exp`` of its log, which
+    may move the last bit.
+    """
+
     def test_xor_violation_scales_once(self):
         density = fit_density(xor_dataset(), 2)
         # example (0,0) under class c1, attribute a: raw 1/4, window wants b=1
-        assert tagged_likelihood(density, (0.0, 0.0), 1, 0) == 0.0625
-        assert tagged_likelihood(density, (0.0, 0.0), 0, 0) == 0.25
+        likelihoods = gated_likelihoods(density, (0.0, 0.0))
+        assert likelihoods[1, 0] == pytest.approx(0.0625, rel=1e-14)
+        assert likelihoods[0, 0] == pytest.approx(0.25, rel=1e-14)
 
     def test_full_span_windows_change_nothing(self):
         schema = xor_dataset().schema
@@ -227,17 +262,17 @@ class TestTaggedLikelihood:
         )
         density = fit_density(data, 1)
         # one bin per attribute: windows span the whole observed range
-        for k in (0, 1):
-            for m in (0, 1):
-                assert tagged_likelihood(density, (0.3, 0.8), k, m) == 0.5
+        assert gated_likelihoods(density, (0.3, 0.8)) == pytest.approx(np.full((2, 2), 0.5), rel=1e-14)
 
     def test_empty_cell_floors_at_epsilon(self):
         data = Dataset.build(xor_dataset().schema, [((0.0, 0.0), 0), ((1.0, 1.0), 1)])
         density = fit_density(data, 2)
         # class c0 never hit bin 1 of attribute a; the window is infinite, so no gate
         assert density.counts[0, 0, 1] == 0
-        assert tagged_likelihood(density, (1.0, 1.0), 0, 0) == density.epsilon_floor
-        assert tagged_likelihood(density, (1.0, 1.0), 0, 0, epsilon=0.007) == 0.007
+        floored = gated_likelihoods(density, (1.0, 1.0))[0, 0]
+        assert floored == pytest.approx(density.epsilon_floor, rel=1e-14)
+        floored = gated_likelihoods(density, (1.0, 1.0), epsilon=0.007)[0, 0]
+        assert floored == pytest.approx(0.007, rel=1e-14)
 
     def test_gating_neutral_when_rows_repeat(self):
         # duplicated identical rows per class: windows are points the rows satisfy
@@ -245,10 +280,11 @@ class TestTaggedLikelihood:
         rows = [((0.0, 2.0), 0), ((0.0, 2.0), 0), ((4.0, 6.0), 1), ((4.0, 6.0), 1)]
         data = Dataset.build(schema, rows)
         density = fit_density(data, 3)
-        for values, label in rows:
-            for m in (0, 1):
-                raw = density.counts[label, m, bin_index(density.bin_specs[m], values[m])] / 4.0
-                assert tagged_likelihood(density, values, label, m) == raw
+        labels = data.labels()
+        cells, parts = likelihood_logs(density, data.value_matrix())
+        # each row under its own class: count / n_train of its cells, ungated
+        raw = density.counts.reshape(2, -1)[labels[:, None], cells] / 4.0
+        assert np.exp(parts[np.arange(4), labels]) == pytest.approx(raw, rel=1e-14)
 
     @given(small_problems(max_n=12, max_attrs=3), st.data())
     def test_batch_matches_scalar(self, problem, extra):
@@ -268,9 +304,9 @@ class TestTaggedLikelihood:
         b_max = density.counts.shape[2]
         for i, row in enumerate(queries):
             for m_i in range(m):
-                assert cells[i, m_i] == m_i * b_max + bin_index(density.bin_specs[m_i], row[m_i])
+                assert cells[i, m_i] == m_i * b_max + reference_bin(density.bin_specs[m_i], row[m_i])
                 for k in range(data.schema.n_classes):
-                    expected = math.log(tagged_likelihood(density, row, k, m_i))
+                    expected = math.log(reference_tagged_likelihood(density, row, k, m_i))
                     assert parts[i, k, m_i] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
@@ -289,7 +325,7 @@ def reference_fit(data, topology):
     topology = resolve_topology(data.schema, topology)
     b_max = max(topology)
     specs = [make_bin_spec(values[:, j], topology[j], attribute=j) for j in range(m)]
-    binned = np.array([[bin_index(specs[j], v) for j, v in enumerate(row)] for row in values])
+    binned = np.array([[reference_bin(specs[j], v) for j, v in enumerate(row)] for row in values])
 
     counts = np.zeros((k, m, b_max), dtype=np.int64)
     attr_idx = np.broadcast_to(np.arange(m), (n, m))
@@ -317,7 +353,7 @@ def reference_likelihood_logs(density, values, tag_gain=DEFAULT_TAG_GAIN):
     n, m = values.shape
     k = density.schema.n_classes
     binned = np.array(
-        [[bin_index(density.bin_specs[j], v) for j, v in enumerate(row)] for row in values],
+        [[reference_bin(density.bin_specs[j], v) for j, v in enumerate(row)] for row in values],
         dtype=np.int64,
     ).reshape(n, m)
     rows = np.arange(n)[:, None]

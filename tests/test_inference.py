@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from diffnb import density as density_module
 from diffnb.boosting import TrainConfig, scores_from_logs, train, winner_of
 from diffnb.dataset import SchemaError
-from diffnb.density import bin_index, tagged_likelihood
 from diffnb.inference import (
     batch_log_scores,
-    class_scores,
     posterior,
     posterior_batch,
     predict,
@@ -22,7 +20,18 @@ from diffnb.inference import (
 )
 from diffnb.modelfile import model_from_json, model_to_json
 
-from conftest import query_rows, small_problems, xor_dataset
+from conftest import (
+    query_rows,
+    reference_bin,
+    reference_tagged_likelihood,
+    small_problems,
+    xor_dataset,
+)
+
+
+def row_scores(model, row):
+    """Unnormalized class scores of one row, as :func:`posterior` exponentiates them."""
+    return scores_from_logs(batch_log_scores(model, np.array([row], dtype=np.float64)))[0]
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +43,7 @@ def xor_model():
 
 class TestXorValues:
     def test_class_scores_are_the_hand_products(self, xor_model):
-        scores = class_scores(xor_model, (0.0, 0.0))
+        scores = row_scores(xor_model, (0.0, 0.0))
         # c0: (1/4)(1/4); c1: both windows violated, (1/16)(1/16); the
         # log-domain round trip may wobble the last bit
         assert scores[0] == pytest.approx(0.0625, rel=1e-14)
@@ -67,6 +76,15 @@ class TestXorValues:
         with pytest.raises(SchemaError, match="expects 2"):
             posterior(xor_model, (0.0, 0.0, 0.0))
 
+    def test_nan_value_is_refused(self, xor_model):
+        with pytest.raises(ValueError, match="attribute 1: cannot bin a NaN value"):
+            posterior(xor_model, (0.0, float("nan")))
+
+    def test_nan_row_is_refused_in_a_batch(self, xor_model):
+        values = np.array([[0.0, 0.0], [1.0, 0.0], [float("nan"), 1.0]])
+        with pytest.raises(ValueError, match="attribute 0: cannot bin a NaN value"):
+            predict_batch(xor_model, values)
+
 
 def trained_small(problem, max_rounds=4):
     data, topology = problem
@@ -81,12 +99,12 @@ class TestFidelity:
         data, model = trained_small(problem)
         m = data.schema.n_attributes
         row = extra.draw(query_rows(m))
-        scores = class_scores(model, row)
+        scores = row_scores(model, row)
         for k in range(data.schema.n_classes):
             direct = 1.0
             for m_i in range(m):
-                b = bin_index(model.density.bin_specs[m_i], row[m_i])
-                direct *= tagged_likelihood(
+                b = reference_bin(model.density.bin_specs[m_i], row[m_i])
+                direct *= reference_tagged_likelihood(
                     model.density, row, k, m_i, model.config.tag_gain, model.config.epsilon_floor
                 )
                 direct *= model.weights[k, m_i, b]
@@ -119,8 +137,8 @@ class TestFidelity:
             for k in range(3):
                 product = mpmath.mpf(1)
                 for m_i in range(m):
-                    b = bin_index(model.density.bin_specs[m_i], query[m_i])
-                    lik = tagged_likelihood(
+                    b = reference_bin(model.density.bin_specs[m_i], query[m_i])
+                    lik = reference_tagged_likelihood(
                         model.density, query, k, m_i, model.config.tag_gain, model.config.epsilon_floor
                     )
                     product *= mpmath.mpf(lik) * mpmath.mpf(model.weights[k, m_i, b])
@@ -156,7 +174,7 @@ class TestFidelity:
         before = posterior(model, row)
         assume(before.probabilities[k] < 1.0 - 1e-9)
         bumped = model.weights.copy()
-        b = bin_index(model.density.bin_specs[m_i], row[m_i])
+        b = reference_bin(model.density.bin_specs[m_i], row[m_i])
         bumped[k, m_i, b] *= 2.0
         after = posterior(dataclasses.replace(model, weights=bumped), row)
         assert after.probabilities[k] > before.probabilities[k]
