@@ -40,11 +40,17 @@ from .modelfile import load_model, save_model
 
 def _add_parse_flags(cmd: argparse.ArgumentParser, labeled: bool = True) -> None:
     """Parsing flags; ``--label-col`` only where the rows are ``labeled``."""
-    cmd.add_argument("--delimiter", default=None, help="field separator (default: any whitespace)")
+    cmd.add_argument(
+        "--delimiter", default=ParseOptions.delimiter, help="field separator (default: any whitespace)"
+    )
     if labeled:
-        cmd.add_argument("--label-col", type=int, default=-1, help="label field index (default: last)")
+        cmd.add_argument(
+            "--label-col", type=int, default=ParseOptions.label_col, help="label field index (default: last)"
+        )
     cmd.add_argument("--ignore-cols", default="", help="comma-separated field indexes to drop")
-    cmd.add_argument("--missing", default="?", help="missing-value token; rows holding it are dropped")
+    cmd.add_argument(
+        "--missing", default=ParseOptions.missing_token, help="missing-value token; rows holding it are dropped"
+    )
 
 
 def _parse_options(args) -> ParseOptions:
@@ -53,7 +59,8 @@ def _parse_options(args) -> ParseOptions:
     except ValueError:
         raise ValueError(f"--ignore-cols {args.ignore_cols!r}: expected comma-separated integers") from None
     # predict's rows carry no label, so its parser has no --label-col
-    return ParseOptions(args.delimiter, args.missing, getattr(args, "label_col", -1), ignore)
+    label_col = getattr(args, "label_col", ParseOptions.label_col)
+    return ParseOptions(args.delimiter, args.missing, label_col, ignore)
 
 
 def _parse_bins(text: str | None):
@@ -239,18 +246,18 @@ def cmd_search(args) -> int:
     schema = load_schema(schema_path)
     trainset, validation = files.load(base, schema, options)
 
-    baseline_bins = json_entry(doc, raw, "baseline_bins", "an integer", default=5)
+    baseline_bins = json_entry(doc, raw, "baseline_bins", "an integer", default=SearchSpec.baseline_bins)
     raw_ranges = json_entry(doc, raw, "ranges", "a JSON list", "a JSON object")
     spec = SearchSpec(
         ranges=_search_ranges(schema, raw_ranges, baseline_bins),
-        budget=json_entry(doc, raw, "budget", "an integer", default=64),
-        parallelism=json_entry(doc, raw, "parallelism", "an integer", default=1),
+        budget=json_entry(doc, raw, "budget", "an integer", default=SearchSpec.budget),
+        parallelism=json_entry(doc, raw, "parallelism", "an integer", default=SearchSpec.parallelism),
         baseline_bins=baseline_bins,
-        exhaustive=json_entry(doc, raw, "exhaustive", "true or false", default=False),
+        exhaustive=json_entry(doc, raw, "exhaustive", "true or false", default=SearchSpec.exhaustive),
     )
     config = TrainConfig(
-        alpha=float(json_entry(doc, raw, "alpha", "a number", default=2.0)),
-        max_rounds=json_entry(doc, raw, "max_rounds", "an integer", default=500),
+        alpha=float(json_entry(doc, raw, "alpha", "a number", default=TrainConfig.alpha)),
+        max_rounds=json_entry(doc, raw, "max_rounds", "an integer", default=TrainConfig.max_rounds),
     )
     json_keys(doc, raw, _SPEC_KEYS)
 
@@ -331,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--bins", default=None, help="bin counts: N, or N,N,..., or name=N,...")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--max-rounds", type=int, default=500)
-    p.add_argument("--tag-gain", type=float, default=0.25)
-    p.add_argument("--epsilon", type=float, default=None, help="floor for empty cells")
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p.add_argument("--max-rounds", type=int, default=TrainConfig.max_rounds)
+    p.add_argument("--tag-gain", type=float, default=TrainConfig.tag_gain)
+    p.add_argument("--epsilon", type=float, default=TrainConfig.epsilon_floor, help="floor for empty cells")
     p.add_argument("--train-count", type=int, default=None, help="train on the first N rows, hold out the rest")
     p.add_argument("--seed", type=int, default=None, help="shuffle before the --train-count split")
     p.add_argument("--out", required=True)

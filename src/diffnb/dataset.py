@@ -291,10 +291,14 @@ def json_parse_options(doc: str, raw: dict) -> ParseOptions:
     parse_raw = json_entry(doc, raw, "parse", "a JSON object", default={})
     doc = f'{doc} "parse"'
     options = ParseOptions(
-        delimiter=json_entry(doc, parse_raw, "delimiter", "a string", "null", default=None),
-        missing_token=json_entry(doc, parse_raw, "missing_token", "a string", default="?"),
-        label_col=json_entry(doc, parse_raw, "label_col", "an integer", default=-1),
-        ignore_cols=tuple(json_list(doc, parse_raw, "ignore_cols", "an integer", default=[])),
+        delimiter=json_entry(doc, parse_raw, "delimiter", "a string", "null", default=ParseOptions.delimiter),
+        missing_token=json_entry(
+            doc, parse_raw, "missing_token", "a string", default=ParseOptions.missing_token
+        ),
+        label_col=json_entry(doc, parse_raw, "label_col", "an integer", default=ParseOptions.label_col),
+        ignore_cols=tuple(
+            json_list(doc, parse_raw, "ignore_cols", "an integer", default=ParseOptions.ignore_cols)
+        ),
     )
     json_keys(doc, parse_raw, ("delimiter", "missing_token", "label_col", "ignore_cols"))
     return options

@@ -48,7 +48,13 @@ _CHECK_BUDGET = 2**18
 
 @dataclass(frozen=True)
 class BinSpec:
-    """Equal-width bin grid for one attribute: ``count`` bins spanning [lo, hi]."""
+    """Equal-width bin grid for one attribute: ``count`` bins spanning [lo, hi].
+
+    Both bounds, and the span between them, must be finite: a grid
+    fitted to an infinite value or to values further apart than the
+    largest float, or read from a model file with an infinite or NaN
+    bound, has no width to bin by.
+    """
 
     attribute: int
     lo: float
@@ -58,6 +64,9 @@ class BinSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"attribute {self.attribute}: bin count must be >= 1, got {self.count}")
+        # NaN for a NaN bound or inf - inf, inf for an infinite bound or an overflow
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"attribute {self.attribute}: cannot bin between lo {self.lo} and hi {self.hi}")
         if self.hi < self.lo:
             raise ValueError(f"attribute {self.attribute}: hi {self.hi} < lo {self.lo}")
 
@@ -112,9 +121,7 @@ class BinGrid(NamedTuple):
         the bin whose center is nearest, the higher one on an exact
         boundary between two. Values outside [lo, hi], infinities included,
         land in the nearest edge bin, and a flat grid puts every value in
-        bin 0. A NaN quotient has no bin and is refused with a ValueError:
-        a NaN value makes one, and so does fitting a grid to an infinite
-        training value, as inf / inf is NaN.
+        bin 0. A NaN value has no bin and is refused with a ValueError.
         """
         raw = np.floor((values - self.lo) / self.width)
         # clamp before the cast: a quotient can exceed the int64 range
@@ -122,7 +129,7 @@ class BinGrid(NamedTuple):
         # the clamp passes NaN on and bounds all else, so only NaN makes the sum NaN
         if math.isnan(raw.sum()):
             j = np.isnan(raw).any(axis=0).argmax()
-            raise ValueError(f"attribute {j}: cannot bin a NaN value, nor an infinite training value")
+            raise ValueError(f"attribute {j}: cannot bin a NaN value")
         if self.flat.size:
             raw[:, self.flat] = 0.0
         return raw.astype(np.int64)

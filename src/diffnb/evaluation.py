@@ -179,8 +179,8 @@ class ExperimentSpec:
     schema: str
     files: DataFiles
     bins: object = None
-    alpha: float = 2.0
-    max_rounds: int = 500
+    alpha: float = TrainConfig.alpha
+    max_rounds: int = TrainConfig.max_rounds
     parse: ParseOptions = field(default_factory=ParseOptions)
     checks: tuple[MetricCheck, ...] = ()
     fetch_hint: str | None = None
@@ -266,8 +266,8 @@ def load_suite(path: str | Path) -> Suite:
             files=json_data_files(doc, entry, "test", split="split"),
             # any number: resolve_topology refuses a fractional count
             bins=json_entry(doc, entry, "bins", "a number", "a JSON list", "a JSON object", "null", default=None),
-            alpha=json_entry(doc, entry, "alpha", "a number", default=2.0),
-            max_rounds=json_entry(doc, entry, "max_rounds", "an integer", default=500),
+            alpha=json_entry(doc, entry, "alpha", "a number", default=TrainConfig.alpha),
+            max_rounds=json_entry(doc, entry, "max_rounds", "an integer", default=TrainConfig.max_rounds),
             parse=json_parse_options(doc, entry),
             checks=tuple(checks),
             fetch_hint=json_entry(doc, entry, "fetch_hint", "a string", "null", default=None),

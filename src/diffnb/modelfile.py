@@ -98,9 +98,10 @@ def model_from_json(text: str) -> Model:
 
     The document's kind and its top-level keys, the schema, the config,
     the trace and each bin grid are checked with the shared JSON checker,
-    so a malformed file is a ValueError naming the entry. A bin grid
-    count must equal its attribute's topology entry, ``n_train`` must be
-    positive, every weight finite and positive and every count
+    so a malformed file is a ValueError naming the entry. A bin grid must
+    be one :class:`BinSpec` accepts (finite bounds and span, ``lo <= hi``)
+    and its count must equal its attribute's topology entry; ``n_train``
+    must be positive, every weight finite and positive and every count
     non-negative; the windows are read as they are.
     """
     name = "model file"
@@ -134,14 +135,11 @@ def model_from_json(text: str) -> Model:
         count = int(json_entry(spec_doc, s, "count", "an integer"))
         if count != topology[m]:
             raise ValueError(f'{spec_doc} "count" is {count}, but "topology" gives {topology[m]} bins')
-        specs.append(
-            BinSpec(
-                m,
-                float(json_entry(spec_doc, s, "lo", "a number")),
-                float(json_entry(spec_doc, s, "hi", "a number")),
-                count,
-            )
-        )
+        bounds = [float(json_entry(spec_doc, s, key, "a number")) for key in ("lo", "hi")]
+        try:
+            specs.append(BinSpec(m, *bounds, count))
+        except ValueError as err:
+            raise ValueError(f"{spec_doc}: {err}") from None
     specs = tuple(specs)
     counts = np.zeros((k_n, m_n, b_max), dtype=np.int64)
     weights = np.ones((k_n, m_n, b_max))

@@ -1,8 +1,10 @@
 """The release gate: benchmark reproductions and the invariant suite.
 
 Each criterion is marked; the terminal summary prints one verdict line
-per criterion. Benchmarks against datasets that must be downloaded skip
-with fetch instructions when the files are absent.
+per criterion. Criteria 1-4 run the entries of the shipped benchmark
+suite, ``benchmarks/suite.json``, as ``diffnb benchmark`` runs them, so
+each pinned result is written down once. An entry whose data files must
+be downloaded skips with its fetch command when they are absent.
 """
 
 import math
@@ -23,89 +25,64 @@ from diffnb.boosting import (
     train,
     weighted_log_scores,
 )
-from diffnb.dataset import ParseOptions, load_schema, parse_table, split_dataset
+from diffnb.dataset import load_schema
 from diffnb.density import BinGrid, BinSpec, fit_density
-from diffnb.evaluation import evaluate
+from diffnb.evaluation import evaluate, load_suite, render_entry_text, run_experiment
 from diffnb.inference import batch_log_scores, posterior
 from diffnb.modelfile import model_from_json, model_to_json
-from diffnb.monks import MONKS_BINS, generate_monks
 
 from conftest import query_rows, small_problems, xor_dataset
 
-ROOT = Path(__file__).parent.parent
-DATA = ROOT / "data"
-SCHEMAS = ROOT / "benchmarks" / "schemas"
+SUITE = Path(__file__).parent.parent / "benchmarks" / "suite.json"
 
 S1000 = settings(max_examples=1000, deadline=None)
 
 criterion = pytest.mark.criterion
 
 
-def require_data(fetch_name: str, *filenames: str) -> None:
-    missing = [f for f in filenames if not (DATA / f).exists()]
-    if missing:
-        pytest.skip(
-            f"data not fetched ({', '.join(missing)});"
-            f" run: python3 scripts/fetch_uci.py {fetch_name}"
-        )
+def suite_entry(name: str):
+    """The shipped suite, its data root and its entry ``name``."""
+    suite = load_suite(SUITE)
+    spec = next(spec for spec in suite.experiments if spec.name == name)
+    return suite, suite.base_dir / suite.data_dir, spec
 
 
-def timed_train(trainset, config):
-    started = time.perf_counter()
-    model, trace = train(trainset, config)
-    return model, trace, time.perf_counter() - started
+def run_entry(name: str) -> None:
+    """Run the shipped suite's entry ``name``; skip when its data is absent, fail on any failed check."""
+    suite, data_root, spec = suite_entry(name)
+    entry = run_experiment(spec, data_root, suite.base_dir)
+    if entry.status == "missing_data":
+        pytest.skip(entry.message)
+    if not entry.ok:
+        pytest.fail(render_entry_text(entry), pytrace=False)
 
 
 @criterion(1, "breast cancer: accuracy, convergence, speed")
 class TestBreastCancer:
     def test_benchmark(self):
-        require_data("breast-cancer", "breast-cancer-wisconsin.data")
-        schema = load_schema(SCHEMAS / "breast-cancer.schema.json")
-        options = ParseOptions(delimiter=",", ignore_cols=(0,))
-        full = parse_table(DATA / "breast-cancer-wisconsin.data", schema, options)
-        assert len(full) == 683  # 699 rows, 16 dropped for missing values
-        trainset, testset = split_dataset(full, 341)
-        model, trace, seconds = timed_train(trainset, TrainConfig(topology=7))
-        test_accuracy = evaluate(model, testset).accuracy
-        assert test_accuracy >= 96.5
-        assert trace.converged and trace.epochs <= 200
-        assert seconds < 10.0
+        run_entry("breast-cancer")
 
 
 @criterion(2, "thyroid: train band, test floor, speed")
 class TestThyroid:
     def test_benchmark(self):
-        require_data("thyroid", "ann-train.data", "ann-test.data")
-        schema = load_schema(SCHEMAS / "thyroid.schema.json")
-        trainset = parse_table(DATA / "ann-train.data", schema, ParseOptions())
-        testset = parse_table(DATA / "ann-test.data", schema, ParseOptions())
-        assert len(trainset) == 3772 and len(testset) == 3428
-        bins = (9,) + (2,) * 15 + (9,) * 5
-        model, _, seconds = timed_train(trainset, TrainConfig(topology=bins))
-        train_accuracy = evaluate(model, trainset).accuracy
-        test_accuracy = evaluate(model, testset).accuracy
-        assert 98.56 <= train_accuracy <= 99.56
-        assert test_accuracy >= 98.0
-        assert seconds < 60.0
+        run_entry("thyroid")
 
 
 @pytest.fixture(scope="module")
 def pima_splits():
-    require_data("pima", "pima-indians-diabetes.data")
-    schema = load_schema(SCHEMAS / "pima.schema.json")
-    options = ParseOptions(delimiter=",")
-    full = parse_table(DATA / "pima-indians-diabetes.data", schema, options)
-    assert len(full) == 768
-    return split_dataset(full, 512)
+    suite, data_root, spec = suite_entry("pima")
+    try:
+        return spec.files.load(data_root, load_schema(suite.base_dir / spec.schema), spec.parse)
+    except FileNotFoundError as err:
+        # worded as the pima entry's own missing-data message
+        pytest.skip(f"missing: {err.filename} ({spec.fetch_hint})")
 
 
 @criterion(3, "pima: accuracy band and bin additivity")
 class TestPima:
-    def test_benchmark(self, pima_splits):
-        trainset, testset = pima_splits
-        model, _, _ = timed_train(trainset, TrainConfig(topology=(8, 5, 5, 5, 14, 30, 5, 6)))
-        test_accuracy = evaluate(model, testset).accuracy
-        assert 74.95 <= test_accuracy <= 78.95
+    def test_benchmark(self):
+        run_entry("pima")
 
     def test_good_bin_counts_help_jointly(self, pima_splits):
         trainset, testset = pima_splits
@@ -123,19 +100,14 @@ class TestPima:
 
 @criterion(4, "monk's problems: easy sets high, set 2 stuck")
 class TestMonks:
-    def run_problem(self, problem):
-        trainset, testset = generate_monks(problem)
-        model, _ = train(trainset, TrainConfig(topology=MONKS_BINS))
-        return evaluate(model, testset).accuracy
-
     def test_set_1(self):
-        assert self.run_problem(1) >= 95.0
+        run_entry("monks-1")
 
     def test_set_3(self):
-        assert self.run_problem(3) >= 92.0
+        run_entry("monks-3")
 
     def test_set_2_stays_in_the_failure_band(self):
-        assert 60.0 <= self.run_problem(2) <= 75.0
+        run_entry("monks-2")
 
 
 @criterion(5, "xor: even ties ungated, perfect when gated")

@@ -350,12 +350,20 @@ class TestEvaluate:
                 'model file "weights" must be finite and > 0, got nan',
             ),
             (lambda doc: doc["counts"][0][1].__setitem__(1, -5), 'model file "counts" must be >= 0, got -5'),
+            (
+                lambda doc: doc["bin_specs"][0].update(lo=float("nan")),
+                "model file bin spec 1: attribute 0: cannot bin between lo nan and hi 1.0",
+            ),
+            (
+                lambda doc: doc["bin_specs"][1].update(hi=float("inf")),
+                "model file bin spec 2: attribute 1: cannot bin between lo 0.0 and hi inf",
+            ),
         ],
         ids=[
             "schema", "topology", "topology-length", "bin-spec", "config", "trace", "counts", "tags",
             "bin-specs-short", "bin-specs-long", "bin-count-first", "bin-count-last", "n-train-zero",
             "n-train-negative", "weight-negative", "weight-zero", "weight-infinite", "weight-nan",
-            "count-negative",
+            "count-negative", "bin-lo-nan", "bin-hi-infinite",
         ],
     )
     def test_damaged_model_file_names_the_entry(self, workdir, capsys, edit, message):

@@ -58,6 +58,15 @@ class TestBinSpec:
         with pytest.raises(ValueError, match="hi"):
             BinSpec(0, 2.0, 1.0, 3)
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(math.nan, 1.0), (0.0, math.inf), (-math.inf, -math.inf), (-1e308, 1e308)],
+        ids=["nan", "infinite", "both-infinite", "span-overflows"],
+    )
+    def test_non_finite_range_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="^attribute 0: cannot bin between lo"):
+            BinSpec(0, lo, hi, 3)
+
 
 class TestBinIndex:
     """``BinGrid.bins`` on hand-picked values, and against the scalar rule."""

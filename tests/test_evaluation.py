@@ -371,8 +371,11 @@ class TestSuite:
         assert by_name["breast-cancer"].bins == 7
         assert by_name["breast-cancer"].checks == (
             MetricCheck("test_accuracy", min=96.5),
+            MetricCheck("converged", min=1),
             MetricCheck("epochs", max=200),
             MetricCheck("train_seconds", max=10),
+            MetricCheck("n_train", min=341, max=341),
+            MetricCheck("n_test", min=342, max=342),
         )
         assert by_name["thyroid"].parse == ParseOptions()
         assert by_name["thyroid"].files == DataFiles(train="ann-train.data", held="ann-test.data")
@@ -380,7 +383,11 @@ class TestSuite:
         assert by_name["thyroid"].checks[0] == MetricCheck("train_accuracy", min=98.56, max=99.56)
         assert by_name["pima"].parse == ParseOptions(delimiter=",")
         assert by_name["pima"].bins == [8, 5, 5, 5, 14, 30, 5, 6]
-        assert by_name["pima"].checks == (MetricCheck("test_accuracy", min=74.95, max=78.95),)
+        assert by_name["pima"].checks == (
+            MetricCheck("test_accuracy", min=74.95, max=78.95),
+            MetricCheck("n_train", min=512, max=512),
+            MetricCheck("n_test", min=256, max=256),
+        )
         for p in (1, 2, 3):
             spec = by_name[f"monks-{p}"]
             assert spec.parse == ParseOptions(label_col=0, ignore_cols=(7,))

@@ -1,6 +1,7 @@
 """Generated Monk's problems: rules, sampling, and file layout."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from diffnb.monks import (
 )
 
 from conftest import rows_of
+
+ROOT = Path(__file__).parent.parent
 
 # Per-epoch training misses at 4 bins, the counts the benchmark's
 # perfbench/expected.json also checks. Near-ties on monks-2 and monks-3 are
@@ -146,10 +149,13 @@ class TestFiles:
         assert [int(v) for v in values] == [1, 1, 1, 1, 1, 1]
         assert row_id == "data_1"
 
-    def test_schema_matches_the_benchmark_schema_file(self):
-        from pathlib import Path
+    def test_shipped_files_are_the_generators(self, tmp_path):
+        # criterion 4 and the benchmark's monks workload read the committed files
+        for path in write_monks_files(tmp_path):
+            assert (ROOT / "data" / path.name).read_bytes() == path.read_bytes(), path.name
 
-        path = Path(__file__).parent.parent / "benchmarks" / "schemas" / "monks.schema.json"
+    def test_schema_matches_the_benchmark_schema_file(self):
+        path = ROOT / "benchmarks" / "schemas" / "monks.schema.json"
         assert load_schema(path) == monks_schema()
 
 
