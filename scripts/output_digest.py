@@ -22,8 +22,10 @@ files in both data-file forms: a spec that splits ``monks-1.train`` by a
 seeded row count, and a suite with one such split entry and one entry
 naming the train and test pair. Then ``search --out`` runs the monks
 workload's spec at ``"parallelism"`` 1 and 2, so both the serial and the
-forked search are digested on any host; the script exits 1 if their
-outputs differ.
+forked search are digested on any host, and then the same spec with
+``"exhaustive": true`` at both, whose trials differ from the first in
+several attributes at once; the script exits 1 if a search's outputs
+differ between the two.
 
 Each output prints as one line, ``<workload> <job> <output> <sha256>
 exit=<code>``. The temporary directory and CHECKOUT's path are replaced
@@ -273,25 +275,32 @@ def data_form_runs(root: Path) -> list[tuple[str, bytes, int]]:
 
 # the serial search, and the one that forks a helper for each batch of more than one topology
 PARALLELISM = (1, 2)
+# the monks workload's coordinate search, and the whole product of its ranges, whose
+# trials differ from the first in several attributes at once
+SEARCHES = {"": False, " exhaustive": True}
 
 
 def parallelism_runs(root: Path, tiny: bool = False) -> list[tuple[str, bytes, int]]:
     """(output name, bytes, exit code) of ``search --out`` on the monks workload's spec at each PARALLELISM.
 
+    Each of SEARCHES runs at every PARALLELISM, the coordinate search first.
     The workloads' own searches run at ``min(2, os.cpu_count())``, so a
-    one-CPU host never forks a helper there; these two take both paths on
-    any host. Stdout and the trial log are digested.
+    one-CPU host never forks a helper there; these take both paths on any
+    host. Stdout and the trial log are digested.
     """
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "monks"
         raw = json.loads(workloads.setup("monks", root, work, SEEDS[0], tiny).search_spec.read_text(encoding="utf-8"))
-        for parallelism in PARALLELISM:
-            spec, log = work / f"search-{parallelism}.json", work / f"search-{parallelism}.log.json"
-            spec.write_text(json.dumps({**raw, "parallelism": parallelism}), encoding="utf-8")
-            out, _, code = run_cli(root, ["search", "--spec", str(spec), "--out", str(log)])
-            runs.append((f"parallelism {parallelism} monks search stdout", out, code))
-            runs.append((f"parallelism {parallelism} monks search log", log.read_bytes(), code))
+        for name, exhaustive in SEARCHES.items():
+            for parallelism in PARALLELISM:
+                stem = f"search{name.replace(' ', '-')}-{parallelism}"
+                spec, log = work / f"{stem}.json", work / f"{stem}.log.json"
+                doc = {**raw, "parallelism": parallelism, **({"exhaustive": True} if exhaustive else {})}
+                spec.write_text(json.dumps(doc), encoding="utf-8")
+                out, _, code = run_cli(root, ["search", "--spec", str(spec), "--out", str(log)])
+                runs.append((f"parallelism {parallelism} monks{name} search stdout", out, code))
+                runs.append((f"parallelism {parallelism} monks{name} search log", log.read_bytes(), code))
     return runs
 
 
@@ -317,11 +326,14 @@ def main(argv: list[str]) -> int:
     for label, data, code in by_parallelism:
         print(digest_line(label, data, code, {}))
     # a search prints and logs the same bytes at any parallelism
-    serial, forked = (by_parallelism[i : i + 2] for i in (0, 2))
-    if [(data, code) for _, data, code in serial] != [(data, code) for _, data, code in forked]:
-        print(f"search outputs differ between parallelism {PARALLELISM[0]} and {PARALLELISM[1]}", file=sys.stderr)
-        return 1
-    return 0
+    differ = 0
+    for i, name in enumerate(SEARCHES):
+        serial, forked = (by_parallelism[j : j + 2] for j in (4 * i, 4 * i + 2))
+        if [(data, code) for _, data, code in serial] != [(data, code) for _, data, code in forked]:
+            print(f"monks{name} search outputs differ between parallelism {PARALLELISM[0]} and {PARALLELISM[1]}",
+                  file=sys.stderr)
+            differ = 1
+    return differ
 
 
 if __name__ == "__main__":

@@ -220,6 +220,20 @@ def winners_of(log_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return winners.astype(np.int64), ties
 
 
+def resolved_config(config: TrainConfig, density: DensityModel) -> TrainConfig:
+    """``config`` with the topology and epsilon floor that training ``density`` uses."""
+    return dataclasses.replace(
+        config,
+        topology=density.topology,
+        epsilon_floor=density.epsilon_floor if config.epsilon_floor is None else config.epsilon_floor,
+    )
+
+
+def rows_in_bins(column: np.ndarray, bins: range) -> tuple[np.ndarray, ...]:
+    """The ascending rows whose entry in ``column`` is each of ``bins``, one int64 array per bin."""
+    return tuple(np.flatnonzero(column == b) for b in bins)
+
+
 @dataclass
 class TrainState:
     """Mutable state of one training run; only weights, logw, and scores move.
@@ -255,22 +269,37 @@ class TrainState:
 
     @classmethod
     def build(cls, data: Dataset, config: TrainConfig) -> "TrainState":
+        """Fit the density of ``config.topology`` to ``data`` and score its rows once."""
         density = fit_density(data, config.topology)
-        config = dataclasses.replace(
-            config,
-            topology=density.topology,
-            epsilon_floor=(
-                density.epsilon_floor if config.epsilon_floor is None else config.epsilon_floor
-            ),
-        )
+        config = resolved_config(config, density)
         cells, parts = likelihood_logs(
             density, data.value_matrix(), config.tag_gain, config.epsilon_floor
         )
-        loglik = parts.sum(axis=2)
+        _, m, b_max = density.counts.shape
+        # attribute j's column is the only one that can hold its cells
+        rows_by_cell = tuple(
+            rows for j in range(m) for rows in rows_in_bins(cells[:, j], range(j * b_max, (j + 1) * b_max))
+        )
+        return cls.start(density, config, data.labels(), cells, parts.sum(axis=2), rows_by_cell)
+
+    @classmethod
+    def start(
+        cls,
+        density: DensityModel,
+        config: TrainConfig,
+        labels: np.ndarray,
+        cells: np.ndarray,
+        loglik: np.ndarray,
+        rows_by_cell: tuple[np.ndarray, ...],
+    ) -> "TrainState":
+        """The untrained state over precomputed rows: unit weights, scores equal to ``loglik``.
+
+        ``config`` is resolved against ``density`` (:func:`resolved_config`)
+        and ``cells``, ``loglik`` and ``rows_by_cell`` are what
+        :meth:`build` computes for the training rows; a search trial
+        assembles them from per-attribute columns instead.
+        """
         shape = density.counts.shape
-        _, m, b_max = shape
-        # attribute c // b_max is the only column that can hold cell c
-        rows_by_cell = tuple(np.flatnonzero(cells[:, c // b_max] == c) for c in range(m * b_max))
         cell_sizes = np.array([len(rows) for rows in rows_by_cell])
         return cls(
             density=density,
@@ -279,7 +308,7 @@ class TrainState:
             logw=np.zeros(shape),
             cells=cells,
             loglik=loglik,
-            labels=data.labels(),
+            labels=labels,
             scores=loglik.copy(),  # all log-weights start at 0
             rows_by_cell=rows_by_cell,
             row_sizes=cell_sizes[cells],
@@ -402,7 +431,11 @@ def train_with_scores(
     """
     if len(trainset) == 0:
         raise ValueError("training set is empty")
-    state = TrainState.build(trainset, config)
+    return train_from(TrainState.build(trainset, config))
+
+
+def train_from(state: TrainState) -> tuple[Model, TrainTrace, np.ndarray]:
+    """Boost an untrained ``state`` until clean or out of rounds, as :func:`train_with_scores` does."""
     miss_counts = []
     for _ in range(state.config.max_rounds):
         miss_counts.append(run_epoch(state))

@@ -89,7 +89,7 @@ def _require_files(*paths) -> None:
 
 
 def cmd_train(args) -> int:
-    from .evaluation import evaluate, format_percent, training_report
+    from .evaluation import evaluate, format_percent, scores_report
 
     if args.seed is not None and args.train_count is None:
         # the seed shuffles the rows before that split; alone it would do nothing
@@ -116,7 +116,7 @@ def cmd_train(args) -> int:
         print(f"converged after {trace.epochs} epochs")
     else:
         print(f"stopped at max_rounds={model.config.max_rounds} with {trace.miss_counts[-1]} misses")
-    report = training_report(model, data, train_logs)
+    report = scores_report(model, data, train_logs)
     print(f"train accuracy: {format_percent(report.accuracy)} % ({report.n_correct}/{report.n_examples})")
     if holdout is not None:
         held = evaluate(model, holdout)

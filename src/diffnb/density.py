@@ -22,6 +22,14 @@ A fitted :class:`DensityModel` holds these as plain arrays: ``counts``
 ``window_hi`` (K, M, B_max, M). A cell is empty where its count is 0;
 nothing else records it.
 
+An attribute's grid, counts and windows depend on its own values and bin
+count, and on the other attributes' raw values over its cells, but not on
+their bin counts. So a fit is one :class:`DensityColumn` per attribute
+(:func:`fit_column`), assembled into the model (:func:`assemble_density`),
+and an attribute's likelihood parts can be scored alone
+(``likelihood_logs(..., attributes=...)``): a topology search reuses the
+columns its trials share.
+
 A fitted model's arrays are read-only, and what scoring reads from them
 (the grid arrays, flat windows, and the logs of every cell's plain and
 gated likelihood) is derived once per model, on first use, as its
@@ -93,26 +101,26 @@ class BinGrid(NamedTuple):
     """The bin arithmetic of a sequence of grids, one array entry per grid.
 
     ``width`` holds 1.0 for a flat grid (lo == hi), so dividing by it is
-    safe; ``flat`` lists the flat grids, whose values all land in bin 0;
-    ``top`` is each grid's highest bin as a float, the clamp's upper bound.
+    safe; ``top`` is each grid's highest bin as a float, the clamp's upper
+    bound; ``attributes`` names each grid's attribute, for messages.
     """
 
     lo: np.ndarray
+    hi: np.ndarray
     width: np.ndarray
     top: np.ndarray
-    flat: np.ndarray
+    attributes: tuple[int, ...]
 
     @classmethod
     def of(cls, specs: Sequence[BinSpec]) -> "BinGrid":
         width = np.array([s.width for s in specs])
-        flat = width == 0.0
         arrays = (
             np.array([s.lo for s in specs]),
-            np.where(flat, 1.0, width),
+            np.array([s.hi for s in specs]),
+            np.where(width == 0.0, 1.0, width),
             np.array([s.count - 1 for s in specs], dtype=np.float64),
-            np.flatnonzero(flat),
         )
-        return cls(*map(read_only, arrays))
+        return cls(*map(read_only, arrays), tuple(s.attribute for s in specs))
 
     def bins(self, values: np.ndarray) -> np.ndarray:
         """Bins of an (n, M) value matrix, column j on grid j.
@@ -122,16 +130,22 @@ class BinGrid(NamedTuple):
         boundary between two. Values outside [lo, hi], infinities included,
         land in the nearest edge bin, and a flat grid puts every value in
         bin 0. A NaN value has no bin and is refused with a ValueError.
+
+        Values are clamped into [lo, hi] before the subtraction, so no
+        finite query overflows however far outside the grid it lies, and a
+        flat grid's (lo - lo) / 1.0 is bin 0; a value inside the grid keeps
+        its bits. The quotient is then at least 0 and at most about
+        ``count``: the clamp against ``top`` catches the one at ``hi`` and
+        any rounding, and the cast to int64, which truncates, takes the
+        floor of a quotient that is not negative.
         """
-        raw = np.floor((values - self.lo) / self.width)
-        # clamp before the cast: a quotient can exceed the int64 range
-        np.minimum(np.maximum(raw, 0.0, out=raw), self.top, out=raw)
-        # the clamp passes NaN on and bounds all else, so only NaN makes the sum NaN
-        if math.isnan(raw.sum()):
+        raw = (values.clip(self.lo, self.hi) - self.lo) / self.width
+        np.minimum(raw, self.top, out=raw)
+        # the clamps pass NaN on and bound all else, so only NaN makes the sum NaN;
+        # the ufunc's own reduce skips the Python frame ndarray.sum goes through
+        if math.isnan(np.add.reduce(raw, axis=None)):
             j = np.isnan(raw).any(axis=0).argmax()
-            raise ValueError(f"attribute {j}: cannot bin a NaN value")
-        if self.flat.size:
-            raw[:, self.flat] = 0.0
+            raise ValueError(f"attribute {self.attributes[j]}: cannot bin a NaN value")
         return raw.astype(np.int64)
 
 
@@ -288,47 +302,96 @@ def _cell_extremes(extreme: np.ufunc, members: np.ndarray, starts: np.ndarray) -
     return out
 
 
+class DensityColumn(NamedTuple):
+    """One attribute's share of a fitted density, for one bin count.
+
+    ``spec`` is the attribute's grid, ``bins`` the (n,) int64 bin of each
+    training row, ``counts`` (K, count) the cells' counts and ``window_lo``
+    / ``window_hi`` (K, count, M) their windows, with (-inf, +inf) for an
+    empty cell and for the attribute's own column. Nothing here depends on
+    another attribute's bin count: a window bounds the other attributes'
+    raw values over the rows of one (class, attribute, bin) cell.
+    """
+
+    spec: BinSpec
+    bins: np.ndarray
+    counts: np.ndarray
+    window_lo: np.ndarray
+    window_hi: np.ndarray
+
+
+def fit_column(
+    values: np.ndarray, labels: np.ndarray, n_classes: int, spec: BinSpec, bins: np.ndarray | None = None
+) -> DensityColumn:
+    """Fit attribute ``spec.attribute``'s counts and windows on grid ``spec``.
+
+    ``values`` is the (n, M) training matrix and ``labels`` its class
+    indices; ``bins`` are the attribute's training bins on ``spec``, binned
+    here when not given. The rows are stably sorted by their (class, bin)
+    cell; run lengths give the counts, and one min and one max reduction
+    over each run give the cell's windows.
+    """
+    j, count = spec.attribute, spec.count
+    if bins is None:
+        bins = BinGrid.of((spec,)).bins(values[:, j, None])[:, 0]
+    n, m = values.shape
+    cell = labels * count + bins
+    order = np.argsort(cell, kind="stable")
+    sorted_cells = cell[order]
+    starts = np.flatnonzero(np.diff(sorted_cells, prepend=-1))
+    members = values[order]
+    cell_k, cell_b = np.divmod(sorted_cells[starts], count)
+    counts = np.zeros((n_classes, count), dtype=np.int64)
+    lo = np.full((n_classes, count, m), -np.inf)
+    hi = np.full((n_classes, count, m), np.inf)
+    counts[cell_k, cell_b] = np.diff(starts, append=n)
+    lo[cell_k, cell_b] = _cell_extremes(np.minimum, members, starts)
+    hi[cell_k, cell_b] = _cell_extremes(np.maximum, members, starts)
+    lo[:, :, j] = -np.inf
+    hi[:, :, j] = np.inf
+    return DensityColumn(spec, bins, counts, lo, hi)
+
+
+def assemble_density(schema: Schema, columns: Sequence[DensityColumn], n_train: int) -> DensityModel:
+    """The density whose attribute j is ``columns[j]``, each padded to the widest count.
+
+    Bins beyond an attribute's own count are dead: count 0 and windows
+    (-inf, +inf), as an empty cell's. Copying a column into place moves no
+    bit, so a density assembled from columns fitted one at a time equals
+    :func:`fit_density`'s for the same topology, array for array.
+    """
+    topology = tuple(column.spec.count for column in columns)
+    k, m, b_max = schema.n_classes, len(columns), max(topology)
+    counts = np.zeros((k, m, b_max), dtype=np.int64)
+    lo = np.full((k, m, b_max, m), -np.inf)
+    hi = np.full((k, m, b_max, m), np.inf)
+    for j, column in enumerate(columns):
+        count = column.spec.count
+        counts[:, j, :count] = column.counts
+        lo[:, j, :count] = column.window_lo
+        hi[:, j, :count] = column.window_hi
+    return DensityModel(schema, topology, tuple(column.spec for column in columns), counts, n_train, lo, hi)
+
+
 def fit_density(
     data: Dataset, bins: int | Sequence[int] | Mapping[str, int] | None = None
 ) -> DensityModel:
     """Fit bin grids, joint counts, and per-cell windows to a training set.
 
     Grids use each attribute's observed range over the whole training
-    set, so every class shares one grid per attribute. For each attribute
-    the rows are stably sorted by their (class, bin) cell; run lengths give
-    the counts, and one min and one max reduction over each run give the
-    cell's windows. The returned model is immutable; scoring never
-    modifies it.
+    set, so every class shares one grid per attribute. Each attribute's
+    column is fitted on its own (:func:`fit_column`), after one binning of
+    every attribute, and the columns are assembled into one model. The
+    returned model is immutable; scoring never modifies it.
     """
     schema = data.schema
     topology = resolve_topology(schema, bins)
     values = data.value_matrix()
     labels = data.labels()
-    n, m = values.shape
-    k = schema.n_classes
-    b_max = max(topology)
-
-    specs = tuple(make_bin_spec(values[:, j], topology[j], attribute=j) for j in range(m))
+    specs = tuple(make_bin_spec(values[:, j], count, attribute=j) for j, count in enumerate(topology))
     binned = BinGrid.of(specs).bins(values)
-
-    counts = np.zeros((k, m, b_max), dtype=np.int64)
-    lo = np.full((k, m, b_max, m), -np.inf)
-    hi = np.full((k, m, b_max, m), np.inf)
-    for j in range(m):
-        cell = labels * b_max + binned[:, j]
-        order = np.argsort(cell, kind="stable")
-        sorted_cells = cell[order]
-        starts = np.flatnonzero(np.diff(sorted_cells, prepend=-1))
-        members = values[order]
-        cell_k, cell_b = np.divmod(sorted_cells[starts], b_max)
-        counts[cell_k, j, cell_b] = np.diff(starts, append=n)
-        lo[cell_k, j, cell_b] = _cell_extremes(np.minimum, members, starts)
-        hi[cell_k, j, cell_b] = _cell_extremes(np.maximum, members, starts)
-    diag = np.arange(m)
-    lo[:, diag, :, diag] = -np.inf
-    hi[:, diag, :, diag] = np.inf
-
-    return DensityModel(schema, topology, specs, counts, n, lo, hi)
+    columns = [fit_column(values, labels, schema.n_classes, spec, binned[:, spec.attribute]) for spec in specs]
+    return assemble_density(schema, columns, len(values))
 
 
 def likelihood_logs(
@@ -336,6 +399,7 @@ def likelihood_logs(
     values: np.ndarray,
     tag_gain: float = DEFAULT_TAG_GAIN,
     epsilon: float | None = None,
+    attributes: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat cell indices and per-class log-likelihood parts for a batch of rows.
 
@@ -361,6 +425,12 @@ def likelihood_logs(
     of every cell the rows touch in one gather and compares it with the
     rows' values. Blocks hold ``_CHECK_BUDGET`` window entries at most,
     so the temporaries stay small however many rows or attributes.
+
+    ``attributes``, a selection of S attribute indices, limits the result
+    to those attributes: (n, S) cells and (n, K, S) parts, equal to the
+    full result's matching columns, since each attribute's part reads only
+    its own grid, cells and windows (and every value of the row). A search
+    trial scores its new attributes this way.
     """
     if epsilon is None:
         epsilon = density.epsilon_floor
@@ -370,16 +440,22 @@ def likelihood_logs(
     tables = density.scoring_tables
     log_base, log_gated = tables.log_likelihoods(tag_gain, epsilon)
 
-    cells = tables.grid.bins(values) + tables.offsets
+    if attributes is None:
+        cells = tables.grid.bins(values) + tables.offsets
+    else:
+        chosen = list(attributes)
+        grid = BinGrid.of([density.bin_specs[j] for j in chosen])
+        cells = grid.bins(values[:, chosen]) + tables.offsets[chosen]
+    s = cells.shape[1]
     lo, hi = tables.window_lo, tables.window_hi
-    step = max(1, _CHECK_BUDGET // (k * m * m))
-    violated = np.empty((k, n, m), dtype=bool)
+    step = max(1, _CHECK_BUDGET // (k * s * m))
+    violated = np.empty((k, n, s), dtype=bool)
     for start in range(0, n, step):
         block = slice(start, start + step)
         v = values[block][None, :, None, :]
         # one gathered block at a time: the lo block is freed before hi's
         outside = (v < lo.take(cells[block], axis=1)) | (v > hi.take(cells[block], axis=1))
-        violated[:, block] = outside.any(axis=3)
+        violated[:, block] = np.logical_or.reduce(outside, axis=3)
 
     parts = np.where(violated, log_gated.take(cells, axis=1), log_base.take(cells, axis=1))
     return cells, parts.transpose(1, 0, 2)

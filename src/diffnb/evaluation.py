@@ -2,11 +2,11 @@
 
 ``evaluate`` turns a model plus a labeled dataset into a Report: counts,
 accuracy, confusion matrix, per-class correct counts, tie count.
-``training_report`` builds the same Report for the training set from the
-scores training ended with, through the same winner and tally steps. The
-benchmark harness runs a suite of train-and-evaluate experiments
-described in a JSON file and checks each metric against declared bounds,
-so published results stay pinned by executable checks.
+``scores_report`` builds the same Report from log scores already computed,
+such as those training ended with, through the same winner and tally
+steps. The benchmark harness runs a suite of train-and-evaluate
+experiments described in a JSON file and checks each metric against
+declared bounds, so published results stay pinned by executable checks.
 """
 
 import json
@@ -51,10 +51,13 @@ class Report:
     class_labels: tuple[str, ...]
 
 
-def _check_schemas(model: Model, data: Dataset) -> None:
-    if data.schema == model.schema:
+def check_scorable(schema: Schema, data: Dataset) -> None:
+    """Refuse an empty ``data``, or one whose schema is not ``schema``, by name."""
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
+    if data.schema == schema:
         return
-    a, b = model.schema, data.schema
+    a, b = schema, data.schema
     if a.n_attributes != b.n_attributes:
         raise SchemaError(
             f"model expects {a.n_attributes} attributes, data has {b.n_attributes}"
@@ -85,21 +88,20 @@ def _tally(schema: Schema, labels: np.ndarray, winners: np.ndarray, ties: np.nda
 
 def evaluate(model: Model, data: Dataset) -> Report:
     """Score every example and tally the outcome."""
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    _check_schemas(model, data)
+    check_scorable(model.schema, data)
     return _tally(model.schema, data.labels(), *predict_batch(model, data.value_matrix()))
 
 
-def training_report(model: Model, trainset: Dataset, log_scores: np.ndarray) -> Report:
-    """The Report of ``trainset`` from the log scores training ended with.
+def scores_report(model: Model, data: Dataset, log_scores: np.ndarray) -> Report:
+    """The Report of ``data`` from its (n, K) log scores under ``model``.
 
-    ``log_scores`` are the third item of :func:`train_with_scores`. They
-    are the scores :func:`evaluate` computes for the same model and rows,
-    and pass through the same winner and tally steps, so the report equals
-    ``evaluate(model, trainset)`` without scoring the rows again.
+    ``log_scores`` are scores computed as :func:`evaluate` computes them
+    for the same model and rows, such as the third item of
+    :func:`train_with_scores` for the training set. They pass through the
+    same winner and tally steps, so the report equals ``evaluate(model,
+    data)`` without scoring the rows again.
     """
-    return _tally(model.schema, trainset.labels(), *winners_of(log_scores))
+    return _tally(model.schema, data.labels(), *winners_of(log_scores))
 
 
 def format_percent(value: float) -> str:
@@ -300,7 +302,7 @@ def run_experiment(spec: ExperimentSpec, data_root: Path, schema_root: Path) -> 
         started = time.perf_counter()
         model, trace, train_logs = train_with_scores(trainset, config)
         train_seconds = time.perf_counter() - started
-        train_report = training_report(model, trainset, train_logs)
+        train_report = scores_report(model, trainset, train_logs)
         test_report = evaluate(model, testset)
         metrics = {
             "train_accuracy": train_report.accuracy,

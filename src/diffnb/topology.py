@@ -13,6 +13,23 @@ A trial is one training and one scoring of the validation set: training
 hands back its final training-set scores, so the training-set accuracy
 costs no second scoring pass.
 
+A trial is assembled from per-(attribute, bin count) columns. Attribute
+j's grid, bins, counts and windows depend only on column j's values, its
+count and the other attributes' raw values over its cells, and so do its
+gated likelihood parts for the training and validation rows (a window
+bounds raw values, not bins). So the search builds the baseline's M
+columns once, in the searching process, before the first batch forks;
+helpers inherit them and only read them. A sweep trial, which differs from
+the baseline in one attribute, fits that one column and scores that one
+attribute, through the same ``fit_column`` and ``likelihood_logs`` a
+fresh training uses, and copies the rest into place. Each process holds
+at most the M shared columns plus the current trial's own, which it drops
+when the trial ends, however many trials or candidates the search has.
+The assembled density, cells, likelihood sums and rows per cell equal
+``TrainState.build``'s byte for byte: copying moves no bit, and the parts
+are summed from the (K, n, M) layout ``likelihood_logs`` returns, so
+every row adds its parts in the same order.
+
 With ``parallelism > 1`` on Linux, a batch of more than one new topology
 trains on the searching process and on ``parallelism - 1`` helpers forked
 for that batch (fewer when the batch is smaller), not on threads: a
@@ -21,10 +38,10 @@ lock, so two threads ran slower than one. Every process claims the next
 unclaimed index of the batch through a pipe that holds only that index,
 and each helper sends its trials back over a pipe of its own, which the
 searching process reads between its own trials. A helper inherits the
-datasets and base config at the fork, so nothing is pickled on the way
-out. Other platforms train every batch serially, with the same results:
-Windows has no fork, and macOS spawns by default because forking once
-system libraries have started threads is unsafe.
+datasets, base config and shared columns at the fork, so nothing is
+pickled on the way out. Other platforms train every batch serially, with
+the same results: Windows has no fork, and macOS spawns by default
+because forking once system libraries have started threads is unsafe.
 """
 
 import dataclasses
@@ -38,10 +55,27 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
-from .boosting import TrainConfig, train_with_scores
+import numpy as np
+
+from .boosting import (
+    TrainConfig,
+    TrainState,
+    resolved_config,
+    rows_in_bins,
+    train_from,
+    weighted_log_scores,
+)
 from .dataset import Dataset
-from .density import resolve_topology
-from .evaluation import evaluate, training_report
+from .density import (
+    DensityColumn,
+    DensityModel,
+    assemble_density,
+    fit_column,
+    likelihood_logs,
+    make_bin_spec,
+    resolve_topology,
+)
+from .evaluation import check_scorable, scores_report
 
 # whether a parallel batch forks helpers (see the module docstring)
 _FORKS = sys.platform.startswith("linux")
@@ -92,17 +126,163 @@ class SearchResult:
     truncated: bool
 
 
-def _train_one(
-    trainset: Dataset, validation: Dataset, base_config: TrainConfig, topology: tuple[int, ...]
-) -> Trial:
-    """Train one candidate topology and score it on both sets."""
-    config = dataclasses.replace(base_config, topology=topology)
-    model, _, train_logs = train_with_scores(trainset, config)
-    return Trial(
-        topology,
-        training_report(model, trainset, train_logs).accuracy,
-        evaluate(model, validation).accuracy,
-    )
+class _Column(NamedTuple):
+    """One attribute at one bin count, over a search's training and validation rows.
+
+    ``fit`` holds the grid, the training bins, the counts and the windows;
+    ``rows`` the ascending training rows in each bin; ``train_parts`` (K, n)
+    and ``val_parts`` (K, n_val) the rows' gated likelihood parts, and
+    ``val_bins`` the validation rows' bins. None of it depends on another
+    attribute's bin count, so any trial with this count here can use it.
+    """
+
+    fit: DensityColumn
+    rows: tuple[np.ndarray, ...]
+    train_parts: np.ndarray
+    val_bins: np.ndarray
+    val_parts: np.ndarray
+
+
+def _flat_cells(bins: Sequence[np.ndarray], b_max: int) -> np.ndarray:
+    """(n, M) flat cell indices ``j * b_max + bin`` from each attribute's (n,) bins."""
+    cells = np.empty((len(bins[0]), len(bins)), dtype=np.int64)
+    for j, column in enumerate(bins):
+        np.add(column, j * b_max, out=cells[:, j])
+    return cells
+
+
+def _summed(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """(n, K) sums over the attributes of their (K, n) likelihood parts.
+
+    The parts are laid out as :func:`~diffnb.density.likelihood_logs` lays
+    them out, one (K, n, M) C-order buffer viewed as (n, K, M), so the sum
+    adds the same values in the same order as its ``parts.sum(axis=2)``;
+    this matters from M = 8 on, where numpy sums a contiguous axis in
+    pairs. The result is class-major, as that sum's is.
+    """
+    k, n = parts[0].shape
+    buffer = np.empty((k, n, len(parts)))
+    for j, part in enumerate(parts):
+        buffer[:, :, j] = part
+    return buffer.transpose(1, 0, 2).sum(axis=2)
+
+
+class _Columns:
+    """A search's datasets, and the density columns its trials share.
+
+    ``shared`` holds one :class:`_Column` per attribute, those of the
+    topology given to :meth:`share`; a trial builds only the columns whose
+    count differs from it, and drops them when it ends. So a process holds
+    at most the M shared columns plus one trial's M, however many trials
+    or candidates the search has. The searching process shares before the
+    first batch forks, so helpers inherit the shared columns, which no
+    trial writes.
+    """
+
+    def __init__(self, trainset: Dataset, validation: Dataset, base_config: TrainConfig):
+        self.trainset = trainset
+        self.validation = validation
+        self.base_config = base_config
+        self.shared: tuple[_Column, ...] = ()
+
+    def share(self, topology: tuple[int, ...]) -> None:
+        """Build every column of ``topology`` and keep them for the trials that follow."""
+        _, _, self.shared = self._assemble(topology)
+
+    def _assemble(self, topology: tuple[int, ...]) -> tuple[DensityModel, TrainConfig, tuple[_Column, ...]]:
+        """``topology``'s density, resolved config and columns: shared ones where the count matches.
+
+        A column not shared is fitted with :func:`fit_column`, and its
+        likelihood parts come from :func:`likelihood_logs` on the trial's
+        assembled density, restricted to the new attributes.
+        """
+        trainset, validation = self.trainset, self.validation
+        schema = trainset.schema
+        if len(trainset) == 0:
+            raise ValueError("training set is empty")
+        counts = resolve_topology(schema, topology)
+        values, labels = trainset.value_matrix(), trainset.labels()
+        shared = self.shared
+        fits, new = [], []
+        for j, count in enumerate(counts):
+            if shared and shared[j].fit.spec.count == count:
+                fits.append(shared[j].fit)
+            else:
+                spec = make_bin_spec(values[:, j], count, attribute=j)
+                fits.append(fit_column(values, labels, schema.n_classes, spec))
+                new.append(j)
+        density = assemble_density(schema, fits, len(values))
+        config = resolved_config(dataclasses.replace(self.base_config, topology=topology), density)
+        columns = list(shared) if shared else [None] * len(counts)
+        if new:
+            check_scorable(schema, validation)
+            b_max = max(counts)
+            attributes = None if len(new) == len(counts) else new
+            _, train_parts = likelihood_logs(density, values, config.tag_gain, config.epsilon_floor, attributes)
+            val_cells, val_parts = likelihood_logs(
+                density, validation.value_matrix(), config.tag_gain, config.epsilon_floor, attributes
+            )
+            train_parts, val_parts = train_parts.transpose(1, 0, 2), val_parts.transpose(1, 0, 2)
+            for i, j in enumerate(new):
+                fit = fits[j]
+                columns[j] = _Column(
+                    fit,
+                    rows_in_bins(fit.bins, range(fit.spec.count)),
+                    train_parts[:, :, i],
+                    val_cells[:, i] - j * b_max,
+                    val_parts[:, :, i],
+                )
+        return density, config, tuple(columns)
+
+    def start(self, topology: tuple[int, ...]) -> tuple[TrainState, np.ndarray, np.ndarray]:
+        """``topology``'s untrained state, and the validation rows' (n, M) cells and (n, K) likelihood sums.
+
+        The density, cells, likelihood sums and rows per cell are what
+        :meth:`TrainState.build <diffnb.boosting.TrainState.build>` and
+        :func:`~diffnb.inference.batch_log_scores` compute, byte for byte:
+        each column is copied into place, its dead bins padded, and the
+        parts summed in likelihood_logs' layout.
+        """
+        density, config, columns = self._assemble(topology)
+        b_max = max(density.topology)
+        empty = np.empty(0, dtype=np.int64)
+        rows_by_cell = tuple(
+            rows
+            for column in columns
+            for rows in column.rows + (empty,) * (b_max - column.fit.spec.count)
+        )
+        state = TrainState.start(
+            density,
+            config,
+            self.trainset.labels(),
+            _flat_cells([column.fit.bins for column in columns], b_max),
+            _summed([column.train_parts for column in columns]),
+            rows_by_cell,
+        )
+        val_cells = _flat_cells([column.val_bins for column in columns], b_max)
+        return state, val_cells, _summed([column.val_parts for column in columns])
+
+    def train(self, topology: tuple[int, ...]) -> Trial:
+        """Train one candidate topology from its columns and score it on both sets.
+
+        Training hands back its final scores of the training rows, so the
+        training accuracy costs no second pass; the validation rows are
+        scored from their columns as :func:`~diffnb.evaluation.evaluate`
+        scores them.
+        """
+        state, val_cells, val_loglik = self.start(topology)
+        model, _, train_logs = train_from(state)
+        val_logs = weighted_log_scores(model.log_weights, val_cells, val_loglik)
+        return Trial(
+            topology,
+            scores_report(model, self.trainset, train_logs).accuracy,
+            scores_report(model, self.validation, val_logs).accuracy,
+        )
+
+
+def _train_one(columns: _Columns, topology: tuple[int, ...]) -> Trial:
+    """Train one candidate topology and score it on both sets; the runner's one call per trial."""
+    return columns.train(topology)
 
 
 class _Failure(NamedTuple):
@@ -184,9 +364,7 @@ class _Runner:
     """Budgeted, cached trial execution; repeats of a topology are free."""
 
     def __init__(self, trainset, validation, base_config, spec, on_trial):
-        self.trainset = trainset
-        self.validation = validation
-        self.base_config = base_config
+        self.columns = _Columns(trainset, validation, base_config)
         self.spec = spec
         self.on_trial = on_trial
         self.cache: dict[tuple[int, ...], Trial] = {}
@@ -195,7 +373,7 @@ class _Runner:
         self.truncated = False
 
     def _train(self, topology: tuple[int, ...]) -> Trial:
-        return _train_one(self.trainset, self.validation, self.base_config, topology)
+        return _train_one(self.columns, topology)
 
     def _record(self, trial: Trial) -> None:
         self.cache[trial.topology] = trial
@@ -351,12 +529,10 @@ def coordinate_search(
     if len(spec.ranges) != m:
         raise ValueError(f"got {len(spec.ranges)} ranges for {m} attributes")
     runner = _Runner(trainset, validation, base_config, spec, on_trial)
-    if all(len(r) == 1 for r in spec.ranges):
-        runner.run_batch([tuple(r[0] for r in spec.ranges)])
-        return runner.result()
-
-    if spec.exhaustive:
-        runner.run_batch([tuple(topo) for topo in product(*spec.ranges)])
+    if all(len(r) == 1 for r in spec.ranges) or spec.exhaustive:
+        topologies = [tuple(topo) for topo in product(*spec.ranges)]
+        runner.columns.share(topologies[0])
+        runner.run_batch(topologies)
         return runner.result()
 
     baseline = resolve_topology(trainset.schema, spec.baseline_bins)
@@ -364,6 +540,7 @@ def coordinate_search(
         [baseline[:attr] + (count,) + baseline[attr + 1 :] for count in spec.ranges[attr]]
         for attr in range(m)
     ]
+    runner.columns.share(baseline)
     runner.run_batch([baseline, *(topo for candidates in sweeps for topo in candidates)])
 
     winners = list(baseline)

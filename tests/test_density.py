@@ -107,6 +107,14 @@ class TestBinIndex:
         with pytest.raises(ValueError, match="attribute 0: cannot bin a NaN value"):
             bin_of(spec, math.nan)
 
+    def test_far_outside_a_grid_near_the_float_limit(self):
+        # clamped into [lo, hi] first: neither -1e308 - lo nor the quotient overflows
+        spec = make_bin_spec([1e308, 1.7e308], 3)
+        assert bin_of(spec, -1e308) == 0
+        assert bin_of(spec, -math.inf) == 0
+        assert bin_of(spec, 1.7e308) == 2
+        assert bin_of(spec, 1.5e308) == reference_bin(spec, 1.5e308)
+
     @given(lattice_values, lattice_values, st.integers(1, 8))
     def test_vector_matches_scalar(self, a, b, count):
         spec = BinSpec(0, min(a, b), max(a, b), count)

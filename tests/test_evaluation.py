@@ -29,7 +29,7 @@ from diffnb.evaluation import (
     resolve_data_dir,
     run_benchmark,
     run_experiment,
-    training_report,
+    scores_report,
 )
 from diffnb.inference import batch_log_scores
 from diffnb.monks import MONKS_BINS, generate_monks
@@ -110,7 +110,7 @@ class TestTrainingReport:
         data = xor_dataset()
         model, trace, logs = train_with_scores(data, TrainConfig(topology=2))
         assert trace.converged
-        report = training_report(model, data, logs)
+        report = scores_report(model, data, logs)
         assert_reports_equal(report, evaluate(model, data))
         assert report.accuracy == 100.0
 
@@ -120,7 +120,7 @@ class TestTrainingReport:
         trainset, _ = generate_monks(2)
         model, trace, logs = train_with_scores(trainset, TrainConfig(topology=MONKS_BINS))
         assert not trace.converged and trace.epochs == 500 and trace.miss_counts[-1] == 83
-        report = training_report(model, trainset, logs)
+        report = scores_report(model, trainset, logs)
         assert_reports_equal(report, evaluate(model, trainset))
         assert (report.n_correct, report.n_examples) == (109, 169)
 
@@ -128,7 +128,7 @@ class TestTrainingReport:
         # without windows every xor row ties; ties go to the lower class
         data = xor_dataset()
         model, _, logs = train_with_scores(data, TrainConfig(topology=2, tag_gain=1.0, max_rounds=5))
-        report = training_report(model, data, logs)
+        report = scores_report(model, data, logs)
         assert (report.tie_count, report.n_correct) == (4, 2)
         assert_reports_equal(report, evaluate(model, data))
 
@@ -137,7 +137,7 @@ class TestTrainingReport:
         data, topology = problem
         model, trace, logs = train_with_scores(data, TrainConfig(max_rounds=rounds, topology=topology))
         assert np.array_equal(logs, batch_log_scores(model, data.value_matrix()))
-        assert_reports_equal(training_report(model, data, logs), evaluate(model, data))
+        assert_reports_equal(scores_report(model, data, logs), evaluate(model, data))
         # train is train_with_scores without the scores
         again, again_trace = train(data, TrainConfig(max_rounds=rounds, topology=topology))
         assert again_trace == trace and np.array_equal(again.weights, model.weights)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diffnb import density as density_module
 from diffnb.boosting import TrainConfig, scores_from_logs, train, winner_of
-from diffnb.dataset import SchemaError
+from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
 from diffnb.inference import (
     batch_log_scores,
     posterior,
@@ -84,6 +84,16 @@ class TestXorValues:
         values = np.array([[0.0, 0.0], [1.0, 0.0], [float("nan"), 1.0]])
         with pytest.raises(ValueError, match="attribute 0: cannot bin a NaN value"):
             predict_batch(xor_model, values)
+
+    def test_a_query_far_below_a_grid_near_the_float_limit(self):
+        # the query is clamped into the grid before lo is subtracted, so
+        # -1e308 - 1e308 is never computed and numpy warns of no overflow
+        # (pytest turns a RuntimeWarning into an error)
+        schema = Schema((AttributeSpec("x", "continuous"),), ("c0", "c1"))
+        data = Dataset.build(schema, [((1e308,), 0), ((1.7e308,), 1)])
+        model, _ = train(data, TrainConfig(topology=2))
+        assert posterior(model, (-1e308,)) == posterior(model, (1e308,))
+        assert posterior(model, (-np.inf,)) == posterior(model, (1e308,))
 
 
 def trained_small(problem, max_rounds=4):

@@ -106,11 +106,17 @@ def test_both_data_file_forms_of_monks_1_are_digested():
 def test_monks_search_is_digested_serially_and_forked():
     script = load_script()
     runs = script.parallelism_runs(ROOT, tiny=True)
+    searches = ("monks", "monks exhaustive")
     assert [label for label, _, _ in runs] == [
-        f"parallelism {p} monks search {output}" for p in (1, 2) for output in ("stdout", "log")
+        f"parallelism {p} {search} search {output}"
+        for search in searches for p in (1, 2) for output in ("stdout", "log")
     ]
     assert all(code == 0 for _, _, code in runs)
     outputs = {label: data for label, data, _ in runs}
-    for output in ("stdout", "log"):
-        assert outputs[f"parallelism 1 monks search {output}"] == outputs[f"parallelism 2 monks search {output}"]
-    assert b"best topology: " in outputs["parallelism 2 monks search stdout"]
+    for search in searches:
+        for output in ("stdout", "log"):
+            serial, forked = (outputs[f"parallelism {p} {search} search {output}"] for p in (1, 2))
+            assert serial == forked
+        assert b"best topology: " in outputs[f"parallelism 2 {search} search stdout"]
+    # the monks spec sweeps four counts of each of three attributes: 4**3 topologies
+    assert outputs["parallelism 1 monks exhaustive search stdout"].endswith(b"trials: 64\n")

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffnb.boosting import TrainConfig, train
+from diffnb.boosting import TrainConfig, TrainState, train, train_with_scores
 from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
 from diffnb import topology
-from diffnb.density import resolve_topology
-from diffnb.evaluation import evaluate
+from diffnb.density import likelihood_logs, resolve_topology
+from diffnb.evaluation import evaluate, scores_report
 from diffnb.topology import SearchResult, SearchSpec, Trial, _Runner, coordinate_search
 
-from conftest import xor_dataset
+from conftest import lattice_values, xor_dataset
 
 
 def three_attribute_dataset() -> Dataset:
@@ -155,9 +155,9 @@ class TestOneQueue:
         trained = []
         original = topology._train_one
 
-        def counting(trainset, validation, config, topo):
+        def counting(columns, topo):
             trained.append(topo)
-            return original(trainset, validation, config, topo)
+            return original(columns, topo)
 
         monkeypatch.setattr(topology, "_train_one", counting)
         reported = []
@@ -175,8 +175,8 @@ class TestOneQueue:
         started, done = tmp_path / "last-trial-started", tmp_path / "last-trial-finished"
         searcher = os.getpid()
 
-        def slow_last(trainset, validation, config, topo):
-            trial = original(trainset, validation, config, topo)
+        def slow_last(columns, topo):
+            trial = original(columns, topo)
             if topo == last:
                 started.touch()
                 time.sleep(0.5)
@@ -314,13 +314,13 @@ class TestCoordinateSearch:
         searcher = os.getpid()
         started = tmp_path / "helper-started"
 
-        def failing_in_helper(trainset, validation, config, topo):
+        def failing_in_helper(columns, topo):
             if os.getpid() != searcher:
                 started.touch()
                 topo = (0,) + topo[1:]
             else:
                 wait_for(started)  # so the helper claims a topology before the batch runs out
-            return original(trainset, validation, config, topo)
+            return original(columns, topo)
 
         monkeypatch.setattr(topology, "_train_one", failing_in_helper)
         spec = SearchSpec(ranges=((2, 1, 3), (2,)), exhaustive=True, parallelism=2)
@@ -345,7 +345,7 @@ class TestCoordinateSearch:
         searcher = os.getpid()
         started = tmp_path / "helper-started"
 
-        def failing_here(trainset, validation, config, topo):
+        def failing_here(columns, topo):
             if os.getpid() != searcher:
                 started.touch()
                 time.sleep(0.2)  # still training when the searching process fails
@@ -353,7 +353,7 @@ class TestCoordinateSearch:
                 topo = (0, 2)
             else:
                 wait_for(started)  # the helper claims one of the first two topologies
-            return original(trainset, validation, config, topo)
+            return original(columns, topo)
 
         monkeypatch.setattr(topology, "_train_one", failing_here)
         spec = SearchSpec(ranges=((2, 1, 3), (2,)), exhaustive=True, parallelism=2)
@@ -374,7 +374,7 @@ class TestCoordinateSearch:
         # trains to one file, so a topology claimed twice or never shows
         trained = os.open(tmp_path / "trained", os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 
-        def quick(trainset, validation, config, topo):
+        def quick(columns, topo):
             os.write(trained, b"%d\n" % topo[0])
             return Trial(topo, topo[0] % 101, 50.0)
 
@@ -418,3 +418,172 @@ class TestCoordinateSearch:
         second = coordinate_search(xor_dataset(), xor_dataset(), spec)
         assert first == second
         assert isinstance(first, SearchResult)
+
+
+def reference_trial(trainset, validation, base_config, topo) -> Trial:
+    """A trial as training and scoring from scratch give it: fit, train, then evaluate both sets."""
+    model, _, train_logs = train_with_scores(trainset, dataclasses.replace(base_config, topology=topo))
+    return Trial(topo, scores_report(model, trainset, train_logs).accuracy, evaluate(model, validation).accuracy)
+
+
+def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_assembled_as_built(columns, topo, chosen):
+    """``columns``' state for ``topo`` against ``TrainState.build``, byte for byte.
+
+    Also checks the validation rows' cells and sums against
+    ``likelihood_logs``, and the subset form of ``likelihood_logs`` for the
+    attributes ``chosen`` against the matching columns of the full result.
+    """
+    state, val_cells, val_loglik = columns.start(topo)
+    want = TrainState.build(columns.trainset, dataclasses.replace(columns.base_config, topology=topo))
+    got_d, want_d = state.density, want.density
+    assert (got_d.topology, got_d.bin_specs, got_d.n_train) == (want_d.topology, want_d.bin_specs, want_d.n_train)
+    for name in ("counts", "window_lo", "window_hi"):
+        assert same_bytes(getattr(got_d, name), getattr(want_d, name)), name
+    assert state.config == want.config
+    for name in ("cells", "loglik", "scores", "row_sizes", "weights", "logw", "labels"):
+        assert same_bytes(getattr(state, name), getattr(want, name)), name
+    assert len(state.rows_by_cell) == len(want.rows_by_cell)
+    assert all(same_bytes(g, w) for g, w in zip(state.rows_by_cell, want.rows_by_cell))
+
+    config = want.config
+    values = columns.validation.value_matrix()
+    cells, parts = likelihood_logs(want_d, values, config.tag_gain, config.epsilon_floor)
+    assert same_bytes(val_cells, cells)
+    assert same_bytes(val_loglik, parts.sum(axis=2))
+    sub_cells, sub_parts = likelihood_logs(want_d, values, config.tag_gain, config.epsilon_floor, chosen)
+    assert same_bytes(sub_cells, np.ascontiguousarray(cells[:, chosen]))
+    assert same_bytes(sub_parts, np.ascontiguousarray(parts[:, :, chosen]))
+
+
+def check_search_columns(trainset, validation, ranges, baseline_bins, config, chosen):
+    """Every trial of a coordinate and an exhaustive search, assembled from columns, against fresh builds."""
+    original = topology._train_one
+    checked = []
+
+    def checking(columns, topo):
+        assert_assembled_as_built(columns, topo, chosen)
+        trial = original(columns, topo)
+        assert trial == reference_trial(trainset, validation, config, topo)
+        checked.append(topo)
+        return trial
+
+    exhaustive = tuple(r[:2] if j < 3 else r[:1] for j, r in enumerate(ranges))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "_train_one", checking)
+        for spec in (
+            SearchSpec(ranges, budget=1000, baseline_bins=baseline_bins),
+            SearchSpec(exhaustive, budget=1000, exhaustive=True),
+        ):
+            result = coordinate_search(trainset, validation, spec, config)
+            assert [t.topology for t in result.trials] == checked
+            checked.clear()
+
+
+@st.composite
+def search_problems(draw):
+    """Small train and validation tables of continuous and discrete attributes, with search ranges."""
+    m = draw(st.integers(1, 9))
+    k = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.sampled_from([None, 2, 3]), min_size=m, max_size=m))  # None: continuous
+    schema = Schema(
+        tuple(
+            AttributeSpec(f"x{j}", "continuous") if size is None
+            else AttributeSpec(f"x{j}", "categorical", tuple(f"v{t}" for t in range(size)))
+            for j, size in enumerate(sizes)
+        ),
+        tuple(f"c{i}" for i in range(k)),
+    )
+    value = {None: lattice_values, 2: st.integers(0, 1).map(float), 3: st.integers(0, 2).map(float)}
+    row = st.tuples(st.tuples(*(value[size] for size in sizes)), st.integers(0, k - 1))
+
+    def table(max_rows):
+        return Dataset.build(schema, draw(st.lists(row, min_size=1, max_size=max_rows)))
+
+    trainset, validation = table(24), table(12)
+    counts = st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True).map(tuple)
+    ranges = tuple(draw(counts) if size is None else (size,) for size in sizes)
+    chosen = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    return trainset, validation, ranges, draw(st.integers(1, 5)), chosen
+
+
+class TestColumns:
+    """Trials assembled from per-attribute columns, and when the columns are built."""
+
+    @settings(max_examples=40)
+    @given(search_problems(), st.integers(1, 3))
+    def test_every_trial_is_assembled_as_a_fresh_build(self, problem, max_rounds):
+        trainset, validation, ranges, baseline_bins, chosen = problem
+        check_search_columns(trainset, validation, ranges, baseline_bins, TrainConfig(max_rounds=max_rounds), chosen)
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_wide_tables_sum_as_likelihood_logs_does(self, m):
+        # from M = 8 numpy sums each row's parts in pairs, so the layout decides the last bit
+        trainset, validation = seeded_dataset(3, n=300, m=m), seeded_dataset(4, n=200, m=m)
+        ranges = tuple((2, 4, 7) if j % 3 == 0 else (4,) for j in range(m))
+        check_search_columns(trainset, validation, ranges, 4, TrainConfig(max_rounds=3), [m - 1, 0, 2])
+
+    @staticmethod
+    def record_builds(monkeypatch, log: Path) -> None:
+        """Append ``<pid> <attribute> <count>`` per column fit, and ``<pid> fork`` per fork, to ``log``."""
+        fit = topology.fit_column
+        fork = os.fork
+
+        def write(line: str) -> None:
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{os.getpid()} {line}\n".encode())
+            os.close(fd)
+
+        def recording_fit(values, labels, n_classes, spec, bins=None):
+            write(f"{spec.attribute} {spec.count}")
+            return fit(values, labels, n_classes, spec, bins)
+
+        def recording_fork():
+            write("fork")
+            return fork()
+
+        monkeypatch.setattr(topology, "fit_column", recording_fit)
+        monkeypatch.setattr(os, "fork", recording_fork)
+
+    @forking
+    def test_baseline_columns_are_built_once_before_the_fork(self, monkeypatch, tmp_path):
+        log = tmp_path / "builds"
+        self.record_builds(monkeypatch, log)
+        data = three_attribute_dataset()
+        spec = SearchSpec(((2, 3, 4), (1, 2, 3), (2, 5)), baseline_bins=3, parallelism=2)
+        result = coordinate_search(data, seeded_dataset(5), spec, TrainConfig(max_rounds=3))
+        events = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        first_fork = next(i for i, (_, what) in enumerate(events) if what == "fork")
+        searcher = str(os.getpid())
+        baseline = [f"{j} 3" for j in range(3)]
+        assert events[:first_fork] == [[searcher, build] for build in baseline]
+        after = [what for _, what in events[first_fork:] if what != "fork"]
+        assert not set(after) & set(baseline)  # no process builds a baseline column again
+        # every trial after the baseline builds one column per attribute it changes
+        changed = sum(count != 3 for trial in result.trials[1:] for count in trial.topology)
+        assert len(after) == changed
+
+    def test_a_sweep_trial_builds_exactly_one_column(self, monkeypatch, tmp_path):
+        log = tmp_path / "builds"
+        self.record_builds(monkeypatch, log)
+        original = topology._train_one
+        built = {}
+
+        def counting(columns, topo):
+            before = len(log.read_text().splitlines()) if log.exists() else 0
+            trial = original(columns, topo)
+            built[topo] = [line.split(" ", 1)[1] for line in log.read_text().splitlines()[before:]]
+            return trial
+
+        monkeypatch.setattr(topology, "_train_one", counting)
+        spec = SearchSpec(((2, 3, 4), (1, 2, 3), (2, 5)), baseline_bins=3)
+        result = coordinate_search(three_attribute_dataset(), seeded_dataset(5), spec, TrainConfig(max_rounds=3))
+        baseline, *sweeps, verification = [t.topology for t in result.trials]
+        assert built[baseline] == []  # built by the search before its first batch
+        for topo in sweeps:
+            (attribute,) = [j for j in range(3) if topo[j] != baseline[j]]
+            assert built[topo] == [f"{attribute} {topo[attribute]}"]
+        assert len(built[verification]) == sum(a != b for a, b in zip(verification, baseline))
