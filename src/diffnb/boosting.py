@@ -18,18 +18,31 @@ per-boost flip check would keep, down to ties: argmax takes the lowest
 index, which is how a raised class that ties the held winner takes the
 row from a higher-indexed one.
 
-On small tables a miss is mostly call overhead, so a miss is one pass
-over its row with a fixed handful of numpy calls: one short argmax window
-finds it; its K log scores are read once as Python floats around one
-``np.exp``; the winner and step are Python floats; the boosted class's M
-weights are gathered once through the row's flat cell indices, raised and
-scattered back; ``np.log`` of that same array replaces the M log-weights
-in one gather, subtraction and scatter; and the per-row patch is one
-``np.concatenate``, ``repeat``, ``np.bincount`` and column add. The
-scalar steps change no bit: ``np.exp`` still runs on the same row, a
-max, shift, floor, division, subtraction or product is one IEEE
-operation whether its operands are Python floats or numpy scalars, and
-the first of equal maxima wins as with ``argmax``.
+The pass runs as one compiled loop, ``_sweep.c``, wherever
+:mod:`diffnb.native` can build and load it, and as the numpy pass
+(``TrainState._scan_numpy``) on any host where it cannot. Both give the
+same bytes. The loop calls numpy's own ``np.exp`` and ``np.log`` ufuncs
+on contiguous arrays of the row's K scores and the boosted class's M
+weights, the lengths the numpy pass hands them, so every transcendental
+bit comes from the same dispatched numpy loop. Every other step is one
+IEEE operation in the same order, compiled with ``-ffp-contract=off`` so
+that no multiply-add is fused: the next-miss test, numpy's argmax with
+the first of equal maxima winning; the row's max, the 690 shift and the
+``_TINY`` floor; the step; the weight add; the log-weight subtraction;
+and the patch, which sums each row's increments from 0.0 in attribute
+order, as ``np.bincount`` adds its weights, then adds the sum to every
+row of the boosted class's column.
+
+In the numpy pass a miss is one pass over its row with a fixed handful
+of numpy calls: one short argmax window finds it; its K log scores are
+read once as Python floats around one ``np.exp``; the winner and step
+are Python floats; the boosted class's M weights are gathered once
+through the row's flat cell indices, raised and scattered back;
+``np.log`` of that same array replaces the M log-weights in one gather,
+subtraction and scatter; and the per-row patch is one
+``np.concatenate``, ``repeat``, ``np.bincount`` and column add. A max,
+shift, floor, division, subtraction or product is one IEEE operation
+whether its operands are Python floats, numpy scalars or C doubles.
 
 Scoring here is the single authority shared with inference and
 evaluation: log-likelihood parts plus log-weights, exponentiated
@@ -46,6 +59,7 @@ import numpy as np
 
 from .dataset import Dataset, Schema
 from .density import DEFAULT_TAG_GAIN, DensityModel, fit_density, likelihood_logs, read_only
+from .native import load_sweep
 
 # exp() of logs beyond this magnitude risks overflow/underflow; such rows
 # are shifted by their max log before exponentiation.
@@ -53,6 +67,8 @@ _SAFE_LOG = 690.0
 _TINY = float(np.finfo(np.float64).tiny)
 # rows the training sweep's next-miss scan reads first; later windows double
 _FIRST_WINDOW = 16
+# the compiled in-order pass, or None where it cannot be built or loaded
+_SWEEP = load_sweep()
 
 
 @dataclass(frozen=True)
@@ -359,7 +375,51 @@ class TrainState:
         return n
 
     def _scan(self) -> int:
-        """One sequential pass, boosting each row that misses when visited.
+        """One sequential pass, boosting each row that misses when visited; returns the miss count.
+
+        Runs the compiled loop where it loaded, else the numpy pass; both
+        leave the same weights, log-weights and scores, byte for byte.
+        """
+        if _SWEEP is None:
+            return self._scan_numpy()
+        return self._scan_compiled()
+
+    @functools.cached_property
+    def _sweep_arrays(self) -> tuple[np.ndarray, ...]:
+        """What the compiled loop reads besides scores, weights and logw, built for the first pass.
+
+        Labels and cells as C-contiguous int64; the rows of each of a
+        class's C flat cells as one list of ascending members and C + 1
+        offsets into it; a zeroed length-n patch; and the arrays of K and
+        M values that exp and log read and write. The loop indexes with
+        labels, cells and members unchecked, so they are checked here.
+        """
+        n, m = self.cells.shape
+        k = len(self.weights)
+        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        cells = np.ascontiguousarray(self.cells, dtype=np.int64)
+        starts = np.zeros(len(self.rows_by_cell) + 1, dtype=np.int64)
+        np.cumsum([len(rows) for rows in self.rows_by_cell], out=starts[1:])
+        members = np.concatenate(self.rows_by_cell).astype(np.int64, copy=False)
+        bounds = (("label", labels, k), ("cell", cells, self.weights[0].size), ("row", members, n))
+        for name, indices, bound in bounds:
+            if indices.size and not (indices.min() >= 0 and indices.max() < bound):
+                raise ValueError(f"training state: a {name} index lies outside [0, {bound})")
+        scratch = (np.zeros(n), np.empty(k), np.empty(k), np.empty(m), np.empty(m))
+        return labels, cells, starts, members, *scratch
+
+    def _scan_compiled(self, exp=np.exp, log=np.log) -> int:
+        """The in-order pass as one compiled loop, calling ``exp`` and ``log`` as the numpy pass does.
+
+        ``exp`` and ``log`` are called as ``f(in, out)`` on arrays of the
+        row's K values and the boosted class's M values. An exception
+        they raise, or a signal handler's between two misses (Ctrl-C's
+        KeyboardInterrupt), stops the pass and propagates.
+        """
+        return _SWEEP(self.scores, self.weights, self.logw, *self._sweep_arrays, exp, log, self.config.alpha)
+
+    def _scan_numpy(self) -> int:
+        """The in-order pass in numpy, for hosts without the compiled loop.
 
         A row's winner is the argmax of its running scores at the moment
         the sweep reaches it, found on demand by ``_next_miss``, so every

@@ -1,12 +1,15 @@
 """Shared fixtures, hypothesis strategies, scalar oracles, and the acceptance summary hook."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import diffnb
 from diffnb.dataset import AttributeSpec, Dataset, Schema
 from diffnb.density import DEFAULT_TAG_GAIN
 
@@ -43,6 +46,13 @@ def xor_dataset() -> Dataset:
 @pytest.fixture
 def xor_data() -> Dataset:
     return xor_dataset()
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's diffnb."""
+    package_root = Path(diffnb.__file__).resolve().parent.parent
+    path = [str(package_root), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def rows_of(data: Dataset) -> list[tuple[tuple[float, ...], int]]:

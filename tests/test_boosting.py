@@ -1,10 +1,17 @@
 """Weight updates, epoch semantics, and the training loop."""
 
+import shutil
+import signal
+import sys
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from diffnb import boosting
 from diffnb.boosting import (
     _FIRST_WINDOW,
     TrainConfig,
@@ -380,24 +387,37 @@ def reference_epoch(state, counts):
     return misses
 
 
-def compare_sweeps(data, config, epochs, scores=None):
-    """Run both sweeps side by side; every epoch must agree bit for bit.
+def numpy_pass():
+    """Train through the numpy pass, as a host without the compiled loop does."""
+    return mock.patch.object(boosting, "_SWEEP", None)
 
-    ``scores``, if given, replaces both states' starting log scores.
+
+# each sweep under test and how to select it: the compiled loop where it
+# loaded (a test below requires it wherever a compiler exists), and the numpy pass
+PATHS = {"compiled": nullcontext} if boosting._SWEEP is not None else {}
+PATHS["numpy"] = numpy_pass
+
+
+def compare_sweeps(data, config, epochs, scores=None):
+    """Run each sweep path beside the reference sweep; every epoch must agree bit for bit.
+
+    ``scores``, if given, replaces every state's starting log scores.
     """
-    new = TrainState.build(data, config)
+    states = {path: TrainState.build(data, config) for path in PATHS}
     ref = TrainState.build(data, config)
     if scores is not None:
-        new.scores = np.array(scores, dtype=np.float64)
-        ref.scores = np.array(scores, dtype=np.float64)
+        for state in (*states.values(), ref):
+            state.scores = np.array(scores, dtype=np.float64)
     counts = {"flips": 0, "tie_flips": 0, "tied_rows": 0, "shifted": 0, "collapses": 0}
     miss_counts = []
     for _ in range(epochs):
-        misses = run_epoch(new)
-        assert misses == reference_epoch(ref, counts)
-        assert new.weights.tobytes() == ref.weights.tobytes()
-        assert new.logw.tobytes() == ref.logw.tobytes()
-        assert new.scores.tobytes() == ref.scores.tobytes()
+        misses = reference_epoch(ref, counts)
+        for path, state in states.items():
+            with PATHS[path]():
+                assert run_epoch(state) == misses, path
+            assert state.weights.tobytes() == ref.weights.tobytes(), path
+            assert state.logw.tobytes() == ref.logw.tobytes(), path
+            assert state.scores.tobytes() == ref.scores.tobytes(), path
         miss_counts.append(misses)
         if misses == 0:
             break
@@ -544,8 +564,9 @@ class TestScalarSweepMatchesArrayForm:
 
 
 # log scores that make exact ties, TINY floors (exp(-800) underflows) and
-# both sides of the shift threshold likely
-_LOG_POOL = [0.0, -1e-17, 1e-17, -1.0, -3.5, -689.9, 689.9, -690.0, 690.0, -745.5, -800.0, -5000.0]
+# both sides of the shift threshold likely, and a negative zero, which a
+# column add of a zero patch turns positive
+_LOG_POOL = [0.0, -0.0, -1e-17, 1e-17, -1.0, -3.5, -689.9, 689.9, -690.0, 690.0, -745.5, -800.0, -5000.0]
 
 
 @st.composite
@@ -639,6 +660,130 @@ class TestScalarRowMatchesArrayForm:
                 assert winner == label and delta == 0.0
             else:
                 assert np.float64(delta).tobytes() == np.float64(want).tobytes()
+
+
+@st.composite
+def scored_problems(draw):
+    """A table of K = 2..5 classes on few-valued attributes, with starting log scores from the pool.
+
+    The scores make exact ties between classes, rows whose max log
+    reaches 690 in magnitude, and rows that trail by less than exp()
+    resolves, which exp() collapses into a zero step.
+    """
+    k = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 10))
+    schema = Schema(
+        tuple(AttributeSpec(f"d{j}", "categorical", ("a", "b", "c")) for j in range(m)),
+        tuple(f"c{c}" for c in range(k)),
+    )
+    values = st.lists(st.integers(0, 2).map(float), min_size=m, max_size=m).map(tuple)
+    rows = [(draw(values), draw(st.integers(0, k - 1))) for _ in range(n)]
+    return Dataset.build(schema, rows), draw(st.lists(log_rows(k), min_size=n, max_size=n))
+
+
+def seeded_scored_problem(seed):
+    """:func:`scored_problems`' shape from a seeded generator: K cycles through 2..5."""
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 4
+    m = int(rng.integers(1, 4))
+    n = int(rng.integers(6, 20))
+    schema = Schema(
+        tuple(AttributeSpec(f"d{j}", "categorical", ("a", "b", "c")) for j in range(m)),
+        tuple(f"c{c}" for c in range(k)),
+    )
+    rows = [(tuple(map(float, rng.integers(0, 3, size=m))), int(rng.integers(k))) for _ in range(n)]
+    # a few values of the pool per problem, as log_rows draws them, so rows tie
+    pool = rng.choice(_LOG_POOL, size=int(rng.integers(2, 4)), replace=False)
+    return Dataset.build(schema, rows), rng.choice(pool, size=(n, k))
+
+
+class Interrupted(Exception):
+    """Raised by a test's exp, log or signal handler."""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or shutil.which("cc") is None,
+    reason="the compiled loop is built on Linux, with a C compiler",
+)
+def test_the_compiled_loop_is_among_the_paths():
+    assert list(PATHS) == ["compiled", "numpy"]
+
+
+@pytest.mark.skipif(boosting._SWEEP is None, reason="the compiled loop is not loaded")
+class TestCompiledLoop:
+    """The compiled loop on generated edge cases, and how it stops."""
+
+    @given(scored_problems())
+    def test_generated_scores(self, problem):
+        data, scores = problem
+        compare_sweeps(data, TrainConfig(topology=3), epochs=3, scores=scores)
+
+    def test_generated_scores_cover_the_edges(self):
+        total = {"flips": 0, "tie_flips": 0, "tied_rows": 0, "shifted": 0, "collapses": 0}
+        for seed in range(40):
+            data, scores = seeded_scored_problem(seed)
+            _, counts = compare_sweeps(data, TrainConfig(topology=3), epochs=3, scores=scores)
+            for key, value in counts.items():
+                total[key] += value
+        assert total["shifted"] > 0
+        assert total["collapses"] > 0
+        assert total["tied_rows"] > 0
+        assert total["tie_flips"] > 0
+
+    def state_with_a_boost(self):
+        state = TrainState.build(generate_monks(2)[0], TrainConfig(topology=MONKS_BINS))
+        first = int(np.flatnonzero(state.scores.argmax(axis=1) != state.labels)[0])
+        _, delta = _row_step(_row_scores(state.scores[first]), int(state.labels[first]), 2.0)
+        assert delta > 0.0
+        return state
+
+    @pytest.mark.parametrize("failing", ["exp", "log"])
+    def test_an_error_in_exp_or_log_propagates(self, failing):
+        def fail(values, out):
+            raise Interrupted(failing)
+
+        state = self.state_with_a_boost()
+        with pytest.raises(Interrupted, match=failing):
+            state._scan_compiled(**{failing: fail})
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs setitimer")
+    def test_a_signal_handler_runs_between_misses(self):
+        # a handler's exception, as Ctrl-C's KeyboardInterrupt, stops the
+        # pass part way: the timer counts this process's CPU time only
+        data = train_heavy_shaped_problem(n=10000)
+        full = TrainState.build(data, TrainConfig(topology=8))
+        full._scan_compiled()
+        state = TrainState.build(data, TrainConfig(topology=8))
+        state._sweep_arrays  # built before the timer starts
+
+        def stop(signum, frame):
+            raise Interrupted("signal")
+
+        previous = signal.signal(signal.SIGVTALRM, stop)
+        try:
+            signal.setitimer(signal.ITIMER_VIRTUAL, 0.005)
+            with pytest.raises(Interrupted, match="signal"):
+                state._scan_compiled()
+        finally:
+            signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+            signal.signal(signal.SIGVTALRM, previous)
+        assert 0 < np.count_nonzero(state.weights != 1.0) < np.count_nonzero(full.weights != 1.0)
+
+    def test_indices_outside_the_tables_are_refused(self):
+        state = TrainState.build(xor_dataset(), TrainConfig(topology=2))
+        state.cells = state.cells + state.weights[0].size
+        with pytest.raises(ValueError, match="cell index lies outside"):
+            state._scan_compiled()
+
+    def test_arrays_of_another_type_are_refused(self):
+        state = TrainState.build(xor_dataset(), TrainConfig(topology=2))
+        state.scores = state.scores.astype(np.float32)
+        with pytest.raises(TypeError, match="scores must hold float64"):
+            state._scan_compiled()
+        state.scores = np.asfortranarray(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            state._scan_compiled()
 
 
 class TestNextMiss:

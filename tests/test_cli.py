@@ -19,7 +19,7 @@ from diffnb.evaluation import evaluate, render_report_machine
 from diffnb.inference import posterior
 from diffnb.modelfile import load_model
 
-from conftest import rows_of, xor_dataset
+from conftest import child_env, rows_of, xor_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -1156,13 +1156,6 @@ class TestInspect:
             "boosted cells: 4 of 12 (max weight 3.50057)",
             "populated bins: 5",
         ]
-
-
-def child_env() -> dict:
-    """The environment of a child interpreter that imports this checkout's diffnb."""
-    package_root = Path(diffnb.__file__).resolve().parent.parent
-    path = [str(package_root), os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 class TestClosedStdout:
