@@ -85,7 +85,9 @@ call_into(PyObject *fn, PyObject *in, PyObject *out)
  * ``scores`` is the (n, K) running log-score table, ``weights`` and
  * ``logw`` the (K, C) weight and log-weight tables of C cells per class,
  * ``labels`` (n,) and ``cells`` the (n, M) flat cell indices. The rows in
- * cell c are ``members[starts[c]:starts[c + 1]]``, ascending. ``patch``
+ * cell c are ``members[starts[c]:starts[c + 1]]``, ascending: the index
+ * that TrainState.start derives from the cells, and the numpy pass reads
+ * too. ``patch``
  * holds n zeros and is left so; ``row_in`` and ``row_out`` hold K values,
  * ``cell_in`` and ``cell_out`` M. The caller checks that every cell index,
  * label and member is in range; this checks lengths, item types and

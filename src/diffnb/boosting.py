@@ -245,21 +245,18 @@ def resolved_config(config: TrainConfig, density: DensityModel) -> TrainConfig:
     )
 
 
-def rows_in_bins(column: np.ndarray, bins: range) -> tuple[np.ndarray, ...]:
-    """The ascending rows whose entry in ``column`` is each of ``bins``, one int64 array per bin."""
-    return tuple(np.flatnonzero(column == b) for b in bins)
-
-
 @dataclass
 class TrainState:
     """Mutable state of one training run; only weights, logw, and scores move.
 
     ``cells``, each row's flat cell indices as
-    :func:`~diffnb.density.likelihood_logs` returns them, ``loglik``,
-    ``rows_by_cell``, the ascending rows in each flat cell, and
-    ``row_sizes``, how many rows each of a row's cells holds ((n, M)), are
-    precomputed over the training set once, since the density tables do
-    not change during boosting.
+    :func:`~diffnb.density.likelihood_logs` returns them, and ``loglik``
+    are precomputed over the training set once, since the density tables
+    do not change during boosting. :meth:`start`, and nothing else,
+    derives from ``cells`` which rows each cell holds, as the index both
+    passes read: the ascending rows of cell c are
+    ``members[starts[c]:starts[c + 1]]``, and ``row_sizes`` (n, M) counts
+    the rows of each of a row's cells.
     ``scores`` carries the per-example log scores forward across updates
     and epochs: a boost touches M cells of one class, so only rows sharing
     one of those cells need a score patch. Winners are not stored; the
@@ -274,7 +271,8 @@ class TrainState:
     loglik: np.ndarray
     labels: np.ndarray
     scores: np.ndarray
-    rows_by_cell: tuple[np.ndarray, ...]
+    starts: np.ndarray
+    members: np.ndarray
     row_sizes: np.ndarray
 
     def __post_init__(self):
@@ -291,12 +289,7 @@ class TrainState:
         cells, parts = likelihood_logs(
             density, data.value_matrix(), config.tag_gain, config.epsilon_floor
         )
-        _, m, b_max = density.counts.shape
-        # attribute j's column is the only one that can hold its cells
-        rows_by_cell = tuple(
-            rows for j in range(m) for rows in rows_in_bins(cells[:, j], range(j * b_max, (j + 1) * b_max))
-        )
-        return cls.start(density, config, data.labels(), cells, parts.sum(axis=2), rows_by_cell)
+        return cls.start(density, config, data.labels(), cells, parts.sum(axis=2))
 
     @classmethod
     def start(
@@ -306,28 +299,34 @@ class TrainState:
         labels: np.ndarray,
         cells: np.ndarray,
         loglik: np.ndarray,
-        rows_by_cell: tuple[np.ndarray, ...],
     ) -> "TrainState":
         """The untrained state over precomputed rows: unit weights, scores equal to ``loglik``.
 
         ``config`` is resolved against ``density`` (:func:`resolved_config`)
-        and ``cells``, ``loglik`` and ``rows_by_cell`` are what
-        :meth:`build` computes for the training rows; a search trial
-        assembles them from per-attribute columns instead.
+        and ``cells`` and ``loglik`` are what :meth:`build` computes for the
+        training rows; a search trial assembles them from per-attribute
+        columns instead. The rows of each cell are derived here: a stable
+        argsort of each column's bins (``cells`` less the density's
+        ``offsets``), as the narrowest unsigned type that holds them, which
+        numpy radix-sorts, lists them cell by cell in flat cell order.
         """
-        shape = density.counts.shape
-        cell_sizes = np.array([len(rows) for rows in rows_by_cell])
+        k, m, b_max = density.counts.shape
+        keys = (cells - density.scoring_tables.offsets).T.astype(np.min_scalar_type(b_max - 1), order="C")
+        members = np.argsort(keys, axis=1, kind="stable").astype(np.int64, copy=False).ravel()
+        starts = np.zeros(m * b_max + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells.ravel(), minlength=m * b_max), out=starts[1:])
         return cls(
             density=density,
             config=config,
-            weights=np.ones(shape),
-            logw=np.zeros(shape),
+            weights=np.ones((k, m, b_max)),
+            logw=np.zeros((k, m, b_max)),
             cells=cells,
             loglik=loglik,
             labels=labels,
             scores=loglik.copy(),  # all log-weights start at 0
-            rows_by_cell=rows_by_cell,
-            row_sizes=cell_sizes[cells],
+            starts=starts,
+            members=members,
+            row_sizes=np.diff(starts)[cells],
         )
 
     def _boost(self, i: int, label: int, delta: float) -> None:
@@ -350,7 +349,8 @@ class TrainState:
         amount = new - logw[cells]
         logw[cells] = new
 
-        groups = [self.rows_by_cell[c] for c in cells.tolist()]
+        starts, members = self.starts, self.members
+        groups = [members[starts[c] : starts[c + 1]] for c in cells.tolist()]
         amounts = amount.repeat(self.row_sizes[i])
         patch = np.bincount(np.concatenate(groups), weights=amounts, minlength=len(self.labels))
         self.scores[:, label] += patch
@@ -388,25 +388,21 @@ class TrainState:
     def _sweep_arrays(self) -> tuple[np.ndarray, ...]:
         """What the compiled loop reads besides scores, weights and logw, built for the first pass.
 
-        Labels and cells as C-contiguous int64; the rows of each of a
-        class's C flat cells as one list of ascending members and C + 1
-        offsets into it; a zeroed length-n patch; and the arrays of K and
-        M values that exp and log read and write. The loop indexes with
+        Labels and cells as C-contiguous int64; the state's ``starts`` and
+        ``members``; a zeroed length-n patch; and the arrays of K and M
+        values that exp and log read and write. The loop indexes with
         labels, cells and members unchecked, so they are checked here.
         """
         n, m = self.cells.shape
         k = len(self.weights)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         cells = np.ascontiguousarray(self.cells, dtype=np.int64)
-        starts = np.zeros(len(self.rows_by_cell) + 1, dtype=np.int64)
-        np.cumsum([len(rows) for rows in self.rows_by_cell], out=starts[1:])
-        members = np.concatenate(self.rows_by_cell).astype(np.int64, copy=False)
-        bounds = (("label", labels, k), ("cell", cells, self.weights[0].size), ("row", members, n))
+        bounds = (("label", labels, k), ("cell", cells, self.weights[0].size), ("row", self.members, n))
         for name, indices, bound in bounds:
             if indices.size and not (indices.min() >= 0 and indices.max() < bound):
                 raise ValueError(f"training state: a {name} index lies outside [0, {bound})")
         scratch = (np.zeros(n), np.empty(k), np.empty(k), np.empty(m), np.empty(m))
-        return labels, cells, starts, members, *scratch
+        return labels, cells, self.starts, self.members, *scratch
 
     def _scan_compiled(self, exp=np.exp, log=np.log) -> int:
         """The in-order pass as one compiled loop, calling ``exp`` and ``log`` as the numpy pass does.

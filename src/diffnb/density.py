@@ -250,7 +250,10 @@ class ScoringTables:
     (attribute m, bin b) of a class is ``offsets[m] + b = m * B_max + b``
     on the flat ``M * B_max`` axis of one class's (M, B_max) cells.
     :func:`likelihood_logs` hands each row's index to its callers, which
-    gather and scatter weights through it as given.
+    gather and scatter weights through it as given. Every other mapping
+    between bins and flat cells reads ``offsets``: a training state
+    recovers each column's bins to derive the rows of each cell, and a
+    search trial maps its columns' bins to cells and back.
 
     Holds the density's :class:`BinGrid`, the ``offsets``, the windows as
     ``(K, M * B_max, M)`` views, and per ``(tag_gain, epsilon)`` pair the

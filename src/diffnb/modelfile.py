@@ -93,6 +93,28 @@ def model_to_json(model: Model) -> str:
     return json.dumps(doc, indent=1)
 
 
+# the Python types a list of cells may load as (JSON true loads as a bool)
+_CELL_KINDS = {"counts": ({int}, "integers"), "weights": ({int, float}, "numbers")}
+
+
+def _cell_list(name: str, key: str, cells, attribute: int, count: int) -> list:
+    """``cells``, an attribute's list under ``key``, if it holds ``count`` cells of the key's kinds.
+
+    The types are checked in one pass over the list: a count of 17.5,
+    ``"7"`` or ``true`` is refused, not cast.
+    """
+    if len(cells) != count:
+        raise ValueError(
+            f'{name} "{key}" lists {len(cells)} cells for attribute {attribute + 1}, '
+            f'but "topology" gives {count} bins'
+        )
+    kinds, what = _CELL_KINDS[key]
+    if not set(map(type, cells)) <= kinds:
+        bad = next(cell for cell in cells if type(cell) not in kinds)
+        raise ValueError(f'{name} "{key}" must hold {what}, got {json.dumps(bad)}')
+    return cells
+
+
 def model_from_json(text: str) -> Model:
     """Read a model document.
 
@@ -101,8 +123,9 @@ def model_from_json(text: str) -> Model:
     so a malformed file is a ValueError naming the entry. A bin grid must
     be one :class:`BinSpec` accepts (finite bounds and span, ``lo <= hi``)
     and its count must equal its attribute's topology entry; ``n_train``
-    must be positive, every weight finite and positive and every count
-    non-negative; the windows are read as they are.
+    must be positive, each attribute's counts and weights must list one
+    cell per bin, every count an integer >= 0 and every weight a finite
+    number > 0, and no window bound may be NaN.
     """
     name = "model file"
     doc = json_value(name, json.loads(text), "a JSON object")
@@ -145,13 +168,13 @@ def model_from_json(text: str) -> Model:
     weights = np.ones((k_n, m_n, b_max))
     lo = np.full((k_n, m_n, b_max, m_n), -np.inf)
     hi = np.full((k_n, m_n, b_max, m_n), np.inf)
-    # the cells are not checked one by one, which would slow every load; a
-    # nesting that does not match the schema and topology fails as a whole
+    # each list of cells is checked whole, which keeps loads fast; a nesting
+    # that does not match the schema and topology fails as a whole
     try:
         for k in range(k_n):
             for m in range(m_n):
-                counts[k, m, : topology[m]] = raw_counts[k][m]
-                weights[k, m, : topology[m]] = raw_weights[k][m]
+                counts[k, m, : topology[m]] = _cell_list(name, "counts", raw_counts[k][m], m, topology[m])
+                weights[k, m, : topology[m]] = _cell_list(name, "weights", raw_weights[k][m], m, topology[m])
         for k in range(k_n):
             for m in range(m_n):
                 for b, entry in enumerate(raw_tags[k][m]):
@@ -171,6 +194,9 @@ def model_from_json(text: str) -> Model:
     bad_weights = weights[~(np.isfinite(weights) & (weights > 0))]
     if bad_weights.size:
         raise ValueError(f'{name} "weights" must be finite and > 0, got {bad_weights[0]}')
+    # a NaN bound would turn its window's gate off
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError(f'{name} "tags" must not hold a NaN bound')
     density = DensityModel(schema, topology, specs, counts, n_train, lo, hi)
     config_doc = f'{name} "config"'
     config = TrainConfig(

@@ -25,10 +25,11 @@ attribute, through the same ``fit_column`` and ``likelihood_logs`` a
 fresh training uses, and copies the rest into place. Each process holds
 at most the M shared columns plus the current trial's own, which it drops
 when the trial ends, however many trials or candidates the search has.
-The assembled density, cells, likelihood sums and rows per cell equal
-``TrainState.build``'s byte for byte: copying moves no bit, and the parts
-are summed from the (K, n, M) layout ``likelihood_logs`` returns, so
-every row adds its parts in the same order.
+The assembled density, cells and likelihood sums equal
+``TrainState.build``'s byte for byte: copying moves no bit, bins become
+cells through the density's offsets, and the parts are summed from the
+(K, n, M) layout ``likelihood_logs`` returns, so every row adds its parts
+in the same order; the state derives each cell's rows as a fresh one does.
 
 With ``parallelism > 1`` on Linux, a batch of more than one new topology
 trains on the searching process and on ``parallelism - 1`` helpers forked
@@ -61,7 +62,6 @@ from .boosting import (
     TrainConfig,
     TrainState,
     resolved_config,
-    rows_in_bins,
     train_from,
     weighted_log_scores,
 )
@@ -130,25 +130,16 @@ class _Column(NamedTuple):
     """One attribute at one bin count, over a search's training and validation rows.
 
     ``fit`` holds the grid, the training bins, the counts and the windows;
-    ``rows`` the ascending training rows in each bin; ``train_parts`` (K, n)
-    and ``val_parts`` (K, n_val) the rows' gated likelihood parts, and
-    ``val_bins`` the validation rows' bins. None of it depends on another
-    attribute's bin count, so any trial with this count here can use it.
+    ``train_parts`` (K, n) and ``val_parts`` (K, n_val) the rows' gated
+    likelihood parts, and ``val_bins`` the validation rows' bins. None of
+    it depends on another attribute's bin count, so any trial with this
+    count here can use it, mapping bins to cells through its ``offsets``.
     """
 
     fit: DensityColumn
-    rows: tuple[np.ndarray, ...]
     train_parts: np.ndarray
     val_bins: np.ndarray
     val_parts: np.ndarray
-
-
-def _flat_cells(bins: Sequence[np.ndarray], b_max: int) -> np.ndarray:
-    """(n, M) flat cell indices ``j * b_max + bin`` from each attribute's (n,) bins."""
-    cells = np.empty((len(bins[0]), len(bins)), dtype=np.int64)
-    for j, column in enumerate(bins):
-        np.add(column, j * b_max, out=cells[:, j])
-    return cells
 
 
 def _summed(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -176,7 +167,8 @@ class _Columns:
     at most the M shared columns plus one trial's M, however many trials
     or candidates the search has. The searching process shares before the
     first batch forks, so helpers inherit the shared columns, which no
-    trial writes.
+    trial writes. A trial's cells come from ``ScoringTables.offsets``, and
+    the rows of each cell from ``TrainState.start``, as a fresh training's.
     """
 
     def __init__(self, trainset: Dataset, validation: Dataset, base_config: TrainConfig):
@@ -216,22 +208,15 @@ class _Columns:
         columns = list(shared) if shared else [None] * len(counts)
         if new:
             check_scorable(schema, validation)
-            b_max = max(counts)
             attributes = None if len(new) == len(counts) else new
             _, train_parts = likelihood_logs(density, values, config.tag_gain, config.epsilon_floor, attributes)
             val_cells, val_parts = likelihood_logs(
                 density, validation.value_matrix(), config.tag_gain, config.epsilon_floor, attributes
             )
             train_parts, val_parts = train_parts.transpose(1, 0, 2), val_parts.transpose(1, 0, 2)
+            val_bins = val_cells - density.scoring_tables.offsets[new]
             for i, j in enumerate(new):
-                fit = fits[j]
-                columns[j] = _Column(
-                    fit,
-                    rows_in_bins(fit.bins, range(fit.spec.count)),
-                    train_parts[:, :, i],
-                    val_cells[:, i] - j * b_max,
-                    val_parts[:, :, i],
-                )
+                columns[j] = _Column(fits[j], train_parts[:, :, i], val_bins[:, i], val_parts[:, :, i])
         return density, config, tuple(columns)
 
     def start(self, topology: tuple[int, ...]) -> tuple[TrainState, np.ndarray, np.ndarray]:
@@ -240,26 +225,17 @@ class _Columns:
         The density, cells, likelihood sums and rows per cell are what
         :meth:`TrainState.build <diffnb.boosting.TrainState.build>` and
         :func:`~diffnb.inference.batch_log_scores` compute, byte for byte:
-        each column is copied into place, its dead bins padded, and the
-        parts summed in likelihood_logs' layout.
+        each column's bins become cells through the density's ``offsets``,
+        as ``likelihood_logs`` makes them, and the parts are summed in its
+        layout; the state derives the rows of each cell from the cells.
         """
         density, config, columns = self._assemble(topology)
-        b_max = max(density.topology)
-        empty = np.empty(0, dtype=np.int64)
-        rows_by_cell = tuple(
-            rows
-            for column in columns
-            for rows in column.rows + (empty,) * (b_max - column.fit.spec.count)
-        )
+        offsets = density.scoring_tables.offsets
+        cells = np.column_stack([column.fit.bins for column in columns]) + offsets
         state = TrainState.start(
-            density,
-            config,
-            self.trainset.labels(),
-            _flat_cells([column.fit.bins for column in columns], b_max),
-            _summed([column.train_parts for column in columns]),
-            rows_by_cell,
+            density, config, self.trainset.labels(), cells, _summed([column.train_parts for column in columns])
         )
-        val_cells = _flat_cells([column.val_bins for column in columns], b_max)
+        val_cells = np.column_stack([column.val_bins for column in columns]) + offsets
         return state, val_cells, _summed([column.val_parts for column in columns])
 
     def train(self, topology: tuple[int, ...]) -> Trial:
@@ -372,9 +348,6 @@ class _Runner:
         self.spent = 0
         self.truncated = False
 
-    def _train(self, topology: tuple[int, ...]) -> Trial:
-        return _train_one(self.columns, topology)
-
     def _record(self, trial: Trial) -> None:
         self.cache[trial.topology] = trial
         self.log.append(trial)
@@ -406,7 +379,7 @@ class _Runner:
         try:
             for i in _claims(claim_r, claim_w, len(fresh)):
                 try:
-                    item = self._train(fresh[i])
+                    item = _train_one(self.columns, fresh[i])
                 except Exception as err:
                     import traceback
 
@@ -450,7 +423,7 @@ class _Runner:
             recorded = 0
             for i in _claims(claim_r, claim_w, n):
                 try:
-                    results.put(i, self._train(fresh[i]))
+                    results.put(i, _train_one(self.columns, fresh[i]))
                 except Exception as err:
                     results.put(i, _Failure(err, None))
                 results.receive(block=False)
@@ -498,7 +471,7 @@ class _Runner:
             self._run_forked(fresh)
         else:
             for topo in fresh:
-                self._record(self._train(topo))
+                self._record(_train_one(self.columns, topo))
 
     def result(self) -> SearchResult:
         best = max(self.log, key=lambda t: t.val_accuracy)  # first max wins ties

@@ -329,7 +329,7 @@ def reference_update(state, i, wins, missing, counts):
     new = np.log(state.weights[touched])
     state.logw[touched] = new
 
-    groups = [state.rows_by_cell[c] for c in cells]
+    groups = [state.members[state.starts[c] : state.starts[c + 1]] for c in cells]
     amount = np.repeat(new - old, [len(rows) for rows in groups])
     patch = np.bincount(np.concatenate(groups), weights=amount, minlength=len(state.labels))
     state.scores[:, label] += patch
@@ -494,7 +494,8 @@ class TestOnDemandScanMatchesFlipCheck:
         data = train_heavy_shaped_problem()
         state = TrainState.build(data, TrainConfig(topology=8))
         missed = np.flatnonzero(state.scores.argmax(axis=1) != state.labels)
-        shared = np.bincount(np.concatenate([state.rows_by_cell[c] for c in state.cells[missed[0]]]))
+        starts, members = state.starts, state.members
+        shared = np.bincount(np.concatenate([members[starts[c] : starts[c + 1]] for c in state.cells[missed[0]]]))
         assert np.count_nonzero(shared >= 3) > 100
         assert np.diff(missed).max() > 2 * _FIRST_WINDOW
         miss_counts, counts = compare_sweeps(data, TrainConfig(topology=8), epochs=2)
@@ -518,6 +519,44 @@ class TestOnDemandScanMatchesFlipCheck:
             one_attr_dataset(rows), TrainConfig(topology=(2,)), epochs=3
         )
         assert miss_counts[0] == 1
+
+
+def oracle_index(cells, n_cells):
+    """``starts``, ``members`` and ``row_sizes`` built cell by cell, each cell's rows from one flatnonzero."""
+    rows = [np.flatnonzero((cells == c).any(axis=1)) for c in range(n_cells)]
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    return np.concatenate([[0], np.cumsum(sizes)]), np.concatenate(rows), sizes[cells]
+
+
+class TestCellIndex:
+    def test_wide_grid_with_empty_and_dead_cells(self):
+        # 300 bins widen the sort key past uint8, and 150 rows leave many
+        # of them empty; the 3-bin and 2-value attributes' other bins are dead
+        rng = np.random.default_rng(3)
+        n, b_max = 150, 300
+        schema = Schema(
+            (
+                AttributeSpec("wide", "continuous"),
+                AttributeSpec("narrow", "continuous"),
+                AttributeSpec("d", "categorical", ("a", "b")),
+            ),
+            ("c0", "c1", "c2"),
+        )
+        values = np.column_stack([rng.random(n), rng.normal(size=n), rng.integers(2, size=n)])
+        rows = list(zip(map(tuple, values.tolist()), rng.integers(3, size=n).tolist()))
+        data = Dataset.build(schema, rows)
+        config = TrainConfig(topology=(b_max, 3, 2))
+        state = TrainState.build(data, config)
+        assert np.min_scalar_type(b_max - 1) == np.uint16
+        sizes = np.diff(state.starts).reshape(3, b_max)
+        assert (sizes[0] == 0).any() and (sizes[0] > 1).any()
+        assert not sizes[1, 3:].any() and not sizes[2, 2:].any()
+
+        want = oracle_index(state.cells, state.weights[0].size)
+        for got, expected in zip((state.starts, state.members, state.row_sizes), want):
+            assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
+        miss_counts, _ = compare_sweeps(data, config, epochs=4)
+        assert miss_counts[0] > 0
 
 
 def wide_repeated_problem():

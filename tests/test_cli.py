@@ -358,12 +358,28 @@ class TestEvaluate:
                 lambda doc: doc["bin_specs"][1].update(hi=float("inf")),
                 "model file bin spec 2: attribute 1: cannot bin between lo 0.0 and hi inf",
             ),
+            (lambda doc: doc["counts"][0][0].__setitem__(0, 17.5), 'model file "counts" must hold integers, got 17.5'),
+            (lambda doc: doc["counts"][1][0].__setitem__(1, "7"), 'model file "counts" must hold integers, got "7"'),
+            (lambda doc: doc["counts"][0][1].__setitem__(0, True), 'model file "counts" must hold integers, got true'),
+            (
+                lambda doc: doc["weights"][1][1].__setitem__(1, "2.0"),
+                'model file "weights" must hold numbers, got "2.0"',
+            ),
+            (
+                lambda doc: doc["tags"][0][0][0][1].__setitem__(0, float("nan")),
+                'model file "tags" must not hold a NaN bound',
+            ),
+            (
+                lambda doc: doc["counts"][0][1].append(3),
+                'model file "counts" lists 3 cells for attribute 2, but "topology" gives 2 bins',
+            ),
         ],
         ids=[
             "schema", "topology", "topology-length", "bin-spec", "config", "trace", "counts", "tags",
             "bin-specs-short", "bin-specs-long", "bin-count-first", "bin-count-last", "n-train-zero",
             "n-train-negative", "weight-negative", "weight-zero", "weight-infinite", "weight-nan",
-            "count-negative", "bin-lo-nan", "bin-hi-infinite",
+            "count-negative", "bin-lo-nan", "bin-hi-infinite", "count-fraction", "count-string",
+            "count-boolean", "weight-string", "tag-nan", "count-extra",
         ],
     )
     def test_damaged_model_file_names_the_entry(self, workdir, capsys, edit, message):
