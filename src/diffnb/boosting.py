@@ -18,7 +18,7 @@ per-boost flip check would keep, down to ties: argmax takes the lowest
 index, which is how a raised class that ties the held winner takes the
 row from a higher-indexed one.
 
-The pass runs as one compiled loop, ``_sweep.c``, wherever
+The pass runs as one compiled loop, in ``_native.c``, wherever
 :mod:`diffnb.native` can build and load it, and as the numpy pass
 (``TrainState._scan_numpy``) on any host where it cannot. Both give the
 same bytes. The loop calls numpy's own ``np.exp`` and ``np.log`` ufuncs
@@ -57,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .dataset import Dataset, Schema
 from .density import DEFAULT_TAG_GAIN, DensityModel, fit_density, likelihood_logs, read_only
-from .native import load_sweep
 
 # exp() of logs beyond this magnitude risks overflow/underflow; such rows
 # are shifted by their max log before exponentiation.
@@ -68,7 +68,7 @@ _TINY = float(np.finfo(np.float64).tiny)
 # rows the training sweep's next-miss scan reads first; later windows double
 _FIRST_WINDOW = 16
 # the compiled in-order pass, or None where it cannot be built or loaded
-_SWEEP = load_sweep()
+_SWEEP = None if native.load() is None else native.load().diffnb_scan
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ the bin stops vouching for combinations it never saw.
 
 Fitting and checking the windows is exact arithmetic: a bound is the min
 or max of training values and the check is a pair of comparisons, so no
-rounding enters. Both routines here are vectorized over whole cells and
-blocks of rows, and return bit for bit what a loop over rows and
-attributes returns.
+rounding enters. The fit is vectorized over whole cells. The check runs
+as a compiled loop over rows, cells and classes where
+:mod:`diffnb.native`'s library loads, and vectorized over blocks of rows
+in numpy where it does not; each returns bit for bit what a loop over
+rows and attributes returns.
 
 A fitted :class:`DensityModel` holds these as plain arrays: ``counts``
 (K, M, B_max) beside ``n_train``, and the windows ``window_lo`` and
@@ -43,15 +45,19 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import native
 from .dataset import Dataset, Schema, SchemaError
 
 DEFAULT_TAG_GAIN = 0.25
 
-# window entries gathered per block of rows in likelihood_logs: each
-# gathered block is 2 MB however wide the table, small enough to stay in
-# cache while it is compared (on a 2-vCPU Intel Xeon, 10k rows at K=3,
-# M=20 took 70 ms at 2**18 and 86 ms at 2**20)
+# window entries gathered per block of rows by the numpy window check, the
+# fallback where the compiled library did not load: each gathered block is
+# 2 MB however wide the table, small enough to stay in cache while it is
+# compared (on a 2-vCPU Intel Xeon, 10k rows at K=3, M=20 took 70 ms at
+# 2**18 and 86 ms at 2**20)
 _CHECK_BUDGET = 2**18
+# the compiled window check, or None where the library cannot be built or loaded
+_SCORE = None if native.load() is None else native.load().diffnb_score
 
 
 @dataclass(frozen=True)
@@ -265,8 +271,10 @@ class ScoringTables:
         k, m, b_max = density.counts.shape
         self.grid = BinGrid.of(density.bin_specs)
         self.offsets = read_only(np.arange(m) * b_max)
-        self.window_lo = density.window_lo.reshape(k, m * b_max, m)
-        self.window_hi = density.window_hi.reshape(k, m * b_max, m)
+        # C-contiguous, as the compiled check reads them; a fitted or loaded
+        # density's windows already are, so these are views of them
+        self.window_lo = read_only(np.ascontiguousarray(density.window_lo).reshape(k, m * b_max, m))
+        self.window_hi = read_only(np.ascontiguousarray(density.window_hi).reshape(k, m * b_max, m))
         self._counts = density.counts.reshape(k, m * b_max)
         self._n_train = density.n_train
         self._logs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
@@ -450,6 +458,27 @@ def likelihood_logs(
         grid = BinGrid.of([density.bin_specs[j] for j in chosen])
         cells = grid.bins(values[:, chosen]) + tables.offsets[chosen]
     s = cells.shape[1]
+    if _SCORE is None:
+        parts = _gated_parts_numpy(values, cells, tables, log_base, log_gated)
+    else:
+        # a column selection's values and cells come out of numpy's fancy indexing in F order
+        values, cells = np.ascontiguousarray(values), np.ascontiguousarray(cells)
+        parts = np.empty((k, n, s))
+        _SCORE(values, cells, tables.window_lo, tables.window_hi, log_base, log_gated, parts, k, m)
+    return cells, parts.transpose(1, 0, 2)
+
+
+def _gated_parts_numpy(values, cells, tables, log_base, log_gated) -> np.ndarray:
+    """The (K, n, S) parts of :func:`likelihood_logs` in numpy, where the library did not load.
+
+    For a block of rows at a time, the window rows of every cell the rows
+    touch are gathered at once and compared with the rows' values. Blocks
+    hold ``_CHECK_BUDGET`` window entries at most, so the temporaries stay
+    small however many rows or attributes.
+    """
+    n, m = values.shape
+    k = len(log_base)
+    s = cells.shape[1]
     lo, hi = tables.window_lo, tables.window_hi
     step = max(1, _CHECK_BUDGET // (k * s * m))
     violated = np.empty((k, n, s), dtype=bool)
@@ -459,6 +488,4 @@ def likelihood_logs(
         # one gathered block at a time: the lo block is freed before hi's
         outside = (v < lo.take(cells[block], axis=1)) | (v > hi.take(cells[block], axis=1))
         violated[:, block] = np.logical_or.reduce(outside, axis=3)
-
-    parts = np.where(violated, log_gated.take(cells, axis=1), log_base.take(cells, axis=1))
-    return cells, parts.transpose(1, 0, 2)
+    return np.where(violated, log_gated.take(cells, axis=1), log_base.take(cells, axis=1))

@@ -7,6 +7,7 @@ attribute lists exactly its own bins); padding to the rectangular
 in-memory layout happens on load.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -115,6 +116,55 @@ def _cell_list(name: str, key: str, cells, attribute: int, count: int) -> list:
     return cells
 
 
+def _tag_pairs(name: str, raw_tags: list, topology: tuple[int, ...], k_n: int) -> tuple[list, list]:
+    """The nonempty cells of ``raw_tags`` as ``(k, m, b)`` and their bounds, in cell order.
+
+    Each attribute lists one entry per bin: null for an empty cell, else
+    one item per attribute, null at the cell's own attribute and a
+    ``[lo, hi]`` pair of numbers at every other. The pairs are checked in
+    one pass over all of them, so a bound of ``"0.5"`` or ``true`` is
+    refused, not cast.
+    """
+    m_n = len(topology)
+    owners, windows = [], []
+    for k in range(k_n):
+        for m in range(m_n):
+            b = -1
+            for b, entry in enumerate(raw_tags[k][m]):
+                if entry is None:
+                    continue
+                if len(entry) != m_n or entry[m] is not None:
+                    raise ValueError(
+                        f'{name} "tags" cell {b + 1} of attribute {m + 1} in class {k + 1} must list '
+                        f"{m_n} windows, null at its own attribute"
+                    )
+                owners.append((k, m, b))
+                windows += entry[:m]
+                windows += entry[m + 1:]
+            if b + 1 != topology[m]:
+                raise ValueError(
+                    f'{name} "tags" lists {b + 1} cells for attribute {m + 1}, but "topology" gives {topology[m]} bins'
+                )
+    numbers = {int, float}
+    if set(map(type, windows)) <= {list} and set(map(len, windows)) <= {2}:
+        pairs = list(itertools.chain.from_iterable(windows))
+        if set(map(type, pairs)) <= numbers:
+            return owners, pairs
+    bad = next(w for w in windows if not (type(w) is list and len(w) == 2 and set(map(type, w)) <= numbers))
+    raise ValueError(f'{name} "tags" bounds must be [lo, hi] pairs of numbers, got {json.dumps(bad)}')
+
+
+def _no_extra_lists(name: str, key: str, raw: list, k_n: int, m_n: int) -> None:
+    """Refuse lists under ``key`` beyond the schema's classes and attributes; shorter ones failed on reading."""
+    if len(raw) != k_n:
+        raise ValueError(f'{name} "{key}" lists {len(raw)} classes, but the schema gives {k_n}')
+    for k, per_class in enumerate(raw):
+        if len(per_class) != m_n:
+            raise ValueError(
+                f'{name} "{key}" lists {len(per_class)} attributes for class {k + 1}, but the schema gives {m_n}'
+            )
+
+
 def model_from_json(text: str) -> Model:
     """Read a model document.
 
@@ -123,9 +173,10 @@ def model_from_json(text: str) -> Model:
     so a malformed file is a ValueError naming the entry. A bin grid must
     be one :class:`BinSpec` accepts (finite bounds and span, ``lo <= hi``)
     and its count must equal its attribute's topology entry; ``n_train``
-    must be positive, each attribute's counts and weights must list one
-    cell per bin, every count an integer >= 0 and every weight a finite
-    number > 0, and no window bound may be NaN.
+    must be positive, each attribute's counts, weights and tags must list
+    one cell per bin, and no class or attribute list beyond the schema's;
+    every count is an integer >= 0, every weight a finite number > 0, and
+    every window bound a number, not NaN, in a ``[lo, hi]`` pair.
     """
     name = "model file"
     doc = json_value(name, json.loads(text), "a JSON object")
@@ -175,18 +226,26 @@ def model_from_json(text: str) -> Model:
             for m in range(m_n):
                 counts[k, m, : topology[m]] = _cell_list(name, "counts", raw_counts[k][m], m, topology[m])
                 weights[k, m, : topology[m]] = _cell_list(name, "weights", raw_weights[k][m], m, topology[m])
-        for k in range(k_n):
-            for m in range(m_n):
-                for b, entry in enumerate(raw_tags[k][m]):
-                    if entry is None:
-                        continue
-                    for j, bounds in enumerate(entry):
-                        if bounds is not None:
-                            lo[k, m, b, j], hi[k, m, b, j] = bounds
-    except (IndexError, TypeError) as err:
+        owners, pairs = _tag_pairs(name, raw_tags, topology, k_n)
+        for key, raw in (("counts", raw_counts), ("weights", raw_weights), ("tags", raw_tags)):
+            _no_extra_lists(name, key, raw, k_n, m_n)
+        bounds = np.array(pairs, dtype=np.float64).reshape(len(owners), m_n - 1, 2)
+    except (IndexError, KeyError, TypeError) as err:
         raise ValueError(
             f'{name} "counts", "weights" or "tags" do not match its schema and topology: {err}'
         ) from None
+    except OverflowError:
+        # an integer beyond int64 or beyond the largest float
+        raise ValueError(f'{name} "counts", "weights" or "tags" hold a number too large to store') from None
+    if owners:
+        # each cell's bounds fill its row of the (K, M, B_max, M) windows but
+        # its own attribute's entry, in attribute order
+        k_of, m_of, b_of = np.array(owners).T
+        others = ~np.eye(m_n, dtype=bool)[m_of]
+        for window, side in ((lo, 0), (hi, 1)):
+            rows = window[k_of, m_of, b_of]
+            rows[others] = bounds[:, :, side].ravel()
+            window[k_of, m_of, b_of] = rows
     # one check of every cell, padding included (count 0, weight 1)
     bad_counts = counts[counts < 0]
     if bad_counts.size:

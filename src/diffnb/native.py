@@ -1,7 +1,9 @@
-"""The compiled training sweep: ``_sweep.c``, built once per user and loaded with ctypes.
+"""diffnb's compiled loops: ``_native.c``, built once per user and loaded with ctypes.
 
-:func:`load_sweep` returns the loop as a ctypes function, or None where it
-cannot be had; training then runs its numpy pass, which gives the same
+The library holds the training sweep's in-order pass (``diffnb_scan``)
+and the window check of scoring (``diffnb_score``). :func:`load` returns
+the library with both functions typed, or None where it cannot be had;
+training and scoring then run their numpy forms, which give the same
 bytes. The library is built on Linux only, with the ``cc`` on ``PATH``
 and the interpreter's own headers, into ``$XDG_CACHE_HOME/diffnb`` (else
 ``~/.cache/diffnb``). Its file name carries a hash of the source, the
@@ -9,21 +11,31 @@ compiler flags and the interpreter's extension suffix, so an edited
 source or another Python builds its own copy, and a warm cache starts no
 compiler. A build writes a temporary file and renames it into place, so
 processes building at once each leave a whole library.
+
+Each load touches the library's modification time, so the time says when
+it was last loaded. A build that installs a library deletes this
+interpreter's other libraries that no process has loaded for
+``STALE_AFTER`` seconds: the cache stays bounded, and two versions used in
+turn, such as a base and a head checkout, keep each other's libraries.
 """
 
 import ctypes
+import functools
 import importlib.machinery
 import os
 import shutil
 import sys
+import time
 import zlib
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_sweep.c")
+SOURCE = Path(__file__).with_name("_native.c")
 # -ffp-contract=off: no multiply-add is fused, so each operation rounds as numpy's does
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # the interpreter's EXT_SUFFIX, which names its version and ABI
 _EXT_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
+# a library no process has loaded for this long is deleted by the next build
+STALE_AFTER = 30 * 24 * 3600
 
 
 def cache_dir() -> Path:
@@ -42,11 +54,11 @@ def library_path(source: bytes) -> Path:
     command's start, and the key only has to tell versions of one file apart.
     """
     key = zlib.crc32(b"\0".join([source, *map(str.encode, FLAGS), _EXT_SUFFIX.encode()]))
-    return cache_dir() / f"sweep-{key:08x}{_EXT_SUFFIX}"
+    return cache_dir() / f"native-{key:08x}{_EXT_SUFFIX}"
 
 
 def build(path: Path) -> None:
-    """Compile ``_sweep.c`` into ``path``; raises OSError when it cannot."""
+    """Compile ``_native.c`` into ``path``, then prune the cache; raises OSError when it cannot build."""
     import subprocess
     import sysconfig
     import tempfile
@@ -66,26 +78,57 @@ def build(path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    prune(path)
 
 
-def load_sweep():
-    """``diffnb_scan`` from the cached library, built first if missing; None if it cannot be had.
+def prune(keep: Path) -> None:
+    """Delete the libraries beside ``keep`` for this interpreter that were last loaded ``STALE_AFTER`` ago.
+
+    ``keep`` itself, a build's temporary files and other interpreters'
+    libraries stay. A library that cannot be read or deleted is left.
+    """
+    cutoff = time.time() - STALE_AFTER
+    for other in keep.parent.glob(f"*{_EXT_SUFFIX}"):
+        if other.name == keep.name or other.name.startswith("."):
+            continue
+        try:
+            if other.stat().st_mtime < cutoff:
+                other.unlink()
+        except OSError:
+            pass
+
+
+def open_library(path: Path) -> ctypes.PyDLL:
+    """The library at ``path``, its modification time set to now to record the load."""
+    library = ctypes.PyDLL(str(path))
+    try:
+        os.utime(path)
+    except OSError:
+        pass
+    return library
+
+
+@functools.cache
+def load() -> ctypes.PyDLL | None:
+    """The cached library, built first if missing, its functions' types set; None if it cannot be had.
 
     Nothing is printed either way: a host without a compiler or a
-    writable cache trains through the numpy pass.
+    writable cache trains and scores through numpy. The library is
+    opened once per process.
     """
     if not sys.platform.startswith("linux"):
         return None
     try:
         path = library_path(SOURCE.read_bytes())
         try:
-            library = ctypes.PyDLL(str(path))
+            library = open_library(path)
         except OSError:
             build(path)
-            library = ctypes.PyDLL(str(path))
+            library = open_library(path)
     except OSError:
         return None
-    scan = library.diffnb_scan
-    scan.argtypes = [ctypes.py_object] * 14 + [ctypes.c_double]
-    scan.restype = ctypes.c_ssize_t
-    return scan
+    library.diffnb_scan.argtypes = [ctypes.py_object] * 14 + [ctypes.c_double]
+    library.diffnb_scan.restype = ctypes.c_ssize_t
+    library.diffnb_score.argtypes = [ctypes.py_object] * 7 + [ctypes.c_ssize_t] * 2
+    library.diffnb_score.restype = ctypes.c_int
+    return library

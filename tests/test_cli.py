@@ -373,13 +373,59 @@ class TestEvaluate:
                 lambda doc: doc["counts"][0][1].append(3),
                 'model file "counts" lists 3 cells for attribute 2, but "topology" gives 2 bins',
             ),
+            (
+                lambda doc: doc["tags"][0][0][0][1].__setitem__(0, "0.5"),
+                'model file "tags" bounds must be [lo, hi] pairs of numbers, got ["0.5", 0.0]',
+            ),
+            (
+                lambda doc: doc["tags"][1][0][1][1].__setitem__(1, True),
+                'model file "tags" bounds must be [lo, hi] pairs of numbers, got [0.0, true]',
+            ),
+            (
+                lambda doc: doc["tags"][0][1][0][0].append(1.0),
+                'model file "tags" bounds must be [lo, hi] pairs of numbers, got [0.0, 0.0, 1.0]',
+            ),
+            (
+                lambda doc: doc["tags"][1][1][1].__setitem__(0, [0.0]),
+                'model file "tags" bounds must be [lo, hi] pairs of numbers, got [0.0]',
+            ),
+            (
+                lambda doc: doc["tags"][0][0][0].__setitem__(0, [0.0, 1.0]),
+                'model file "tags" cell 1 of attribute 1 in class 1 must list 2 windows, null at its own attribute',
+            ),
+            (
+                lambda doc: doc["tags"][1][1].pop(),
+                'model file "tags" lists 1 cells for attribute 2, but "topology" gives 2 bins',
+            ),
+            (
+                lambda doc: doc["counts"].append(doc["counts"][0]),
+                'model file "counts" lists 3 classes, but the schema gives 2',
+            ),
+            (
+                lambda doc: doc["weights"][1].append(doc["weights"][1][0]),
+                'model file "weights" lists 3 attributes for class 2, but the schema gives 2',
+            ),
+            (
+                lambda doc: doc["tags"].append(doc["tags"][0]),
+                'model file "tags" lists 3 classes, but the schema gives 2',
+            ),
+            (
+                lambda doc: doc["counts"][0][0].__setitem__(0, 10**30),
+                'model file "counts", "weights" or "tags" hold a number too large to store',
+            ),
+            (
+                lambda doc: doc["tags"][0][0][0][1].__setitem__(0, 10**400),
+                'model file "counts", "weights" or "tags" hold a number too large to store',
+            ),
         ],
         ids=[
             "schema", "topology", "topology-length", "bin-spec", "config", "trace", "counts", "tags",
             "bin-specs-short", "bin-specs-long", "bin-count-first", "bin-count-last", "n-train-zero",
             "n-train-negative", "weight-negative", "weight-zero", "weight-infinite", "weight-nan",
             "count-negative", "bin-lo-nan", "bin-hi-infinite", "count-fraction", "count-string",
-            "count-boolean", "weight-string", "tag-nan", "count-extra",
+            "count-boolean", "weight-string", "tag-nan", "count-extra", "tag-string", "tag-boolean",
+            "tag-triple", "tag-single", "tag-own-attribute", "tags-short", "counts-extra-class",
+            "weights-extra-attribute", "tags-extra-class", "count-too-large", "tag-too-large",
         ],
     )
     def test_damaged_model_file_names_the_entry(self, workdir, capsys, edit, message):

@@ -1,12 +1,17 @@
 """Bin grids, joint tables, and window gating."""
 
 import math
+import shutil
+import sys
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffnb import density as density_module
 from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
 from diffnb.density import (
     _CHECK_BUDGET,
@@ -16,6 +21,7 @@ from diffnb.density import (
     fit_density,
     likelihood_logs,
     make_bin_spec,
+    read_only,
     resolve_topology,
 )
 
@@ -404,16 +410,37 @@ def assert_identical(got, want):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def numpy_check():
+    """Score through the numpy window check, as a host without the compiled library does."""
+    return mock.patch.object(density_module, "_SCORE", None)
+
+
+# each window check under test and how to select it: the compiled check
+# where the library loaded (a test below requires it wherever a compiler
+# exists), and the numpy check
+PATHS = {"compiled": nullcontext} if density_module._SCORE is not None else {}
+PATHS["numpy"] = numpy_check
+
+
+def scored_on_each_path(density, queries, *args, **knobs):
+    """``likelihood_logs`` of ``queries`` through each window check, by path name."""
+    results = {}
+    for path, select in PATHS.items():
+        with select():
+            results[path] = likelihood_logs(density, queries, *args, **knobs)
+    return results
+
+
 def assert_matches_references(data, topology, queries):
     density = fit_density(data, topology)
     counts, lo, hi = reference_fit(data, topology)
     assert_identical(density.counts, counts)
     assert_identical(density.window_lo, lo)
     assert_identical(density.window_hi, hi)
-    cells, parts = likelihood_logs(density, queries)
     ref_cells, ref_parts = reference_likelihood_logs(density, queries)
-    assert_identical(cells, ref_cells)
-    assert_identical(parts, ref_parts)
+    for cells, parts in scored_on_each_path(density, queries).values():
+        assert_identical(cells, ref_cells)
+        assert_identical(parts, ref_parts)
 
 
 # signed zeros among values that often tie, so windows close on zeros of
@@ -422,6 +449,8 @@ zero_heavy_values = st.one_of(st.sampled_from([0.0, -0.0]), lattice_values)
 
 
 class TestVectorizedMatchesLoops:
+    """Each window check, compiled and numpy, against the loop references."""
+
     @given(small_problems(values=zero_heavy_values), st.data())
     def test_small_problems(self, problem, extra):
         data, topology = problem
@@ -472,6 +501,157 @@ class TestVectorizedMatchesLoops:
         assert_matches_references(data, 3, queries)
 
 
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or shutil.which("cc") is None,
+    reason="the compiled library is built on Linux, with a C compiler",
+)
+def test_the_compiled_check_is_among_the_paths():
+    assert list(PATHS) == ["compiled", "numpy"]
+
+
+def scalar_parts(density, values, cells, tag_gain=DEFAULT_TAG_GAIN):
+    """The (n, K, S) parts by the scalar rule, on the package's cells and log tables.
+
+    Part (i, c, t) is the gated log of the row's cell t if any of the row's
+    values lies outside that cell's window under class c, else the plain log.
+    """
+    tables = density.scoring_tables
+    log_base, log_gated = tables.log_likelihoods(tag_gain, density.epsilon_floor)
+    n, s = cells.shape
+    k = density.schema.n_classes
+    parts = np.empty((n, k, s))
+    for i, row in enumerate(values.tolist()):
+        for t in range(s):
+            cell = int(cells[i, t])
+            for c in range(k):
+                lo = tables.window_lo[c, cell].tolist()
+                hi = tables.window_hi[c, cell].tolist()
+                outside = any(v < a or v > b for v, a, b in zip(row, lo, hi))
+                parts[i, c, t] = (log_gated if outside else log_base)[c, cell]
+    return parts
+
+
+def edge_case(seed):
+    """A density with empty cells and dead bins, queries on and beside its window bounds, and a selection.
+
+    Training values come from a small lattice with zeros of both signs;
+    queries mix every finite window bound with its neighbours one ulp
+    either side, zeros of both signs, infinities of both signs and lattice
+    values. n and M may be 1, and K runs up to 5.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 25))
+    lattice = np.array([0.0, -0.0, 0.5, -1.0, 1.5, 2.0, -2.5])
+    values = rng.choice(lattice, size=(n, m))
+    labels = rng.integers(0, k, size=n)
+    topology = tuple(int(b) for b in rng.integers(1, 5, size=m))
+    density = fit_density(numeric_dataset(values, labels, k), topology)
+    bounds = np.concatenate([density.window_lo.ravel(), density.window_hi.ravel()])
+    bounds = np.unique(bounds[np.isfinite(bounds)])
+    pool = np.concatenate([
+        bounds, np.nextafter(bounds, np.inf), np.nextafter(bounds, -np.inf),
+        [0.0, -0.0, np.inf, -np.inf], lattice,
+    ])
+    queries = rng.choice(pool, size=(int(rng.integers(1, 9)), m))
+    chosen = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+    return density, queries, chosen
+
+
+@pytest.mark.skipif(density_module._SCORE is None, reason="the compiled library is not loaded")
+class TestCompiledCheck:
+    """The compiled window check on generated edge cases, and the arguments it refuses."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_edge_cases_match_the_numpy_check_and_the_scalar_rule(self, seed):
+        density, queries, chosen = edge_case(seed)
+        for attributes in (None, chosen):
+            results = scored_on_each_path(density, queries, attributes=attributes)
+            (cells, parts), (numpy_cells, numpy_parts) = results["compiled"], results["numpy"]
+            assert cells.tobytes() == numpy_cells.tobytes()
+            assert parts.shape == numpy_parts.shape and parts.tobytes() == numpy_parts.tobytes()
+            assert parts.tobytes() == scalar_parts(density, queries, cells).tobytes()
+
+    def test_edge_cases_cover_the_bounds_and_gate_both_ways(self):
+        # across the seeds the queries touch a bound, pass one ulp beside
+        # it, hold infinities and signed zeros, and gate some cells but not all
+        gated = plain = 0
+        seen = set()
+        for seed in range(60):
+            density, queries, _ = edge_case(seed)
+            tables = density.scoring_tables
+            log_base, log_gated = tables.log_likelihoods(DEFAULT_TAG_GAIN, density.epsilon_floor)
+            cells, parts = likelihood_logs(density, queries)
+            # each table's entry of every part's cell, laid out (n, K, M) as the parts
+            gated += np.count_nonzero(parts == log_gated.T[cells].transpose(0, 2, 1))
+            plain += np.count_nonzero(parts == log_base.T[cells].transpose(0, 2, 1))
+            bounds = np.concatenate([tables.window_lo.ravel(), tables.window_hi.ravel()])
+            bounds = bounds[np.isfinite(bounds)]
+            seen.update(
+                name for name, hit in (
+                    ("at a bound", np.isin(queries, bounds).any()),
+                    ("an ulp above", np.isin(queries, np.nextafter(bounds, np.inf)).any()),
+                    ("an ulp below", np.isin(queries, np.nextafter(bounds, -np.inf)).any()),
+                    ("+inf", np.isposinf(queries).any()),
+                    ("-inf", np.isneginf(queries).any()),
+                    ("-0.0", ((queries == 0.0) & np.signbit(queries)).any()),
+                    ("n = 1", len(queries) == 1),
+                    ("M = 1", queries.shape[1] == 1),
+                    ("K = 5", density.schema.n_classes == 5),
+                    ("a dead bin", len(set(density.topology)) > 1),
+                    ("an empty cell", (density.counts[:, :, 0] == 0).any()),
+                ) if hit
+            )
+        assert gated > 0 and plain > 0
+        assert len(seen) == 11, seen
+
+    def test_arguments_of_another_type_or_length_are_refused(self):
+        density = fit_density(xor_dataset(), 2)
+        tables = density.scoring_tables
+        log_base, log_gated = tables.log_likelihoods(DEFAULT_TAG_GAIN, density.epsilon_floor)
+        values = np.zeros((3, 2))
+        cells = np.zeros((3, 2), dtype=np.int64)
+        args = dict(
+            values=values, cells=cells, lo=tables.window_lo, hi=tables.window_hi,
+            log_base=log_base, log_gated=log_gated, parts=np.empty((2, 3, 2)), k=2, m=2,
+        )
+
+        def score(**changes):
+            return density_module._SCORE(*dict(args, **changes).values())
+
+        assert score() == 0
+        with pytest.raises(TypeError, match="values must hold float64"):
+            score(values=values.astype(np.float32))
+        with pytest.raises(TypeError, match="cells must hold int64"):
+            score(cells=cells.astype(np.int32))
+        with pytest.raises(TypeError, match="parts must hold float64"):
+            score(parts=np.empty((2, 3, 2), dtype=np.int64))
+        with pytest.raises(TypeError):
+            score(values=values.tolist())
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            score(values=np.asfortranarray(values))
+        with pytest.raises(ValueError, match="read-only"):
+            score(parts=read_only(np.empty((2, 3, 2))))
+        for changes in (
+            dict(parts=np.empty((2, 3, 3))),
+            dict(cells=np.zeros((3, 3), dtype=np.int64)),
+            dict(values=np.zeros((3, 3))),
+            dict(log_base=np.ascontiguousarray(log_base[:, :-1])),
+            dict(lo=tables.window_lo[:1]),
+            dict(k=3),
+            dict(m=3),
+        ):
+            with pytest.raises(ValueError, match="lengths disagree"):
+                score(**changes)
+        for changes in (dict(k=0), dict(m=0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                score(**changes)
+        for cell in (-1, log_base.shape[1]):
+            with pytest.raises(ValueError, match="cell index lies outside"):
+                score(cells=np.full((3, 2), cell, dtype=np.int64))
+
+
 # -- reference for the scoring tables -----------------------------------------
 
 
@@ -517,11 +697,11 @@ def reference_likelihood_logs_inline(density, values, tag_gain=DEFAULT_TAG_GAIN,
 
 
 def assert_same_bytes(density, queries, tag_gain=DEFAULT_TAG_GAIN, epsilon=None):
-    cells, parts = likelihood_logs(density, queries, tag_gain, epsilon)
     ref_cells, ref_parts = reference_likelihood_logs_inline(density, queries, tag_gain, epsilon)
-    assert cells.shape == ref_cells.shape and parts.shape == ref_parts.shape
-    assert cells.tobytes() == ref_cells.tobytes()
-    assert parts.tobytes() == ref_parts.tobytes()
+    for cells, parts in scored_on_each_path(density, queries, tag_gain, epsilon).values():
+        assert cells.shape == ref_cells.shape and parts.shape == ref_parts.shape
+        assert cells.tobytes() == ref_cells.tobytes()
+        assert parts.tobytes() == ref_parts.tobytes()
 
 
 # flat grids (one distinct value) and empty cells alongside ordinary ones

@@ -1,8 +1,12 @@
-"""Building, caching and loading the compiled training sweep, and training without it."""
+"""Building, caching and loading the compiled library, and training and scoring without it."""
 
+import json
+import os
+import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -14,17 +18,21 @@ from conftest import child_env
 ROOT = Path(__file__).resolve().parent.parent
 
 pytestmark = pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="the compiled loop is built on Linux only"
+    not sys.platform.startswith("linux"), reason="the compiled library is built on Linux only"
 )
 
-# prints which sweep the child loaded, then runs the diffnb command
-TRAIN_SCRIPT = textwrap.dedent(
+# prints which loops the child loaded, then runs each diffnb command of its
+# argument and prints its exit code
+CLI_SCRIPT = textwrap.dedent(
     """
+    import json
     import sys
-    from diffnb import boosting
+    from diffnb import boosting, density
     from diffnb.cli import main
-    print("compiled" if boosting._SWEEP is not None else "numpy", flush=True)
-    sys.exit(main(sys.argv[1:]))
+    loaded = {boosting._SWEEP is not None, density._SCORE is not None}
+    print({frozenset([True]): "compiled", frozenset([False]): "numpy"}.get(frozenset(loaded), "mixed"), flush=True)
+    for argv in json.loads(sys.argv[1]):
+        print("exit", main(argv), flush=True)
     """
 )
 
@@ -47,35 +55,43 @@ RECORD_SCRIPT = textwrap.dedent(
 )
 
 
-def train_monks2(work: Path, **env) -> tuple[str, str, bytes]:
-    """Train monks-2 as the README does, in a child in ``work``; its sweep, the rest of stdout, the model file."""
-    argv = [
-        "train", "--data", str(ROOT / "data/monks-2.train"),
-        "--schema", str(ROOT / "benchmarks/schemas/monks.schema.json"),
-        "--label-col", "0", "--ignore-cols", "7", "--bins", "4", "--out", "model.json",
+def monks2_commands(work: Path, **env) -> tuple[str, str, bytes]:
+    """Train, evaluate and predict monks-2 as the README does, in one child in ``work``.
+
+    Returns the loops it loaded, the rest of its stdout and the model file.
+    """
+    parse = ["--label-col", "0", "--ignore-cols", "7"]
+    schema = str(ROOT / "benchmarks/schemas/monks.schema.json")
+    commands = [
+        ["train", "--data", str(ROOT / "data/monks-2.train"), "--schema", schema, "--bins", "4",
+         "--out", "model.json", *parse],
+        ["evaluate", "--model", "model.json", "--data", str(ROOT / "data/monks-2.test"), *parse],
+        ["predict", "--model", "model.json", "--data", str(ROOT / "data/monks-2.test"), "--ignore-cols", "0,7"],
     ]
     child = subprocess.run(
-        [sys.executable, "-c", TRAIN_SCRIPT, *argv],
+        [sys.executable, "-c", CLI_SCRIPT, json.dumps(commands)],
         env=dict(child_env(), **env), cwd=work, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
     assert child.stderr == ""
-    sweep, rest = child.stdout.split("\n", 1)
-    return sweep, rest, (work / "model.json").read_bytes()
+    loops, rest = child.stdout.split("\n", 1)
+    assert rest.count("exit 0\n") == 3
+    return loops, rest, (work / "model.json").read_bytes()
 
 
 @pytest.fixture(scope="module")
 def compiled_run(tmp_path_factory):
-    """monks-2 trained through the compiled loop, built into a fresh cache."""
+    """monks-2's commands through the compiled loops, built into a fresh cache."""
     work = tmp_path_factory.mktemp("compiled")
-    sweep, stdout, model = train_monks2(work, XDG_CACHE_HOME=str(work / "cache"))
-    assert sweep == "compiled"
+    loops, stdout, model = monks2_commands(work, XDG_CACHE_HOME=str(work / "cache"))
+    assert loops == "compiled"
     return stdout, model
 
 
 class TestFallback:
     @pytest.mark.parametrize("broken", ["no-compiler", "unwritable-cache"])
     def test_training_falls_back_silently_to_the_same_bytes(self, tmp_path, compiled_run, broken):
+        """Training, then evaluating and predicting with the model, through numpy: the same stdout and model file."""
         if broken == "no-compiler":
             (tmp_path / "empty").mkdir()
             env = {"PATH": str(tmp_path / "empty"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
@@ -83,8 +99,8 @@ class TestFallback:
             # a cache under a regular file cannot be made, even by root
             (tmp_path / "cache").write_text("")
             env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
-        sweep, stdout, model = train_monks2(tmp_path, **env)
-        assert sweep == "numpy"
+        loops, stdout, model = monks2_commands(tmp_path, **env)
+        assert loops == "numpy"
         assert (stdout, model) == compiled_run
         assert not (tmp_path / "cache").is_dir()
 
@@ -114,3 +130,68 @@ class TestCache:
         for unset in ("", "relative/path"):
             monkeypatch.setenv("XDG_CACHE_HOME", unset)
             assert native.cache_dir() == Path.home() / ".cache" / "diffnb"
+
+
+def library_names(cache: Path) -> set[str]:
+    return {p.name for p in cache.iterdir()}
+
+
+def age(path: Path, seconds: float) -> None:
+    """Set ``path``'s access and modification times ``seconds`` into the past."""
+    then = time.time() - seconds
+    os.utime(path, (then, then))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="builds the library with a C compiler")
+class TestPrune:
+    """A build deletes this interpreter's libraries that no process loaded for STALE_AFTER, and no other."""
+
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        native.cache_dir().mkdir()
+        return native.cache_dir()
+
+    def test_a_build_deletes_only_stale_libraries_of_this_interpreter(self, cache):
+        suffix = native._EXT_SUFFIX
+        stale = [cache / f"native-00000001{suffix}", cache / f"sweep-00000002{suffix}"]
+        kept = [
+            cache / f"native-00000003{suffix}",  # loaded a day inside the limit
+            cache / "native-00000004.cpython-0-other.so",  # another interpreter's
+            cache / f".native-00000005{suffix}.tmp",  # a build's temporary file
+        ]
+        for path in stale + kept:
+            path.write_bytes(b"")
+            age(path, native.STALE_AFTER + 60)
+        age(kept[0], native.STALE_AFTER - 24 * 3600)
+        built = native.library_path(native.SOURCE.read_bytes())
+        native.build(built)
+        assert library_names(cache) == {built.name, *(p.name for p in kept)}
+
+    def test_the_library_kept_is_never_deleted(self, cache):
+        path = native.library_path(native.SOURCE.read_bytes())
+        path.write_bytes(b"")
+        age(path, 2 * native.STALE_AFTER)
+        native.prune(path)
+        assert library_names(cache) == {path.name}
+
+    def test_two_versions_used_in_turn_keep_each_other(self, cache):
+        # a base and a head checkout, each built once, then loaded in turn
+        source = native.SOURCE.read_bytes()
+        base, head = native.library_path(source), native.library_path(source + b"\n")
+        native.build(base)
+        native.build(head)
+        assert library_names(cache) == {base.name, head.name}
+        for _ in range(2):
+            for path in (base, head):
+                age(path, native.STALE_AFTER + 60)
+                native.open_library(path)
+                assert time.time() - path.stat().st_mtime < 3600
+        # a third version's build keeps both while they are loaded
+        third = native.library_path(source + b"\n\n")
+        native.build(third)
+        assert library_names(cache) == {base.name, head.name, third.name}
+        # once the base is not loaded for STALE_AFTER, the next build deletes it
+        age(base, native.STALE_AFTER + 60)
+        native.build(native.library_path(source + b"\n\n\n"))
+        assert base.name not in library_names(cache) and head.name in library_names(cache)
