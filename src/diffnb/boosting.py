@@ -157,6 +157,22 @@ class Model:
         cell_major = np.ascontiguousarray(np.log(self.weights).reshape(k, m * b).T)
         return read_only(cell_major).T.reshape(k, m, b)
 
+    @functools.cached_property
+    def scoring_arrays(self) -> tuple[np.ndarray, ...]:
+        """The tables that score a row, in the order the compiled scoring pass reads them; built once.
+
+        The density's grid arrays (``lo``, ``hi``, ``width``, ``top``), flat
+        cell ``offsets``, flat windows and log-likelihood tables for this
+        model's tag gain and epsilon, then the cell-major (M * B_max, K)
+        log-weights. See :func:`~diffnb.inference.batch_log_scores`.
+        """
+        tables = self.density.scoring_tables
+        grid = tables.grid
+        log_base, log_gated = tables.log_likelihoods(self.config.tag_gain, self.config.epsilon_floor)
+        cell_major = self.log_weights.reshape(len(self.weights), -1).T
+        return (grid.lo, grid.hi, grid.width, grid.top, tables.offsets,
+                tables.window_lo, tables.window_hi, log_base, log_gated, cell_major)
+
 
 def weighted_log_scores(logw: np.ndarray, cells: np.ndarray, loglik: np.ndarray) -> np.ndarray:
     """Per-class log scores for a batch: loglik plus the touched cells' log-weights.
@@ -172,7 +188,8 @@ def weighted_log_scores(logw: np.ndarray, cells: np.ndarray, loglik: np.ndarray)
     view of ``logw`` through ``cells``, into (n, M, K): each row's M
     log-weights are then summed one attribute after another, the order of
     a two-array fancy index. ``take`` copies a table that is not already
-    cell-major, as a training state's is.
+    cell-major, as a training state's is. The compiled scoring pass of
+    :func:`~diffnb.inference.batch_log_scores` adds them in this order.
     """
     picked = logw.reshape(len(logw), -1).T.take(cells, axis=0)  # (n, M, K)
     return loglik + picked.sum(axis=1)
@@ -222,10 +239,19 @@ def scores_from_logs(log_scores: np.ndarray) -> np.ndarray:
 
 
 def winner_of(log_scores: np.ndarray) -> tuple[int, bool]:
-    """Winning class of one log-score row: argmax, lowest index on exact ties."""
-    winner = int(np.argmax(log_scores))
-    tie = bool(np.count_nonzero(log_scores == log_scores[winner]) > 1)
-    return winner, tie
+    """Winning class of one log-score row: argmax, lowest index on exact ties.
+
+    The row is read once as Python floats, which compare as numpy's do:
+    the winner is the first of equal maxima, and it ties if another score
+    equals it. Only a NaN parts ``max`` from ``argmax``, which takes the
+    first NaN, so a row whose sum is NaN is decided in numpy.
+    """
+    row = log_scores.tolist()
+    if math.isnan(sum(row)):
+        winner = int(np.argmax(log_scores))
+        return winner, bool(np.count_nonzero(log_scores == log_scores[winner]) > 1)
+    top = max(row)
+    return row.index(top), row.count(top) > 1
 
 
 def winners_of(log_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

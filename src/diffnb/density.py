@@ -17,7 +17,12 @@ rounding enters. The fit is vectorized over whole cells. The check runs
 as a compiled loop over rows, cells and classes where
 :mod:`diffnb.native`'s library loads, and vectorized over blocks of rows
 in numpy where it does not; each returns bit for bit what a loop over
-rows and attributes returns.
+rows and attributes returns. A trained model's scores of whole rows
+skip :func:`likelihood_logs` where the library loads: one compiled pass
+(:func:`diffnb.inference.batch_log_scores`) bins each row as
+:meth:`BinGrid.bins` does, runs the same window check, and sums the parts
+in the pairwise order of numpy's sum, which ``pairwise_sum`` in
+``_native.c`` owns.
 
 A fitted :class:`DensityModel` holds these as plain arrays: ``counts``
 (K, M, B_max) beside ``n_train``, and the windows ``window_lo`` and

@@ -7,8 +7,20 @@ equally and cancel in the normalization, so none is stored.
 
 Nothing a model's tables determine is recomputed per call: the likelihood
 logs come from the density's scoring tables and the log-weights from
-``Model.log_weights``, each built on first use, so a single-row call
-spends its time on that row alone.
+``Model.log_weights``, each built on first use and handed on together as
+``Model.scoring_arrays``, so a single-row call spends its time on that
+row alone.
+
+Where :mod:`diffnb.native`'s library loads, :func:`batch_log_scores` is
+one compiled call (``diffnb_log_scores``): each row's bins, cells and
+window check, each class's sum of its parts, and the log-weights of its
+cells. It returns the numpy chain's bytes, ``likelihood_logs``,
+``parts.sum(axis=2)`` and ``weighted_log_scores``, which runs where the
+library does not load and for any batch holding a NaN, so that
+:meth:`~diffnb.density.BinGrid.bins` refuses the value by name. The
+parts are summed in numpy's pairwise order, as ``pairwise_sum`` in
+``_native.c`` writes it down; the tests compare both paths on widths
+that reach each of its branches.
 """
 
 from dataclasses import dataclass
@@ -16,9 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .boosting import Model, scores_from_logs, weighted_log_scores, winner_of, winners_of
 from .dataset import SchemaError
 from .density import likelihood_logs
+
+# the compiled scoring pass, or None where the library cannot be built or loaded
+_LOG_SCORES = None if native.load() is None else native.load().diffnb_log_scores
 
 
 @dataclass(frozen=True)
@@ -44,9 +60,16 @@ def batch_log_scores(model: Model, values: np.ndarray) -> np.ndarray:
     the training sweep ranks, so a converged model evaluates clean on
     its own training set.
     """
-    cells, parts = likelihood_logs(
-        model.density, values, model.config.tag_gain, model.config.epsilon_floor
-    )
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    config = model.config
+    if _LOG_SCORES is not None:
+        n, m = values.shape
+        k = model.schema.n_classes
+        scores = np.empty((n, k))
+        if _LOG_SCORES((values, *model.scoring_arrays, scores), k, m) == 0:
+            return scores
+        # a NaN value: the numpy chain refuses it, with BinGrid.bins's message
+    cells, parts = likelihood_logs(model.density, values, config.tag_gain, config.epsilon_floor)
     return weighted_log_scores(model.log_weights, cells, parts.sum(axis=2))
 
 
@@ -61,7 +84,7 @@ def posterior(model: Model, values: Sequence[float]) -> Posterior:
     scores = scores_from_logs(logs)
     probs = scores / scores.sum()
     winner, tie = winner_of(logs)
-    return Posterior(tuple(float(p) for p in probs), winner, tie)
+    return Posterior(tuple(probs.tolist()), winner, tie)
 
 
 def posterior_batch(model: Model, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ in-memory layout happens on load.
 
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -271,7 +272,23 @@ def model_from_json(text: str) -> Model:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model) + "\n", encoding="utf-8")
+    """Write ``model`` to ``path`` whole, or leave what was there.
+
+    The document is written to a temporary file beside ``path``, named
+    for this process, and then renamed over ``path``; a write that fails
+    or is interrupted removes the temporary file and leaves an existing
+    model file as it was. A symbolic link is followed, so the file it
+    points to is replaced and the link kept.
+    """
+    path = Path(os.path.realpath(path))
+    text = model_to_json(model) + "\n"
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path: str | Path) -> Model:

@@ -1,10 +1,15 @@
 """diffnb's compiled loops: ``_native.c``, built once per user and loaded with ctypes.
 
-The library holds the training sweep's in-order pass (``diffnb_scan``)
-and the window check of scoring (``diffnb_score``). :func:`load` returns
-the library with both functions typed, or None where it cannot be had;
-training and scoring then run their numpy forms, which give the same
-bytes. The library is built on Linux only, with the ``cc`` on ``PATH``
+The library holds the training sweep's in-order pass (``diffnb_scan``),
+the window check of scoring (``diffnb_score``) and the scoring pass that
+takes a value matrix to a model's weighted log scores
+(``diffnb_log_scores``). :func:`load` returns the library with its
+functions typed, or None where it cannot be had; training and scoring
+then run their numpy forms, which give the same bytes. Where a loop sums
+what numpy sums, it adds in numpy's order: the order of numpy's float64
+sum over a contiguous axis, pairwise past 8 terms, is written down once,
+as ``pairwise_sum`` in ``_native.c``, and the tests compare its every
+branch with numpy's own. The library is built on Linux only, with the ``cc`` on ``PATH``
 and the interpreter's own headers, into ``$XDG_CACHE_HOME/diffnb`` (else
 ``~/.cache/diffnb``). Its file name carries a hash of the source, the
 compiler flags and the interpreter's extension suffix, so an edited
@@ -131,4 +136,6 @@ def load() -> ctypes.PyDLL | None:
     library.diffnb_scan.restype = ctypes.c_ssize_t
     library.diffnb_score.argtypes = [ctypes.py_object] * 7 + [ctypes.c_ssize_t] * 2
     library.diffnb_score.restype = ctypes.c_int
+    library.diffnb_log_scores.argtypes = [ctypes.py_object, ctypes.c_ssize_t, ctypes.c_ssize_t]
+    library.diffnb_log_scores.restype = ctypes.c_int
     return library

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import diffnb
 from diffnb.dataset import AttributeSpec, Dataset, Schema
-from diffnb.density import DEFAULT_TAG_GAIN
+from diffnb.density import DEFAULT_TAG_GAIN, fit_density
 
 settings.register_profile(
     "default",
@@ -58,6 +58,51 @@ def child_env() -> dict:
 def rows_of(data: Dataset) -> list[tuple[tuple[float, ...], int]]:
     """Every row of ``data`` as a ``(values, label)`` pair of Python floats and an int."""
     return list(zip(map(tuple, data.value_matrix().tolist()), data.labels().tolist()))
+
+
+def numeric_dataset(values, labels, k):
+    """A dataset of continuous attributes ``x0``, ``x1``, ... from a value matrix and class indices."""
+    schema = Schema(
+        tuple(AttributeSpec(f"x{j}", "continuous") for j in range(values.shape[1])),
+        tuple(f"c{c}" for c in range(k)),
+    )
+    return Dataset.build(schema, [(tuple(r), int(c)) for r, c in zip(values, labels)])
+
+
+# (M, K) of the wide edge cases: numpy's pairwise sum of M terms runs one
+# running sum below 8, eight from 8 to 128, and splits in halves above 128
+WIDE_SHAPES = [(m, k) for m in (1, 7, 8, 9, 16, 129, 300) for k in (2, 3, 9)]
+
+
+def edge_case(seed, m=None, k=None):
+    """A density with empty cells, dead bins and flat grids, queries on, beside and off its grid, and a selection.
+
+    Training values come from a small lattice with zeros of both signs,
+    and about a quarter of the columns are constant, so their grids are
+    flat; queries mix every finite window bound with its neighbours one
+    ulp either side, zeros of both signs, infinities of both signs, values
+    near the float limit and lattice values. n and M may be 1, and K runs
+    up to 5, unless ``m`` and ``k`` are given.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6)) if k is None else k
+    m = int(rng.integers(1, 5)) if m is None else m
+    n = int(rng.integers(1, 25))
+    lattice = np.array([0.0, -0.0, 0.5, -1.0, 1.5, 2.0, -2.5])
+    values = rng.choice(lattice, size=(n, m))
+    values[:, rng.random(m) < 0.25] = 0.5
+    labels = rng.integers(0, k, size=n)
+    topology = tuple(int(b) for b in rng.integers(1, 5, size=m))
+    density = fit_density(numeric_dataset(values, labels, k), topology)
+    bounds = np.concatenate([density.window_lo.ravel(), density.window_hi.ravel()])
+    bounds = np.unique(bounds[np.isfinite(bounds)])
+    pool = np.concatenate([
+        bounds, np.nextafter(bounds, np.inf), np.nextafter(bounds, -np.inf),
+        [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308], lattice,
+    ])
+    queries = rng.choice(pool, size=(int(rng.integers(1, 9)), m))
+    chosen = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+    return density, queries, chosen
 
 
 # -- scalar oracles ----------------------------------------------------------

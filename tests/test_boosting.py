@@ -186,6 +186,16 @@ class TestScoring:
         assert winner_of(np.array([-1.0, -1.0, -3.0])) == (0, True)
         assert winner_of(np.array([-2.0, -1.0])) == (1, False)
 
+    @pytest.mark.parametrize("row", [
+        [0.0, -0.0], [-0.0, 0.0, -1.0], [-np.inf, -np.inf], [np.inf, -np.inf, np.inf],
+        [np.nan, 1.0], [1.0, np.nan, 2.0], [np.nan, np.nan], [-5.0, -2.0, -2.0, -7.0, -2.0],
+    ])
+    def test_winner_of_matches_argmax_and_count(self, row):
+        # signed zeros tie; a NaN wins where it first stands and ties nothing
+        logs = np.array(row)
+        winner = int(np.argmax(logs))
+        assert winner_of(logs) == (winner, bool(np.count_nonzero(logs == logs[winner]) > 1))
+
 
 class TestReadOnlyModels:
     def test_trained_weights_refuse_writes(self):

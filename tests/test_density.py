@@ -26,7 +26,10 @@ from diffnb.density import (
 )
 
 from conftest import (
+    WIDE_SHAPES,
+    edge_case,
     lattice_values,
+    numeric_dataset,
     query_rows,
     reference_bin,
     reference_tagged_likelihood,
@@ -394,14 +397,6 @@ def reference_likelihood_logs(density, values, tag_gain=DEFAULT_TAG_GAIN):
     return cells, np.log(gated).transpose(1, 0, 2)
 
 
-def numeric_dataset(values, labels, k):
-    schema = Schema(
-        tuple(AttributeSpec(f"x{j}", "continuous") for j in range(values.shape[1])),
-        tuple(f"c{c}" for c in range(k)),
-    )
-    return Dataset.build(schema, [(tuple(r), int(c)) for r, c in zip(values, labels)])
-
-
 def assert_identical(got, want):
     """Equal arrays, down to the sign of every zero."""
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -531,32 +526,15 @@ def scalar_parts(density, values, cells, tag_gain=DEFAULT_TAG_GAIN):
     return parts
 
 
-def edge_case(seed):
-    """A density with empty cells and dead bins, queries on and beside its window bounds, and a selection.
-
-    Training values come from a small lattice with zeros of both signs;
-    queries mix every finite window bound with its neighbours one ulp
-    either side, zeros of both signs, infinities of both signs and lattice
-    values. n and M may be 1, and K runs up to 5.
-    """
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, 6))
-    m = int(rng.integers(1, 5))
-    n = int(rng.integers(1, 25))
-    lattice = np.array([0.0, -0.0, 0.5, -1.0, 1.5, 2.0, -2.5])
-    values = rng.choice(lattice, size=(n, m))
-    labels = rng.integers(0, k, size=n)
-    topology = tuple(int(b) for b in rng.integers(1, 5, size=m))
-    density = fit_density(numeric_dataset(values, labels, k), topology)
-    bounds = np.concatenate([density.window_lo.ravel(), density.window_hi.ravel()])
-    bounds = np.unique(bounds[np.isfinite(bounds)])
-    pool = np.concatenate([
-        bounds, np.nextafter(bounds, np.inf), np.nextafter(bounds, -np.inf),
-        [0.0, -0.0, np.inf, -np.inf], lattice,
-    ])
-    queries = rng.choice(pool, size=(int(rng.integers(1, 9)), m))
-    chosen = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
-    return density, queries, chosen
+def assert_edge_case_matches(density, queries, chosen, scalar=True):
+    """Both window checks give the same cells and parts, all and chosen attributes, and the scalar rule's."""
+    for attributes in (None, chosen):
+        results = scored_on_each_path(density, queries, attributes=attributes)
+        (cells, parts), (numpy_cells, numpy_parts) = results["compiled"], results["numpy"]
+        assert cells.tobytes() == numpy_cells.tobytes()
+        assert parts.shape == numpy_parts.shape and parts.tobytes() == numpy_parts.tobytes()
+        if scalar:
+            assert parts.tobytes() == scalar_parts(density, queries, cells).tobytes()
 
 
 @pytest.mark.skipif(density_module._SCORE is None, reason="the compiled library is not loaded")
@@ -565,13 +543,14 @@ class TestCompiledCheck:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_edge_cases_match_the_numpy_check_and_the_scalar_rule(self, seed):
-        density, queries, chosen = edge_case(seed)
-        for attributes in (None, chosen):
-            results = scored_on_each_path(density, queries, attributes=attributes)
-            (cells, parts), (numpy_cells, numpy_parts) = results["compiled"], results["numpy"]
-            assert cells.tobytes() == numpy_cells.tobytes()
-            assert parts.shape == numpy_parts.shape and parts.tobytes() == numpy_parts.tobytes()
-            assert parts.tobytes() == scalar_parts(density, queries, cells).tobytes()
+        assert_edge_case_matches(*edge_case(seed))
+
+    @pytest.mark.parametrize("m, k", WIDE_SHAPES)
+    def test_wide_edge_cases_match_the_numpy_check(self, m, k):
+        # the scalar rule loops in Python over every value of every cell, so
+        # it checks the narrower of these tables only
+        for seed in range(2):
+            assert_edge_case_matches(*edge_case(seed, m, k), scalar=m <= 16)
 
     def test_edge_cases_cover_the_bounds_and_gate_both_ways(self):
         # across the seeds the queries touch a bound, pass one ulp beside
@@ -601,10 +580,12 @@ class TestCompiledCheck:
                     ("K = 5", density.schema.n_classes == 5),
                     ("a dead bin", len(set(density.topology)) > 1),
                     ("an empty cell", (density.counts[:, :, 0] == 0).any()),
+                    ("a flat grid", any(spec.lo == spec.hi for spec in density.bin_specs)),
+                    ("off the grid", (np.abs(queries) == 1e308).any()),
                 ) if hit
             )
         assert gated > 0 and plain > 0
-        assert len(seen) == 11, seen
+        assert len(seen) == 13, seen
 
     def test_arguments_of_another_type_or_length_are_refused(self):
         density = fit_density(xor_dataset(), 2)

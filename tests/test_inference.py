@@ -1,6 +1,9 @@
 """Posteriors, predictions, and scoring fidelity."""
 
 import dataclasses
+import types
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,8 +12,19 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from diffnb import density as density_module
-from diffnb.boosting import TrainConfig, scores_from_logs, train, winner_of
+from diffnb import inference
+from diffnb.boosting import (
+    Model,
+    TrainConfig,
+    TrainTrace,
+    resolved_config,
+    scores_from_logs,
+    train,
+    weighted_log_scores,
+    winner_of,
+)
 from diffnb.dataset import AttributeSpec, Dataset, Schema, SchemaError
+from diffnb.density import BinGrid, BinSpec, _gated_parts_numpy, read_only
 from diffnb.inference import (
     batch_log_scores,
     posterior,
@@ -21,12 +35,38 @@ from diffnb.inference import (
 from diffnb.modelfile import model_from_json, model_to_json
 
 from conftest import (
+    WIDE_SHAPES,
+    edge_case,
     query_rows,
     reference_bin,
     reference_tagged_likelihood,
     small_problems,
     xor_dataset,
 )
+
+
+@contextmanager
+def numpy_scoring():
+    """Score as a host without the compiled library does: the numpy chain and its numpy window check."""
+    with mock.patch.object(inference, "_LOG_SCORES", None), mock.patch.object(density_module, "_SCORE", None):
+        yield
+
+
+# each scoring path under test and how to select it: the compiled pass
+# where the library loaded, and the numpy chain
+PATHS = {"compiled": nullcontext} if inference._LOG_SCORES is not None else {}
+PATHS["numpy"] = numpy_scoring
+
+
+def edge_model(seed, m, k):
+    """A model on :func:`conftest.edge_case`'s density, with weights of many magnitudes, and its queries."""
+    density, queries, _ = edge_case(seed, m, k)
+    rng = np.random.default_rng([seed, m, k])
+    shape = density.counts.shape
+    weights = 1.0 + rng.exponential(size=shape) * 10.0 ** rng.integers(-6, 4, size=shape)
+    # bins past an attribute's own count are dead and keep weight 1
+    weights[:, np.arange(shape[2]) >= np.array(density.topology)[:, None]] = 1.0
+    return Model(density, weights, resolved_config(TrainConfig(), density), TrainTrace(())), queries
 
 
 def row_scores(model, row):
@@ -223,6 +263,150 @@ class TestBatch:
             post = posterior(model, row)
             assert tuple(probabilities[i].tolist()) == post.probabilities
             assert winners[i] == post.winner
+
+
+    @pytest.mark.parametrize("m, k", WIDE_SHAPES)
+    def test_posterior_batch_equals_posterior_bit_for_bit_on_wide_tables(self, m, k):
+        # M and K past numpy's pairwise-sum branches, on both scoring paths,
+        # with queries off the grid, infinities, flat grids and empty and dead cells
+        for seed in range(2):
+            model, queries = edge_model(seed, m, k)
+            results = {}
+            for path, select in PATHS.items():
+                with select():
+                    logs = batch_log_scores(model, queries)
+                    probabilities, winners = posterior_batch(model, queries)
+                    for i, row in enumerate(queries):
+                        post = posterior(model, row)
+                        assert tuple(probabilities[i].tolist()) == post.probabilities
+                        assert winners[i] == post.winner
+                results[path] = logs.tobytes(), probabilities.tobytes(), winners.tobytes()
+            assert len(set(results.values())) == 1
+
+
+def crafted_tables(seed, m, k, n=6, b=3):
+    """Arbitrary tables in the compiled pass's argument order, less the values and scores, and rows for them.
+
+    Attribute j's grid is [0, b] in b bins, so value v + 0.5 falls in bin
+    v. The log tables and log-weights hold values of either sign over
+    sixteen decades, so a sum in any other order rounds differently; a
+    third of the cells have a window that every row violates.
+    """
+    rng = np.random.default_rng([seed, m, k])
+    c = m * b
+    grid = BinGrid.of([BinSpec(j, 0.0, float(b), b) for j in range(m)])
+
+    def spread(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+
+    lo = np.full((k, c, m), -np.inf)
+    lo[rng.random((k, c)) < 1 / 3, 0] = np.inf
+    hi = np.full((k, c, m), np.inf)
+    offsets = read_only(np.arange(m) * b)
+    arrays = (grid.lo, grid.hi, grid.width, grid.top, offsets, lo, hi, spread(k, c), spread(k, c), spread(c, k))
+    return arrays, rng.integers(0, b, size=(n, m)) + 0.5
+
+
+def numpy_chain(arrays, values):
+    """The numpy chain's log scores on crafted tables: bins, window check, parts' sum, weighted sum."""
+    grid = BinGrid(*arrays[:4], tuple(range(len(arrays[0]))))
+    offsets, lo, hi, log_base, log_gated, logw = arrays[4:]
+    cells = grid.bins(values) + offsets
+    tables = types.SimpleNamespace(window_lo=lo, window_hi=hi)
+    parts = _gated_parts_numpy(values, cells, tables, log_base, log_gated).transpose(1, 0, 2)
+    k, m = len(log_base), len(offsets)
+    return weighted_log_scores(logw.T.reshape(k, m, -1), cells, parts.sum(axis=2)), parts
+
+
+@pytest.mark.skipif(inference._LOG_SCORES is None, reason="the compiled library is not loaded")
+class TestCompiledScores:
+    """The compiled scoring pass on crafted tables, and the arguments it refuses."""
+
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_every_branch_of_the_pairwise_sum(self, k):
+        # every M to 140 runs the plain sum and every remainder after the
+        # eight running sums; past 128 the halving splits once or more
+        reordered = set()
+        for m in [*range(1, 141), 255, 256, 257, 300, 1000]:
+            arrays, values = crafted_tables(m, m, k)
+            want, parts = numpy_chain(arrays, values)
+            scores = np.empty_like(want)
+            assert inference._LOG_SCORES((values, *arrays, scores), k, m) == 0
+            assert scores.tobytes() == want.tobytes(), m
+            # the order matters on these tables: one running sum differs
+            running = np.zeros(parts.shape[:2])
+            for j in range(m):
+                running += parts[:, :, j]
+            if running.tobytes() != parts.sum(axis=2).tobytes():
+                reordered.add(m)
+        assert set(range(8, 141)) | {255, 256, 257, 300, 1000} <= reordered
+
+    def test_arguments_of_another_type_or_length_are_refused(self):
+        arrays, values = crafted_tables(0, 3, 2)
+        args = dict(zip(
+            ["values", "lo", "hi", "width", "top", "offsets", "window_lo", "window_hi",
+             "log_base", "log_gated", "logw", "scores"],
+            [values, *arrays, np.empty((len(values), 2))],
+        ))
+
+        def score(k=2, m=3, **changes):
+            return inference._LOG_SCORES(tuple(dict(args, **changes).values()), k, m)
+
+        assert score() == 0
+        with pytest.raises(TypeError, match="values must hold float64"):
+            score(values=values.astype(np.float32))
+        with pytest.raises(TypeError, match="offsets must hold int64"):
+            score(offsets=args["offsets"].astype(np.int32))
+        with pytest.raises(TypeError, match="scores must hold float64"):
+            score(scores=np.empty((len(values), 2), dtype=np.int64))
+        with pytest.raises(TypeError):
+            score(values=values.tolist())
+        with pytest.raises(TypeError, match="a tuple of 12 arrays"):
+            inference._LOG_SCORES(list(args.values()), 2, 3)
+        with pytest.raises(TypeError, match="a tuple of 12 arrays"):
+            inference._LOG_SCORES(tuple(args.values())[:-1], 2, 3)
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            score(values=np.asfortranarray(values))
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            score(logw=args["logw"].T)
+        with pytest.raises(ValueError, match="read-only"):
+            score(scores=read_only(np.empty((len(values), 2))))
+        for changes in (
+            dict(scores=np.empty((len(values), 3))),
+            dict(values=values[:, :2].copy()),
+            dict(top=args["top"][:2].copy()),
+            dict(offsets=args["offsets"][:2].copy()),
+            dict(window_lo=args["window_lo"][:1].copy()),
+            dict(log_gated=np.ascontiguousarray(args["log_gated"][:, :-1])),
+            dict(logw=args["logw"][:-1].copy()),
+            dict(k=3),
+            dict(m=2),
+        ):
+            with pytest.raises(ValueError, match="lengths disagree"):
+                score(**changes)
+        for changes in (dict(k=0), dict(m=0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                score(**changes)
+        for offset in (-3, 9):
+            with pytest.raises(ValueError, match="cell index lies outside"):
+                score(offsets=np.full(3, offset, dtype=np.int64))
+
+
+class TestNanIsRefused:
+    """A NaN anywhere in a batch is refused with BinGrid.bins's message, on every scoring path."""
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_the_lowest_attribute_holding_a_nan_is_named(self, path):
+        model, _ = edge_model(0, 9, 3)
+        queries = np.zeros((4, 9))
+        queries[0, 7] = queries[2, 6] = queries[2, 4] = queries[3, 8] = np.nan
+        with PATHS[path]():
+            for values, lowest in ((queries, 4), (queries[:2], 7), (queries[3:], 8)):
+                for call in (batch_log_scores, posterior_batch, predict_batch):
+                    with pytest.raises(ValueError, match=f"^attribute {lowest}: cannot bin a NaN value$"):
+                        call(model, values)
+            with pytest.raises(ValueError, match="^attribute 4: cannot bin a NaN value$"):
+                posterior(model, queries[2])
 
 
 class TestScoringTables:

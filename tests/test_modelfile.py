@@ -1,6 +1,7 @@
 """Model persistence: exact JSON round trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +118,56 @@ class TestRoundTrip:
         target = array(model_from_json(model_to_json(model)))
         with pytest.raises(ValueError, match="read-only"):
             target[0] = target[1]
+
+
+class TestSaveIsWholeOrNothing:
+    """A save that fails partway leaves the old model file as it was, and no temporary file."""
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+    def test_a_write_that_fails_partway_keeps_the_old_file(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "model.json"
+        old, _ = train(xor_dataset(), TrainConfig(topology=2))
+        save_model(old, path)
+        before = path.read_bytes()
+        new, _ = train(xor_dataset(), TrainConfig(topology=2, tag_gain=0.5))
+        assert model_to_json(new) != model_to_json(old)
+        write_text = Path.write_text
+
+        def half_then_fail(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise error
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(type(error)):
+            save_model(new, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        save_model(new, path)
+        assert_models_equal(load_model(path), new)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_a_new_file_is_not_left_half_written(self, tmp_path, monkeypatch):
+        def fail_after_one_byte(self, text, **kwargs):
+            self.write_bytes(text[:1].encode())
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail_after_one_byte)
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        with pytest.raises(OSError):
+            save_model(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_a_link_is_followed_and_kept(self, tmp_path):
+        target, link = tmp_path / "models" / "model.json", tmp_path / "model.json"
+        target.parent.mkdir()
+        link.symlink_to(target)
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        for _ in range(2):
+            save_model(model, link)
+            assert link.is_symlink() and target.read_text() == model_to_json(model) + "\n"
+        assert sorted(p.name for p in target.parent.iterdir()) == ["model.json"]
 
 
 class TestFormatGuards:

@@ -9,6 +9,7 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diffnb import native
@@ -27,9 +28,9 @@ CLI_SCRIPT = textwrap.dedent(
     """
     import json
     import sys
-    from diffnb import boosting, density
+    from diffnb import boosting, density, inference
     from diffnb.cli import main
-    loaded = {boosting._SWEEP is not None, density._SCORE is not None}
+    loaded = {boosting._SWEEP is not None, density._SCORE is not None, inference._LOG_SCORES is not None}
     print({frozenset([True]): "compiled", frozenset([False]): "numpy"}.get(frozenset(loaded), "mixed"), flush=True)
     for argv in json.loads(sys.argv[1]):
         print("exit", main(argv), flush=True)
@@ -55,19 +56,50 @@ RECORD_SCRIPT = textwrap.dedent(
 )
 
 
-def monks2_commands(work: Path, **env) -> tuple[str, str, bytes]:
-    """Train, evaluate and predict monks-2 as the README does, in one child in ``work``.
-
-    Returns the loops it loaded, the rest of its stdout and the model file.
-    """
+def monks2_commands() -> list[list[str]]:
+    """Train, evaluate and predict monks-2 as the README does, into ``monks-2.model.json``."""
     parse = ["--label-col", "0", "--ignore-cols", "7"]
     schema = str(ROOT / "benchmarks/schemas/monks.schema.json")
-    commands = [
+    return [
         ["train", "--data", str(ROOT / "data/monks-2.train"), "--schema", schema, "--bins", "4",
-         "--out", "model.json", *parse],
-        ["evaluate", "--model", "model.json", "--data", str(ROOT / "data/monks-2.test"), *parse],
-        ["predict", "--model", "model.json", "--data", str(ROOT / "data/monks-2.test"), "--ignore-cols", "0,7"],
+         "--out", "monks-2.model.json", *parse],
+        ["evaluate", "--model", "monks-2.model.json", "--data", str(ROOT / "data/monks-2.test"), *parse],
+        ["predict", "--model", "monks-2.model.json", "--data", str(ROOT / "data/monks-2.test"),
+         "--ignore-cols", "0,7"],
     ]
+
+
+def wide_commands(work: Path) -> list[list[str]]:
+    """Train, evaluate and predict a generated table of 12 attributes and 3 classes, into ``wide.model.json``.
+
+    Scoring sums each class's M likelihood parts in numpy's pairwise order,
+    which runs eight running sums from M = 8: monks' 6 attributes never
+    reach it. The table is written into ``work``, the same every time.
+    """
+    m, k = 12, 3
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=(500, m)) * 10.0 ** rng.integers(-2, 3, size=m)
+    labels = np.argmax(values @ rng.normal(size=(m, k)) + rng.normal(size=(500, k)), axis=1)
+    schema = {"classes": [f"c{c}" for c in range(k)],
+              "attributes": [{"name": f"x{j}", "kind": "continuous"} for j in range(m)]}
+    (work / "wide.schema.json").write_text(json.dumps(schema))
+    for name, rows in (("wide.train", slice(0, 300)), ("wide.test", slice(300, 500))):
+        lines = [" ".join(map(repr, row)) + f" c{c}" for row, c in zip(values[rows].tolist(), labels[rows])]
+        (work / name).write_text("\n".join(lines) + "\n")
+    return [
+        ["train", "--data", "wide.train", "--schema", "wide.schema.json", "--bins", "5",
+         "--max-rounds", "20", "--out", "wide.model.json"],
+        ["evaluate", "--model", "wide.model.json", "--data", "wide.test"],
+        ["predict", "--model", "wide.model.json", "--data", "wide.test", "--ignore-cols", str(m)],
+    ]
+
+
+def table_commands(work: Path, **env) -> tuple[str, str, dict[str, bytes]]:
+    """monks-2's and the wide table's commands in one child in ``work``.
+
+    Returns the loops it loaded, the rest of its stdout and each model file.
+    """
+    commands = monks2_commands() + wide_commands(work)
     child = subprocess.run(
         [sys.executable, "-c", CLI_SCRIPT, json.dumps(commands)],
         env=dict(child_env(), **env), cwd=work, capture_output=True, text=True, timeout=300,
@@ -75,23 +107,24 @@ def monks2_commands(work: Path, **env) -> tuple[str, str, bytes]:
     assert child.returncode == 0, child.stderr
     assert child.stderr == ""
     loops, rest = child.stdout.split("\n", 1)
-    assert rest.count("exit 0\n") == 3
-    return loops, rest, (work / "model.json").read_bytes()
+    assert rest.count("exit 0\n") == len(commands)
+    models = {name: (work / f"{name}.model.json").read_bytes() for name in ("monks-2", "wide")}
+    return loops, rest, models
 
 
 @pytest.fixture(scope="module")
 def compiled_run(tmp_path_factory):
-    """monks-2's commands through the compiled loops, built into a fresh cache."""
+    """monks-2's and the wide table's commands through the compiled loops, built into a fresh cache."""
     work = tmp_path_factory.mktemp("compiled")
-    loops, stdout, model = monks2_commands(work, XDG_CACHE_HOME=str(work / "cache"))
+    loops, stdout, models = table_commands(work, XDG_CACHE_HOME=str(work / "cache"))
     assert loops == "compiled"
-    return stdout, model
+    return stdout, models
 
 
 class TestFallback:
     @pytest.mark.parametrize("broken", ["no-compiler", "unwritable-cache"])
     def test_training_falls_back_silently_to_the_same_bytes(self, tmp_path, compiled_run, broken):
-        """Training, then evaluating and predicting with the model, through numpy: the same stdout and model file."""
+        """Training, then evaluating and predicting with the model, through numpy: the same stdout and model files."""
         if broken == "no-compiler":
             (tmp_path / "empty").mkdir()
             env = {"PATH": str(tmp_path / "empty"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
@@ -99,9 +132,9 @@ class TestFallback:
             # a cache under a regular file cannot be made, even by root
             (tmp_path / "cache").write_text("")
             env = {"XDG_CACHE_HOME": str(tmp_path / "cache")}
-        loops, stdout, model = monks2_commands(tmp_path, **env)
+        loops, stdout, models = table_commands(tmp_path, **env)
         assert loops == "numpy"
-        assert (stdout, model) == compiled_run
+        assert (stdout, models) == compiled_run
         assert not (tmp_path / "cache").is_dir()
 
 
