@@ -1,23 +1,40 @@
-/* diffnb's compiled loops: the training sweep's in-order pass and the window check of scoring.
+/* diffnb's compiled loops: the training sweep's in-order pass, the window check and the scoring passes.
  *
  * diffnb.native compiles this file into a shared library and loads it with
  * ctypes.PyDLL, so the functions run holding the interpreter lock and may
  * use the Python C API. They read numpy arrays through the buffer protocol.
  *
- * diffnb_scan is TrainState._scan in boosting.py as one loop. It calls the
- * exp and log callables it is handed (numpy's ufuncs) on preallocated
- * contiguous arrays of K and M values, so every transcendental bit comes
- * from the same numpy loop, on the same lengths, as the numpy pass. Every
- * other operation is one IEEE operation in the numpy pass's order; built
- * with -ffp-contract=off, none is fused.
+ * exp and log are numpy's own float64 loops, called by function pointer.
+ * A ufunc object holds, per type signature, the inner loop that a call of
+ * np.exp or np.log dispatches to (numpy fills its table at import, with
+ * the loop built for this CPU's features). diffnb_bind looks up each
+ * ufunc's NPY_DOUBLE -> NPY_DOUBLE entry once, and call_loop calls it as
+ * the ufunc calls it on contiguous arrays: one call over the whole length,
+ * unit strides, an output apart from the input. So every transcendental
+ * bit is the one numpy's call would give, on any CPU, and no Python call
+ * is made inside a pass. A loop diffnb owned would replace exactly these
+ * two pointers.
+ *
+ * diffnb_scan is TrainState._scan in boosting.py as one loop. Every
+ * operation but exp and log is one IEEE operation in the numpy pass's
+ * order; built with -ffp-contract=off, none is fused.
  *
  * diffnb_score is the window check of density.likelihood_logs. It only
  * compares and copies: each part is one of two table entries, chosen by
  * comparisons, so it is the numpy check's part bit for bit.
+ *
+ * diffnb_log_scores takes a value matrix to a model's weighted log scores,
+ * and diffnb_posterior one row to its posterior, winner and tie.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/ndarraytypes.h>
+#include <numpy/ufuncobject.h>
+
+/* Python.h defines _GNU_SOURCE, which declares dladdr */
+#include <dlfcn.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -68,12 +85,11 @@ get_buffers(const char *function, PyObject *const *objects, const struct buffer_
     return 0;
 }
 
-enum { SCORES, WEIGHTS, LOGW, LABELS, CELLS, STARTS, MEMBERS, PATCH, ROW_IN, ROW_OUT, CELL_IN, CELL_OUT, N_SCAN };
+enum { SCORES, WEIGHTS, LOGW, LABELS, CELLS, STARTS, MEMBERS, PATCH, N_SCAN };
 
 static const struct buffer_spec scan_buffers[N_SCAN] = {
     {"scores", 1, 0}, {"weights", 1, 0}, {"logw", 1, 0}, {"labels", 0, 1},
     {"cells", 0, 1}, {"starts", 0, 1}, {"members", 0, 1}, {"patch", 1, 0},
-    {"row_in", 1, 0}, {"row_out", 1, 0}, {"cell_in", 1, 0}, {"cell_out", 1, 0},
 };
 
 /* numpy's argmax of one row: the first NaN, else the first of equal maxima */
@@ -95,15 +111,187 @@ argmax(const double *row, Py_ssize_t k)
     return best;
 }
 
-/* ``fn(in, out)``; 0, or -1 with the Python error set */
+/* numpy's float64 loop of a one-input ufunc and the data it is called with */
+struct loop {
+    PyUFuncGenericFunction function;
+    void *data;
+};
+
+/* np.exp's and np.log's loops, set once by diffnb_bind */
+static struct loop exp_loop, log_loop;
+
+/* ``ufunc``'s NPY_DOUBLE -> NPY_DOUBLE loop, from its type table; 0, or -1 if it has none. */
 static int
-call_into(PyObject *fn, PyObject *in, PyObject *out)
+find_double_loop(PyObject *object, struct loop *found)
 {
-    PyObject *result = PyObject_CallFunctionObjArgs(fn, in, out, NULL);
-    if (result == NULL)
+    if (strcmp(Py_TYPE(object)->tp_name, "numpy.ufunc") != 0)
         return -1;
-    Py_DECREF(result);
+    const PyUFuncObject *ufunc = (const PyUFuncObject *)object;
+    if (ufunc->nin != 1 || ufunc->nout != 1 || ufunc->core_enabled || ufunc->functions == NULL
+        || ufunc->types == NULL)
+        return -1;
+    for (int i = 0; i < ufunc->ntypes; i++) {
+        if (ufunc->types[2 * i] == NPY_DOUBLE && ufunc->types[2 * i + 1] == NPY_DOUBLE) {
+            found->function = ufunc->functions[i];
+            found->data = ufunc->data == NULL ? NULL : ufunc->data[i];
+            return found->function == NULL ? -1 : 0;
+        }
+    }
+    return -1;
+}
+
+/* Bind np.exp's and np.log's float64 loops; 0, or 1 (nothing bound) if either has none.
+ *
+ * diffnb.native calls this once, with the ufunc objects, before any pass.
+ */
+int
+diffnb_bind(PyObject *exp_ufunc, PyObject *log_ufunc)
+{
+    struct loop exp_found, log_found;
+    if (find_double_loop(exp_ufunc, &exp_found) < 0 || find_double_loop(log_ufunc, &log_found) < 0)
+        return 1;
+    exp_loop = exp_found;
+    log_loop = log_found;
     return 0;
+}
+
+/* 0 if the loops are bound, else -1 with a RuntimeError set */
+static int
+check_bound(const char *function)
+{
+    if (exp_loop.function != NULL && log_loop.function != NULL)
+        return 0;
+    PyErr_Format(PyExc_RuntimeError, "%s: numpy's exp and log loops are not bound", function);
+    return -1;
+}
+
+/* ``loop`` over ``n`` doubles from ``in`` into ``out``, as a ufunc calls it on contiguous arrays.
+ *
+ * One call over the whole length, with unit strides. numpy's vector loops
+ * take a scalar path where the output overlaps the input, and some numpy
+ * versions also where it lies within a vector's width of it; a ufunc
+ * call's fresh output lies apart. So callers keep the two arrays
+ * SCRATCH_GAP doubles apart.
+ */
+static void
+call_loop(const struct loop *loop, const double *in, double *out, Py_ssize_t n)
+{
+    char *args[2] = {(char *)in, (char *)out};
+    npy_intp dimensions[1] = {n};
+    npy_intp steps[2] = {sizeof(double), sizeof(double)};
+    loop->function(args, dimensions, steps, loop->data);
+}
+
+/* doubles between two scratch arrays: 64 bytes, a vector loop's widest register */
+#define SCRATCH_GAP 8
+
+/* Scratch for ``count`` arrays of the lengths in ``n``, SCRATCH_GAP doubles apart; NULL with MemoryError set.
+ *
+ * Each array's start is stored in ``arrays``; free the first with PyMem_Free.
+ */
+static double *
+scratch(Py_ssize_t count, const Py_ssize_t *n, double **arrays)
+{
+    Py_ssize_t total = 0;
+    for (Py_ssize_t i = 0; i < count; i++)
+        total += n[i] + SCRATCH_GAP;
+    double *block = PyMem_Malloc(total * sizeof(double));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (Py_ssize_t i = 0, at = 0; i < count; at += n[i] + SCRATCH_GAP, i++)
+        arrays[i] = block + at;
+    return block;
+}
+
+/* The loop bound for ``which``, "exp" or "log"; NULL for another name */
+static const struct loop *
+named_loop(const char *which)
+{
+    return strcmp(which, "exp") == 0 ? &exp_loop : strcmp(which, "log") == 0 ? &log_loop : NULL;
+}
+
+/* Where the bound "exp" or "log" loop lives, as "library+0xoffset"; None if unbound.
+ *
+ * numpy's loops are not exported symbols, so the offset in numpy's
+ * library names the loop: each dispatch target's loop has its own.
+ */
+PyObject *
+diffnb_bound_loop(const char *which)
+{
+    const struct loop *loop = named_loop(which);
+    Dl_info info;
+    if (loop == NULL || loop->function == NULL)
+        Py_RETURN_NONE;
+    if (dladdr((void *)loop->function, &info) == 0 || info.dli_fname == NULL)
+        return PyUnicode_FromFormat("%p", (void *)loop->function);
+    const char *slash = strrchr(info.dli_fname, '/');
+    /* %p prints the offset in hex, with its 0x */
+    return PyUnicode_FromFormat("%s+%p", slash == NULL ? info.dli_fname : slash + 1,
+                                (void *)((char *)loop->function - (char *)info.dli_fbase));
+}
+
+/* The bound "exp" or "log" loop over a float64 array, into another of its length; 0, or -1 with the Python error set.
+ *
+ * The values pass through scratch as the passes' do, so the tests compare
+ * exactly what a pass computes with numpy's own call.
+ */
+int
+diffnb_apply(const char *which, PyObject *values_obj, PyObject *result_obj)
+{
+    static const struct buffer_spec specs[2] = {{"values", 0, 0}, {"result", 1, 0}};
+    PyObject *const objects[2] = {values_obj, result_obj};
+    const struct loop *loop = named_loop(which);
+    Py_buffer views[2];
+    Py_ssize_t len[2];
+    double *arrays[2], *block = NULL;
+    int status = -1;
+    if (loop == NULL) {
+        PyErr_Format(PyExc_ValueError, "apply: no loop named %s", which);
+        return -1;
+    }
+    if (check_bound("apply") < 0 || get_buffers("apply", objects, specs, 2, views, len) < 0)
+        return -1;
+    if (len[0] != len[1]) {
+        PyErr_SetString(PyExc_ValueError, "apply: array lengths disagree");
+        goto done;
+    }
+    if ((block = scratch(2, len, arrays)) == NULL)
+        goto done;
+    memcpy(arrays[0], views[0].buf, len[0] * sizeof(double));
+    call_loop(loop, arrays[0], arrays[1], len[0]);
+    memcpy(views[1].buf, arrays[1], len[1] * sizeof(double));
+    status = 0;
+
+done:
+    PyMem_Free(block);
+    release_buffers(views, 2);
+    return status;
+}
+
+/* A row's K log scores exponentiated into ``out`` as boosting._row_scores takes them.
+ *
+ * The row's max by '>', subtracted from every score when its magnitude
+ * reaches 690; numpy's exp over the K values; the floor at TINY.
+ * ``shifted`` is scratch for exp's input, SCRATCH_GAP doubles from ``out``.
+ */
+static void
+exp_row(const double *row, double *shifted, double *out, Py_ssize_t k)
+{
+    double top = row[0];
+    for (Py_ssize_t j = 1; j < k; j++)
+        if (row[j] > top)
+            top = row[j];
+    if (fabs(top) < SAFE_LOG)
+        memcpy(shifted, row, k * sizeof(double));
+    else
+        for (Py_ssize_t j = 0; j < k; j++)
+            shifted[j] = row[j] - top;
+    call_loop(&exp_loop, shifted, out, k);
+    for (Py_ssize_t j = 0; j < k; j++)
+        if (TINY > out[j])
+            out[j] = TINY;
 }
 
 /* One in-order pass over the rows; returns the miss count, or -1 with the Python error set.
@@ -113,41 +301,45 @@ call_into(PyObject *fn, PyObject *in, PyObject *out)
  * ``labels`` (n,) and ``cells`` the (n, M) flat cell indices. The rows in
  * cell c are ``members[starts[c]:starts[c + 1]]``, ascending: the index
  * that TrainState.start derives from the cells, and the numpy pass reads
- * too. ``patch``
- * holds n zeros and is left so; ``row_in`` and ``row_out`` hold K values,
- * ``cell_in`` and ``cell_out`` M. The caller checks that every cell index,
- * label and member is in range; this checks lengths, item types and
- * contiguity.
+ * too. ``patch`` holds n zeros and is left so. A miss runs exp on the
+ * row's K values and log on the boosted class's M weights, the lengths
+ * the numpy pass hands np.exp and np.log. The caller checks that every
+ * cell index, label and member is in range; this checks lengths, item
+ * types and contiguity.
  */
 Py_ssize_t
 diffnb_scan(PyObject *scores_obj, PyObject *weights_obj, PyObject *logw_obj,
             PyObject *labels_obj, PyObject *cells_obj, PyObject *starts_obj,
-            PyObject *members_obj, PyObject *patch_obj, PyObject *row_in_obj,
-            PyObject *row_out_obj, PyObject *cell_in_obj, PyObject *cell_out_obj,
-            PyObject *exp_fn, PyObject *log_fn, double alpha)
+            PyObject *members_obj, PyObject *patch_obj, Py_ssize_t k, Py_ssize_t m, double alpha)
 {
     PyObject *const objects[N_SCAN] = {
-        scores_obj, weights_obj, logw_obj, labels_obj, cells_obj, starts_obj,
-        members_obj, patch_obj, row_in_obj, row_out_obj, cell_in_obj, cell_out_obj,
+        scores_obj, weights_obj, logw_obj, labels_obj, cells_obj, starts_obj, members_obj, patch_obj,
     };
     Py_buffer views[N_SCAN];
     Py_ssize_t len[N_SCAN];
     Py_ssize_t misses = -1;
-    if (get_buffers("sweep", objects, scan_buffers, N_SCAN, views, len) < 0)
+    double *block = NULL;
+    if (k < 1 || m < 1) {
+        PyErr_SetString(PyExc_ValueError, "sweep: k and m must be >= 1");
         return -1;
-    const Py_ssize_t n = len[LABELS], k = len[ROW_IN], m = len[CELL_IN];
-    const Py_ssize_t c = k ? len[WEIGHTS] / k : 0;
+    }
+    if (check_bound("sweep") < 0 || get_buffers("sweep", objects, scan_buffers, N_SCAN, views, len) < 0)
+        return -1;
+    const Py_ssize_t n = len[LABELS], c = len[WEIGHTS] / k;
     const int64_t *starts = views[STARTS].buf;
-    if (k < 1 || len[SCORES] != n * k || len[CELLS] != n * m || len[WEIGHTS] != k * c
-        || len[LOGW] != k * c || len[STARTS] != c + 1 || len[PATCH] != n
-        || len[ROW_OUT] != k || len[CELL_OUT] != m || len[MEMBERS] != starts[c]) {
+    if (len[SCORES] != n * k || len[CELLS] != n * m || len[WEIGHTS] != k * c || len[LOGW] != k * c
+        || len[STARTS] != c + 1 || len[PATCH] != n || len[MEMBERS] != starts[c]) {
         PyErr_SetString(PyExc_ValueError, "sweep: array lengths disagree");
         goto done;
     }
+    /* exp's K values in and out, then log's M */
+    double *work[4];
+    if ((block = scratch(4, (const Py_ssize_t[]){k, k, m, m}, work)) == NULL)
+        goto done;
+    double *row_in = work[0], *row_out = work[1], *cell_in = work[2], *cell_out = work[3];
 
     double *scores = views[SCORES].buf, *weights = views[WEIGHTS].buf, *logw = views[LOGW].buf;
-    double *patch = views[PATCH].buf, *row_in = views[ROW_IN].buf, *row_out = views[ROW_OUT].buf;
-    double *cell_in = views[CELL_IN].buf, *cell_out = views[CELL_OUT].buf;
+    double *patch = views[PATCH].buf;
     const int64_t *labels = views[LABELS].buf, *cells = views[CELLS].buf;
     const int64_t *members = views[MEMBERS].buf;
 
@@ -162,21 +354,7 @@ diffnb_scan(PyObject *scores_obj, PyObject *weights_obj, PyObject *logw_obj,
             goto done;
         count++;
 
-        /* the row's scores: max by '>', shifted when it reaches 690, exp, floor */
-        double top = row[0];
-        for (Py_ssize_t j = 1; j < k; j++)
-            if (row[j] > top)
-                top = row[j];
-        if (fabs(top) < SAFE_LOG)
-            memcpy(row_in, row, k * sizeof(double));
-        else
-            for (Py_ssize_t j = 0; j < k; j++)
-                row_in[j] = row[j] - top;
-        if (call_into(exp_fn, row_in_obj, row_out_obj) < 0)
-            goto done;
-        for (Py_ssize_t j = 0; j < k; j++)
-            if (TINY > row_out[j])
-                row_out[j] = TINY;
+        exp_row(row, row_in, row_out, k);
 
         /* the winner's score, the row's largest, and the step */
         double best = row_out[0];
@@ -197,8 +375,7 @@ diffnb_scan(PyObject *scores_obj, PyObject *weights_obj, PyObject *logw_obj,
             class_weights[row_cells[j]] = boosted;
             cell_in[j] = boosted;
         }
-        if (call_into(log_fn, cell_in_obj, cell_out_obj) < 0)
-            goto done;
+        call_loop(&log_loop, cell_in, cell_out, m);
         for (Py_ssize_t j = 0; j < m; j++) {
             const int64_t cell = row_cells[j];
             const double amount = cell_out[j] - class_logw[cell];
@@ -217,6 +394,7 @@ diffnb_scan(PyObject *scores_obj, PyObject *weights_obj, PyObject *logw_obj,
     misses = count;
 
 done:
+    PyMem_Free(block);
     release_buffers(views, N_SCAN);
     return misses;
 }
@@ -356,6 +534,115 @@ static const struct buffer_spec log_score_buffers[N_LOG_SCORES] = {
     {"log_gated", 0, 0}, {"logw", 0, 0}, {"scores", 1, 0},
 };
 
+/* A model's scoring tables, read from their buffers, and a row's work space */
+struct scorer {
+    Py_ssize_t k, m, c;
+    const double *grid_lo, *grid_hi, *width, *top, *lo, *hi, *log_base, *log_gated, *logw;
+    const int64_t *offsets;
+    double *parts;   /* one row's K x M parts */
+    int64_t *cells;  /* its M flat cells */
+};
+
+/* Acquire the values and the tables, and the scores if ``count`` is N_LOG_SCORES; 0, or -1 with the Python error set.
+ *
+ * On success the buffers are held and ``scorer`` reads them, with work
+ * space the caller frees with PyMem_Free(scorer->parts); ``n`` is the
+ * number of rows.
+ */
+static int
+get_scorer(const char *function, PyObject *arrays, Py_ssize_t count, Py_ssize_t k, Py_ssize_t m,
+           Py_buffer *views, struct scorer *scorer, Py_ssize_t *n)
+{
+    Py_ssize_t len[N_LOG_SCORES];
+    if (!PyTuple_Check(arrays) || PyTuple_GET_SIZE(arrays) != count) {
+        PyErr_Format(PyExc_TypeError, "%s: arrays must be a tuple of %zd arrays", function, count);
+        return -1;
+    }
+    if (k < 1 || m < 1) {
+        PyErr_Format(PyExc_ValueError, "%s: k and m must be >= 1", function);
+        return -1;
+    }
+    if (get_buffers(function, PySequence_Fast_ITEMS(arrays), log_score_buffers, count, views, len) < 0)
+        return -1;
+    const Py_ssize_t rows = len[L_VALUES] / m, c = len[L_LOG_BASE] / k;
+    if (len[L_VALUES] != rows * m || len[L_GRID_LO] != m || len[L_GRID_HI] != m || len[L_WIDTH] != m
+        || len[L_TOP] != m || len[L_OFFSETS] != m || len[L_LOG_BASE] != k * c
+        || len[L_LOG_GATED] != k * c || len[L_WINDOW_LO] != k * c * m
+        || len[L_WINDOW_HI] != k * c * m || len[L_LOGW] != c * k
+        || (count > L_SCORES && len[L_SCORES] != rows * k)) {
+        PyErr_Format(PyExc_ValueError, "%s: array lengths disagree", function);
+        release_buffers(views, count);
+        return -1;
+    }
+    double *work = PyMem_Malloc((k * m + m) * sizeof(double));
+    if (work == NULL) {
+        PyErr_NoMemory();
+        release_buffers(views, count);
+        return -1;
+    }
+    *scorer = (struct scorer){
+        .k = k, .m = m, .c = c,
+        .grid_lo = views[L_GRID_LO].buf, .grid_hi = views[L_GRID_HI].buf,
+        .width = views[L_WIDTH].buf, .top = views[L_TOP].buf,
+        .lo = views[L_WINDOW_LO].buf, .hi = views[L_WINDOW_HI].buf,
+        .log_base = views[L_LOG_BASE].buf, .log_gated = views[L_LOG_GATED].buf,
+        .logw = views[L_LOGW].buf, .offsets = views[L_OFFSETS].buf,
+        .parts = work, .cells = (int64_t *)(work + k * m),
+    };
+    *n = rows;
+    return 0;
+}
+
+/* One row's K weighted log scores into ``out``; 0, 1 if a value is NaN, or -1 with the Python error set.
+ *
+ * This is density.likelihood_logs, the sum of its parts and
+ * boosting.weighted_log_scores, in their order of operations:
+ * - each value's bin as BinGrid.bins takes it: clamped into [lo, hi]
+ *   (numpy's clip, which may keep either zero where a value and a bound
+ *   are zeros of opposite signs; no bin changes), less lo, over the
+ *   width, held at top and truncated; plus its attribute's offset;
+ * - each class's M parts, chosen by the window check diffnb_score runs;
+ * - their sum as ``parts.sum(axis=2)`` takes it: 0.0 plus numpy's pairwise
+ *   sum of the M parts, which lie contiguous in the (K, n, M) parts;
+ * - the cells' log-weights summed from 0.0 one attribute after another,
+ *   as numpy sums the (n, M, K) gather over its middle axis, added last.
+ */
+static int
+score_row(const struct scorer *s, const double *row, double *out)
+{
+    const Py_ssize_t k = s->k, m = s->m, c = s->c;
+    for (Py_ssize_t j = 0; j < m; j++) {
+        const double v = row[j];
+        if (v != v)
+            return 1;
+        double clamped = v < s->grid_lo[j] ? s->grid_lo[j] : v;
+        clamped = clamped > s->grid_hi[j] ? s->grid_hi[j] : clamped;
+        double raw = (clamped - s->grid_lo[j]) / s->width[j];
+        raw = raw > s->top[j] ? s->top[j] : raw;
+        const int64_t cell = s->offsets[j] + (int64_t)raw;
+        if (cell < 0 || cell >= c) {
+            PyErr_SetString(PyExc_ValueError, "log scores: a cell index lies outside the tables");
+            return -1;
+        }
+        s->cells[j] = cell;
+    }
+    for (Py_ssize_t kk = 0; kk < k; kk++) {
+        double *class_parts = s->parts + kk * m;
+        for (Py_ssize_t j = 0; j < m; j++) {
+            const Py_ssize_t at = kk * c + s->cells[j];
+            class_parts[j] = outside_window(row, s->lo + at * m, s->hi + at * m, m) ? s->log_gated[at] : s->log_base[at];
+        }
+        out[kk] = 0.0 + pairwise_sum(class_parts, m);
+    }
+    for (Py_ssize_t kk = 0; kk < k; kk++) {
+        double weight = 0.0;
+        for (Py_ssize_t j = 0; j < m; j++)
+            weight += s->logw[s->cells[j] * k + kk];
+        out[kk] += weight;
+    }
+    return 0;
+}
+
 /* Weighted log scores of a value matrix; 0, 1 if a value is NaN, or -1 with the Python error set.
  *
  * ``arrays`` is a tuple of the 12 arrays this reads and writes, in the
@@ -369,103 +656,97 @@ static const struct buffer_spec log_score_buffers[N_LOG_SCORES] = {
  * - ``logw``, the model's cell-major (C, K) log-weights;
  * - ``scores``, the (n, K) result.
  *
- * Per row this is density.likelihood_logs, the sum of its parts and
- * boosting.weighted_log_scores, in their order of operations:
- * - each value's bin as BinGrid.bins takes it: clamped into [lo, hi]
- *   (numpy's clip, which may keep either zero where a value and a bound
- *   are zeros of opposite signs; no bin changes), less lo, over the
- *   width, held at top and truncated; plus its attribute's offset;
- * - each class's M parts, chosen by the window check diffnb_score runs;
- * - their sum as ``parts.sum(axis=2)`` takes it: 0.0 plus numpy's pairwise
- *   sum of the M parts, which lie contiguous in the (K, n, M) parts;
- * - the cells' log-weights summed from 0.0 one attribute after another,
- *   as numpy sums the (n, M, K) gather over its middle axis, added last.
- *
- * A NaN value has no bin: the call stops and returns 1, and the caller
- * takes the rows through BinGrid.bins, which refuses the value by name.
- * Lengths, item types, contiguity and every cell index are checked.
+ * Each row is scored by score_row. A NaN value has no bin: the call stops
+ * and returns 1, and the caller takes the rows through BinGrid.bins,
+ * which refuses the value by name. Lengths, item types, contiguity and
+ * every cell index are checked.
  */
 int
 diffnb_log_scores(PyObject *arrays, Py_ssize_t k, Py_ssize_t m)
 {
     Py_buffer views[N_LOG_SCORES];
-    Py_ssize_t len[N_LOG_SCORES];
-    int status = -1;
-    double *work = NULL;
-    if (!PyTuple_Check(arrays) || PyTuple_GET_SIZE(arrays) != N_LOG_SCORES) {
-        PyErr_Format(PyExc_TypeError, "log scores: arrays must be a tuple of %d arrays", N_LOG_SCORES);
+    struct scorer scorer;
+    Py_ssize_t n;
+    int status = 0;
+    if (get_scorer("log scores", arrays, N_LOG_SCORES, k, m, views, &scorer, &n) < 0)
         return -1;
-    }
-    if (k < 1 || m < 1) {
-        PyErr_SetString(PyExc_ValueError, "log scores: k and m must be >= 1");
-        return -1;
-    }
-    if (get_buffers("log scores", PySequence_Fast_ITEMS(arrays), log_score_buffers, N_LOG_SCORES,
-                    views, len) < 0)
-        return -1;
-    const Py_ssize_t n = len[L_VALUES] / m, c = len[L_LOG_BASE] / k;
-    if (len[L_VALUES] != n * m || len[L_GRID_LO] != m || len[L_GRID_HI] != m || len[L_WIDTH] != m
-        || len[L_TOP] != m || len[L_OFFSETS] != m || len[L_LOG_BASE] != k * c
-        || len[L_LOG_GATED] != k * c || len[L_WINDOW_LO] != k * c * m
-        || len[L_WINDOW_HI] != k * c * m || len[L_LOGW] != c * k || len[L_SCORES] != n * k) {
-        PyErr_SetString(PyExc_ValueError, "log scores: array lengths disagree");
-        goto done;
-    }
-    /* one row's K x M parts, then its M cells */
-    work = PyMem_Malloc((k * m + m) * sizeof(double));
-    if (work == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    double *parts = work;
-    int64_t *cells = (int64_t *)(work + k * m);
-
-    const double *values = views[L_VALUES].buf, *grid_lo = views[L_GRID_LO].buf;
-    const double *grid_hi = views[L_GRID_HI].buf, *width = views[L_WIDTH].buf, *top = views[L_TOP].buf;
-    const int64_t *offsets = views[L_OFFSETS].buf;
-    const double *lo = views[L_WINDOW_LO].buf, *hi = views[L_WINDOW_HI].buf;
-    const double *log_base = views[L_LOG_BASE].buf, *log_gated = views[L_LOG_GATED].buf;
-    const double *logw = views[L_LOGW].buf;
+    const double *values = views[L_VALUES].buf;
     double *scores = views[L_SCORES].buf;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        const double *row = values + i * m;
-        for (Py_ssize_t j = 0; j < m; j++) {
-            const double v = row[j];
-            if (v != v) {
-                status = 1;
-                goto done;
-            }
-            double clamped = v < grid_lo[j] ? grid_lo[j] : v;
-            clamped = clamped > grid_hi[j] ? grid_hi[j] : clamped;
-            double raw = (clamped - grid_lo[j]) / width[j];
-            raw = raw > top[j] ? top[j] : raw;
-            const int64_t cell = offsets[j] + (int64_t)raw;
-            if (cell < 0 || cell >= c) {
-                PyErr_SetString(PyExc_ValueError, "log scores: a cell index lies outside the tables");
-                goto done;
-            }
-            cells[j] = cell;
-        }
-        double *out = scores + i * k;
-        for (Py_ssize_t kk = 0; kk < k; kk++) {
-            double *class_parts = parts + kk * m;
-            for (Py_ssize_t j = 0; j < m; j++) {
-                const Py_ssize_t at = kk * c + cells[j];
-                class_parts[j] = outside_window(row, lo + at * m, hi + at * m, m) ? log_gated[at] : log_base[at];
-            }
-            out[kk] = 0.0 + pairwise_sum(class_parts, m);
-        }
-        for (Py_ssize_t kk = 0; kk < k; kk++) {
-            double weight = 0.0;
-            for (Py_ssize_t j = 0; j < m; j++)
-                weight += logw[cells[j] * k + kk];
-            out[kk] += weight;
-        }
-    }
-    status = 0;
-
-done:
-    PyMem_Free(work);
+    for (Py_ssize_t i = 0; i < n && status == 0; i++)
+        status = score_row(&scorer, values + i * m, scores + i * k);
+    PyMem_Free(scorer.parts);
     release_buffers(views, N_LOG_SCORES);
     return status;
+}
+
+/* One row's posterior, as inference.posterior's numpy chain gives it; a new reference, or NULL with the Python error set.
+ *
+ * ``arrays`` is diffnb_log_scores' tuple without ``scores``, its values
+ * one row. Returns (probabilities, winner, tie): a tuple of K floats, an
+ * int and a bool. The row's log scores are score_row's; then, as
+ * boosting.scores_from_logs and winner_of take one row:
+ * - the scores exp_row takes them to, as the sweep does;
+ * - their sum as a 1-D ``sum`` takes it, 0.0 plus the pairwise sum, and
+ *   each score over the sum;
+ * - the winner, the first of equal maximal log scores, and whether
+ *   another equals it.
+ * Returns None where the numpy chain must decide: a NaN value, which
+ * BinGrid.bins refuses by name, or a log score that is not finite, whose
+ * warnings and NaN rules numpy's calls keep.
+ */
+PyObject *
+diffnb_posterior(PyObject *arrays, Py_ssize_t k, Py_ssize_t m)
+{
+    Py_buffer views[N_LOG_SCORES];
+    struct scorer scorer;
+    Py_ssize_t n;
+    PyObject *result = NULL;
+    double *block = NULL;
+    if (check_bound("posterior") < 0 || get_scorer("posterior", arrays, L_SCORES, k, m, views, &scorer, &n) < 0)
+        return NULL;
+    /* the log scores, exp's K values in, and out */
+    double *work[3];
+    if (n != 1) {
+        PyErr_SetString(PyExc_ValueError, "posterior: values must hold one row");
+        goto done;
+    }
+    if ((block = scratch(3, (const Py_ssize_t[]){k, k, k}, work)) == NULL)
+        goto done;
+    double *logs = work[0], *shifted = work[1], *scores = work[2];
+    const int status = score_row(&scorer, views[L_VALUES].buf, logs);
+    if (status < 0)
+        goto done;
+    int finite = status == 0;
+    for (Py_ssize_t j = 0; j < k; j++)
+        finite = finite && isfinite(logs[j]);
+    if (!finite) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+
+    const Py_ssize_t winner = argmax(logs, k);
+    int ties = 0;
+    for (Py_ssize_t j = 0; j < k; j++)
+        ties += logs[j] == logs[winner];
+    exp_row(logs, shifted, scores, k);
+    const double total = 0.0 + pairwise_sum(scores, k);
+
+    PyObject *probabilities = PyTuple_New(k);
+    if (probabilities == NULL)
+        goto done;
+    for (Py_ssize_t j = 0; j < k; j++) {
+        PyObject *p = PyFloat_FromDouble(scores[j] / total);
+        if (p == NULL) {
+            Py_DECREF(probabilities);
+            goto done;
+        }
+        PyTuple_SET_ITEM(probabilities, j, p);
+    }
+    result = Py_BuildValue("(NnN)", probabilities, winner, PyBool_FromLong(ties > 1));
+
+done:
+    PyMem_Free(block);
+    PyMem_Free(scorer.parts);
+    release_buffers(views, L_SCORES);
+    return result;
 }

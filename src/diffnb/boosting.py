@@ -21,10 +21,14 @@ row from a higher-indexed one.
 The pass runs as one compiled loop, in ``_native.c``, wherever
 :mod:`diffnb.native` can build and load it, and as the numpy pass
 (``TrainState._scan_numpy``) on any host where it cannot. Both give the
-same bytes. The loop calls numpy's own ``np.exp`` and ``np.log`` ufuncs
-on contiguous arrays of the row's K scores and the boosted class's M
-weights, the lengths the numpy pass hands them, so every transcendental
-bit comes from the same dispatched numpy loop. Every other step is one
+same bytes. The loop's ``exp`` and ``log`` are numpy's own float64 inner
+loops, the ones ``np.exp`` and ``np.log`` dispatch to on this CPU, which
+:mod:`diffnb.native` binds once and the loop calls by pointer, with no
+Python call. It runs them on contiguous arrays of the row's K scores and
+the boosted class's M weights, the lengths and unit strides the numpy
+pass hands the ufuncs, so every transcendental bit is the numpy pass's.
+A diffnb-owned ``exp`` and ``log`` would replace exactly those two
+pointers, and the numpy pass's two ufunc calls. Every other step is one
 IEEE operation in the same order, compiled with ``-ffp-contract=off`` so
 that no multiply-add is fused: the next-miss test, numpy's argmax with
 the first of equal maxima winning; the row's max, the 690 shift and the
@@ -415,11 +419,10 @@ class TrainState:
         """What the compiled loop reads besides scores, weights and logw, built for the first pass.
 
         Labels and cells as C-contiguous int64; the state's ``starts`` and
-        ``members``; a zeroed length-n patch; and the arrays of K and M
-        values that exp and log read and write. The loop indexes with
+        ``members``; and a zeroed length-n patch. The loop indexes with
         labels, cells and members unchecked, so they are checked here.
         """
-        n, m = self.cells.shape
+        n = len(self.cells)
         k = len(self.weights)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         cells = np.ascontiguousarray(self.cells, dtype=np.int64)
@@ -427,18 +430,16 @@ class TrainState:
         for name, indices, bound in bounds:
             if indices.size and not (indices.min() >= 0 and indices.max() < bound):
                 raise ValueError(f"training state: a {name} index lies outside [0, {bound})")
-        scratch = (np.zeros(n), np.empty(k), np.empty(k), np.empty(m), np.empty(m))
-        return labels, cells, self.starts, self.members, *scratch
+        return labels, cells, self.starts, self.members, np.zeros(n)
 
-    def _scan_compiled(self, exp=np.exp, log=np.log) -> int:
-        """The in-order pass as one compiled loop, calling ``exp`` and ``log`` as the numpy pass does.
+    def _scan_compiled(self) -> int:
+        """The in-order pass as one compiled loop, with numpy's own exp and log loops.
 
-        ``exp`` and ``log`` are called as ``f(in, out)`` on arrays of the
-        row's K values and the boosted class's M values. An exception
-        they raise, or a signal handler's between two misses (Ctrl-C's
-        KeyboardInterrupt), stops the pass and propagates.
+        A signal handler's exception between two misses (Ctrl-C's
+        KeyboardInterrupt) stops the pass and propagates.
         """
-        return _SWEEP(self.scores, self.weights, self.logw, *self._sweep_arrays, exp, log, self.config.alpha)
+        k, m = len(self.weights), self.cells.shape[1]
+        return _SWEEP(self.scores, self.weights, self.logw, *self._sweep_arrays, k, m, self.config.alpha)
 
     def _scan_numpy(self) -> int:
         """The in-order pass in numpy, for hosts without the compiled loop.

@@ -21,6 +21,16 @@ library does not load and for any batch holding a NaN, so that
 parts are summed in numpy's pairwise order, as ``pairwise_sum`` in
 ``_native.c`` writes it down; the tests compare both paths on widths
 that reach each of its branches.
+
+:func:`posterior` is one compiled call too (``diffnb_posterior``): the
+row's log scores as above, then the max and the 690 shift, ``exp``, the
+``_TINY`` floor, the sum in a 1-D ``sum``'s order, the division, the
+winner and the tie. Its ``exp`` is numpy's own float64 loop, which the
+library calls by pointer (see :mod:`diffnb.native`), so the
+probabilities are the numpy chain's bits. A NaN value and a row with a
+log score that is not finite go through the numpy chain, which keeps
+its message and its warnings, as does every row where the library does
+not load.
 """
 
 from dataclasses import dataclass
@@ -33,8 +43,9 @@ from .boosting import Model, scores_from_logs, weighted_log_scores, winner_of, w
 from .dataset import SchemaError
 from .density import likelihood_logs
 
-# the compiled scoring pass, or None where the library cannot be built or loaded
+# the compiled scoring and posterior passes, or None where the library cannot be built or loaded
 _LOG_SCORES = None if native.load() is None else native.load().diffnb_log_scores
+_POSTERIOR = None if native.load() is None else native.load().diffnb_posterior
 
 
 @dataclass(frozen=True)
@@ -76,11 +87,18 @@ def batch_log_scores(model: Model, values: np.ndarray) -> np.ndarray:
 def posterior(model: Model, values: Sequence[float]) -> Posterior:
     """Normalized posterior over classes; ties go to the lowest class index.
 
-    The row is scored by :func:`batch_log_scores` as a batch of one, so a
-    posterior agrees with :func:`predict_batch` bit for bit; the first
-    call on a model builds its scoring tables, later calls only read them.
+    The row is scored as :func:`batch_log_scores` scores a batch of one,
+    so a posterior agrees with :func:`predict_batch` bit for bit; the
+    first call on a model builds its scoring tables, later calls only
+    read them.
     """
-    logs = batch_log_scores(model, _as_rows(model, values))[0]
+    rows = _as_rows(model, values)
+    if _POSTERIOR is not None:
+        done = _POSTERIOR((rows, *model.scoring_arrays), model.schema.n_classes, rows.shape[1])
+        if done is not None:
+            return Posterior(*done)
+    # the numpy chain: no library, a NaN value or a log score that is not finite
+    logs = batch_log_scores(model, rows)[0]
     scores = scores_from_logs(logs)
     probs = scores / scores.sum()
     winner, tie = winner_of(logs)

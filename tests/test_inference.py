@@ -48,7 +48,8 @@ from conftest import (
 @contextmanager
 def numpy_scoring():
     """Score as a host without the compiled library does: the numpy chain and its numpy window check."""
-    with mock.patch.object(inference, "_LOG_SCORES", None), mock.patch.object(density_module, "_SCORE", None):
+    with mock.patch.multiple(inference, _LOG_SCORES=None, _POSTERIOR=None), \
+            mock.patch.object(density_module, "_SCORE", None):
         yield
 
 
@@ -390,6 +391,55 @@ class TestCompiledScores:
         for offset in (-3, 9):
             with pytest.raises(ValueError, match="cell index lies outside"):
                 score(offsets=np.full(3, offset, dtype=np.int64))
+
+
+@pytest.mark.skipif(inference._POSTERIOR is None, reason="the compiled library is not loaded")
+class TestCompiledPosterior:
+    """The compiled posterior pass: rows it leaves to the numpy chain, and the arguments it refuses."""
+
+    def model_with_weight(self, weight):
+        """The xor model with class 0's weight of the cell of value 0.0 in attribute 0 set to ``weight``."""
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        weights = model.weights.copy()
+        weights[0, 0, 0] = weight
+        model = dataclasses.replace(model, weights=weights)
+        with np.errstate(divide="ignore"):
+            model.log_weights
+        return model
+
+    def test_a_log_score_that_is_not_finite_takes_the_numpy_chain(self):
+        # a zero weight gives class 0 a log score of -inf, which exp takes
+        # to 0 and the floor to _TINY; an infinite one gives +inf, and the
+        # shift inf - inf warns as numpy's subtraction does
+        row = (0.0, 0.0)
+        zero = self.model_with_weight(0.0)
+        arrays = (inference._as_rows(zero, row), *zero.scoring_arrays)
+        assert inference._POSTERIOR(arrays, 2, 2) is None
+        results = {}
+        for path, select in PATHS.items():
+            with select():
+                results[path] = repr(posterior(zero, row))
+        assert len(set(results.values())) == 1
+        assert posterior(zero, row).winner == 1
+        infinite = self.model_with_weight(np.inf)
+        for select in PATHS.values():
+            with select(), pytest.warns(RuntimeWarning, match="invalid value"):
+                posterior(infinite, row)
+
+    def test_arguments_of_another_type_or_length_are_refused(self, xor_model):
+        arrays = xor_model.scoring_arrays
+        one = np.zeros((1, 2))
+        assert inference._POSTERIOR((one, *arrays), 2, 2) == dataclasses.astuple(posterior(xor_model, (0.0, 0.0)))
+        with pytest.raises(TypeError, match="a tuple of 11 arrays"):
+            inference._POSTERIOR((one, *arrays, np.empty((1, 2))), 2, 2)
+        with pytest.raises(TypeError, match="values must hold float64"):
+            inference._POSTERIOR((one.astype(np.float32), *arrays), 2, 2)
+        with pytest.raises(ValueError, match="one row"):
+            inference._POSTERIOR((np.zeros((2, 2)), *arrays), 2, 2)
+        with pytest.raises(ValueError, match="lengths disagree"):
+            inference._POSTERIOR((one, *arrays), 3, 2)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            inference._POSTERIOR((one, *arrays), 2, 0)
 
 
 class TestNanIsRefused:

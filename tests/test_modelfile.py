@@ -120,6 +120,87 @@ class TestRoundTrip:
             target[0] = target[1]
 
 
+def reference_document(model) -> dict:
+    """The model file's document as nested Python values, built cell by cell: the writer's oracle."""
+    k_n, m_n = model.schema.n_classes, model.schema.n_attributes
+    density, topology = model.density, model.topology
+
+    def cells(array, kind):
+        return [[[kind(v) for v in array[k, m, : topology[m]]] for m in range(m_n)] for k in range(k_n)]
+
+    def tags(k, m, b):
+        if density.counts[k, m, b] <= 0:
+            return None
+        return [None if j == m else [float(density.window_lo[k, m, b, j]), float(density.window_hi[k, m, b, j])]
+                for j in range(m_n)]
+
+    tokens = model.schema.class_tokens or model.schema.classes
+    attributes = [dict({"name": a.name, "kind": a.kind}, **({} if a.values is None else {"values": list(a.values)}))
+                  for a in model.schema.attributes]
+    return {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "schema": {"classes": [{"label": c, "token": t} for c, t in zip(model.schema.classes, tokens)],
+                   "attributes": attributes},
+        "topology": list(topology),
+        "n_train": density.n_train,
+        "bin_specs": [{"lo": s.lo, "hi": s.hi, "count": s.count} for s in density.bin_specs],
+        "counts": cells(density.counts, int),
+        "tags": [[[tags(k, m, b) for b in range(topology[m])] for m in range(m_n)] for k in range(k_n)],
+        "weights": cells(model.weights, float),
+        "config": {"alpha": model.config.alpha, "max_rounds": model.config.max_rounds,
+                   "tag_gain": model.config.tag_gain, "epsilon_floor": model.config.epsilon_floor},
+        "trace": {"miss_counts": list(model.trace.miss_counts)},
+    }
+
+
+class TestWriter:
+    """model_to_json writes json.dumps(doc, indent=1)'s bytes, without json's pure-Python encoder."""
+
+    def test_fitted_models_byte_for_byte(self):
+        from diffnb.monks import MONKS_BINS, generate_monks
+
+        texts = []
+        for problem in (1, 2, 3):
+            model, _ = train(generate_monks(problem)[0], TrainConfig(topology=MONKS_BINS, max_rounds=20))
+            texts.append(model_to_json(model))
+            assert texts[-1] == json.dumps(reference_document(model), indent=1)
+        model, _ = train(xor_dataset(), TrainConfig(topology=(2, 5)))
+        texts.append(model_to_json(model))
+        assert texts[-1] == json.dumps(reference_document(model), indent=1)
+        assert all("null" in text for text in texts)  # empty cells
+
+    def test_infinite_window_bounds(self):
+        import dataclasses
+
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        lo, hi = model.density.window_lo.copy(), model.density.window_hi.copy()
+        lo[0, 0, 0, 1], hi[1, 1, 1, 0] = -np.inf, np.inf
+        density = dataclasses.replace(model.density, window_lo=lo, window_hi=hi)
+        model = dataclasses.replace(model, density=density)
+        text = model_to_json(model)
+        assert text == json.dumps(reference_document(model), indent=1)
+        assert "-Infinity" in text and "\n      Infinity" in text
+        assert_models_equal(model, model_from_json(text))
+
+    @given(small_problems(max_n=12, max_attrs=3))
+    def test_any_trained_model_byte_for_byte(self, problem):
+        data, topology = problem
+        model, _ = train(data, TrainConfig(max_rounds=3, topology=topology))
+        assert model_to_json(model) == json.dumps(reference_document(model), indent=1)
+
+    def test_awkward_values(self):
+        import dataclasses
+
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        weights = model.weights.copy()
+        weights[0, 0, 0] = np.nextafter(1.0, 2.0)
+        weights[1, 1, 1] = 1e300
+        weights[1, 0, 1] = 5e-324
+        tweaked = dataclasses.replace(model, weights=weights)
+        assert model_to_json(tweaked) == json.dumps(reference_document(tweaked), indent=1)
+
+
 class TestSaveIsWholeOrNothing:
     """A save that fails partway leaves the old model file as it was, and no temporary file."""
 

@@ -9,10 +9,15 @@ import textwrap
 import time
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from diffnb import native
+from diffnb import boosting, density, inference, native
+from diffnb.boosting import TrainConfig, train
+from diffnb.dataset import AttributeSpec, Dataset, Schema
+from diffnb.monks import MONKS_BINS, generate_monks
 
 from conftest import child_env
 
@@ -30,7 +35,8 @@ CLI_SCRIPT = textwrap.dedent(
     import sys
     from diffnb import boosting, density, inference
     from diffnb.cli import main
-    loaded = {boosting._SWEEP is not None, density._SCORE is not None, inference._LOG_SCORES is not None}
+    loaded = {boosting._SWEEP is not None, density._SCORE is not None, inference._LOG_SCORES is not None,
+              inference._POSTERIOR is not None}
     print({frozenset([True]): "compiled", frozenset([False]): "numpy"}.get(frozenset(loaded), "mixed"), flush=True)
     for argv in json.loads(sys.argv[1]):
         print("exit", main(argv), flush=True)
@@ -69,19 +75,27 @@ def monks2_commands() -> list[list[str]]:
     ]
 
 
-def wide_commands(work: Path) -> list[list[str]]:
-    """Train, evaluate and predict a generated table of 12 attributes and 3 classes, into ``wide.model.json``.
+WIDE_M, WIDE_K = 12, 3
+
+
+def wide_table() -> tuple[np.ndarray, np.ndarray]:
+    """A generated table of 12 attributes and 3 classes: 500 rows of values and their labels, the same every time.
 
     Scoring sums each class's M likelihood parts in numpy's pairwise order,
     which runs eight running sums from M = 8: monks' 6 attributes never
-    reach it. The table is written into ``work``, the same every time.
+    reach it.
     """
-    m, k = 12, 3
     rng = np.random.default_rng(12)
-    values = rng.normal(size=(500, m)) * 10.0 ** rng.integers(-2, 3, size=m)
-    labels = np.argmax(values @ rng.normal(size=(m, k)) + rng.normal(size=(500, k)), axis=1)
-    schema = {"classes": [f"c{c}" for c in range(k)],
-              "attributes": [{"name": f"x{j}", "kind": "continuous"} for j in range(m)]}
+    values = rng.normal(size=(500, WIDE_M)) * 10.0 ** rng.integers(-2, 3, size=WIDE_M)
+    labels = np.argmax(values @ rng.normal(size=(WIDE_M, WIDE_K)) + rng.normal(size=(500, WIDE_K)), axis=1)
+    return values, labels
+
+
+def wide_commands(work: Path) -> list[list[str]]:
+    """Train, evaluate and predict :func:`wide_table`, into ``wide.model.json``; its files are written into ``work``."""
+    values, labels = wide_table()
+    schema = {"classes": [f"c{c}" for c in range(WIDE_K)],
+              "attributes": [{"name": f"x{j}", "kind": "continuous"} for j in range(WIDE_M)]}
     (work / "wide.schema.json").write_text(json.dumps(schema))
     for name, rows in (("wide.train", slice(0, 300)), ("wide.test", slice(300, 500))):
         lines = [" ".join(map(repr, row)) + f" c{c}" for row, c in zip(values[rows].tolist(), labels[rows])]
@@ -90,7 +104,7 @@ def wide_commands(work: Path) -> list[list[str]]:
         ["train", "--data", "wide.train", "--schema", "wide.schema.json", "--bins", "5",
          "--max-rounds", "20", "--out", "wide.model.json"],
         ["evaluate", "--model", "wide.model.json", "--data", "wide.test"],
-        ["predict", "--model", "wide.model.json", "--data", "wide.test", "--ignore-cols", str(m)],
+        ["predict", "--model", "wide.model.json", "--data", "wide.test", "--ignore-cols", str(WIDE_M)],
     ]
 
 
@@ -156,6 +170,37 @@ class TestCache:
         source = native.SOURCE.read_bytes()
         assert native.library_path(source) != native.library_path(source + b"\n")
         assert native.library_path(source).name.endswith(native._EXT_SUFFIX)
+
+    def test_the_key_follows_numpy(self, monkeypatch):
+        # the library reads numpy's structs and binds its loops: another
+        # numpy, or the same version's headers elsewhere, builds its own copy
+        source = native.SOURCE.read_bytes()
+        names = {native.library_path(source).name}
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        names.add(native.library_path(source).name)
+        include = np.get_include()
+        monkeypatch.setattr(np, "get_include", lambda: include + "/elsewhere")
+        names.add(native.library_path(source).name)
+        assert len(names) == 3
+
+    def test_missing_numpy_headers_start_no_compiler_and_print_nothing(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(np, "get_include", lambda: str(tmp_path / "no-headers"))
+        started = []
+        monkeypatch.setattr(subprocess, "run", lambda *a, **kw: started.append(a))
+        with pytest.raises(OSError, match="numpy's C headers are missing"):
+            native.build(native.library_path(native.SOURCE.read_bytes()))
+        assert native.load.__wrapped__() is None
+        assert started == []
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.skipif(native.load() is None, reason="the compiled library is not loaded")
+    def test_a_ufunc_without_a_float64_loop_leaves_the_library_unloaded(self, monkeypatch):
+        # the bind fails and keeps the loops bound before: this process's passes still run
+        monkeypatch.setattr(np, "exp", np.logical_not)
+        assert native.load.__wrapped__() is None
+        monkeypatch.undo()
+        assert native.load.__wrapped__() is not None
 
     def test_cache_dir(self, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", "/var/cache/someone")
@@ -228,3 +273,104 @@ class TestPrune:
         age(base, native.STALE_AFTER + 60)
         native.build(native.library_path(source + b"\n\n\n"))
         assert base.name not in library_names(cache) and head.name in library_names(cache)
+
+
+def trained_tables():
+    """monks-2 and the wide table, each trained as its CLI commands train it, with its test rows."""
+    monks_train, monks_test = generate_monks(2)
+    monks, _ = train(monks_train, TrainConfig(topology=MONKS_BINS, max_rounds=500))
+    values, labels = wide_table()
+    schema = Schema(tuple(AttributeSpec(f"x{j}", "continuous") for j in range(WIDE_M)),
+                    tuple(f"c{c}" for c in range(WIDE_K)))
+    rows = list(zip(map(tuple, values[:300].tolist()), labels[:300].tolist()))
+    wide, _ = train(Dataset.build(schema, rows), TrainConfig(topology=5, max_rounds=20))
+    return {"monks-2": (monks, monks_test.value_matrix()), "wide": (wide, values[300:])}
+
+
+def posterior_reprs(model, rows: np.ndarray) -> list[str]:
+    """The repr of every probability, winner and tie of each row's posterior, then of the batch's."""
+    out = [repr(inference.posterior(model, row)) for row in rows.tolist()]
+    probabilities, winners = inference.posterior_batch(model, rows)
+    out += [repr(p) for p in probabilities.ravel().tolist()] + [repr(w) for w in winners.tolist()]
+    return out
+
+
+# a pool of inputs for exp and log: signed zeros, subnormals, the 690 shift
+# threshold and one ulp either side, values exp takes below _TINY (from
+# -708.4) and to 0 (past -745.2), and values of many magnitudes
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310, 1.0, -1.0]
+for edge in (690.0, -690.0, 708.0, -708.0, -708.4, -708.5, -709.0, -720.0, -745.1, -745.2, -746.0, 709.78):
+    EDGES += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+POOL = np.array(EDGES + (np.random.default_rng(5).normal(size=300) * 10.0 ** np.repeat(np.arange(-6, 4), 30)).tolist())
+
+
+@pytest.mark.skipif(inference._POSTERIOR is None, reason="the compiled library is not loaded")
+class TestNumpyLoops:
+    """The passes' exp and log are numpy's: the same bits as np.exp, np.log and the numpy chain."""
+
+    def test_the_direct_loops_equal_numpy_on_every_length_to_64(self):
+        library = native.load()
+        # log's pool keeps the signed zeros and makes every other value positive
+        for name, ufunc, pool in ((b"exp", np.exp, POOL), (b"log", np.log, np.where(POOL == 0.0, POOL, np.abs(POOL)))):
+            for n in range(1, 65):
+                for start in range(0, len(pool) - n, 7):
+                    values = pool[start:start + n].copy()
+                    got = np.empty(n)
+                    assert library.diffnb_apply(name, values, got) == 0
+                    with np.errstate(all="ignore"):
+                        want = ufunc(values)
+                    assert got.tobytes() == want.tobytes(), (name, n, start)
+        # the pool reaches the edges named
+        with np.errstate(all="ignore"):
+            below = np.exp(POOL)
+        assert np.any((below > 0.0) & (below < boosting._TINY)) and np.any(below == 0.0)
+        assert np.count_nonzero(POOL == 0.0) == 2 and np.any(np.abs(POOL) == 690.0)
+
+    def test_refused_arguments(self):
+        library = native.load()
+        with pytest.raises(ValueError, match="no loop named"):
+            library.diffnb_apply(b"sin", np.zeros(2), np.empty(2))
+        with pytest.raises(ValueError, match="lengths disagree"):
+            library.diffnb_apply(b"exp", np.zeros(2), np.empty(3))
+        with pytest.raises(TypeError, match="result must hold float64"):
+            library.diffnb_apply(b"exp", np.zeros(2), np.empty(2, dtype=np.float32))
+
+    def test_posteriors_equal_the_numpy_chain_on_both_tables(self):
+        for name, (model, rows) in trained_tables().items():
+            compiled = posterior_reprs(model, rows)
+            with mock.patch.multiple(inference, _LOG_SCORES=None, _POSTERIOR=None), \
+                    mock.patch.object(density, "_SCORE", None):
+                chain = posterior_reprs(model, rows)
+            assert compiled == chain, name
+            assert len(compiled) == len(rows) * (model.schema.n_classes + 2)
+
+    def test_each_pass_names_the_loop_it_bound(self):
+        library = native.load()
+        for name in (b"exp", b"log"):
+            where = library.diffnb_bound_loop(name)
+            assert "_multiarray_umath" in where, where
+        assert library.diffnb_bound_loop(b"sin") is None
+
+
+@pytest.mark.skipif(inference._POSTERIOR is None, reason="the compiled library is not loaded")
+@pytest.mark.skipif(
+    not np._core._multiarray_umath.__cpu_features__.get("AVX512F", False) if hasattr(np, "_core") else True,
+    reason="the reduced dispatch differs from the default only where the CPU has AVX512F",
+)
+def test_numpy_loops_under_reduced_dispatch():
+    """TestNumpyLoops again in a child whose numpy dispatches as a CPU without AVX-512 would."""
+    env = dict(child_env(), NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    # the float64 exp loop numpy dispatches to, by target name: X86_V4 by default here
+    probe = "import numpy._core._multiarray_umath as u; print(u.__cpu_targets_info__['exp']['dd']['current'])"
+    targets = []
+    for environment in (child_env(), env):
+        child = subprocess.run([sys.executable, "-c", probe], env=environment, capture_output=True, text=True, timeout=60)
+        targets.append(child.stdout.strip())
+    if len(set(targets)) == 1:
+        pytest.skip(f"NPY_DISABLE_CPU_FEATURES did not change exp's loop: {targets}")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::TestNumpyLoops"],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert "4 passed" in child.stdout, child.stdout
