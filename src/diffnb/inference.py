@@ -61,7 +61,7 @@ def _as_rows(model: Model, values: Sequence[float]) -> np.ndarray:
     m = model.schema.n_attributes
     if len(values) != m:
         raise SchemaError(f"example has {len(values)} values, model expects {m}")
-    return np.asarray(values, dtype=np.float64).reshape(1, m)
+    return np.ascontiguousarray(values, dtype=np.float64).reshape(1, m)
 
 
 def batch_log_scores(model: Model, values: np.ndarray) -> np.ndarray:

@@ -426,6 +426,19 @@ class TestCompiledPosterior:
             with select(), pytest.warns(RuntimeWarning, match="invalid value"):
                 posterior(infinite, row)
 
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_a_row_that_is_not_contiguous_gives_its_copy_s_posterior(self, path):
+        # a row of a Fortran-ordered matrix and a strided slice are float64
+        # views with gaps between their values
+        model, queries = edge_model(3, 9, 3)
+        wide = np.repeat(queries, 2, axis=1)
+        with PATHS[path]():
+            for i, row in enumerate(queries):
+                expected = repr(posterior(model, row.copy()))
+                assert repr(posterior(model, np.asfortranarray(queries)[i])) == expected
+                assert repr(posterior(model, wide[i, ::2])) == expected
+                assert repr(posterior(model, tuple(row.tolist()))) == expected
+
     def test_arguments_of_another_type_or_length_are_refused(self, xor_model):
         arrays = xor_model.scoring_arrays
         one = np.zeros((1, 2))
