@@ -30,7 +30,8 @@ library calls by pointer (see :mod:`diffnb.native`), so the
 probabilities are the numpy chain's bits. A NaN value and a row with a
 log score that is not finite go through the numpy chain, which keeps
 its message and its warnings, as does every row where the library does
-not load.
+not load. Only the numpy chain follows ``np.errstate``: the compiled
+pass never warns or raises on an underflowing ``exp``.
 """
 
 from dataclasses import dataclass

@@ -13,8 +13,11 @@ then run their numpy forms, which give the same bytes.
 ufunc's type table holds, the loop a call of the ufunc dispatches to on
 this CPU. The passes call those loops by pointer, on the lengths and unit
 strides the numpy forms hand the ufuncs, so their bits are numpy's and no
-Python call runs inside a pass. If either ufunc has no float64 loop,
-:func:`load` returns None. A diffnb-owned ``exp`` and ``log`` would
+Python call runs inside a pass. Nor does numpy's error state
+(``np.errstate``), which a ufunc call applies to the floating-point flags
+after its loop returns: an ``exp`` that underflows in a pass neither warns
+nor raises, and the bytes are those of numpy's default state. If either
+ufunc has no float64 loop, :func:`load` returns None. A diffnb-owned ``exp`` and ``log`` would
 replace exactly these two pointers. Where a loop sums what numpy sums, it
 adds in numpy's order: the order of numpy's float64 sum over a contiguous
 axis, pairwise past 8 terms, is written down once, as ``pairwise_sum`` in

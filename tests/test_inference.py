@@ -426,6 +426,22 @@ class TestCompiledPosterior:
             with select(), pytest.warns(RuntimeWarning, match="invalid value"):
                 posterior(infinite, row)
 
+    def test_only_the_numpy_chain_follows_numpy_s_error_state(self):
+        # two subnormal weights put class 0's shifted log score below -708,
+        # where exp underflows
+        model, _ = train(xor_dataset(), TrainConfig(topology=2))
+        weights = model.weights.copy()
+        weights[0, :, 0] = 5e-324
+        model = dataclasses.replace(model, weights=weights)
+        row = (0.0, 0.0)
+        expected = repr(posterior(model, row))
+        assert posterior(model, row).probabilities[0] < 1e-300
+        with np.errstate(under="raise"):
+            if "compiled" in PATHS:
+                assert repr(posterior(model, row)) == expected
+            with numpy_scoring(), pytest.raises(FloatingPointError, match="underflow"):
+                posterior(model, row)
+
     @pytest.mark.parametrize("path", list(PATHS))
     def test_a_row_that_is_not_contiguous_gives_its_copy_s_posterior(self, path):
         # a row of a Fortran-ordered matrix and a strided slice are float64

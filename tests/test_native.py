@@ -194,14 +194,6 @@ class TestCache:
         assert started == []
         assert capfd.readouterr() == ("", "")
 
-    @pytest.mark.skipif(native.load() is None, reason="the compiled library is not loaded")
-    def test_a_ufunc_without_a_float64_loop_leaves_the_library_unloaded(self, monkeypatch):
-        # the bind fails and keeps the loops bound before: this process's passes still run
-        monkeypatch.setattr(np, "exp", np.logical_not)
-        assert native.load.__wrapped__() is None
-        monkeypatch.undo()
-        assert native.load.__wrapped__() is not None
-
     def test_cache_dir(self, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", "/var/cache/someone")
         assert native.cache_dir() == Path("/var/cache/someone/diffnb")
