@@ -15,9 +15,10 @@ and ``evaluate`` on malformed tables, where the digest covers stderr: the
 error message a bad line gives. Then ``predict`` labels rows with bad and
 blank lines among them, more than one block of them, from a ``--data``
 file and from stdin; both stdout and stderr are digested. Last, ``train``,
-``evaluate`` and ``predict`` run on two copies of the monks-1 files, one
+``evaluate`` and ``predict`` run on three copies of the monks-1 files, one
 with CRLF line ends and a byte-order mark, one with lone CR line ends,
-and ``search --out`` and ``benchmark --format machine`` read the monks-1
+and one comma-delimited (``--delimiter ,``) with spaces around its
+fields, and ``search --out`` and ``benchmark --format machine`` read the monks-1
 files in both data-file forms: a spec that splits ``monks-1.train`` by a
 seeded row count, and a suite with one such split entry and one entry
 naming the train and test pair. Then ``search --out`` runs the monks
@@ -73,6 +74,10 @@ BAD_ROWS = {
     "field-count": "1.5 c0\n",
     "non-finite": "inf r c1\n",
     "bad-value-then-short-line": "abc r c0\n1.5 c0\n",
+    # tokens the compiled parse leaves to the Python encoder: float() takes
+    # 1_0 as 10.0, and the line fails on its colour; 1e999 overflows
+    "underscore-then-unknown-value": "1_0 purple c0\n",
+    "overflow": "1e999 r c1\n",
 }
 
 # unlabeled rows for predict on the model trained on GOOD_ROWS: every
@@ -196,12 +201,18 @@ def predict_runs(root: Path) -> list[tuple[str, bytes, int]]:
     return runs
 
 
-# the monks-1 copies: a file's lines joined by each line end, and its leading bytes
-NEWLINE_COPIES = {"crlf-bom": ("\r\n", "\ufeff"), "cr": ("\r", "")}
+# the monks-1 copies: a file's lines joined by each line end, its leading
+# bytes, and the delimiter its fields are rewritten around, padded with
+# spaces (None keeps the shipped whitespace)
+MONKS_COPIES = {
+    "newlines crlf-bom": ("\r\n", "\ufeff", None),
+    "newlines cr": ("\r", "", None),
+    "delimited comma": ("\n", "", ","),
+}
 
 
-def newline_runs(root: Path) -> list[tuple[str, bytes, int]]:
-    """(output name, stdout, exit code) of ``train``, ``evaluate`` and ``predict`` on each NEWLINE_COPIES copy.
+def monks_copy_runs(root: Path) -> list[tuple[str, bytes, int]]:
+    """(output name, stdout, exit code) of ``train``, ``evaluate`` and ``predict`` on each MONKS_COPIES copy.
 
     The model file ``train`` writes is digested too; the temporary
     directory is left out of every output.
@@ -211,24 +222,27 @@ def newline_runs(root: Path) -> list[tuple[str, bytes, int]]:
         work = Path(tmp)
         schema = work / "monks.schema.json"
         shutil.copyfile(root / "benchmarks" / "schemas" / "monks.schema.json", schema)
-        for case, (newline, head) in NEWLINE_COPIES.items():
+        for case, (newline, head, delimiter) in MONKS_COPIES.items():
             paths = {}
             for split in ("train", "test"):
                 lines = (root / "data" / f"monks-1.{split}").read_text(encoding="utf-8").splitlines()
-                paths[split] = work / f"{case}.{split}"
+                if delimiter is not None:
+                    lines = [f" {delimiter} ".join(line.split()) for line in lines]
+                paths[split] = work / f"{case.split()[1]}.{split}"
                 paths[split].write_text(head + newline.join(lines) + newline, encoding="utf-8", newline="")
             job = workloads.Job(
                 name=case, schema=schema, train=paths["train"], test=paths["test"], rows=paths["test"],
                 model=work / "model.json", row_values=[], bins=4, max_rounds=500,
                 label_col=0, ignore_cols=(7,), predict_ignore=(0, 7),
             )
+            parse = [] if delimiter is None else ["--delimiter", delimiter]
             for kind, argv in (
                 ("train", job.train_argv()), ("evaluate", job.evaluate_argv()), ("predict", job.predict_argv())
             ):
-                out, _, code = run_cli(root, argv)
-                runs.append((f"newlines {case} {kind}", out.replace(str(work).encode(), b"<work>"), code))
+                out, _, code = run_cli(root, argv + parse)
+                runs.append((f"{case} {kind}", out.replace(str(work).encode(), b"<work>"), code))
                 if kind == "train":
-                    runs.append((f"newlines {case} model", job.model.read_bytes(), code))
+                    runs.append((f"{case} model", job.model.read_bytes(), code))
     return runs
 
 
@@ -320,7 +334,7 @@ def main(argv: list[str]) -> int:
             for line in workload_digests(root, name, seed):
                 print(line, flush=True)
     print(benchmark_digest(root))
-    for label, data, code in error_runs(root) + predict_runs(root) + newline_runs(root) + data_form_runs(root):
+    for label, data, code in error_runs(root) + predict_runs(root) + monks_copy_runs(root) + data_form_runs(root):
         print(digest_line(label, data, code, {}))
     by_parallelism = parallelism_runs(root)
     for label, data, code in by_parallelism:

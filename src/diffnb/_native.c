@@ -1,4 +1,4 @@
-/* diffnb's compiled loops: the training sweep's in-order pass, the window check and the scoring passes.
+/* diffnb's compiled loops: the training sweep's in-order pass, the window check, the scoring passes and the block parse.
  *
  * diffnb.native compiles this file into a shared library and loads it with
  * ctypes.PyDLL, so the functions run holding the interpreter lock and may
@@ -25,6 +25,11 @@
  *
  * diffnb_log_scores takes a value matrix to a model's weighted log scores,
  * and diffnb_posterior one row to its posterior, winner and tie.
+ *
+ * diffnb_parse_block is dataset._encode_block for a block of ASCII lines
+ * of one field count. Its numbers are float()'s bits: Clinger's exact
+ * fast path where it applies, and PyOS_string_to_double, the function
+ * float() calls, everywhere else.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -748,5 +753,326 @@ done:
     PyMem_Free(block);
     PyMem_Free(scorer.parts);
     release_buffers(views, L_SCORES);
+    return result;
+}
+
+
+/* How the block parse classes an ASCII byte: str.split's whitespace; the
+ * separators 0x1c-0x1f, which str.split also splits on and the pass refuses;
+ * and every other byte. */
+enum { OTHER, SPACE, REFUSED };
+
+static const unsigned char byte_class[128] = {
+    ['\t'] = SPACE, ['\n'] = SPACE, ['\v'] = SPACE, ['\f'] = SPACE, ['\r'] = SPACE, [' '] = SPACE,
+    [0x1c] = REFUSED, [0x1d] = REFUSED, [0x1e] = REFUSED, [0x1f] = REFUSED,
+};
+
+/* The fields of one ASCII line, as parse_table splits it; the field count, or -1 if the line holds a refused byte.
+ *
+ * ``delimiter`` -1 splits on runs of whitespace, as str.split(); any other
+ * byte strips the line, splits it on that byte and strips each field. The
+ * first ``limit`` fields' bounds go to ``starts`` and ``ends``; the count
+ * stops one past ``limit``. A blank line has 0 fields.
+ */
+static Py_ssize_t
+split_line(const char *s, Py_ssize_t len, int delimiter, Py_ssize_t limit, Py_ssize_t *starts,
+           Py_ssize_t *ends)
+{
+    Py_ssize_t count = 0, i = 0;
+    if (delimiter < 0) {
+        while (count <= limit) {
+            while (i < len && byte_class[(unsigned char)s[i]] == SPACE)
+                i++;
+            if (i == len)
+                break;
+            const Py_ssize_t start = i;
+            for (; i < len && byte_class[(unsigned char)s[i]] != SPACE; i++)
+                if (byte_class[(unsigned char)s[i]] == REFUSED)
+                    return -1;
+            if (count < limit) {
+                starts[count] = start;
+                ends[count] = i;
+            }
+            count++;
+        }
+        return count;
+    }
+    while (len > 0 && byte_class[(unsigned char)s[len - 1]] == SPACE)
+        len--;
+    while (i < len && byte_class[(unsigned char)s[i]] == SPACE)
+        i++;
+    if (i == len)
+        return 0;
+    for (Py_ssize_t start = i; count <= limit; i++) {
+        if (i < len && byte_class[(unsigned char)s[i]] == REFUSED)
+            return -1;
+        if (i < len && s[i] != delimiter)
+            continue;
+        if (count < limit) {
+            Py_ssize_t lo = start, hi = i;
+            while (lo < hi && byte_class[(unsigned char)s[lo]] == SPACE)
+                lo++;
+            while (hi > lo && byte_class[(unsigned char)s[hi - 1]] == SPACE)
+                hi--;
+            starts[count] = lo;
+            ends[count] = hi;
+        }
+        count++;
+        start = i + 1;
+        if (i == len)
+            break;
+    }
+    return count;
+}
+
+/* 10**0 to 10**22, each exact in a double */
+static const double exact_powers[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* float() of a number token; 0, 1 if the pass refuses the token, or -1 with the Python error set.
+ *
+ * The token must be ``[+-]?(digits[.[digits]]|.digits)([eE][+-]?digits)?``.
+ * Its significand read as an integer w and its power of ten e: where
+ * w <= 2**53 and |e| <= 22, both are exact doubles and w * 10**e (or
+ * w / 10**-e) is one correctly rounded operation (Clinger's fast path).
+ * Any other token goes to PyOS_string_to_double, which float() calls. A
+ * result that is not finite is refused, as float() gives it and
+ * parse_table refuses it.
+ */
+static int
+parse_number(const char *s, Py_ssize_t len, double *out)
+{
+    const char *p = s, *end = s + len;
+    const uint64_t limit = (uint64_t)1 << 53;
+    uint64_t w = 0;
+    int negative = 0, fast = 1;
+    long long digits = 0, e = 0;
+    if (p < end && (*p == '+' || *p == '-'))
+        negative = *p++ == '-';
+    for (int fraction = 0;; p++) {
+        if (p < end && *p >= '0' && *p <= '9') {
+            if (w > limit / 10)
+                fast = 0;
+            else
+                w = w * 10 + (uint64_t)(*p - '0');
+            digits++;
+            e -= fraction;
+        }
+        else if (p < end && *p == '.' && !fraction)
+            fraction = 1;
+        else
+            break;
+    }
+    if (digits == 0)
+        return 1;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        long long exponent = 0;
+        int exponent_negative = 0;
+        p++;
+        if (p < end && (*p == '+' || *p == '-'))
+            exponent_negative = *p++ == '-';
+        const char *first = p;
+        for (; p < end && *p >= '0' && *p <= '9'; p++) {
+            if (exponent > 100000000)
+                fast = 0;
+            else
+                exponent = exponent * 10 + (*p - '0');
+        }
+        if (p == first)
+            return 1;
+        e += exponent_negative ? -exponent : exponent;
+    }
+    if (p != end)
+        return 1;
+    if (fast && w <= limit && e >= -22 && e <= 22) {
+        const double value = e >= 0 ? (double)w * exact_powers[e] : (double)w / exact_powers[-e];
+        *out = negative ? -value : value;
+        return 0;
+    }
+    char small[64], *copy = len < (Py_ssize_t)sizeof small ? small : PyMem_Malloc(len + 1);
+    if (copy == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memcpy(copy, s, len);
+    copy[len] = '\0';
+    char *stop;
+    const double value = PyOS_string_to_double(copy, &stop, NULL);
+    const int status = value == -1.0 && PyErr_Occurred() ? -1 : stop != copy + len || !isfinite(value);
+    if (copy != small)
+        PyMem_Free(copy);
+    *out = value;
+    return status;
+}
+
+/* The code ``codes`` maps a token to; a borrowed reference, or NULL, with the Python error set only on an error. */
+static PyObject *
+token_code(PyObject *codes, const char *s, Py_ssize_t len)
+{
+    PyObject *token = PyUnicode_DecodeASCII(s, len, NULL);
+    if (token == NULL)
+        return NULL;
+    PyObject *code = PyDict_GetItemWithError(codes, token);
+    Py_DECREF(token);
+    return code;
+}
+
+/* A block of lines parsed into value rows and labels; (rows, dropped), None if the pass refuses the block, or NULL with the Python error set.
+ *
+ * This is dataset._encode_block for one field count. ``lines`` is the
+ * block's list of str; ``delimiter`` None (whitespace runs) or a one-byte
+ * str; ``n_fields`` the field count of every non-blank line; ``picks`` the
+ * fields read, the M value fields and then, where ``labels`` is not None,
+ * the label field. ``codes`` holds, for each pick, None for a number or
+ * the dict of its tokens: a discrete attribute's token -> float value, the
+ * label's token -> class index. A line holding ``missing`` in a picked
+ * field is dropped and counted; every other non-blank line fills the next
+ * row of the (len(lines), M) float64 ``values`` and of the int64
+ * ``labels``. Numbers are parse_number's.
+ *
+ * The block is refused, and nothing it wrote is to be read, at a line
+ * that is not ASCII or holds a byte 0x1c-0x1f, a line of another field
+ * count, a number parse_number refuses, a token its dict lacks, or a
+ * delimiter of other than one ASCII character. parse_table then encodes
+ * the block in Python, which names any fault.
+ */
+PyObject *
+diffnb_parse_block(PyObject *lines, PyObject *delimiter_obj, Py_ssize_t n_fields, PyObject *picks,
+                   PyObject *codes, PyObject *missing_obj, PyObject *values_obj, PyObject *labels_obj)
+{
+    static const struct buffer_spec specs[2] = {{"values", 1, 0}, {"labels", 1, 1}};
+    PyObject *const objects[2] = {values_obj, labels_obj};
+    if (!PyList_Check(lines) || !PyTuple_Check(picks) || !PyTuple_Check(codes)
+        || PyTuple_GET_SIZE(picks) != PyTuple_GET_SIZE(codes) || !PyUnicode_Check(missing_obj)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "parse block: lines must be a list, picks and codes tuples of one length, missing a str");
+        return NULL;
+    }
+    int delimiter = -1;
+    if (delimiter_obj != Py_None) {
+        if (!PyUnicode_Check(delimiter_obj)) {
+            PyErr_SetString(PyExc_TypeError, "parse block: delimiter must be None or a str");
+            return NULL;
+        }
+        if (PyUnicode_GET_LENGTH(delimiter_obj) != 1 || !PyUnicode_IS_ASCII(delimiter_obj))
+            Py_RETURN_NONE;
+        delimiter = PyUnicode_READ_CHAR(delimiter_obj, 0);
+    }
+    const int labeled = labels_obj != Py_None;
+    const Py_ssize_t n_picks = PyTuple_GET_SIZE(picks), m = n_picks - labeled, n = PyList_GET_SIZE(lines);
+    /* a token holds no whitespace, so a missing token that does never matches; nor does one not ASCII */
+    Py_ssize_t missing_len = -1;
+    const char *missing = NULL;
+    if (PyUnicode_IS_ASCII(missing_obj))
+        missing = PyUnicode_AsUTF8AndSize(missing_obj, &missing_len);
+    if (m < 1 || n_fields < 1) {
+        PyErr_SetString(PyExc_ValueError, "parse block: need at least one value field");
+        return NULL;
+    }
+    Py_buffer views[2];
+    Py_ssize_t len[2];
+    if (get_buffers("parse block", objects, specs, 1 + labeled, views, len) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    Py_ssize_t *work = NULL;
+    if (len[0] != n * m || (labeled && len[1] != n)) {
+        PyErr_SetString(PyExc_ValueError, "parse block: array lengths disagree");
+        goto done;
+    }
+    /* each field's start and end, then each field's pick or -1 */
+    if ((work = PyMem_Malloc(3 * n_fields * sizeof(Py_ssize_t))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t *starts = work, *ends = work + n_fields, *pick_of = work + 2 * n_fields;
+    for (Py_ssize_t f = 0; f < n_fields; f++)
+        pick_of[f] = -1;
+    for (Py_ssize_t j = 0; j < n_picks; j++) {
+        const Py_ssize_t f = PyLong_AsSsize_t(PyTuple_GET_ITEM(picks, j));
+        if (f == -1 && PyErr_Occurred())
+            goto done;
+        PyObject *code = PyTuple_GET_ITEM(codes, j);
+        if (f < 0 || f >= n_fields || pick_of[f] >= 0 || !(code == Py_None ? j < m : PyDict_Check(code))) {
+            PyErr_SetString(PyExc_ValueError,
+                            "parse block: picks must be distinct fields, codes None or a dict, the label's a dict");
+            goto done;
+        }
+        pick_of[f] = j;
+    }
+    double *values = views[0].buf;
+    int64_t *labels = labeled ? views[1].buf : NULL;
+    Py_ssize_t rows = 0, dropped = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *line = PyList_GET_ITEM(lines, i);
+        if (!PyUnicode_Check(line)) {
+            PyErr_SetString(PyExc_TypeError, "parse block: lines must hold str");
+            goto done;
+        }
+        if (!PyUnicode_IS_ASCII(line))
+            goto refuse;
+        Py_ssize_t line_len;
+        const char *s = PyUnicode_AsUTF8AndSize(line, &line_len);
+        if (s == NULL)
+            goto done;
+        const Py_ssize_t count = split_line(s, line_len, delimiter, n_fields, starts, ends);
+        if (count == 0)
+            continue;
+        if (count != n_fields)
+            goto refuse;
+        int is_missing = 0;
+        for (Py_ssize_t f = 0; f < n_fields && !is_missing; f++)
+            is_missing = pick_of[f] >= 0 && ends[f] - starts[f] == missing_len
+                         && memcmp(s + starts[f], missing, missing_len) == 0;
+        if (is_missing) {
+            dropped++;
+            continue;
+        }
+        for (Py_ssize_t f = 0; f < n_fields; f++) {
+            const Py_ssize_t j = pick_of[f];
+            if (j < 0)
+                continue;
+            const char *token = s + starts[f];
+            const Py_ssize_t token_len = ends[f] - starts[f];
+            PyObject *code_of = PyTuple_GET_ITEM(codes, j);
+            if (code_of == Py_None) {
+                const int status = parse_number(token, token_len, &values[rows * m + j]);
+                if (status < 0)
+                    goto done;
+                if (status > 0)
+                    goto refuse;
+                continue;
+            }
+            PyObject *code = token_code(code_of, token, token_len);
+            if (code == NULL) {
+                if (PyErr_Occurred())
+                    goto done;
+                goto refuse;
+            }
+            if (j < m) {
+                const double value = PyFloat_AsDouble(code);
+                if (value == -1.0 && PyErr_Occurred())
+                    goto done;
+                values[rows * m + j] = value;
+            }
+            else {
+                const long long label = PyLong_AsLongLong(code);
+                if (label == -1 && PyErr_Occurred())
+                    goto done;
+                labels[rows] = label;
+            }
+        }
+        rows++;
+    }
+    result = Py_BuildValue("(nn)", rows, dropped);
+    goto done;
+
+refuse:
+    result = Py_NewRef(Py_None);
+
+done:
+    PyMem_Free(work);
+    release_buffers(views, 1 + labeled);
     return result;
 }

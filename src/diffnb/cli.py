@@ -6,6 +6,7 @@ missing input files.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,6 +20,7 @@ from .dataset import (
     ParseError,
     ParseOptions,
     SchemaError,
+    compiled_block,
     json_data_files,
     json_entry,
     json_keys,
@@ -29,6 +31,7 @@ from .dataset import (
     parse_table,
     split_dataset,
     split_fields,
+    token_codes,
 )
 from .density import resolve_topology
 from .inference import posterior_batch
@@ -155,22 +158,38 @@ def _predict_values(model, line: str, options: ParseOptions, line_no: int) -> tu
     return values
 
 
+def _predict_fields(n_fields: int, options: ParseOptions, m: int) -> tuple[int, ...] | None:
+    """The value fields of an ``n_fields``-field input line; None if it has not ``m`` of them."""
+    ignored = {c if c >= 0 else n_fields + c for c in options.ignore_cols}
+    picked = tuple(i for i in range(n_fields) if i not in ignored)
+    return picked if len(picked) == m else None
+
+
 def _predict_block(model, n_before: int, lines: list[str], options: ParseOptions) -> int:
     """Print a label line or an ``ERROR`` line per non-blank line, in order; returns the failures.
 
-    ``lines`` follow the first ``n_before`` lines of the input.
+    ``lines`` follow the first ``n_before`` lines of the input. The block
+    goes through the compiled block parse, without a label field. Where
+    that refuses it, or drops a row for a missing value, which is an
+    ``ERROR`` line here, the lines are taken one by one.
     """
-    parsed = []
-    for line_no, line in enumerate(lines, start=n_before + 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            parsed.append(_predict_values(model, line, options, line_no))
-        except (ParseError, SchemaError) as err:
-            parsed.append(f"ERROR: {err}")
-    good = [row for row in parsed if not isinstance(row, str)]
-    if good:
+    layout = functools.partial(_predict_fields, options=options, m=model.schema.n_attributes)
+    block = compiled_block(lines, options, token_codes(model.schema)[0], None, layout)
+    if block is not None and block[2] == 0:
+        good = block[0]
+        parsed = [None] * len(good)
+    else:
+        parsed = []
+        for line_no, line in enumerate(lines, start=n_before + 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                parsed.append(_predict_values(model, line, options, line_no))
+            except (ParseError, SchemaError) as err:
+                parsed.append(f"ERROR: {err}")
+        good = [row for row in parsed if not isinstance(row, str)]
+    if len(good):
         probabilities, winners = posterior_batch(model, good)
         classes = model.schema.classes
         labeled = iter([

@@ -8,10 +8,26 @@ than a traceback.
 
 A dataset is its schema plus two read-only arrays, the (n, M) float64
 value matrix and the (n,) int64 class indices. ``parse_table`` fills
-those arrays column by column, a block of lines at a time, and walks a
-block line by line only to report the first bad line in it. Its blocks
-come from :func:`line_blocks`, the one reader of delimited text, which
-``diffnb predict`` reads its rows through as well.
+those arrays a block of lines at a time, and walks a block line by line
+only to report the first bad line in it. Its blocks come from
+:func:`line_blocks`, the one reader of delimited text, which ``diffnb
+predict`` reads its rows through as well.
+
+Where :mod:`diffnb.native`'s library loads, a block is one compiled call,
+the block parse ``diffnb_parse_block`` (:func:`compiled_block`). It splits
+each line as ``str.split`` does, drops the rows holding the missing token,
+looks each discrete and class token up in its dict, and converts each
+number token of the form ``[+-]?digits[.digits][(e|E)[+-]?digits]``:
+by Clinger's exact fast path when its significand fits in 2**53 and its
+power of ten is at most 22, else by ``PyOS_string_to_double``, which
+``float()`` calls. So its values are ``float()``'s bits. It refuses the
+whole block at a line that is not ASCII or holds a separator 0x1c-0x1f,
+at a second field count, at a delimiter of more than one character, at a
+number token outside that form (``1_0``, ``inf``, ``nan``) or not
+finite, and at a token its dict lacks. A refused block, and every block
+where the library does not load, is split and encoded column by column in
+Python (:func:`_encode_block`), which the tests keep as the reference and
+which names any fault as before.
 
 An experiment reads one file split by a row count, or a train file and a
 held-out one, never both: :class:`DataFiles`, read from a search spec or a
@@ -21,6 +37,7 @@ Everything here is a pure function over immutable inputs; datasets can be
 shared freely across threads.
 """
 
+import functools
 import io
 import json
 import math
@@ -32,7 +49,12 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import native
+
 KINDS = ("continuous", "binary", "categorical")
+
+# the compiled block parse, or None where the library cannot be built or loaded
+_PARSE_BLOCK = None if native.load() is None else native.load().diffnb_parse_block
 
 
 class ParseError(ValueError):
@@ -414,6 +436,53 @@ class _BadBlock(Exception):
     """A block held a line the column-wise encoding cannot take."""
 
 
+def token_codes(schema: Schema) -> tuple[tuple[dict | None, ...], dict]:
+    """(each attribute's token -> value dict, None for a continuous one; the class token -> index dict).
+
+    A token names its class before a label does, as in
+    :meth:`Schema.class_index`.
+    """
+    values = tuple(
+        {tok: float(i) for i, tok in enumerate(a.values)} if a.is_discrete else None for a in schema.attributes
+    )
+    class_codes = {label: i for i, label in enumerate(schema.classes)}
+    class_codes.update((tok, i) for i, tok in enumerate(schema.class_tokens))
+    return values, class_codes
+
+
+def compiled_block(lines, options, value_codes, class_codes, layout):
+    """(values, labels, n_dropped) of a block by the compiled block parse; None where it refuses or is not loaded.
+
+    ``value_codes`` and ``class_codes`` are :func:`token_codes`'; a
+    ``class_codes`` of None parses rows without a label, and the labels
+    are then None. ``layout(n_fields)`` gives the fields a line of that
+    many reads: the value fields, then the label field where there is
+    one; or None, which refuses the block. The layout is taken from the
+    block's first non-blank line, and the pass refuses any line of another
+    field count.
+    """
+    m = len(value_codes)
+    if _PARSE_BLOCK is None or (options.delimiter is not None and len(options.delimiter) != 1):
+        return None
+    first = next((line for line in lines if not line.isspace()), None)
+    if first is None:
+        return np.empty((0, m)), None if class_codes is None else np.empty(0, dtype=np.int64), 0
+    fields = first.split() if options.delimiter is None else first.strip().split(options.delimiter)
+    picks = layout(len(fields))
+    if picks is None:
+        return None
+    codes = value_codes if class_codes is None else value_codes + (class_codes,)
+    values = np.empty((len(lines), m))
+    labels = None if class_codes is None else np.empty(len(lines), dtype=np.int64)
+    parsed = _PARSE_BLOCK(
+        lines, options.delimiter, len(fields), picks, codes, options.missing_token, values, labels
+    )
+    if parsed is None:
+        return None
+    n, dropped = parsed
+    return values[:n], None if labels is None else labels[:n], dropped
+
+
 def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseOptions()) -> Dataset:
     """Parse a delimited text file of labeled rows against ``schema``.
 
@@ -422,31 +491,31 @@ def parse_table(path: str | Path, schema: Schema, options: ParseOptions = ParseO
     :class:`ParseError` with the 1-based line number; tokens that
     contradict the schema raise :class:`SchemaError`.
 
-    The file is read through :func:`line_blocks`. Each block is split into
-    fields and encoded column by column, straight into its part of the
-    value matrix. A block that fails anywhere is walked again line by line
-    through :meth:`Schema.encode_value` and :meth:`Schema.class_index`, so
-    the first bad line in file order raises, with the message a line by
-    line parse gives. A byte that is not UTF-8 raises its
-    UnicodeDecodeError once the lines before it have parsed.
+    The file is read through :func:`line_blocks`. Each block goes to
+    :func:`compiled_block`, or, where that refuses it, is split into
+    fields and encoded column by column in Python, straight into its part
+    of the value matrix. A block that fails there is walked again line by
+    line through :meth:`Schema.encode_value` and
+    :meth:`Schema.class_index`, so the first bad line in file order
+    raises, with the message a line by line parse gives. A byte that is
+    not UTF-8 raises its UnicodeDecodeError once the lines before it have
+    parsed.
     """
-    encoders = [
-        {tok: float(i) for i, tok in enumerate(a.values)}.__getitem__ if a.is_discrete else float
-        for a in schema.attributes
-    ]
-    # a token names its class before a label does, as in Schema.class_index
-    class_codes = {label: i for i, label in enumerate(schema.classes)}
-    class_codes.update((tok, i) for i, tok in enumerate(schema.class_tokens))
-    layouts: dict[int, tuple[int, ...] | None] = {}
+    value_codes, class_codes = token_codes(schema)
+    encoders = [float if codes is None else codes.__getitem__ for codes in value_codes]
+    layout = functools.cache(functools.partial(_layout_fields, options=options, m=schema.n_attributes))
     value_blocks, label_blocks = [], []
     n_dropped = 0
     with open(path, "rb") as fh:
         for line_no, lines in line_blocks(fh):
-            try:
-                values, labels, dropped = _encode_block(lines, schema, options, encoders, class_codes, layouts)
-            except (_BadBlock, ValueError, KeyError):
-                _raise_first_fault(lines, line_no, schema, options)
-                raise
+            block = compiled_block(lines, options, value_codes, class_codes, layout)
+            if block is None:
+                try:
+                    block = _encode_block(lines, schema, options, encoders, class_codes, layout)
+                except (_BadBlock, ValueError, KeyError):
+                    _raise_first_fault(lines, line_no, schema, options)
+                    raise
+            values, labels, dropped = block
             value_blocks.append(values)
             label_blocks.append(labels)
             n_dropped += dropped
@@ -467,10 +536,10 @@ def _layout_fields(n_fields: int, options: ParseOptions, m: int) -> tuple[int, .
     return picked + (label,) if len(picked) == m else None
 
 
-def _encode_block(lines, schema, options, encoders, class_codes, layouts):
+def _encode_block(lines, schema, options, encoders, class_codes, layout):
     """(values, labels, n_dropped) of one block of lines; raises if any line is bad.
 
-    ``layouts`` caches the field layout of each field count seen. The
+    ``layout`` is :func:`_layout_fields` for the parse's options. The
     error raised says only that the block is bad, not where.
     """
     m = schema.n_attributes
@@ -480,10 +549,7 @@ def _encode_block(lines, schema, options, encoders, class_codes, layouts):
         rows = list(map(methodcaller("split", options.delimiter), filter(None, map(str.strip, lines))))
     if not rows:
         return np.empty((0, m)), np.empty(0, dtype=np.int64), 0
-    counts = set(map(len, rows))
-    for n_fields in counts - layouts.keys():
-        layouts[n_fields] = _layout_fields(n_fields, options, m)
-    picks = {n_fields: layouts[n_fields] for n_fields in counts}
+    picks = {n_fields: layout(n_fields) for n_fields in set(map(len, rows))}
     if None in picks.values():
         raise _BadBlock
     if len(picks) == 1:

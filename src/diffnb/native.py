@@ -3,10 +3,16 @@
 The library holds the training sweep's in-order pass (``diffnb_scan``),
 the window check of scoring (``diffnb_score``), the scoring pass that
 takes a value matrix to a model's weighted log scores
-(``diffnb_log_scores``) and the one that takes a row to its posterior
-(``diffnb_posterior``). :func:`load` returns the library with its
-functions typed, or None where it cannot be had; training and scoring
-then run their numpy forms, which give the same bytes.
+(``diffnb_log_scores``), the one that takes a row to its posterior
+(``diffnb_posterior``), and the block parse that takes a block of text
+lines to value rows and labels (``diffnb_parse_block``). The parse
+converts a number token ``[+-]?digits[.digits][(e|E)[+-]?digits]`` by
+Clinger's exact fast path where its significand fits in 2**53 and its
+power of ten is at most 22, else by ``PyOS_string_to_double``, as
+``float()`` does; it refuses a whole block it cannot take bit for bit
+(see :mod:`diffnb.dataset`). :func:`load` returns the library with its
+functions typed, or None where it cannot be had; training, scoring and
+parsing then run their numpy and Python forms, which give the same bytes.
 
 ``exp`` and ``log`` are numpy's own: :func:`load` hands the library
 ``np.exp`` and ``np.log``, and it keeps the float64 inner loop each
@@ -150,6 +156,9 @@ def typed(library: ctypes.PyDLL) -> ctypes.PyDLL:
         "diffnb_score": ([ctypes.py_object] * 7 + [ctypes.c_ssize_t] * 2, ctypes.c_int),
         "diffnb_log_scores": ([ctypes.py_object, ctypes.c_ssize_t, ctypes.c_ssize_t], ctypes.c_int),
         "diffnb_posterior": ([ctypes.py_object, ctypes.c_ssize_t, ctypes.c_ssize_t], ctypes.py_object),
+        "diffnb_parse_block": (
+            [ctypes.py_object] * 2 + [ctypes.c_ssize_t] + [ctypes.py_object] * 5, ctypes.py_object
+        ),
     }
     for name, (argtypes, restype) in functions.items():
         function = getattr(library, name)

@@ -1,7 +1,10 @@
 """Schema validation, table parsing, and splitting."""
 
+import functools
 import json
+import math
 import pickle
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -30,6 +33,35 @@ from conftest import rows_of, xor_schema
 
 def two_class(*attrs):
     return Schema(tuple(attrs), ("c0", "c1"))
+
+
+# each parse path under test and how to select it: the compiled block parse
+# where the library loaded, and the Python encoder
+PARSERS = {"compiled": nullcontext} if dataset._PARSE_BLOCK is not None else {}
+PARSERS["python"] = functools.partial(mock.patch.object, dataset, "_PARSE_BLOCK", None)
+
+
+def parse_on_every_path(path, schema, options=ParseOptions()):
+    """``parse_table``'s dataset, after asserting every path in PARSERS gives the same one or the same error.
+
+    The paths must agree on the values' bits, the labels and the drop
+    count, or on the error's type and message, which is then raised.
+    """
+    outcomes = {}
+    for name, select in PARSERS.items():
+        with select():
+            try:
+                data = parse_table(path, schema, options)
+            except ValueError as err:
+                error = err
+                outcomes[name] = type(err), str(err)
+            else:
+                error = None
+                outcomes[name] = data.value_matrix().view(np.int64).tobytes(), data.labels().tobytes(), data.n_dropped
+    assert len(set(outcomes.values())) == 1, outcomes
+    if error is not None:
+        raise error
+    return data
 
 
 class TestAttributeSpec:
@@ -195,47 +227,47 @@ class TestParseTable:
 
     def test_whitespace_default_and_blank_lines(self, tmp_path):
         path = self.write(tmp_path, "0 1 c1\n\n1 0 c1\n")
-        data = parse_table(path, xor_schema())
+        data = parse_on_every_path(path, xor_schema())
         assert len(data) == 2
         assert rows_of(data)[0] == ((0.0, 1.0), 1)
 
     def test_label_col_and_ignored_cols(self, tmp_path):
         path = self.write(tmp_path, "c0,999,0.5,1.5\n")
         options = ParseOptions(delimiter=",", label_col=0, ignore_cols=(1,))
-        data = parse_table(path, xor_schema(), options)
+        data = parse_on_every_path(path, xor_schema(), options)
         assert rows_of(data) == [((0.5, 1.5), 0)]
 
     def test_missing_rows_dropped_and_counted(self, tmp_path):
         path = self.write(tmp_path, "1 1 c0\n? 1 c0\n1 ? c1\n0 0 c1\n")
-        data = parse_table(path, xor_schema())
+        data = parse_on_every_path(path, xor_schema())
         assert len(data) == 2
         assert data.n_dropped == 2
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = self.write(tmp_path, "1 1 c0\n1 c0\n")
         with pytest.raises(ParseError, match="line 2"):
-            parse_table(path, xor_schema())
+            parse_on_every_path(path, xor_schema())
 
     @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf"])
     def test_non_finite_value_names_line(self, tmp_path, token):
         path = self.write(tmp_path, f"1 1 c0\n0 {token} c1\n")
         with pytest.raises(ParseError, match="line 2: attribute 'b': not a finite number"):
-            parse_table(path, xor_schema())
+            parse_on_every_path(path, xor_schema())
 
     def test_unknown_class_names_line(self, tmp_path):
         path = self.write(tmp_path, "1 1 c9\n")
         with pytest.raises(SchemaError, match="line 1"):
-            parse_table(path, xor_schema())
+            parse_on_every_path(path, xor_schema())
 
     def test_label_col_out_of_range(self, tmp_path):
         path = self.write(tmp_path, "1 1 c0\n")
         with pytest.raises(ParseError, match="label column"):
-            parse_table(path, xor_schema(), ParseOptions(label_col=7))
+            parse_on_every_path(path, xor_schema(), ParseOptions(label_col=7))
 
     def test_empty_input_rejected(self, tmp_path):
         path = self.write(tmp_path, "\n\n")
         with pytest.raises(ParseError, match="no examples"):
-            parse_table(path, xor_schema())
+            parse_on_every_path(path, xor_schema())
 
     @pytest.mark.parametrize(
         "second, filler_rows, error, message",
@@ -256,11 +288,11 @@ class TestParseTable:
         path.write_bytes(f"0 0 c0\n{second}\n{filler}".encode() + b"0 \xff c1\n" + filler.encode())
         assert (path.read_bytes().index(b"\xff") > 20000) == (filler_rows == 3000)
         with pytest.raises(error, match=message):
-            parse_table(path, xor_schema())
+            parse_on_every_path(path, xor_schema())
 
     def test_parse_is_deterministic(self, tmp_path):
         path = self.write(tmp_path, "0 1 c1\n1 0 c1\n0 0 c0\n")
-        first, second = parse_table(path, xor_schema()), parse_table(path, xor_schema())
+        first, second = parse_on_every_path(path, xor_schema()), parse_on_every_path(path, xor_schema())
         assert first.value_matrix().tobytes() == second.value_matrix().tobytes()
         assert first.labels().tobytes() == second.labels().tobytes()
         assert first.n_dropped == second.n_dropped
@@ -398,22 +430,23 @@ class TestColumnWiseParseMatchesPerLine:
     """``parse_table`` against :func:`reference_parse_table`, block sizes small enough to split files."""
 
     def check(self, tmp_path, schema, options, text, block_chars):
-        """The reference's outcome, after asserting that ``parse_table`` has the same one."""
+        """The reference's outcome, after asserting that ``parse_table`` has the same one on every path."""
         path = tmp_path / "rows.data"
         path.write_bytes(text.encode("utf-8"))
         expected = parse_outcome(reference_parse_table, path, schema, options)
-        with mock.patch.object(dataset, "_BLOCK_CHARS", block_chars):
-            got = parse_outcome(parse_table, path, schema, options)
-        if expected[0] == "ok" and got[0] == "ok":
-            # equal rows hold equal floats; the bytes also tell -0.0 from 0.0
-            examples, n_dropped = expected[1]
-            reference = np.array([values for values, _ in examples]).reshape(-1, schema.n_attributes)
-            labels = np.array([label for _, label in examples], dtype=np.int64)
-            data = got[1]
-            assert data.value_matrix().tobytes() == reference.tobytes()
-            assert data.labels().tobytes() == labels.tobytes()
-            got = "ok", (tuple(rows_of(data)), data.n_dropped)
-        assert got == expected
+        for name, select in PARSERS.items():
+            with select(), mock.patch.object(dataset, "_BLOCK_CHARS", block_chars):
+                got = parse_outcome(parse_table, path, schema, options)
+            if expected[0] == "ok" and got[0] == "ok":
+                # equal rows hold equal floats; the bits also tell -0.0 from 0.0
+                examples, n_dropped = expected[1]
+                reference = np.array([values for values, _ in examples]).reshape(-1, schema.n_attributes)
+                labels = np.array([label for _, label in examples], dtype=np.int64)
+                data = got[1]
+                assert data.value_matrix().view(np.int64).tobytes() == reference.view(np.int64).tobytes(), name
+                assert data.labels().tobytes() == labels.tobytes(), name
+                got = "ok", (tuple(rows_of(data)), data.n_dropped)
+            assert got == expected, name
         return expected
 
     @given(table_files(), st.sampled_from([1, 40, 300, 1 << 16]))
@@ -482,6 +515,122 @@ class TestColumnWiseParseMatchesPerLine:
     def test_first_bad_line_of_a_block_raises(self, tmp_path, text, error, message):
         outcome = self.check(tmp_path, xor_schema(), ParseOptions(), text, 1 << 16)
         assert outcome[1] is error and outcome[2].endswith(message)
+
+
+def refused(text, schema, options=ParseOptions()):
+    """Whether the compiled block parse refuses ``text`` as one block."""
+    value_codes, class_codes = dataset.token_codes(schema)
+    layout = functools.partial(dataset._layout_fields, options=options, m=schema.n_attributes)
+    return dataset.compiled_block(dataset._text_lines(text), options, value_codes, class_codes, layout) is None
+
+
+# a number token, and whether the compiled parse takes it; float() gives
+# the value or refuses it
+EDGE_TOKENS = {
+    "15-digits": ("123456789012345", False),
+    "16-digits": ("1234567890123456", False),
+    "17-digits": ("12345678901234567", False),
+    "2**53+1": ("9007199254740993", False),
+    # past the fast path's reach, where a second rounding would show
+    "2**53+1-significand": ("90071992547409.93", False),
+    "3e23": ("3e23", False),
+    "1e-23": ("1e-23", False),
+    "23-digits": ("0.12345678901234567890123", False),
+    "1e22": ("1e22", False),
+    "1e23": ("1e23", False),
+    "least-subnormal": ("4.9e-324", False),
+    "least-normal": ("2.2250738585072014e-308", False),
+    "negative-zero": ("-0", False),
+    "plus-point-five": ("+.5", False),
+    "trailing-point": ("5.", False),
+    "leading-zeros": ("00012", False),
+    "underscore": ("1_0", True),
+    "overflow": ("1e999", True),
+    "nan": ("nan", True),
+    "inf": ("inf", True),
+}
+
+
+# the number tokens the compiled parse converts; ASCII digits only, as it refuses other bytes
+NUMBER_GRAMMAR = r"[+-]?([0-9]{1,25}(\.[0-9]{0,25})?|\.[0-9]{1,25})([eE][+-]?[0-9]{1,3})?"
+
+
+@pytest.mark.skipif(dataset._PARSE_BLOCK is None, reason="the compiled library is not loaded")
+class TestCompiledBlockParse:
+    """The blocks the compiled parse takes, and those it leaves to the Python encoder."""
+
+    @pytest.mark.parametrize("token, refuses", EDGE_TOKENS.values(), ids=EDGE_TOKENS.keys())
+    def test_edge_tokens(self, tmp_path, token, refuses):
+        text = f"1 1 c0\n{token} 2 c1\n"
+        path = tmp_path / "rows.data"
+        path.write_text(text)
+        assert refused(text, xor_schema()) == refuses
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            with pytest.raises(ParseError, match=f"line 2: attribute 'a': not a finite number: '{token}'"):
+                parse_on_every_path(path, xor_schema())
+            return
+        data = parse_on_every_path(path, xor_schema())
+        assert data.value_matrix()[1, 0].tobytes() == np.float64(value).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, options, message",
+        [
+            ("1,1,c0\n1,2\t5,c1\n", ParseOptions(delimiter=","), r"line 2: attribute 'b': not a number: '2\t5'"),
+            ("1 1 c0\n1\x1c2 c1\n", ParseOptions(), None),
+            ("1 1 c0\n1 2\u00a0c1\n", ParseOptions(), None),
+            ("1 1 c0\nx 1 2 c1\n", ParseOptions(ignore_cols=(-4,)), None),
+            ("1 1 c0\n1 2 c1 3\n", ParseOptions(), "line 2: expected 2 value fields + 1 label, got 3 values"),
+            ("1  1  c0\n1  2  c1\n", ParseOptions(delimiter="  "), None),
+            ("1\u00a01\u00a0c0\n1\u00a02\u00a0c1\n", ParseOptions(delimiter="\u00a0"), None),
+        ],
+        ids=["tab-in-a-comma-field", "separator-0x1c", "non-ascii", "two-field-counts", "a-second-field-count",
+             "two-character-delimiter", "non-ascii-delimiter"],
+    )
+    def test_refused_blocks(self, tmp_path, text, options, message):
+        """The Python encoder takes each of these, and names the first fault as it did."""
+        path = tmp_path / "rows.data"
+        path.write_text(text)
+        assert refused(text, xor_schema(), options)
+        if message is None:
+            parse_on_every_path(path, xor_schema(), options)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_on_every_path(path, xor_schema(), options)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("delimiter", [None, ",", " ", "\t"])
+    def test_taken_blocks(self, tmp_path, delimiter):
+        # padded fields, blank lines, an ignored column holding anything,
+        # a dropped row with a bad token and a categorical attribute
+        schema = two_class(AttributeSpec("x", "continuous"), AttributeSpec("c", "categorical", ("r", "g")))
+        options = ParseOptions(delimiter=delimiter, label_col=0, ignore_cols=(2,))
+        sep = " " if delimiter is None else f" {delimiter} " if delimiter == "," else delimiter
+        empty = "" if delimiter else "-"
+        rows = [["c1", "1.5", "any", "r"], ["c0", "-2", "?", "g"], ["c0", "abc", "z", "?"], ["?", "3", empty, "r"]]
+        text = "\n\n".join(sep.join(fields) for fields in rows) + "\n"
+        path = tmp_path / "rows.data"
+        path.write_text(text)
+        assert not refused(text, schema, options)
+        data = parse_on_every_path(path, schema, options)
+        assert rows_of(data) == [((1.5, 0.0), 1), ((-2.0, 1.0), 0)] and data.n_dropped == 2
+
+    @given(st.lists(st.from_regex(NUMBER_GRAMMAR, fullmatch=True)
+                    | st.floats(allow_nan=False, allow_infinity=False).map(repr), min_size=1, max_size=50))
+    def test_numbers_have_float_s_bits(self, tokens):
+        """Every token of the grammar is float()'s value, or refused where that is not finite."""
+        lines = [f"{token} c0\n" for token in tokens]
+        values, labels = np.empty((len(lines), 1)), np.empty(len(lines), dtype=np.int64)
+        parsed = dataset._PARSE_BLOCK(lines, None, 2, (0, 1), (None, {"c0": 0}), "?", values, labels)
+        expected = np.array([float(token) for token in tokens])
+        if not np.isfinite(expected).all():
+            assert parsed is None
+        else:
+            assert parsed == (len(lines), 0)
+            assert values.view(np.int64).ravel().tolist() == expected.view(np.int64).tolist()
 
 
 def test_split_fields_strips():

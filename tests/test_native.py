@@ -33,10 +33,10 @@ CLI_SCRIPT = textwrap.dedent(
     """
     import json
     import sys
-    from diffnb import boosting, density, inference
+    from diffnb import boosting, dataset, density, inference
     from diffnb.cli import main
     loaded = {boosting._SWEEP is not None, density._SCORE is not None, inference._LOG_SCORES is not None,
-              inference._POSTERIOR is not None}
+              inference._POSTERIOR is not None, dataset._PARSE_BLOCK is not None}
     print({frozenset([True]): "compiled", frozenset([False]): "numpy"}.get(frozenset(loaded), "mixed"), flush=True)
     for argv in json.loads(sys.argv[1]):
         print("exit", main(argv), flush=True)
@@ -108,12 +108,32 @@ def wide_commands(work: Path) -> list[list[str]]:
     ]
 
 
+def comma_commands(work: Path) -> list[list[str]]:
+    """Train, evaluate and predict :func:`wide_table` comma-delimited, into ``comma.model.json``.
+
+    Each line starts with a row number, which every command ignores, and
+    its fields are padded with spaces. The files are written into ``work``.
+    """
+    values, labels = wide_table()
+    for name, rows in (("comma.train", range(0, 300)), ("comma.test", range(300, 500))):
+        lines = [" , ".join([str(i), *map(repr, values[i].tolist()), f"c{labels[i]}"]) for i in rows]
+        (work / name).write_text("\n".join(lines) + "\n")
+    parse = ["--delimiter", ",", "--ignore-cols", "0"]
+    return [
+        ["train", "--data", "comma.train", "--schema", "wide.schema.json", "--bins", "5",
+         "--max-rounds", "20", "--out", "comma.model.json", *parse],
+        ["evaluate", "--model", "comma.model.json", "--data", "comma.test", *parse],
+        ["predict", "--model", "comma.model.json", "--data", "comma.test", "--delimiter", ",",
+         "--ignore-cols", f"0,{WIDE_M + 1}"],
+    ]
+
+
 def table_commands(work: Path, **env) -> tuple[str, str, dict[str, bytes]]:
-    """monks-2's and the wide table's commands in one child in ``work``.
+    """monks-2's, the wide table's and the comma-delimited table's commands in one child in ``work``.
 
     Returns the loops it loaded, the rest of its stdout and each model file.
     """
-    commands = monks2_commands() + wide_commands(work)
+    commands = monks2_commands() + wide_commands(work) + comma_commands(work)
     child = subprocess.run(
         [sys.executable, "-c", CLI_SCRIPT, json.dumps(commands)],
         env=dict(child_env(), **env), cwd=work, capture_output=True, text=True, timeout=300,
@@ -122,13 +142,13 @@ def table_commands(work: Path, **env) -> tuple[str, str, dict[str, bytes]]:
     assert child.stderr == ""
     loops, rest = child.stdout.split("\n", 1)
     assert rest.count("exit 0\n") == len(commands)
-    models = {name: (work / f"{name}.model.json").read_bytes() for name in ("monks-2", "wide")}
+    models = {name: (work / f"{name}.model.json").read_bytes() for name in ("monks-2", "wide", "comma")}
     return loops, rest, models
 
 
 @pytest.fixture(scope="module")
 def compiled_run(tmp_path_factory):
-    """monks-2's and the wide table's commands through the compiled loops, built into a fresh cache."""
+    """monks-2's, the wide table's and the comma-delimited table's commands through the compiled loops, built into a fresh cache."""
     work = tmp_path_factory.mktemp("compiled")
     loops, stdout, models = table_commands(work, XDG_CACHE_HOME=str(work / "cache"))
     assert loops == "compiled"
@@ -138,7 +158,7 @@ def compiled_run(tmp_path_factory):
 class TestFallback:
     @pytest.mark.parametrize("broken", ["no-compiler", "unwritable-cache"])
     def test_training_falls_back_silently_to_the_same_bytes(self, tmp_path, compiled_run, broken):
-        """Training, then evaluating and predicting with the model, through numpy: the same stdout and model files."""
+        """Parsing, training, then evaluating and predicting with the model, without the library: the same stdout and model files."""
         if broken == "no-compiler":
             (tmp_path / "empty").mkdir()
             env = {"PATH": str(tmp_path / "empty"), "XDG_CACHE_HOME": str(tmp_path / "cache")}

@@ -72,15 +72,15 @@ def test_predict_on_bad_rows_reads_a_file_and_stdin_alike():
 
 def test_newline_copies_of_monks_1_read_as_the_shipped_files():
     script = load_script()
-    runs = script.newline_runs(ROOT)
-    assert [label for label, _, _ in runs] == [
-        f"newlines {case} {kind}" for case in script.NEWLINE_COPIES for kind in ("train", "model", "evaluate", "predict")
-    ]
+    runs = script.monks_copy_runs(ROOT)
+    kinds = ("train", "model", "evaluate", "predict")
+    assert [label for label, _, _ in runs] == [f"{case} {kind}" for case in script.MONKS_COPIES for kind in kinds]
     assert all(code == 0 for _, _, code in runs)
     outputs = {label: data for label, data, _ in runs}
-    # the line ends and the mark change nothing a command prints or writes
-    for kind in ("train", "model", "evaluate", "predict"):
+    # the line ends, the mark and the delimiter change nothing a command prints or writes
+    for kind in kinds:
         assert outputs[f"newlines crlf-bom {kind}"] == outputs[f"newlines cr {kind}"]
+        assert outputs[f"delimited comma {kind}"] == outputs[f"newlines cr {kind}"]
     assert "train accuracy: 100 % (124/124)" in outputs["newlines cr train"].decode()
     assert len(outputs["newlines cr predict"].decode().splitlines()) == 432
 
