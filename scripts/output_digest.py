@@ -23,7 +23,7 @@ files in both data-file forms: a spec that splits ``monks-1.train`` by a
 seeded row count, and a suite with one such split entry and one entry
 naming the train and test pair. Then ``search --out`` runs the monks
 workload's spec at ``"parallelism"`` 1 and 2, so both the serial and the
-forked search are digested on any host, and then the same spec with
+two-thread search are digested on any host, and then the same spec with
 ``"exhaustive": true`` at both, whose trials differ from the first in
 several attributes at once; the script exits 1 if a search's outputs
 differ between the two.
@@ -287,7 +287,7 @@ def data_form_runs(root: Path) -> list[tuple[str, bytes, int]]:
     return runs
 
 
-# the serial search, and the one that forks a helper for each batch of more than one topology
+# the serial search, and the one that starts a worker thread for each batch of more than one topology
 PARALLELISM = (1, 2)
 # the monks workload's coordinate search, and the whole product of its ranges, whose
 # trials differ from the first in several attributes at once
@@ -299,8 +299,9 @@ def parallelism_runs(root: Path, tiny: bool = False) -> list[tuple[str, bytes, i
 
     Each of SEARCHES runs at every PARALLELISM, the coordinate search first.
     The workloads' own searches run at ``min(2, os.cpu_count())``, so a
-    one-CPU host never forks a helper there; these take both paths on any
-    host. Stdout and the trial log are digested.
+    one-CPU host never starts a worker thread there; these take both paths
+    on any host where the compiled sweep loads. Stdout and the trial log
+    are digested.
     """
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -342,8 +343,8 @@ def main(argv: list[str]) -> int:
     # a search prints and logs the same bytes at any parallelism
     differ = 0
     for i, name in enumerate(SEARCHES):
-        serial, forked = (by_parallelism[j : j + 2] for j in (4 * i, 4 * i + 2))
-        if [(data, code) for _, data, code in serial] != [(data, code) for _, data, code in forked]:
+        serial, parallel = (by_parallelism[j : j + 2] for j in (4 * i, 4 * i + 2))
+        if [(data, code) for _, data, code in serial] != [(data, code) for _, data, code in parallel]:
             print(f"monks{name} search outputs differ between parallelism {PARALLELISM[0]} and {PARALLELISM[1]}",
                   file=sys.stderr)
             differ = 1

@@ -1,8 +1,11 @@
 /* diffnb's compiled loops: the training sweep's in-order pass, the window check, the scoring passes and the block parse.
  *
  * diffnb.native compiles this file into a shared library and loads it with
- * ctypes.PyDLL, so the functions run holding the interpreter lock and may
- * use the Python C API. They read numpy arrays through the buffer protocol.
+ * ctypes.PyDLL, so the functions are called holding the interpreter lock
+ * and may use the Python C API. They read numpy arrays through the buffer
+ * protocol. diffnb_scan and diffnb_score, the two passes a search trial
+ * runs, release the lock around their loops, so trials on other threads
+ * run at once; they take it back before they set a Python error.
  *
  * exp and log are numpy's own float64 loops, called by function pointer.
  * A ufunc object holds, per type signature, the inner loop that a call of
@@ -47,6 +50,14 @@
 /* boosting._SAFE_LOG and boosting._TINY, the smallest positive normal double */
 #define SAFE_LOG 690.0
 #define TINY 2.2250738585072014e-308
+/* Misses diffnb_scan runs between two checks for a pending signal.
+ *
+ * A check takes the interpreter lock back, and can wait a switch interval
+ * (5 ms) while another thread runs Python, so it is not made every miss;
+ * 256 misses of the train-heavy shape (10k rows, K=3, M=20) take 12-15 ms
+ * on a 2-vCPU Intel Xeon, so Ctrl-C stops a pass about that soon.
+ */
+#define SIGNAL_EVERY 256
 
 /* One argument buffer: its name for messages, whether it is written, whether it holds int64. */
 struct buffer_spec {
@@ -310,7 +321,8 @@ exp_row(const double *row, double *shifted, double *out, Py_ssize_t k)
  * row's K values and log on the boosted class's M weights, the lengths
  * the numpy pass hands np.exp and np.log. The caller checks that every
  * cell index, label and member is in range; this checks lengths, item
- * types and contiguity.
+ * types and contiguity. The loop runs without the interpreter lock, and
+ * takes it back every SIGNAL_EVERY misses to run pending signal handlers.
  */
 Py_ssize_t
 diffnb_scan(PyObject *scores_obj, PyObject *weights_obj, PyObject *logw_obj,
@@ -349,15 +361,20 @@ diffnb_scan(PyObject *scores_obj, PyObject *weights_obj, PyObject *logw_obj,
     const int64_t *members = views[MEMBERS].buf;
 
     Py_ssize_t count = 0;
+    PyThreadState *released = PyEval_SaveThread();
     for (Py_ssize_t i = 0; i < n; i++) {
         double *row = scores + i * k;
         const Py_ssize_t label = (Py_ssize_t)labels[i];
         if (argmax(row, k) == label)
             continue;
-        /* a pending Ctrl-C or other signal handler runs here, between misses */
-        if (PyErr_CheckSignals() < 0)
-            goto done;
-        count++;
+        /* a pending Ctrl-C or other signal handler runs here, after every
+           SIGNAL_EVERY misses, with the lock taken back for it */
+        if (++count % SIGNAL_EVERY == 0) {
+            PyEval_RestoreThread(released);
+            if (PyErr_CheckSignals() < 0)
+                goto done;
+            released = PyEval_SaveThread();
+        }
 
         exp_row(row, row_in, row_out, k);
 
@@ -396,6 +413,7 @@ diffnb_scan(PyObject *scores_obj, PyObject *weights_obj, PyObject *logw_obj,
             patch[r] = 0.0;
         }
     }
+    PyEval_RestoreThread(released);
     misses = count;
 
 done:
@@ -438,6 +456,7 @@ static const struct buffer_spec score_buffers[N_SCORE] = {
  * if any of the row's M values lies below the cell's lo or above its hi,
  * else ``log_base``: a NaN compares false, so it violates nothing, as in
  * numpy. Lengths, item types, contiguity and every cell index are checked.
+ * The loop runs without the interpreter lock.
  */
 int
 diffnb_score(PyObject *values_obj, PyObject *cells_obj, PyObject *lo_obj, PyObject *hi_obj,
@@ -469,13 +488,15 @@ diffnb_score(PyObject *values_obj, PyObject *cells_obj, PyObject *lo_obj, PyObje
     const double *log_base = views[LOG_BASE].buf, *log_gated = views[LOG_GATED].buf;
     const int64_t *cells = views[ROW_CELLS].buf;
     double *parts = views[PARTS].buf;
-    for (Py_ssize_t i = 0; i < n; i++) {
+    int bad_cell = 0;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < n && !bad_cell; i++) {
         const double *row = values + i * m;
         for (Py_ssize_t t = 0; t < s; t++) {
             const int64_t cell = cells[i * s + t];
             if (cell < 0 || cell >= c) {
-                PyErr_SetString(PyExc_ValueError, "score: a cell index lies outside the tables");
-                goto done;
+                bad_cell = 1;
+                break;
             }
             for (Py_ssize_t kk = 0; kk < k; kk++) {
                 const Py_ssize_t at = kk * c + cell;
@@ -483,6 +504,11 @@ diffnb_score(PyObject *values_obj, PyObject *cells_obj, PyObject *lo_obj, PyObje
                 parts[(kk * n + i) * s + t] = outside_window(row, cell_lo, cell_hi, m) ? log_gated[at] : log_base[at];
             }
         }
+    }
+    Py_END_ALLOW_THREADS
+    if (bad_cell) {
+        PyErr_SetString(PyExc_ValueError, "score: a cell index lies outside the tables");
+        goto done;
     }
     status = 0;
 

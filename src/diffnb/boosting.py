@@ -35,7 +35,10 @@ the first of equal maxima winning; the row's max, the 690 shift and the
 ``_TINY`` floor; the step; the weight add; the log-weight subtraction;
 and the patch, which sums each row's increments from 0.0 in attribute
 order, as ``np.bincount`` adds its weights, then adds the sum to every
-row of the boosted class's column.
+row of the boosted class's column. The compiled loop runs without the
+interpreter lock, so search trials on other threads train meanwhile, and
+takes it back every 256 misses to run pending signal handlers; the numpy
+pass holds it.
 
 In the numpy pass a miss is one pass over its row with a fixed handful
 of numpy calls: one short argmax window finds it; its K log scores are

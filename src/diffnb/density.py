@@ -14,10 +14,10 @@ the bin stops vouching for combinations it never saw.
 Fitting and checking the windows is exact arithmetic: a bound is the min
 or max of training values and the check is a pair of comparisons, so no
 rounding enters. The fit is vectorized over whole cells. The check runs
-as a compiled loop over rows, cells and classes where
-:mod:`diffnb.native`'s library loads, and vectorized over blocks of rows
-in numpy where it does not; each returns bit for bit what a loop over
-rows and attributes returns. A trained model's scores of whole rows
+as a compiled loop over rows, cells and classes, without the interpreter
+lock, where :mod:`diffnb.native`'s library loads, and vectorized over
+blocks of rows in numpy where it does not; each returns bit for bit what
+a loop over rows and attributes returns. A trained model's scores of whole rows
 skip :func:`likelihood_logs` where the library loads: one compiled pass
 (:func:`diffnb.inference.batch_log_scores`) bins each row as
 :meth:`BinGrid.bins` does, runs the same window check, and sums the parts

@@ -29,6 +29,14 @@ adds in numpy's order: the order of numpy's float64 sum over a contiguous
 axis, pairwise past 8 terms, is written down once, as ``pairwise_sum`` in
 ``_native.c``, and the tests compare its every branch with numpy's own.
 
+The training sweep and the window check, the two passes a search trial
+runs, release the interpreter lock around their loops, so search trials
+on several threads train at once (see :mod:`diffnb.topology`). numpy's
+``exp`` and ``log`` loops need no lock. The sweep takes the lock back
+every 256 misses to run pending signal handlers, so Ctrl-C stops it part
+way. The scoring, posterior and parse passes keep the lock: no caller runs
+them on threads.
+
 The library is built on Linux only, with the ``cc`` on ``PATH``, the
 interpreter's headers and numpy's (``numpy.get_include()``), into
 ``$XDG_CACHE_HOME/diffnb`` (else ``~/.cache/diffnb``). Its file name

@@ -18,46 +18,40 @@ j's grid, bins, counts and windows depend only on column j's values, its
 count and the other attributes' raw values over its cells, and so do its
 gated likelihood parts for the training and validation rows (a window
 bounds raw values, not bins). So the search builds the baseline's M
-columns once, in the searching process, before the first batch forks;
-helpers inherit them and only read them. A sweep trial, which differs from
-the baseline in one attribute, fits that one column and scores that one
-attribute, through the same ``fit_column`` and ``likelihood_logs`` a
-fresh training uses, and copies the rest into place. Each process holds
-at most the M shared columns plus the current trial's own, which it drops
-when the trial ends, however many trials or candidates the search has.
+columns once, before its first batch starts a worker thread, and every
+thread only reads them. A sweep trial, which differs from the baseline in
+one attribute, fits that one column and scores that one attribute,
+through the same ``fit_column`` and ``likelihood_logs`` a fresh training
+uses, and copies the rest into place. The search holds the M shared
+columns plus each running trial's own, which a trial drops when it ends,
+however many trials or candidates the search has.
 The assembled density, cells and likelihood sums equal
 ``TrainState.build``'s byte for byte: copying moves no bit, bins become
 cells through the density's offsets, and the parts are summed from the
 (K, n, M) layout ``likelihood_logs`` returns, so every row adds its parts
 in the same order; the state derives each cell's rows as a fresh one does.
 
-With ``parallelism > 1`` on Linux, a batch of more than one new topology
-trains on the searching process and on ``parallelism - 1`` helpers forked
-for that batch (fewer when the batch is smaller), not on threads: a
-training is thousands of small numpy calls that each hold the interpreter
-lock, so two threads ran slower than one. Every process claims the next
-unclaimed index of the batch through a pipe that holds only that index,
-and each helper sends its trials back over a pipe of its own, which the
-searching process reads between its own trials. A helper inherits the
-datasets, base config and shared columns at the fork, so nothing is
-pickled on the way out. Other platforms train every batch serially, with
-the same results: Windows has no fork, and macOS spawns by default
-because forking once system libraries have started threads is unsafe.
+With ``parallelism > 1``, a batch of more than one new topology trains on
+the searching thread and on ``parallelism - 1`` worker threads started for
+that batch (fewer when the batch is smaller). A trial's two long passes,
+the training sweep and the window check, are compiled loops that run
+without the interpreter lock (see :mod:`diffnb.native`), so threads train
+at once. Every thread claims the next unclaimed index of the batch under
+a lock and puts its trial in a list the threads share; only the searching
+thread records trials, in list order. Where the compiled sweep did not
+load, every batch trains serially, with the same results: the numpy sweep
+holds the lock, and two threads ran slower than one.
 """
 
 import dataclasses
-import os
-import pickle
-import select
-import signal
-import struct
-import sys
+import threading
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import boosting
 from .boosting import (
     TrainConfig,
     TrainState,
@@ -77,13 +71,6 @@ from .density import (
 )
 from .evaluation import check_scorable, scores_report
 
-# whether a parallel batch forks helpers (see the module docstring)
-_FORKS = sys.platform.startswith("linux")
-
-# a batch index in the claim pipe, and the length that heads each result sent back
-_U32 = struct.Struct("=I")
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     """Search space and budget.
@@ -92,8 +79,9 @@ class SearchSpec:
     singleton to pin an attribute (discrete attributes must stay pinned
     to their value count). ``budget`` caps the number of trainings.
     ``parallelism`` is the number of trainings run at once: above 1, the
-    searching process and forked helpers each train one (on Linux only;
-    elsewhere batches train serially).
+    searching thread and worker threads each train one (where the
+    compiled sweep loaded; elsewhere batches train serially). The three
+    counts are integers, numpy's included, and not bools.
     """
 
     ranges: tuple[tuple[int, ...], ...]
@@ -105,6 +93,10 @@ class SearchSpec:
     def __post_init__(self):
         if not self.ranges or any(len(r) == 0 for r in self.ranges):
             raise ValueError("every attribute needs a nonempty candidate range")
+        for name in ("budget", "parallelism", "baseline_bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.parallelism < 1:
@@ -163,12 +155,13 @@ class _Columns:
 
     ``shared`` holds one :class:`_Column` per attribute, those of the
     topology given to :meth:`share`; a trial builds only the columns whose
-    count differs from it, and drops them when it ends. So a process holds
-    at most the M shared columns plus one trial's M, however many trials
-    or candidates the search has. The searching process shares before the
-    first batch forks, so helpers inherit the shared columns, which no
-    trial writes. A trial's cells come from ``ScoringTables.offsets``, and
-    the rows of each cell from ``TrainState.start``, as a fresh training's.
+    count differs from it, and drops them when it ends. So a search holds
+    the M shared columns plus each running trial's M, however many trials
+    or candidates it has. The search shares before its first batch starts
+    a worker thread; no trial writes the shared columns, so the threads
+    read them without a lock. A trial's cells come from
+    ``ScoringTables.offsets``, and the rows of each cell from
+    ``TrainState.start``, as a fresh training's.
     """
 
     def __init__(self, trainset: Dataset, validation: Dataset, base_config: TrainConfig):
@@ -261,79 +254,54 @@ def _train_one(columns: _Columns, topology: tuple[int, ...]) -> Trial:
     return columns.train(topology)
 
 
-class _Failure(NamedTuple):
-    """A trial that raised: its error, and a helper's formatted traceback (None for the searching process)."""
+class _Batch:
+    """One parallel batch: its topologies, claimed one at a time in list order, and their trials by index.
 
-    error: Exception
-    traceback: str | None
-
-
-class _HelperTraceback(Exception):
-    """A forked helper's formatted traceback, set as the cause of the error its trial raised."""
-
-
-def _claims(claim_r: int, claim_w: int, n: int) -> Iterator[int]:
-    """Indices of an ``n``-topology batch that this process claims, until none is left.
-
-    The claim pipe holds one index, the next unclaimed one: a claimer
-    reads it and writes back its successor, so the pipe never holds more
-    than 4 bytes, and pipe reads and writes that small are atomic.
+    A failed trial stops further claims, as does :meth:`stop`; the
+    topologies claimed before it still finish.
     """
-    while True:
-        (i,) = _U32.unpack(os.read(claim_r, _U32.size))
-        os.write(claim_w, _U32.pack(min(i + 1, n)))
-        if i >= n:
-            return
-        yield i
 
+    def __init__(self, columns: _Columns, fresh: list[tuple[int, ...]]):
+        self.columns = columns
+        self.fresh = fresh
+        # each topology's trial, or the error its training raised, once in
+        self.done: list[Trial | BaseException | None] = [None] * len(fresh)
+        self._claimed = 0
+        self._stopped = False
+        self._changed = threading.Condition()
 
-def _send(fd: int, message: tuple) -> None:
-    data = pickle.dumps(message)
-    view = memoryview(_U32.pack(len(data)) + data)
-    while view:
-        view = view[os.write(fd, view) :]
+    def claim(self) -> int | None:
+        """The next unclaimed index, or None once none is left or the batch has stopped."""
+        with self._changed:
+            if self._stopped or self._claimed == len(self.fresh):
+                return None
+            self._claimed += 1
+            return self._claimed - 1
 
+    def train(self) -> None:
+        """Train claimed topologies until none is left or the batch stops; a worker thread's whole run."""
+        while (i := self.claim()) is not None:
+            self.train_claimed(i)
 
-class _Results:
-    """One forked batch's trials by index, from this process and from the helpers' pipes."""
+    def train_claimed(self, i: int) -> None:
+        """Train topology ``i`` and put its trial in, or its error, which stops the batch."""
+        try:
+            item = _train_one(self.columns, self.fresh[i])
+        except BaseException as err:  # raised in its turn by the searching thread
+            item = err
+        with self._changed:
+            self.done[i] = item
+            self._stopped = self._stopped or isinstance(item, BaseException)
+            self._changed.notify()
 
-    def __init__(self, n: int):
-        self.done: list[Trial | _Failure | None] = [None] * n
-        self.failed = False
-        self._unread: dict[int, bytearray] = {}  # each open result pipe's bytes not yet parsed
-        self._poll = select.poll()
+    def stop(self) -> None:
+        with self._changed:
+            self._stopped = True
 
-    def put(self, i: int, item: Trial | _Failure) -> None:
-        self.done[i] = item
-        self.failed = self.failed or isinstance(item, _Failure)
-
-    def listen(self, fd: int) -> None:
-        self._unread[fd] = bytearray()
-        self._poll.register(fd, select.POLLIN)
-
-    def receive(self, block: bool) -> None:
-        """Take in what the helpers have sent; with ``block``, wait until one sends or exits."""
-        if block and not self._unread:
-            raise RuntimeError("a search helper exited without sending every trial it claimed")
-        for fd, _ in self._poll.poll(None if block else 0):
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:  # the helper has exited
-                self._poll.unregister(fd)
-                os.close(fd)
-                del self._unread[fd]
-                continue
-            unread = self._unread[fd]
-            unread += chunk
-            while len(unread) >= _U32.size:
-                end = _U32.size + _U32.unpack_from(unread)[0]
-                if len(unread) < end:
-                    break
-                self.put(*pickle.loads(unread[_U32.size : end]))
-                del unread[:end]
-
-    def close(self) -> None:
-        for fd in self._unread:
-            os.close(fd)
+    def wait_for(self, i: int) -> None:
+        """Return once trial ``i`` is in."""
+        with self._changed:
+            self._changed.wait_for(lambda: self.done[i] is not None)
 
 
 class _Runner:
@@ -361,98 +329,56 @@ class _Runner:
         """
         while recorded < len(done) and done[recorded] is not None:
             item = done[recorded]
-            if isinstance(item, _Failure):
-                if item.traceback is None:
-                    raise item.error
-                raise item.error from _HelperTraceback(item.traceback)
+            if isinstance(item, BaseException):
+                raise item
             self._record(item)
             recorded += 1
         return recorded
 
-    def _help(self, fresh: list[tuple[int, ...]], claim_r: int, claim_w: int, result_w: int) -> NoReturn:
-        """A forked helper: train claimed topologies and send each back, stopping at a failure.
+    def _run_threaded(self, fresh: list[tuple[int, ...]]) -> None:
+        """Train ``fresh`` on this thread and on worker threads, recording trials in list order.
 
-        It leaves through ``os._exit`` whatever happens, so it never runs
-        the searching process's code, clean-up or output flush.
+        This thread claims and trains topologies as the workers do, and
+        between its own trials records every trial whose predecessors are
+        all in; once nothing is left to claim, it waits for the workers'.
+        A failed trial stops further claims, and its error is raised once
+        every earlier trial is recorded, as in a serial run. However the
+        batch ends, every worker is joined before this returns or raises.
         """
-        code = 1
+        batch = _Batch(self.columns, fresh)
+        workers = []
         try:
-            for i in _claims(claim_r, claim_w, len(fresh)):
-                try:
-                    item = _train_one(self.columns, fresh[i])
-                except Exception as err:
-                    import traceback
-
-                    item = _Failure(err, traceback.format_exc())
-                _send(result_w, (i, item))
-                if isinstance(item, _Failure):
-                    break
-            code = 0
-        finally:
-            os._exit(code)
-
-    def _run_forked(self, fresh: list[tuple[int, ...]]) -> None:
-        """Train ``fresh`` here and on forked helpers, recording trials in list order.
-
-        This process claims and trains topologies as the helpers do, and
-        between its own trials takes in theirs and records every trial
-        whose predecessors are all in. A failed trial ends this process's
-        claims, and its error is raised once every earlier trial is
-        recorded, as in a serial run. However the batch ends, the helpers
-        are killed and reaped before this returns.
-        """
-        n = len(fresh)
-        results = _Results(n)
-        # as multiprocessing does: a helper must not inherit output it could write again
-        sys.stdout.flush()
-        sys.stderr.flush()
-        claim_r, claim_w = os.pipe()
-        os.write(claim_w, _U32.pack(0))
-        pids = []
-        try:
-            for _ in range(min(self.spec.parallelism, n) - 1):
-                result_r, result_w = os.pipe()
-                results.listen(result_r)
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        self._help(fresh, claim_r, claim_w, result_w)
-                finally:
-                    os.close(result_w)
-                pids.append(pid)
+            for _ in range(min(self.spec.parallelism, len(fresh)) - 1):
+                worker = threading.Thread(target=batch.train)
+                worker.start()
+                workers.append(worker)
             recorded = 0
-            for i in _claims(claim_r, claim_w, n):
-                try:
-                    results.put(i, _train_one(self.columns, fresh[i]))
-                except Exception as err:
-                    results.put(i, _Failure(err, None))
-                results.receive(block=False)
-                recorded = self._record_ready(results.done, recorded)
-                if results.failed:
-                    break
-            while recorded < n:
-                results.receive(block=True)
-                recorded = self._record_ready(results.done, recorded)
+            while (i := batch.claim()) is not None:
+                batch.train_claimed(i)
+                recorded = self._record_ready(batch.done, recorded)
+            while recorded < len(fresh):
+                batch.wait_for(recorded)
+                recorded = self._record_ready(batch.done, recorded)
         finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            results.close()
-            os.close(claim_r)
-            os.close(claim_w)
+            batch.stop()
+            for worker in workers:
+                worker.join()
 
     def run_batch(self, topologies: Sequence[tuple[int, ...]]) -> None:
         """Run the uncached topologies, charging budget in list order.
 
         Candidates beyond the remaining budget are dropped and flag the
-        result truncated. With ``parallelism > 1`` on Linux, a batch of
-        more than one new topology trains on this process and on helpers
-        forked for it, each claiming the next untrained topology as it
-        finishes one. Results are recorded, and passed to ``on_trial``, in
-        list order as soon as they and every earlier one are in, so
-        parallel and serial runs match and progress flows while the batch
-        runs; a helper's trial is taken in after this process's current
-        trial ends, so its progress line can wait that long.
+        result truncated. With ``parallelism > 1``, where the compiled
+        sweep loaded, a batch of more than one new topology trains on this
+        thread and on worker threads started for it, each claiming the next
+        untrained topology as it finishes one. Results are recorded, and
+        passed to ``on_trial``, on this thread only, in list order as soon
+        as they and every earlier one are in, so parallel and serial runs
+        match and progress flows while the batch runs; a worker's trial is
+        recorded after this thread's current trial ends, so its progress
+        line can wait that long. A failure, or an exception from
+        ``on_trial`` such as a closed stdout's or Ctrl-C's, stops further
+        claims, and every worker is joined before this returns or raises.
         """
         fresh: list[tuple[int, ...]] = []
         seen = set()
@@ -467,8 +393,8 @@ class _Runner:
         if not fresh:
             return
         self.spent += len(fresh)
-        if _FORKS and self.spec.parallelism > 1 and len(fresh) > 1:
-            self._run_forked(fresh)
+        if boosting._SWEEP is not None and self.spec.parallelism > 1 and len(fresh) > 1:
+            self._run_threaded(fresh)
         else:
             for topo in fresh:
                 self._record(_train_one(self.columns, topo))
@@ -491,7 +417,7 @@ def coordinate_search(
     baseline, then one verification run of the per-attribute winners.
     The baseline and the sweeps are one batch, in that order, so budget
     is charged, and trials are logged and reported, as if each ran as
-    its own batch; with ``parallelism > 1`` no process waits for a
+    its own batch; with ``parallelism > 1`` no thread waits for a
     sweep to finish before starting the next. Each attribute's winner is
     read from the cache once the batch is done. The best topology is the
     best validation accuracy seen anywhere in the trial log (earliest

@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,35 @@ def child_env() -> dict:
     package_root = Path(diffnb.__file__).resolve().parent.parent
     path = [str(package_root), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def seen_part_way(run, progress, total: int, attempts: int = 3) -> bool:
+    """Whether a second thread, reading ``progress()`` over and over while ``run()`` runs, sees it strictly between 0 and ``total``.
+
+    A call that holds the interpreter lock throughout lets the reader run
+    only before it starts and after it ends, so only a call that releases
+    the lock can show a value part way. ``run`` must start from 0 each
+    time; it runs up to ``attempts`` times, in case the reader is not
+    scheduled during one.
+    """
+    for _ in range(attempts):
+        seen = set()
+        stop = threading.Event()
+
+        def read():
+            while not stop.is_set():
+                seen.add(progress())
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            run()
+        finally:
+            stop.set()
+            reader.join()
+        if any(0 < value < total for value in seen):
+            return True
+    return False
 
 
 def rows_of(data: Dataset) -> list[tuple[tuple[float, ...], int]]:

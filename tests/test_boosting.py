@@ -30,7 +30,7 @@ from diffnb.dataset import AttributeSpec, Dataset, Schema
 from diffnb.evaluation import evaluate
 from diffnb.monks import MONKS_BINS, generate_monks
 
-from conftest import small_problems, xor_dataset
+from conftest import seen_part_way, small_problems, xor_dataset
 
 
 def cells_of(bins, b_max):
@@ -854,6 +854,23 @@ class TestCompiledLoop:
             signal.setitimer(signal.ITIMER_VIRTUAL, 0)
             signal.signal(signal.SIGVTALRM, previous)
         assert 0 < np.count_nonzero(state.weights != 1.0) < np.count_nonzero(full.weights != 1.0)
+
+    def test_the_pass_runs_without_the_interpreter_lock(self):
+        # so search trials on two threads train at once
+        data = train_heavy_shaped_problem(n=10000)
+        full = TrainState.build(data, TrainConfig(topology=8))
+        full._scan_compiled()
+        states = []
+
+        def run():
+            states.append(TrainState.build(data, TrainConfig(topology=8)))
+            states[-1]._sweep_arrays
+            states[-1]._scan_compiled()
+
+        def boosted():
+            return np.count_nonzero(states[-1].weights != 1.0) if states else 0
+
+        assert seen_part_way(run, boosted, np.count_nonzero(full.weights != 1.0))
 
     def test_indices_outside_the_tables_are_refused(self):
         state = TrainState.build(xor_dataset(), TrainConfig(topology=2))

@@ -725,50 +725,6 @@ class TestSearch:
         assert "best topology: 2-2" in out
         assert "trials: 1" in out
 
-    def test_forked_helpers_never_repeat_output(self, tmp_path):
-        # stdout is a file, so block-buffered, and already holds a line when
-        # the search forks; a helper that inherited that buffer and flushed
-        # it on the way out would write the line a second time. The
-        # searching process's trials are slowed, so the helper runs out of
-        # topologies and leaves while the search goes on.
-        script = textwrap.dedent(
-            """
-            import os, sys, time
-            from diffnb import topology
-            from diffnb.cli import main
-
-            train, searcher = topology._train_one, os.getpid()
-
-            def slowed_here(*args):
-                if os.getpid() == searcher:
-                    time.sleep(0.1)
-                return train(*args)
-
-            topology._train_one = slowed_here
-            print("before the search")
-            sys.exit(main(sys.argv[1:]))
-            """
-        )
-        env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
-        outputs = {}
-        for parallelism in (1, 2):
-            spec = tmp_path / f"search-{parallelism}.json"
-            spec.write_text(json.dumps(monks_search_spec(
-                1, ranges={"a1": [2, 3, 4], "a5": [2, 3, 4]}, baseline_bins=4, max_rounds=20, parallelism=parallelism
-            )))
-            out = tmp_path / f"out-{parallelism}.txt"
-            with open(out, "wb") as stdout:
-                child = subprocess.run(
-                    [sys.executable, "-c", script, "search", "--spec", str(spec)],
-                    stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
-                )
-            assert (child.returncode, child.stderr) == (0, b"")
-            outputs[parallelism] = out.read_bytes()
-        assert outputs[2] == outputs[1]
-        assert outputs[1].count(b"before the search") == 1
-        assert outputs[1].count(b"\ntrial ") == 6
-
     def test_parallel_flag_is_a_usage_error(self, workdir, capsys):
         # the spec's "parallelism" is the one way to set the worker count
         (workdir / "search.json").write_text(json.dumps(SEARCH_SPEC))
@@ -1242,7 +1198,7 @@ class TestClosedStdout:
             child.stdout.close()
             code = child.wait(timeout=60)
             # stderr reaches its end once every process holding it is gone,
-            # so a forked helper left running would hold it open
+            # so a child left running would hold it open
             assert select.select([child.stderr], [], [], 1.0)[0], "stderr is still open after the command exited"
             return first, code, child.stderr.read()
         finally:
@@ -1273,9 +1229,9 @@ class TestClosedStdout:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_parallel_search_into_a_closed_pipe(self, tmp_path, unbuffered):
         # unbuffered, the first progress line fails while the batch is
-        # still training, with monks-2 trials of about half a second; a
-        # helper outliving the command would hold stderr open for seconds.
-        # Buffered, the search ends before the final flush fails.
+        # still training, with monks-2 trials of about half a second; the
+        # worker thread finishes its trial and is joined before the command
+        # exits. Buffered, the search ends before the final flush fails.
         spec = tmp_path / "search.json"
         spec.write_text(json.dumps(monks_search_spec(
             2, ranges=[[2, 3, 4, 5]] * 6, baseline_bins=4, parallelism=2, budget=25 if unbuffered else 3
@@ -1335,7 +1291,7 @@ class TestMissingInputFile:
 def test_import_loads_no_pool_machinery():
     # every command pays for what importing the CLI loads, and only the
     # commands that evaluate or search import those modules; a parallel
-    # search forks its helpers itself, with no executor or multiprocessing
+    # search starts its worker threads itself, with no executor or multiprocessing
     script = textwrap.dedent(
         f"""
         import sys, diffnb.cli

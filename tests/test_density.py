@@ -32,6 +32,7 @@ from conftest import (
     numeric_dataset,
     query_rows,
     reference_bin,
+    seen_part_way,
     reference_tagged_likelihood,
     small_problems,
     xor_dataset,
@@ -631,6 +632,25 @@ class TestCompiledCheck:
         for cell in (-1, log_base.shape[1]):
             with pytest.raises(ValueError, match="cell index lies outside"):
                 score(cells=np.full((3, 2), cell, dtype=np.int64))
+
+    def test_the_check_runs_without_the_interpreter_lock(self):
+        # so search trials on two threads score at once
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(20000, 20))
+        density = fit_density(numeric_dataset(values, rng.integers(0, 3, size=20000), 3), 8)
+        tables = density.scoring_tables
+        log_base, log_gated = tables.log_likelihoods(DEFAULT_TAG_GAIN, density.epsilon_floor)
+        cells = tables.grid.bins(values) + tables.offsets
+        parts = []
+
+        def run():
+            parts.append(np.full((3, *cells.shape), np.nan))
+            density_module._SCORE(values, cells, tables.window_lo, tables.window_hi, log_base, log_gated, parts[-1], 3, 20)
+
+        def written():
+            return np.count_nonzero(~np.isnan(parts[-1])) if parts else 0
+
+        assert seen_part_way(run, written, 3 * cells.size)
 
 
 # -- reference for the scoring tables -----------------------------------------

@@ -103,7 +103,7 @@ def test_both_data_file_forms_of_monks_1_are_digested():
     assert not any("train_seconds" in line for line in machine)
 
 
-def test_monks_search_is_digested_serially_and_forked():
+def test_monks_search_is_digested_serially_and_in_parallel():
     script = load_script()
     runs = script.parallelism_runs(ROOT, tiny=True)
     searches = ("monks", "monks exhaustive")
@@ -115,8 +115,8 @@ def test_monks_search_is_digested_serially_and_forked():
     outputs = {label: data for label, data, _ in runs}
     for search in searches:
         for output in ("stdout", "log"):
-            serial, forked = (outputs[f"parallelism {p} {search} search {output}"] for p in (1, 2))
-            assert serial == forked
+            serial, parallel = (outputs[f"parallelism {p} {search} search {output}"] for p in (1, 2))
+            assert serial == parallel
         assert b"best topology: " in outputs[f"parallelism 2 {search} search stdout"]
     # the monks spec sweeps four counts of each of three attributes: 4**3 topologies
     assert outputs["parallelism 1 monks exhaustive search stdout"].endswith(b"trials: 64\n")
