@@ -287,7 +287,7 @@ def data_form_runs(root: Path) -> list[tuple[str, bytes, int]]:
     return runs
 
 
-# the serial search, and the one that starts a worker thread for each batch of more than one topology
+# the serial search, and the one that starts worker threads for each batch of more than one topology
 PARALLELISM = (1, 2)
 # the monks workload's coordinate search, and the whole product of its ranges, whose
 # trials differ from the first in several attributes at once

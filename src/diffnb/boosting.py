@@ -94,6 +94,10 @@ class TrainConfig:
     topology: object = None
 
     def __post_init__(self):
+        # a model file stores a bool as true, which its loader refuses as a number
+        for name in ("alpha", "tag_gain", "epsilon_floor"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # an infinite step or floor turns scores into inf - inf = nan
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")

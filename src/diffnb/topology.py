@@ -32,15 +32,15 @@ cells through the density's offsets, and the parts are summed from the
 in the same order; the state derives each cell's rows as a fresh one does.
 
 With ``parallelism > 1``, a batch of more than one new topology trains on
-the searching thread and on ``parallelism - 1`` worker threads started for
-that batch (fewer when the batch is smaller). A trial's two long passes,
-the training sweep and the window check, are compiled loops that run
-without the interpreter lock (see :mod:`diffnb.native`), so threads train
-at once. Every thread claims the next unclaimed index of the batch under
-a lock and puts its trial in a list the threads share; only the searching
-thread records trials, in list order. Where the compiled sweep did not
-load, every batch trains serially, with the same results: the numpy sweep
-holds the lock, and two threads ran slower than one.
+``parallelism`` worker threads started for that batch (fewer when the
+batch is smaller). A trial's two long passes, the training sweep and the
+window check, are compiled loops that run without the interpreter lock
+(see :mod:`diffnb.native`), so threads train at once. Every worker claims
+the next unclaimed index of the batch under a lock and puts its trial in
+a list the threads share. The searching thread trains nothing: it waits
+for each trial in list order and records it. Where the compiled sweep did
+not load, every batch trains serially, with the same results: the numpy
+sweep holds the lock, and two threads ran slower than one.
 """
 
 import dataclasses
@@ -78,10 +78,10 @@ class SearchSpec:
     ``ranges`` holds one nonempty candidate tuple per attribute; use a
     singleton to pin an attribute (discrete attributes must stay pinned
     to their value count). ``budget`` caps the number of trainings.
-    ``parallelism`` is the number of trainings run at once: above 1, the
-    searching thread and worker threads each train one (where the
-    compiled sweep loaded; elsewhere batches train serially). The three
-    counts are integers, numpy's included, and not bools.
+    ``parallelism`` is the number of trainings run at once: above 1,
+    worker threads each train one (where the compiled sweep loaded;
+    elsewhere batches train serially). The three counts are integers,
+    numpy's included, and not bools; ``exhaustive`` is a bool.
     """
 
     ranges: tuple[tuple[int, ...], ...]
@@ -97,6 +97,8 @@ class SearchSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.exhaustive, (bool, np.bool_)):
+            raise ValueError(f"exhaustive must be a bool, got {self.exhaustive!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.parallelism < 1:
@@ -249,16 +251,10 @@ class _Columns:
         )
 
 
-def _train_one(columns: _Columns, topology: tuple[int, ...]) -> Trial:
-    """Train one candidate topology and score it on both sets; the runner's one call per trial."""
-    return columns.train(topology)
-
-
 class _Batch:
-    """One parallel batch: its topologies, claimed one at a time in list order, and their trials by index.
+    """One parallel batch: its topologies, claimed in list order by worker threads, and their trials by index.
 
-    A failed trial stops further claims, as does :meth:`stop`; the
-    topologies claimed before it still finish.
+    A failed trial or :meth:`stop` ends the claims; topologies claimed before it still finish.
     """
 
     def __init__(self, columns: _Columns, fresh: list[tuple[int, ...]]):
@@ -266,42 +262,37 @@ class _Batch:
         self.fresh = fresh
         # each topology's trial, or the error its training raised, once in
         self.done: list[Trial | BaseException | None] = [None] * len(fresh)
-        self._claimed = 0
-        self._stopped = False
+        self._unclaimed = 0  # the first unclaimed index; len(fresh) once none is left or the batch stopped
         self._changed = threading.Condition()
 
-    def claim(self) -> int | None:
-        """The next unclaimed index, or None once none is left or the batch has stopped."""
-        with self._changed:
-            if self._stopped or self._claimed == len(self.fresh):
-                return None
-            self._claimed += 1
-            return self._claimed - 1
-
     def train(self) -> None:
-        """Train claimed topologies until none is left or the batch stops; a worker thread's whole run."""
-        while (i := self.claim()) is not None:
-            self.train_claimed(i)
-
-    def train_claimed(self, i: int) -> None:
-        """Train topology ``i`` and put its trial in, or its error, which stops the batch."""
-        try:
-            item = _train_one(self.columns, self.fresh[i])
-        except BaseException as err:  # raised in its turn by the searching thread
-            item = err
-        with self._changed:
-            self.done[i] = item
-            self._stopped = self._stopped or isinstance(item, BaseException)
-            self._changed.notify()
+        """Train the next unclaimed topology until none is left or the batch stops; a worker thread's whole run."""
+        while True:
+            with self._changed:
+                i = self._unclaimed
+                if i == len(self.fresh):
+                    return
+                self._unclaimed += 1
+            try:
+                item = self.columns.train(self.fresh[i])
+            except BaseException as err:  # raised in its turn by the searching thread
+                item = err
+                self.stop()
+            with self._changed:
+                self.done[i] = item
+                self._changed.notify()
 
     def stop(self) -> None:
         with self._changed:
-            self._stopped = True
+            self._unclaimed = len(self.fresh)
 
-    def wait_for(self, i: int) -> None:
-        """Return once trial ``i`` is in."""
+    def trial(self, i: int) -> Trial:
+        """Trial ``i`` once it is in; the error its training raised is raised as itself."""
         with self._changed:
             self._changed.wait_for(lambda: self.done[i] is not None)
+        if isinstance(self.done[i], BaseException):
+            raise self.done[i]
+        return self.done[i]
 
 
 class _Runner:
@@ -322,43 +313,17 @@ class _Runner:
         if self.on_trial is not None:
             self.on_trial(trial)
 
-    def _record_ready(self, done: list, recorded: int) -> int:
-        """Record the trials after the first ``recorded`` whose predecessors are all in.
-
-        Returns the new count; a failed trial's error is raised in its turn.
-        """
-        while recorded < len(done) and done[recorded] is not None:
-            item = done[recorded]
-            if isinstance(item, BaseException):
-                raise item
-            self._record(item)
-            recorded += 1
-        return recorded
-
     def _run_threaded(self, fresh: list[tuple[int, ...]]) -> None:
-        """Train ``fresh`` on this thread and on worker threads, recording trials in list order.
-
-        This thread claims and trains topologies as the workers do, and
-        between its own trials records every trial whose predecessors are
-        all in; once nothing is left to claim, it waits for the workers'.
-        A failed trial stops further claims, and its error is raised once
-        every earlier trial is recorded, as in a serial run. However the
-        batch ends, every worker is joined before this returns or raises.
-        """
+        """Train ``fresh`` on worker threads and record each trial here, in list order, once it is in."""
         batch = _Batch(self.columns, fresh)
         workers = []
         try:
-            for _ in range(min(self.spec.parallelism, len(fresh)) - 1):
+            for _ in range(min(self.spec.parallelism, len(fresh))):
                 worker = threading.Thread(target=batch.train)
                 worker.start()
                 workers.append(worker)
-            recorded = 0
-            while (i := batch.claim()) is not None:
-                batch.train_claimed(i)
-                recorded = self._record_ready(batch.done, recorded)
-            while recorded < len(fresh):
-                batch.wait_for(recorded)
-                recorded = self._record_ready(batch.done, recorded)
+            for i in range(len(fresh)):
+                self._record(batch.trial(i))
         finally:
             batch.stop()
             for worker in workers:
@@ -369,16 +334,17 @@ class _Runner:
 
         Candidates beyond the remaining budget are dropped and flag the
         result truncated. With ``parallelism > 1``, where the compiled
-        sweep loaded, a batch of more than one new topology trains on this
-        thread and on worker threads started for it, each claiming the next
-        untrained topology as it finishes one. Results are recorded, and
-        passed to ``on_trial``, on this thread only, in list order as soon
-        as they and every earlier one are in, so parallel and serial runs
-        match and progress flows while the batch runs; a worker's trial is
-        recorded after this thread's current trial ends, so its progress
-        line can wait that long. A failure, or an exception from
-        ``on_trial`` such as a closed stdout's or Ctrl-C's, stops further
-        claims, and every worker is joined before this returns or raises.
+        sweep loaded, a batch of more than one new topology trains on
+        ``min(parallelism, batch size)`` worker threads started for it,
+        each claiming the next untrained topology as it finishes one; this
+        thread trains none of them. Results are recorded, and passed to
+        ``on_trial``, on this thread only, in list order as soon as they
+        and every earlier one are in, so parallel and serial runs match
+        and progress flows while the batch runs. A failed trial's error is
+        raised as itself once every earlier trial is recorded, as in a
+        serial run. A failure, or an exception from ``on_trial`` such as a
+        closed stdout's or Ctrl-C's, stops further claims, and every worker
+        is joined before this returns or raises.
         """
         fresh: list[tuple[int, ...]] = []
         seen = set()
@@ -397,7 +363,7 @@ class _Runner:
             self._run_threaded(fresh)
         else:
             for topo in fresh:
-                self._record(_train_one(self.columns, topo))
+                self._record(self.columns.train(topo))
 
     def result(self) -> SearchResult:
         best = max(self.log, key=lambda t: t.val_accuracy)  # first max wins ties

@@ -93,6 +93,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="max_rounds must be an integer"):
             TrainConfig(max_rounds=rounds)
 
+    @pytest.mark.parametrize("knob", ["alpha", "tag_gain", "epsilon_floor"])
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_boolean_knobs_refused(self, knob, value):
+        # a saved true would not load back: the model file's loader wants a number
+        with pytest.raises(ValueError, match=f"{knob} must be a number"):
+            TrainConfig(**{knob: value})
+
+    def test_numpy_float_knobs_accepted(self):
+        config = TrainConfig(alpha=np.float64(1.5), tag_gain=np.float32(0.5), epsilon_floor=np.float64(1e-3))
+        assert (config.alpha, config.tag_gain, config.epsilon_floor) == (1.5, 0.5, 1e-3)
+
     def test_numpy_integer_max_rounds_accepted(self):
         assert TrainConfig(max_rounds=np.int64(3)).max_rounds == 3
 

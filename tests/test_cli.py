@@ -1229,7 +1229,7 @@ class TestClosedStdout:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_parallel_search_into_a_closed_pipe(self, tmp_path, unbuffered):
         # unbuffered, the first progress line fails while the batch is
-        # still training, with monks-2 trials of about half a second; the
+        # still training, with monks-2 trials of about half a second; each
         # worker thread finishes its trial and is joined before the command
         # exits. Buffered, the search ends before the final flush fails.
         spec = tmp_path / "search.json"

@@ -152,13 +152,13 @@ class TestOneQueue:
 
     def test_serial_trials_are_reported_as_each_finishes(self, monkeypatch):
         trained = []
-        original = topology._train_one
+        original = topology._Columns.train
 
         def counting(columns, topo):
             trained.append(topo)
             return original(columns, topo)
 
-        monkeypatch.setattr(topology, "_train_one", counting)
+        monkeypatch.setattr(topology._Columns, "train", counting)
         reported = []
         spec = SearchSpec(((1, 2, 3), (1, 2, 4)), baseline_bins=2)
         coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=lambda t: reported.append(len(trained)))
@@ -166,33 +166,24 @@ class TestOneQueue:
 
     @threaded
     def test_parallel_trials_are_reported_before_the_batch_ends(self, monkeypatch, workers):
-        # the batch's last trial sleeps in a worker; the first trial must
-        # be reported while it sleeps, not after the whole batch is in
-        original = topology._train_one
+        # the batch's second trial waits in its worker until the first is
+        # reported, so it ends only if progress flows while workers train
+        original = topology._Columns.train
         spec = SearchSpec(((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
-        last = (2, 4)
-        started = threading.Event()
-        done = []
+        second = (1, 2)
+        reported = threading.Event()
+        waited = []
 
-        def slow_last(columns, topo):
+        def held_second(columns, topo):
             trial = original(columns, topo)
-            if topo == last:
-                started.set()
-                time.sleep(0.5)
-                done.append(time.monotonic())
-            elif not in_worker():
-                # the searching thread holds its first trial until the
-                # worker has the last one, so it never claims that one itself
-                started.wait(10)
+            if topo == second:
+                waited.append((in_worker(), reported.wait(10)))
             return trial
 
-        monkeypatch.setattr(topology, "_train_one", slow_last)
-        reported = []
-        result = coordinate_search(
-            xor_dataset(), xor_dataset(), spec, on_trial=lambda t: reported.append(time.monotonic())
-        )
-        assert [t.topology for t in result.trials][-2] == last  # the last of the one batch
-        assert reported[0] < done[0]
+        monkeypatch.setattr(topology._Columns, "train", held_second)
+        result = coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=lambda t: reported.set())
+        assert [t.topology for t in result.trials][:2] == [(2, 2), second]
+        assert waited == [(True, True)]
 
 
 class TestSearchSpec:
@@ -219,6 +210,15 @@ class TestSearchSpec:
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SearchSpec(ranges=((2,),), **{name: value})
+
+    @pytest.mark.parametrize("value", ["false", 1, 0, None, 1.0])
+    def test_exhaustive_must_be_a_bool(self, value):
+        # a string or a number is not a walk of the product, whatever its truth
+        with pytest.raises(ValueError, match="exhaustive must be a bool"):
+            SearchSpec(ranges=((2,),), exhaustive=value)
+
+    def test_numpy_bool_exhaustive_is_accepted(self):
+        assert SearchSpec(ranges=((2,),), exhaustive=np.True_).exhaustive
 
     def test_numpy_integer_counts_are_accepted(self):
         spec = SearchSpec(ranges=((2,),), budget=np.int64(3), parallelism=np.int32(2), baseline_bins=np.uint8(4))
@@ -294,29 +294,45 @@ class TestCoordinateSearch:
     @threaded
     def test_one_pool_per_search(self, workers):
         # the baseline and four sweep candidates are one batch, which starts
-        # one worker at parallelism 2; the verification trial is one topology
+        # two workers at parallelism 2; the verification trial is one topology
         spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
         result = coordinate_search(xor_dataset(), xor_dataset(), spec)
-        assert len(workers) == 1
+        assert len(workers) == 2
         assert result == coordinate_search(xor_dataset(), xor_dataset(), dataclasses.replace(spec, parallelism=1))
         # every batch holds one new topology: nothing to run side by side
         coordinate_search(xor_dataset(), xor_dataset(), SearchSpec(ranges=((2,), (2,)), parallelism=2))
-        assert len(workers) == 1
+        assert len(workers) == 2
+
+    @threaded
+    def test_a_parallel_batch_trains_only_on_workers(self, monkeypatch, workers):
+        # the searching thread only records; it trains the verification
+        # trial, a batch of one, itself
+        original = topology._Columns.train
+        trained = []
+
+        def recording(columns, topo):
+            trained.append(in_worker())
+            time.sleep(0.01)  # long enough for any thread free to train to claim a topology
+            return original(columns, topo)
+
+        monkeypatch.setattr(topology._Columns, "train", recording)
+        spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), baseline_bins=2, parallelism=2)
+        coordinate_search(xor_dataset(), xor_dataset(), spec)
+        assert trained == [True] * 5 + [False]
 
     @threaded
     def test_pool_never_has_more_workers_than_the_batch_has_topologies(self, workers):
-        # the searching thread trains too, so a batch starts one worker
-        # fewer than min(parallelism, batch size)
+        # a batch starts min(parallelism, batch size) workers
         spec = SearchSpec(ranges=((1, 2, 3), (1, 2, 4)), parallelism=5000)
         runner = _Runner(xor_dataset(), xor_dataset(), TrainConfig(), spec, None)
         runner.run_batch([(2, 2), (1, 2), (3, 2), (2, 1), (2, 4)])
-        assert len(workers) == 4
+        assert len(workers) == 5
         # one new topology in the batch: (2, 2) is cached
         runner.run_batch([(2, 2), (3, 3)])
-        assert len(workers) == 4
+        assert len(workers) == 5
         spec = SearchSpec(ranges=((1, 2, 3), (2,)), exhaustive=True, parallelism=2)
         coordinate_search(xor_dataset(), xor_dataset(), spec)
-        assert len(workers) == 5
+        assert len(workers) == 7
 
     def test_without_the_compiled_sweep_batches_train_serially(self, monkeypatch, workers):
         # the numpy sweep holds the interpreter lock, so threads would only take turns
@@ -328,64 +344,58 @@ class TestCoordinateSearch:
 
     @threaded
     def test_worker_failure_is_raised_and_leaks_no_worker(self, monkeypatch, workers):
-        # the worker trains with bin count 0, which passes the spec but fails inside the training
-        original = topology._train_one
-        started = threading.Event()
+        # the second topology trains with bin count 0, which passes the spec but fails inside the training
+        original = topology._Columns.train
 
         def failing_in_worker(columns, topo):
-            if in_worker():
-                started.set()
-                topo = (0,) + topo[1:]
-            else:
-                started.wait(10)  # so the worker claims a topology before the batch runs out
-            return original(columns, topo)
+            return original(columns, (0, 2) if topo == (1, 2) else topo)
 
-        monkeypatch.setattr(topology, "_train_one", failing_in_worker)
+        monkeypatch.setattr(topology._Columns, "train", failing_in_worker)
         spec = SearchSpec(ranges=((2, 1, 3), (2,)), exhaustive=True, parallelism=2)
         seen = []
         with pytest.raises(SchemaError, match="bin count must be >= 1") as excinfo:
             coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=seen.append)
-        # the worker's own error, raised with its traceback, and the trials before the failed one reported
+        # the worker's own error, raised with its traceback, and the trial before the failed one reported
         assert excinfo.value.__cause__ is None
         frames = [entry.name for entry in excinfo.traceback]
-        assert "train" in frames and "failing_in_worker" in frames
-        assert [t.topology for t in seen] == [(2, 2), (1, 2), (3, 2)][: len(seen)]
-        assert len(seen) < 3
-        assert len(workers) == 1
+        assert "trial" in frames and "failing_in_worker" in frames
+        assert [t.topology for t in seen] == [(2, 2)]
+        assert len(workers) == 2
 
     @threaded
     def test_own_failure_waits_for_earlier_trials(self, monkeypatch, workers):
-        # as in a serial run, every trial before the failed one is reported,
-        # the worker's too, before the error is raised
-        original = topology._train_one
-        started = threading.Event()
+        # as in a serial run, every trial before the failed one is reported
+        # before the error is raised, one still training when it failed too
+        original = topology._Columns.train
+        failing = threading.Event()
+        events = []
 
-        def failing_here(columns, topo):
-            if in_worker():
-                started.set()
-                time.sleep(0.2)  # still training when the searching thread fails
-            elif topo == (3, 2):
+        def failing_third(columns, topo):
+            if topo == (3, 2):
+                events.append("failed")
+                failing.set()
                 topo = (0, 2)
-            else:
-                started.wait(10)  # the worker claims one of the first two topologies
+            elif topo == (1, 2):
+                failing.wait(10)  # the other worker takes the third topology and fails
+                time.sleep(0.2)  # still training once the failure is in
             return original(columns, topo)
 
-        monkeypatch.setattr(topology, "_train_one", failing_here)
+        monkeypatch.setattr(topology._Columns, "train", failing_third)
         spec = SearchSpec(ranges=((2, 1, 3), (2,)), exhaustive=True, parallelism=2)
-        seen = []
         with pytest.raises(SchemaError, match="bin count must be >= 1") as excinfo:
-            coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=seen.append)
+            coordinate_search(xor_dataset(), xor_dataset(), spec, on_trial=lambda t: events.append(t.topology))
         assert excinfo.value.__cause__ is None
-        assert [t.topology for t in seen] == [(2, 2), (1, 2)]
-        assert len(workers) == 1
+        assert [e for e in events if e != "failed"] == [(2, 2), (1, 2)]
+        assert events.index("failed") < events.index((1, 2))
+        assert len(workers) == 2
 
     @threaded
     @pytest.mark.parametrize("source", ["on_trial", "signal"])
     def test_an_interruption_ends_the_batch_and_joins_every_worker(self, monkeypatch, workers, source):
         # Ctrl-C's KeyboardInterrupt in the searching thread, from a progress
-        # callback or from a signal handler while the worker trains, stops
+        # callback or from a signal handler while the workers train, stops
         # further claims; every worker is joined before it propagates
-        original = topology._train_one
+        original = topology._Columns.train
         trained = []
 
         def slowed(columns, topo):
@@ -398,7 +408,7 @@ class TestCoordinateSearch:
         def interrupt(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(topology, "_train_one", slowed)
+        monkeypatch.setattr(topology._Columns, "train", slowed)
         spec = SearchSpec(ranges=((1, 2, 3, 4, 5), (1, 2, 4, 5)), baseline_bins=2, parallelism=2)
         on_trial = interrupt if source == "on_trial" else None
         previous = signal.signal(signal.SIGALRM, interrupt)
@@ -408,7 +418,7 @@ class TestCoordinateSearch:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        assert len(workers) == 1
+        assert len(workers) == 2
         assert not any(worker.is_alive() for worker in workers)
         assert len(trained) < 9  # the baseline and eight sweep candidates
 
@@ -423,7 +433,7 @@ class TestCoordinateSearch:
             trained.append(topo[0])
             return Trial(topo, topo[0] % 101, 50.0)
 
-        monkeypatch.setattr(topology, "_train_one", quick)
+        monkeypatch.setattr(topology._Columns, "train", quick)
         topologies = [(i,) for i in range(20_000)]
         seen = []
         spec = SearchSpec(((1,),), budget=len(topologies), parallelism=(os.cpu_count() or 1) + 4)
@@ -440,7 +450,7 @@ class TestCoordinateSearch:
         assert [t.topology for t in runner.log] == topologies
         assert seen == runner.log
         assert sorted(trained) == list(range(len(topologies)))
-        assert len(workers) == spec.parallelism - 1
+        assert len(workers) == spec.parallelism
 
     def test_best_is_reproducible_by_retraining(self):
         spec = SearchSpec(ranges=((1, 2), (1, 2)), baseline_bins=1)
@@ -505,7 +515,7 @@ def assert_assembled_as_built(columns, topo, chosen):
 
 def check_search_columns(trainset, validation, ranges, baseline_bins, config, chosen):
     """Every trial of a coordinate and an exhaustive search, assembled from columns, against fresh builds."""
-    original = topology._train_one
+    original = topology._Columns.train
     checked = []
 
     def checking(columns, topo):
@@ -517,7 +527,7 @@ def check_search_columns(trainset, validation, ranges, baseline_bins, config, ch
 
     exhaustive = tuple(r[:2] if j < 3 else r[:1] for j, r in enumerate(ranges))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(topology, "_train_one", checking)
+        patch.setattr(topology._Columns, "train", checking)
         for spec in (
             SearchSpec(ranges, budget=1000, baseline_bins=baseline_bins),
             SearchSpec(exhaustive, budget=1000, exhaustive=True),
@@ -606,7 +616,7 @@ class TestColumns:
 
     def test_a_sweep_trial_builds_exactly_one_column(self, monkeypatch):
         events = self.record_builds(monkeypatch)
-        original = topology._train_one
+        original = topology._Columns.train
         built = {}
 
         def counting(columns, topo):
@@ -615,7 +625,7 @@ class TestColumns:
             built[topo] = [what for _, what in events[before:]]
             return trial
 
-        monkeypatch.setattr(topology, "_train_one", counting)
+        monkeypatch.setattr(topology._Columns, "train", counting)
         spec = SearchSpec(((2, 3, 4), (1, 2, 3), (2, 5)), baseline_bins=3)
         result = coordinate_search(three_attribute_dataset(), seeded_dataset(5), spec, TrainConfig(max_rounds=3))
         baseline, *sweeps, verification = [t.topology for t in result.trials]
